@@ -32,7 +32,6 @@ matrices with additive-generator entries.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import NamedTuple, Sequence
 
@@ -42,8 +41,6 @@ from .localfield import (
     LocalElement,
     ZERO,
     Field,
-    FiniteField,
-    finite_field,
     parse_element,
 )
 
@@ -88,13 +85,7 @@ def vertex_label(field: Field, v: TreeVertex) -> str:
 def residue_lifts(field: Field) -> list[LocalElement]:
     """Exact lifts of the residue classes, zero first."""
     _require_local(field)
-    out = [ZERO]
-    for code in range(1, field.residue_q):
-        if field.kind == "padic":
-            out.append(field.from_integer(code))
-        else:
-            out.append(field.from_coeffs(0, [code]))
-    return out
+    return [field.residue_lift(code) for code in range(field.residue_q)]
 
 
 def neighbors(field: Field, v: TreeVertex) -> list[TreeVertex]:
@@ -405,28 +396,36 @@ def mat_json(field: Field, A: Mat) -> list[list[str]]:
 def sl2_sample(field: Field, rng: random.Random) -> Mat:
     """A determinant-1 matrix: primitive integral first column, a
     particular second column solving the determinant, a random shift
-    along the first column, and a diagonal pi^j twist."""
+    along the first column, and a diagonal pi^j twist.
+
+    The shift can cancel every known digit of an inexact entry; that draw
+    is discarded and the sampler draws again.  Nothing about the matrix
+    has been checked at that point, so no check passes by construction."""
     _require_local(field)
-    if rng.random() < 0.5:
-        u1 = field.random_element(rng, min_val=0, max_val=0)
-        u2 = (ZERO if rng.random() < 0.15
-              else field.random_element(rng, min_val=0, max_val=3))
-    else:
-        u2 = field.random_element(rng, min_val=0, max_val=0)
-        u1 = (ZERO if rng.random() < 0.15
-              else field.random_element(rng, min_val=1, max_val=3))
-    if not field.is_zero(u1) and field.valuation(u1) == 0:
-        v1, v2 = ZERO, field.inv(u1)
-    else:
-        v1, v2 = field.neg(field.inv(u2)), ZERO
-    t = field.random_element(rng, min_val=-1, max_val=2, nonzero=False)
-    w1 = field.add(v1, field.mul(t, u1))
-    w2 = field.add(v2, field.mul(t, u2))
-    j = rng.randint(-2, 2)
-    pj = field.uniformizer_power(j)
-    pmj = field.uniformizer_power(-j)
-    return ((field.mul(u1, pj), field.mul(w1, pmj)),
-            (field.mul(u2, pj), field.mul(w2, pmj)))
+    while True:
+        if rng.random() < 0.5:
+            u1 = field.random_element(rng, min_val=0, max_val=0)
+            u2 = (ZERO if rng.random() < 0.15
+                  else field.random_element(rng, min_val=0, max_val=3))
+        else:
+            u2 = field.random_element(rng, min_val=0, max_val=0)
+            u1 = (ZERO if rng.random() < 0.15
+                  else field.random_element(rng, min_val=1, max_val=3))
+        if not field.is_zero(u1) and field.valuation(u1) == 0:
+            v1, v2 = ZERO, field.inv(u1)
+        else:
+            v1, v2 = field.neg(field.inv(u2)), ZERO
+        t = field.random_element(rng, min_val=-1, max_val=2, nonzero=False)
+        try:
+            w1 = field.add(v1, field.mul(t, u1))
+            w2 = field.add(v2, field.mul(t, u2))
+        except PrecisionExhausted:
+            continue
+        j = rng.randint(-2, 2)
+        pj = field.uniformizer_power(j)
+        pmj = field.uniformizer_power(-j)
+        return ((field.mul(u1, pj), field.mul(w1, pmj)),
+                (field.mul(u2, pj), field.mul(w2, pmj)))
 
 
 def iwasawa_decompose(field: Field, g: Mat) -> dict:
@@ -520,143 +519,76 @@ def iwasawa_report(field: Field, samples: int, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # boundary transitivity at finite depth
 
-class _PadicRing:
-    """Z / p^d."""
-
-    def __init__(self, p: int, d: int):
-        self.p = p
-        self.mod = p ** d
-        self.zero = 0
-        self.one = 1 % self.mod
-
-    def add(self, a, b):
-        return (a + b) % self.mod
-
-    def neg(self, a):
-        return (-a) % self.mod
-
-    def mul(self, a, b):
-        return (a * b) % self.mod
-
-    def is_unit(self, a):
-        return a % self.p != 0
-
-    def inv(self, a):
-        return pow(a, -1, self.mod)
-
-    def elements(self):
-        return range(self.mod)
-
-    def maximal_multiples(self):
-        return range(0, self.mod, self.p) if self.mod > 1 else [0]
-
-    def additive_generators(self):
-        return [1 % self.mod] if self.mod > 1 else []
-
-
-class _LaurentRing:
-    """F_q[t] / t^d, elements as coefficient tuples of length d."""
-
-    def __init__(self, F: FiniteField, d: int):
-        self.F = F
-        self.d = d
-        self.zero = (0,) * d
-        self.one = tuple([1] + [0] * (d - 1))
-
-    def add(self, a, b):
-        return tuple(self.F.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.F.neg(x) for x in a)
-
-    def mul(self, a, b):
-        out = [0] * self.d
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j in range(self.d - i):
-                if b[j]:
-                    out[i + j] = self.F.add(out[i + j], self.F.mul(x, b[j]))
-        return tuple(out)
-
-    def is_unit(self, a):
-        return a[0] != 0
-
-    def inv(self, a):
-        c0 = self.F.inv(a[0])
-        out = [c0] + [0] * (self.d - 1)
-        for k in range(1, self.d):
-            acc = 0
-            for i in range(1, k + 1):
-                acc = self.F.add(acc, self.F.mul(a[i], out[k - i]))
-            out[k] = self.F.neg(self.F.mul(c0, acc))
-        return tuple(out)
-
-    def elements(self):
-        return (tuple(c) for c in
-                itertools.product(range(self.F.q), repeat=self.d))
-
-    def maximal_multiples(self):
-        return ((0,) + tuple(c) for c in
-                itertools.product(range(self.F.q), repeat=self.d - 1))
-
-    def additive_generators(self):
-        gens = []
-        for j in range(self.d):
-            for i in range(self.F.degree):
-                e = [0] * self.d
-                e[j] = self.F.p ** i
-                gens.append(tuple(e))
-        return gens
-
-
-def _residue_ring(field: Field, depth: int):
-    if field.kind == "padic":
-        return _PadicRing(field.p, depth)
-    return _LaurentRing(finite_field(field.residue_q), depth)
-
-
 def boundary_transitivity_check(field: Field, depth: int) -> dict:
     """Orbit structure of the elementary integral matrices on the
-    projective line over O/pi^depth: q^(depth-1)(q+1) points, one orbit."""
+    projective line over O/pi^depth: q^(depth-1)(q+1) points, one orbit.
+
+    Ring elements are exact field elements reduced by mod_pi_power, whose
+    canonical forms serve directly as point keys: (x : 1) is ("A", x) and
+    (1 : y) with y in pi O is ("B", y).  The elementary matrices carry
+    entries +-s for additive generators s of O/pi^depth: 1 alone in
+    characteristic 0 (Z/p^depth is cyclic), and the lifts of the F_p-basis
+    w^i of the residue field times pi^j in characteristic p."""
     _require_local(field)
     if depth < 1:
         raise InvalidSpec("depth must be at least 1")
     if depth > field.prec:
         raise PrecisionExhausted(
             f"depth {depth} exceeds the precision window {field.prec}")
-    R = _residue_ring(field, depth)
-    points = set()
-    for x in R.elements():
-        points.add(("A", x))
-    for y in R.maximal_multiples():
-        points.add(("B", y))
+
+    def reduce(x):
+        return field.mod_pi_power(x, depth)
+
+    lifts = residue_lifts(field)
+    powers = [field.uniformizer_power(j) for j in range(depth)]
+    ideal = [ZERO]                      # pi O / pi^depth O
+    for j in range(1, depth):
+        ideal = [field.add(x, field.mul(c, powers[j]))
+                 for x in ideal for c in lifts]
+    ring = [field.add(x, c) for x in ideal for c in lifts]
+    points = {("A", reduce(x)) for x in ring}
+    points.update(("B", reduce(y)) for y in ideal)
     q = field.residue_q
     expected = q ** (depth - 1) * (q + 1)
 
+    one = reduce(field.one)
+    inverses: dict = {}
+
+    def divide(x, y):
+        # x / y modulo pi^depth for a unit y, inverses cached by class
+        if y == one:
+            return x
+        inv = inverses.get(y)
+        if inv is None:
+            inv = inverses[y] = reduce(field.inv(y))
+        return reduce(field.mul(x, inv))
+
     def normalize(x, y):
-        if R.is_unit(y):
-            return ("A", R.mul(x, R.inv(y)))
-        if R.is_unit(x):
-            return ("B", R.mul(y, R.inv(x)))
+        x, y = reduce(x), reduce(y)
+        if field.valuation(y) == 0:
+            return ("A", divide(x, y))
+        if field.valuation(x) == 0:
+            return ("B", divide(y, x))
         raise InvalidSpec("point is not primitive")
 
-    def coords(pt):
-        kind, c = pt
-        return (c, R.one) if kind == "A" else (R.one, c)
-
+    if field.char == 0:
+        steps = [field.one]
+    else:
+        steps = [field.mul(field.residue_lift(field.p ** i), powers[j])
+                 for j in range(depth)
+                 for i in range(field.residue_field.degree)]
     gens = []
-    for s in R.additive_generators():
-        for sign in (s, R.neg(s)):
+    for s in steps:
+        for sign in (s, field.neg(s)):
             gens.append(("E12", sign))
             gens.append(("E21", sign))
 
     def apply(gen, pt):
         name, s = gen
-        x, y = coords(pt)
+        x, y = (pt[1], one) if pt[0] == "A" else (one, pt[1])
         if name == "E12":
-            return normalize(R.add(x, R.mul(s, y)), y)
-        return normalize(x, R.add(y, R.mul(s, x)))
+            return normalize(field.add(x, field.mul(s, y)), y)
+        return normalize(x, field.add(y, field.mul(s, x)))
 
     remaining = set(points)
     orbits = []

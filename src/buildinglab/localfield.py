@@ -3,9 +3,14 @@
 Three models share one interface: the finite field F_q (q = p^m, polynomial
 basis over F_p modulo the lexicographically least monic irreducible), the
 field Q_p of p-adic numbers truncated at a fixed relative precision, and the
-Laurent-series field F_q((t)) truncated the same way.  The two local models
+Laurent-series field F_q((t)) truncated the same way.  F_q works on integer
+codes through addition, negation, multiplication and inversion tables built
+once from coefficient-wise polynomial arithmetic.  The two local models
 carry a discrete valuation v with v(0) treated as infinity, a residue map on
-integral elements, and a uniformizer (p, respectively t).
+integral elements, its exact section `residue_lift` on residue codes, a
+uniformizer (p, respectively t), and exact canonical representatives
+modulo pi^k (`mod_pi_power`), so callers never pick a representation by
+the kind of field.
 
 Precision model.  A nonzero element is (valuation, mantissa, digits, exact).
 Literals and other finite-support constructions are exact; ring operations
@@ -77,7 +82,9 @@ def _val_int(n: int, p: int) -> int:
 class FiniteField:
     """F_q with elements encoded as integers 0..q-1 (base-p coefficient
     vectors in the polynomial basis).  All operations are table-driven and
-    exact."""
+    exact: `add`, `neg`, `mul`, `inv` and `pow` are lookups in tables built
+    once by coefficient-wise arithmetic (`_decode`, `_encode`, `_poly_mul`),
+    which stays available as the reference the tables are tested against."""
 
     kind = "finite"
     local = False
@@ -93,6 +100,10 @@ class FiniteField:
         self.zero = 0
         self.one = 1
         self.modulus = _least_irreducible(p, m) if m > 1 else None
+        coeffs = [self._decode(a) for a in range(q)]
+        self._add = [[self._encode([x + y for x, y in zip(ca, cb)])
+                      for cb in coeffs] for ca in coeffs]
+        self._neg = [self._encode([-x for x in ca]) for ca in coeffs]
         self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
         self._inv = [0] * q
         for a in range(1, q):
@@ -118,8 +129,6 @@ class FiniteField:
         return code
 
     def _poly_mul(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a * b) % self.p
         p = self.p
         ca, cb = self._decode(a), self._decode(b)
         prod = [0] * (2 * self.degree - 1)
@@ -127,7 +136,7 @@ class FiniteField:
             if x:
                 for j, y in enumerate(cb):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        mod = self._decode_mod(self.modulus)
+        mod = self.modulus
         for k in range(len(prod) - 1, self.degree - 1, -1):
             c = prod[k]
             if c:
@@ -136,10 +145,6 @@ class FiniteField:
                     prod[k - self.degree + j] = (
                         prod[k - self.degree + j] - c * mod[j]) % p
         return self._encode(prod[:self.degree])
-
-    def _decode_mod(self, modulus: tuple[int, ...]) -> tuple[int, ...]:
-        # coefficients of the monic modulus below its leading term
-        return modulus[:-1]
 
     # -- interface shared with the local models --------------------------
 
@@ -150,14 +155,10 @@ class FiniteField:
         return a == b
 
     def add(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a + b) % self.p
-        return self._encode([x + y for x, y in zip(self._decode(a), self._decode(b))])
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.degree == 1:
-            return (-a) % self.p
-        return self._encode([-x for x in self._decode(a)])
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -176,9 +177,10 @@ class FiniteField:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
+        row = self._mul[a]
         r = 1
         for _ in range(n):
-            r = self._poly_mul(r, a)
+            r = row[r]
         return r
 
     def valuation(self, a: int):
@@ -214,8 +216,6 @@ class FiniteField:
         return a
 
     def format_element(self, a: int) -> str:
-        if self.degree == 1:
-            return str(a)
         coeffs = self._decode(a)
         terms = []
         for e, c in enumerate(coeffs):
@@ -363,6 +363,7 @@ class PadicField(_LocalBase):
     """
 
     kind = "padic"
+    uniformizer_symbol = "p"
 
     def __init__(self, p: int, prec: int):
         pp, m = _factor_prime_power(p)
@@ -409,6 +410,10 @@ class PadicField(_LocalBase):
 
     def from_integer(self, n: int) -> LocalElement:
         return self._make_exact(0, n)
+
+    def residue_lift(self, code: int) -> LocalElement:
+        """Exact lift of the residue class with code 0 <= code < p."""
+        return self._make_exact(0, code)
 
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None:
@@ -546,6 +551,7 @@ class LaurentField(_LocalBase):
     """
 
     kind = "laurent"
+    uniformizer_symbol = "t"
 
     def __init__(self, q: int, prec: int):
         if prec < 1:
@@ -605,6 +611,11 @@ class LaurentField(_LocalBase):
         """Exact element sum coeffs[i] * t^(v+i), coefficients as residue
         codes."""
         return self._make(v, coeffs, None)
+
+    def residue_lift(self, code: int) -> LocalElement:
+        """Exact lift of the residue class with code 0 <= code < q: the
+        constant series."""
+        return self._make(0, [code], None)
 
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None:
@@ -827,7 +838,7 @@ def classify(field: Field) -> dict:
     }
     if field.local:
         out["precision"] = field.prec
-        out["uniformizer"] = "p" if field.kind == "padic" else "t"
+        out["uniformizer"] = field.uniformizer_symbol
     return out
 
 
@@ -840,7 +851,7 @@ def parse_element(field: Field, text: str) -> Element:
     a sum of terms c, c*pi^k / pi^k (p-adic) or c*t^k / t^k (Laurent),
     e.g. "t^-3+t" or "7*pi^2-1"."""
     text = text.strip().replace(" ", "")
-    if field.kind == "finite":
+    if not field.local:
         try:
             code = int(text)
         except ValueError:
@@ -877,8 +888,9 @@ def frobenius_index_check(field: LaurentField, samples: Sequence[LocalElement]):
 
     Returns {"degree": p, "checked": n, "ok": bool, "witnesses": [...]}.
     """
-    if field.kind != "laurent":
-        raise InvalidSpec("index check applies to the Laurent model")
+    if not (field.local and field.char):
+        raise InvalidSpec("index check applies to a local field of "
+                          "characteristic p")
     p = field.p
     witnesses = []
     ok = True

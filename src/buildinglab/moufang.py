@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .chambers import ChamberComplex, PanelId
@@ -45,7 +46,6 @@ from .errors import (
     InvalidSpec,
     NotFound,
     NotUnique,
-    PrecisionExhausted,
     SearchBudgetExceeded,
 )
 from .localfield import Field, FiniteField
@@ -644,9 +644,14 @@ def quadrangle_identity_check(frame: MoufangFrame, field: FiniteField) -> dict:
 
 def filtration_indices(field: Field, k_lo: int, k_hi: int,
                        seed: int = 0, samples: int = 40) -> dict:
-    """Indices of successive valuation balls {t : v(t) >= k}; each level is
-    counted through explicit residue representatives t = c * pi^k and the
-    count is the residue field size at every level."""
+    """Indices of successive valuation balls U_k = {t : v(t) >= k}.  The
+    index [U_k : U_(k+1)] is measured as the number of distinct classes
+    modulo pi^(k+1) (exact representatives from `mod_pi_power`) met by the
+    residue representatives t = residue_lift(c) * pi^k.  They form a
+    transversal when they lie in U_k with distinct classes, and each
+    sampled element of U_k must fall in the class of exactly one of them;
+    the measured index is the residue field size at every level when the
+    check passes."""
     if not field.local:
         raise InvalidSpec("filtration needs a local field")
     if k_lo > k_hi:
@@ -655,39 +660,20 @@ def filtration_indices(field: Field, k_lo: int, k_hi: int,
     levels = []
     ok = True
     for k in range(k_lo, k_hi + 1):
-        reps = []
-        for code in range(field.residue_q):
-            if code == 0:
-                reps.append(field.zero)
-            elif field.kind == "padic":
-                reps.append(field.mul(field.from_integer(code),
-                                      field.uniformizer_power(k)))
-            else:
-                reps.append(field.mul(field.from_coeffs(0, [code]),
-                                      field.uniformizer_power(k)))
-        distinct = True
-        for a, b in itertools.combinations(reps, 2):
-            diff = field.sub(a, b)
-            if field.is_zero(diff) or field.valuation(diff) != k:
-                distinct = False
+        pik = field.uniformizer_power(k)
+        reps = [field.mul(field.residue_lift(code), pik)
+                for code in range(field.residue_q)]
+        met = Counter(field.mod_pi_power(rep, k + 1) for rep in reps)
+        distinct = (len(met) == len(reps)
+                    and all(field.valuation(rep) >= k for rep in reps))
         covered = 0
         for _ in range(samples):
             x = field.random_element(rng, min_val=k, max_val=k + 3)
-            hits = []
-            for code, rep in enumerate(reps):
-                try:
-                    diff = field.sub(x, rep)
-                except PrecisionExhausted:
-                    # the whole known window cancelled, so v >= k + digits
-                    hits.append(code)
-                    continue
-                if field.is_zero(diff) or field.valuation(diff) >= k + 1:
-                    hits.append(code)
-            if len(hits) == 1:
+            if met[field.mod_pi_power(x, k + 1)] == 1:
                 covered += 1
         level_ok = distinct and covered == samples
         ok = ok and level_ok
-        levels.append({"k": k, "index": len(reps),
+        levels.append({"k": k, "index": len(met),
                        "distinct": distinct,
                        "samples_covered": covered, "ok": level_ok})
     return {

@@ -156,9 +156,7 @@ def recover_multiplication(field: Field, x, y):
 def sample_point(field: Field, rng, allow_inf: bool = True):
     if allow_inf and rng.random() < 0.08:
         return INF
-    if field.kind == "finite":
-        return field.random_element(rng)
-    return field.random_element(rng, min_val=-2, max_val=2, nonzero=False)
+    return field.random_element(rng, nonzero=False)
 
 
 def recovery_check(field: Field, pairs: int, seed: int) -> dict:

@@ -229,6 +229,23 @@ def test_boundary_transitivity_counts(q2, l3):
     assert report["classes"] == 9 * 4
 
 
+@pytest.mark.parametrize("q, m, depth", [(4, 2, 1), (4, 2, 2), (4, 2, 3),
+                                          (9, 2, 2)])
+def test_boundary_transitivity_non_prime_residue_fields(q, m, depth):
+    field = parse_field_spec(f"Laurent:q={q},prec=8")
+    report = boundary_transitivity_check(field, depth)
+    assert report["classes"] == q ** (depth - 1) * (q + 1)
+    assert report["orbit_count"] == 1
+    assert report["generators"] == 4 * depth * m
+    assert report["ok"]
+
+
+def test_boundary_generators_in_characteristic_zero(q5):
+    # Z/p^d is cyclic: +-1 in each of the two elementary positions
+    for depth in (1, 3):
+        assert boundary_transitivity_check(q5, depth)["generators"] == 4
+
+
 def test_boundary_transitivity_depths(q5):
     for depth in (1, 2, 3):
         report = boundary_transitivity_check(q5, depth)

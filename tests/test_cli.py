@@ -171,6 +171,15 @@ def test_bt_boundary(capsys):
     assert report["results"]["boundary"]["classes"] == 12
 
 
+def test_bt_iwasawa_redraws_samples_that_exhaust_precision(capsys):
+    # this seed draws a matrix whose construction cancels every known digit
+    code, report, _ = run(
+        ["bt", "iwasawa", "--field", "Laurent:q=3,prec=8", "--samples",
+         "1000", "--seed", "5"], capsys)
+    assert code == 0
+    assert report["results"]["iwasawa"]["verified"] == 1000
+
+
 def test_bad_field_spec_is_usage_error(capsys):
     assert cli.main(["field", "classify", "--field", "Fq:q=6"]) == 2
     assert "prime power" in capsys.readouterr().err

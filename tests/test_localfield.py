@@ -71,6 +71,27 @@ def test_frobenius_additive_finite():
                                                          F.frobenius(b))
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_tables_match_coefficient_arithmetic(q):
+    """The add/neg/mul tables against coefficient-wise arithmetic on the
+    decoded polynomials, and pow against repeated multiplication."""
+    F = finite_field(q)
+    p = F.p
+    for a in F.elements():
+        ca = F._decode(a)
+        assert F.neg(a) == F._encode([-x for x in ca])
+        power = 1
+        for n in range(2 * p + 1):
+            assert F.pow(a, n) == power
+            power = F.mul(power, a)
+        for b in F.elements():
+            cb = F._decode(b)
+            assert F.add(a, b) == F._encode([x + y for x, y in zip(ca, cb)])
+            assert F.mul(a, b) == F._poly_mul(a, b)
+            if b:
+                assert F.mul(F.div(a, b), b) == a
+
+
 def test_not_prime_power():
     with pytest.raises(InvalidSpec):
         finite_field(6)
@@ -236,6 +257,12 @@ def test_frobenius_index_check_f2():
     assert report["witnesses"][0]["parts"] == ["t", "t"]
 
 
+def test_frobenius_index_check_needs_local_characteristic_p(q5):
+    for F in (q5, finite_field(4)):
+        with pytest.raises(InvalidSpec):
+            frobenius_index_check(F, [])
+
+
 def test_frobenius_index_check_random():
     F = LaurentField(9, 9)
     rng = random.Random(3)
@@ -298,6 +325,95 @@ def test_residue_rejects_nonintegral(q5, f3t):
     for F in (q5, f3t):
         with pytest.raises(ValueError):
             F.residue(F.uniformizer_power(-1))
+
+
+@pytest.mark.parametrize("F", [PadicField(5, 4), LaurentField(9, 4)])
+def test_residue_lift_is_an_exact_section(F):
+    k = F.residue_field
+    for code in k.elements():
+        lift = F.residue_lift(code)
+        assert F.residue(lift) == code
+        assert F.mod_pi_power(lift, 1) == lift
+        assert F.is_zero(lift) == (code == 0)
+
+
+# ---------------------------------------------------------------------------
+# differential precision: a low-precision run never claims a digit that a
+# high-precision run of the same program contradicts
+
+_DIFF_FIELDS = {
+    "Q3": lambda prec: PadicField(3, prec),
+    "Q2": lambda prec: PadicField(2, prec),
+    "F3((t))": lambda prec: LaurentField(3, prec),
+    "F4((t))": lambda prec: LaurentField(4, prec),
+}
+
+
+def _exact_input(F, v, digits, negate):
+    if F.char == 0:
+        n = sum(c * F.p ** i for i, c in enumerate(digits))
+        return F.mul(F.from_integer(-n if negate else n), F.uniformizer_power(v))
+    x = F.from_coeffs(v, [c % F.q for c in digits])
+    return F.neg(x) if negate else x
+
+
+def _known_to(x):
+    return INFINITY if x.exact else x.v + x.digits
+
+
+def _run_program(F, inputs, program):
+    """Values of the straight-line program, stopping at the first step that
+    exhausts precision or divides by zero (nothing is claimed for it)."""
+    values = [_exact_input(F, *spec) for spec in inputs]
+    for op, i, j in program:
+        a, b = values[i % len(values)], values[j % len(values)]
+        try:
+            if op == "add":
+                values.append(F.add(a, b))
+            elif op == "sub":
+                values.append(F.sub(a, b))
+            elif op == "mul":
+                values.append(F.mul(a, b))
+            else:
+                values.append(F.inv(a))
+        except (PrecisionExhausted, DivisionByZero):
+            break
+    return values
+
+
+_INPUT = st.tuples(st.integers(-2, 2),
+                   st.lists(st.integers(0, 3), min_size=1, max_size=7),
+                   st.booleans())
+_STEP = st.tuples(st.sampled_from(["add", "sub", "mul", "inv"]),
+                  st.integers(0, 30), st.integers(0, 30))
+
+
+@given(st.sampled_from(sorted(_DIFF_FIELDS)), st.integers(4, 5),
+       st.integers(60, 80), st.lists(_INPUT, min_size=2, max_size=4),
+       st.lists(_STEP, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_low_precision_digits_agree_with_high_precision(name, low_prec,
+                                                        high_prec, inputs,
+                                                        program):
+    low = _DIFF_FIELDS[name](low_prec)
+    high = _DIFF_FIELDS[name](high_prec)
+    lows = _run_program(low, inputs, program)
+    highs = _run_program(high, inputs, program)
+    # a step that exhausts the low run is skipped, never counted as
+    # agreement; the high run gets at least as far
+    assert len(highs) >= len(lows)
+    for a, b in zip(lows, highs):
+        if low.is_zero(a):
+            assert high.is_zero(b)
+            continue
+        if a.exact:
+            assert b == a
+            continue
+        # the high run knows at least as far, and agrees on every digit
+        # the low run claims
+        assert _known_to(b) >= _known_to(a)
+        k = a.v + a.digits
+        assert high.mod_pi_power(b, k) == low.mod_pi_power(a, k)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,19 @@ def test_filtration_negative_levels():
     assert report["indices"] == [3, 3, 3, 3]
 
 
+def test_filtration_index_is_measured(monkeypatch):
+    # representatives that miss the class of 2 * pi^k: the measured index
+    # falls below q and the level fails
+    field = parse_field_spec("Laurent:q=3,prec=8")
+    lift = field.residue_lift
+    monkeypatch.setattr(field, "residue_lift",
+                        lambda code: lift(min(code, 1)))
+    report = filtration_indices(field, 0, 2, seed=11)
+    assert report["indices"] == [2, 2, 2]
+    assert not any(level["ok"] for level in report["levels"])
+    assert not report["ok"]
+
+
 def test_filtration_rejects_finite_field():
     with pytest.raises(InvalidSpec):
         filtration_indices(finite_field(5), 0, 2)
