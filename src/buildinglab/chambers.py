@@ -40,7 +40,6 @@ from typing import Iterator, Optional, Sequence
 from .coxeter import (
     MATRIX_A2,
     MATRIX_B2,
-    CoxeterElement,
     CoxeterSystem,
     build_coxeter_system,
     type_a_matrix,
@@ -186,8 +185,8 @@ class ChamberComplex:
         if cached is not None:
             return cached
         W = self.coxeter
-        right = W._right
-        words = W._words
+        right = W.right
+        length = W.length
         dist = [-1] * self.size
         delta = [-1] * self.size
         violations = []
@@ -205,7 +204,7 @@ class ChamberComplex:
                             continue
                         if dist[e] == -1:
                             dist[e] = dist[d] + 1
-                            if len(words[ws]) != len(words[wd]) + 1:
+                            if length[ws] != length[wd] + 1:
                                 violations.append(
                                     ("length-drop", c, d, e, i))
                             delta[e] = ws
@@ -226,15 +225,14 @@ class ChamberComplex:
         for d in range(self.size):
             if dist[d] == -1:
                 violations.append(("disconnected", c, d, None, None))
-            elif len(words[delta[d]]) != dist[d]:
+            elif length[delta[d]] != dist[d]:
                 violations.append(("length-mismatch", c, d, None, None))
         out = (tuple(dist), tuple(delta), tuple(violations))
         self._delta_cache[c] = out
         return out
 
-    def w_distance(self, c: int, d: int) -> CoxeterElement:
-        dist, delta, _ = self._delta_from(c)
-        return CoxeterElement(self.coxeter, delta[d])
+    def w_distance(self, c: int, d: int) -> int:
+        return self._delta_from(c)[1][d]
 
     def gallery_distance(self, c: int, d: int) -> int:
         return self._delta_from(c)[0][d]
@@ -259,11 +257,11 @@ class ChamberComplex:
         built by length-increasing panel steps (lex-least choices)."""
         W = self.coxeter
         v = self.w_distance(c, d)
-        rest = (v.inverse() * W.longest_element).word
+        rest = W.words[W.multiply(W.inverse[v], W.longest)]
+        delta = self._delta_from(c)[1]
         cur = d
         for s in rest:
-            dist, delta, _ = self._delta_from(c)
-            target = W._right[delta[cur]][s]
+            target = W.right[delta[cur]][s]
             options = [e for e in self.copanel_members(s, cur)
                        if e != cur and delta[e] == target]
             if not options:
@@ -276,16 +274,14 @@ class ChamberComplex:
         """Convex hull of an opposite pair: the chambers where the two
         distances compose to w0 with lengths adding."""
         W = self.coxeter
-        w0 = W.longest_element
+        w0 = W.longest
         dist_c, delta_c, _ = self._delta_from(c)
         dist_d, delta_d, _ = self._delta_from(d_opp)
         out = []
         for e in range(self.size):
-            if dist_c[e] + dist_d[e] != w0.length:
+            if dist_c[e] + dist_d[e] != W.length[w0]:
                 continue
-            left = CoxeterElement(W, delta_c[e])
-            right = CoxeterElement(W, delta_d[e]).inverse()
-            if left * right == w0:
+            if W.multiply(delta_c[e], W.inverse[delta_d[e]]) == w0:
                 out.append(e)
         return out
 
@@ -310,25 +306,22 @@ class ChamberComplex:
                 if len(inside) != 2:
                     bad.append(("not-thin", e, i, len(inside)))
         base = hull[0]
-        seen_w = set()
-        for e in hull:
-            seen_w.add(self.w_distance(base, e).index)
+        from_base = [self.w_distance(base, e) for e in hull]
+        seen_w = set(from_base)
         if len(seen_w) != len(hull):
             bad.append(("not-free", len(seen_w)))
-        for e in hull:
-            we = self.w_distance(base, e)
-            for f in hull:
-                wf = self.w_distance(base, f)
-                if self.w_distance(e, f) != we.inverse() * wf:
+        for e, we in zip(hull, from_base):
+            we_inv = W.inverse[we]
+            for f, wf in zip(hull, from_base):
+                if self.w_distance(e, f) != W.multiply(we_inv, wf):
                     bad.append(("not-isometric", e, f))
         return bad
 
     # -- cells -------------------------------------------------------------
 
-    def schubert_cell(self, c0: int, w: CoxeterElement) -> list[int]:
-        self.coxeter._check(w)
+    def schubert_cell(self, c0: int, w: int) -> list[int]:
         _, delta, _ = self._delta_from(c0)
-        return [d for d in range(self.size) if delta[d] == w.index]
+        return [d for d in range(self.size) if delta[d] == w]
 
     def cell_sizes(self, c0: int) -> dict[int, int]:
         """Cell size per W-element index."""
@@ -338,7 +331,7 @@ class ChamberComplex:
             sizes[delta[d]] = sizes.get(delta[d], 0) + 1
         return sizes
 
-    def schubert_coordinates(self, c0: int, w: CoxeterElement,
+    def schubert_coordinates(self, c0: int, w: int,
                              direction: Optional[Sequence[int]] = None
                              ) -> "SchubertCoordinates":
         return SchubertCoordinates(self, c0, w, direction)
@@ -355,22 +348,21 @@ class SchubertCoordinates:
     """Bijection between a cell C_w(c0) and a product of punctured panels,
     one coordinate per letter of a reduced direction word."""
 
-    def __init__(self, cx: ChamberComplex, c0: int, w: CoxeterElement,
+    def __init__(self, cx: ChamberComplex, c0: int, w: int,
                  direction: Optional[Sequence[int]] = None):
         W = cx.coxeter
-        W._check(w)
         if direction is None:
-            direction = w.word
+            direction = W.words[w]
         direction = tuple(direction)
         spelled = W.element_from_word(direction)
-        if spelled != w or len(direction) != w.length:
+        if spelled != w or len(direction) != W.length[w]:
             raise NotReduced(
                 f"direction {direction} is not a reduced word of the cell")
         self.cx = cx
         self.c0 = c0
         self.w = w
         self.direction = direction
-        w0 = W.longest_element
+        w0 = W.longest
         # peel letters from the right; each level fixes an anchor chamber d
         # with delta(c0, d) = (current w) * w0
         self.levels: list[tuple[int, int, int]] = []   # (i, j, anchor d)
@@ -379,13 +371,14 @@ class SchubertCoordinates:
         while len(rest) > 1:
             i = rest.pop()
             j = W.conjugate_generator_by_longest(i)
-            v = cur * w0
+            v = W.multiply(cur, w0)
             cell_v = cx.schubert_cell(c0, v)
             if not cell_v:
-                raise NotFound(f"no chamber at distance {v} from {c0}")
+                raise NotFound(
+                    f"no chamber at distance {W.words[v]} from {c0}")
             d = min(cell_v)
             self.levels.append((i, j, d))
-            cur = W.right_multiply(cur, i)
+            cur = W.right[cur][i]
         self.base_letter = rest[0] if rest else None
 
     def base_panel(self) -> tuple[int, ...]:
@@ -626,13 +619,13 @@ def cell_decomposition_report(cx: ChamberComplex, c0: int = 0) -> dict:
     q = cx.thickness
     rows = []
     law_ok = True
-    for widx, size in sorted(sizes.items()):
-        w = CoxeterElement(W, widx)
-        expected = q ** w.length if q is not None else None
+    for w, size in sorted(sizes.items()):
+        length = W.length[w]
+        expected = q ** length if q is not None else None
         if expected is not None and expected != size:
             law_ok = False
-        rows.append({"word": list(w.word), "length": w.length, "size": size,
-                     "expected": expected})
+        rows.append({"word": list(W.words[w]), "length": length,
+                     "size": size, "expected": expected})
     return {
         "base_chamber": c0,
         "cells": rows,

@@ -38,7 +38,7 @@ from .chambers import (
     cell_decomposition_report,
     verify_building_axioms,
 )
-from .coxeter import CoxeterElement, build_coxeter_system, parse_coxeter_matrix
+from .coxeter import build_coxeter_system, parse_coxeter_matrix
 from .errors import BuildinglabError, InvalidSpec, NotFound, NotUnique
 from .localfield import (
     INFINITY,
@@ -92,7 +92,7 @@ def cmd_coxeter(args):
     results = {
         "rank": system.rank,
         "order": system.order,
-        "longest_length": system.longest_element.length,
+        "longest_length": system.length[system.longest],
         "decomposable": system.is_decomposable(),
     }
     checks = []
@@ -161,6 +161,9 @@ def cmd_projline(args):
 
 def cmd_building(args):
     cx = build_flag_building(args.geometry)
+    if not 0 <= args.base < cx.size:
+        raise InvalidSpec(
+            f"base chamber {args.base} out of range 0..{cx.size - 1}")
     checks = []
     results = {"geometry": args.geometry, "chambers": cx.size}
     if args.action == "verify":
@@ -189,7 +192,7 @@ def cmd_building(args):
         letters = tuple(int(tok) for tok in args.word.split(",") if tok != "")
         targets = [W.element_from_word(letters)]
     else:
-        targets = [CoxeterElement(W, i) for i in range(W.order)]
+        targets = range(W.order)
     rows = []
     all_ok = True
     for w in targets:
@@ -316,8 +319,7 @@ def run_all(profile: str, seed: int):
         cx = build_flag_building(spec)
         report = cell_decomposition_report(cx, 0)
         coord_fail = []
-        for widx in range(cx.coxeter.order):
-            w = CoxeterElement(cx.coxeter, widx)
+        for w in range(cx.coxeter.order):
             row = cx.schubert_coordinates(0, w).verify()
             if not row["bijective"]:
                 coord_fail.append(row)

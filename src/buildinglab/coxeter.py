@@ -2,8 +2,11 @@
 
 A Coxeter system (W, I) is presented by its Coxeter matrix m, where
 m[i][i] = 1 and m[i][j] = m[j][i] >= 2 is the order of s_i s_j.  Elements
-are carried around as canonical reduced words: the lexicographically least
-reduced word in the letters I = {0, ..., r-1}.  Everything rests on Tits'
+are plain ints indexing the system's tables: element k is the k-th in
+shortlex order (0 is the identity), `words[k]` is its canonical reduced
+word (the lexicographically least reduced word in the letters
+I = {0, ..., r-1}), and `length`, `right` (the right Cayley table) and
+`inverse` are lists indexed the same way.  Everything rests on Tits'
 solution of the word problem: two reduced words express the same element
 exactly when they are connected by braid moves, and a word is reduced
 exactly when no sequence of braid moves exposes a doubled letter.  No
@@ -18,9 +21,9 @@ infinite systems, which are otherwise out of scope at desk scale.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .errors import BoundExceeded, InvalidSpec, SystemMismatch
+from .errors import BoundExceeded, InvalidSpec
 
 Word = tuple[int, ...]
 
@@ -111,56 +114,13 @@ def _validate_matrix(matrix: Sequence[Sequence[int]]) -> None:
                     raise InvalidSpec(f"matrix not symmetric at ({i},{j})")
 
 
-class CoxeterElement:
-    """A group element, identified by its index in the enumeration."""
-
-    __slots__ = ("system", "index")
-
-    def __init__(self, system: "CoxeterSystem", index: int):
-        self.system = system
-        self.index = index
-
-    @property
-    def word(self) -> Word:
-        """Canonical (lex-least) reduced word."""
-        return self.system._words[self.index]
-
-    @property
-    def length(self) -> int:
-        return len(self.system._words[self.index])
-
-    def __mul__(self, other: "CoxeterElement") -> "CoxeterElement":
-        return self.system.multiply(self, other)
-
-    def inverse(self) -> "CoxeterElement":
-        sys = self.system
-        e = 0
-        for s in reversed(self.word):
-            e = sys._right[e][s]
-        return CoxeterElement(sys, e)
-
-    def is_identity(self) -> bool:
-        return self.index == 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CoxeterElement)
-                and other.system is self.system
-                and other.index == self.index)
-
-    def __hash__(self) -> int:
-        return hash((id(self.system), self.index))
-
-    def __repr__(self) -> str:
-        return f"<w{self.index} {'.'.join(map(str, self.word)) or 'e'}>"
-
-
 class CoxeterSystem:
-    """Fully enumerated finite Coxeter system.
+    """Fully enumerated finite Coxeter system as integer-indexed tables.
 
-    Exposes the element count, length function, canonical words, the longest
-    element, the Poincare polynomial (length generating function), direct
-    decomposability of the generating set, and exact multiplication through
-    the right Cayley table.
+    Element k is the k-th element in shortlex order, so 0 is the identity.
+    The tables are the whole group API: `words[k]` (canonical reduced
+    word), `length[k]`, `right[k][s]` (index of k s), `inverse[k]`,
+    `longest` (index of w0) and `order`.
     """
 
     def __init__(self, matrix: Sequence[Sequence[int]],
@@ -168,79 +128,66 @@ class CoxeterSystem:
         _validate_matrix(matrix)
         self.matrix = tuple(tuple(row) for row in matrix)
         self.rank = len(matrix)
-        self._words: list[Word] = []
-        self._right: list[list[int]] = []
+        self.words: list[Word] = []
+        self.right: list[list[int]] = []
         self._enumerate(element_bound)
-        lengths = [len(w) for w in self._words]
-        top = max(lengths)
-        longest = [k for k, l in enumerate(lengths) if l == top]
+        self.order = len(self.words)
+        self.length = [len(w) for w in self.words]
+        top = max(self.length)
+        longest = [k for k, l in enumerate(self.length) if l == top]
         # unique in a finite Coxeter group; a tie would mean a broken engine
         assert len(longest) == 1, "longest element is not unique"
-        self._longest = longest[0]
+        self.longest = longest[0]
+        self.inverse = [self.element_from_word(reversed(w))
+                        for w in self.words]
 
     def _enumerate(self, bound: int) -> None:
         matrix = self.matrix
         index: dict[Word, int] = {(): 0}
-        self._words.append(())
+        self.words.append(())
         k = 0
-        while k < len(self._words):
-            w = self._words[k]
+        while k < len(self.words):
+            w = self.words[k]
             row = []
             for s in range(self.rank):
                 nf = _normal_form(w + (s,), matrix)
                 j = index.get(nf)
                 if j is None:
-                    j = len(self._words)
+                    j = len(self.words)
                     if j >= bound:
                         raise BoundExceeded(
                             f"enumeration passed {bound} elements; "
                             "system is infinite or over desk scale")
                     index[nf] = j
-                    self._words.append(nf)
+                    self.words.append(nf)
                 row.append(j)
-            self._right.append(row)
+            self.right.append(row)
             k += 1
 
     # -- element constructors -------------------------------------------
 
-    def identity(self) -> CoxeterElement:
-        return CoxeterElement(self, 0)
-
-    def generator(self, i: int) -> CoxeterElement:
+    def generator(self, i: int) -> int:
         if not 0 <= i < self.rank:
             raise InvalidSpec(f"generator index {i} out of range")
-        return self.element_from_word((i,))
+        return self.right[0][i]
 
-    def element_from_word(self, word: Iterable[int]) -> CoxeterElement:
+    def element_from_word(self, word: Iterable[int]) -> int:
         word = tuple(word)
         for s in word:
             if not 0 <= s < self.rank:
                 raise InvalidSpec(f"letter {s} out of range for rank {self.rank}")
         e = 0
         for s in word:
-            e = self._right[e][s]
-        return CoxeterElement(self, e)
-
-    def elements(self) -> Iterator[CoxeterElement]:
-        for k in range(len(self._words)):
-            yield CoxeterElement(self, k)
+            e = self.right[e][s]
+        return e
 
     # -- structure -------------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        return len(self._words)
-
-    @property
-    def longest_element(self) -> CoxeterElement:
-        return CoxeterElement(self, self._longest)
-
     def poincare_polynomial(self) -> list[int]:
         """Coefficients of sum_w q^l(w), ascending in q."""
-        top = len(self._words[self._longest])
-        coeffs = [0] * (top + 1)
-        for w in self._words:
-            coeffs[len(w)] += 1
+        coeffs = [0] * (self.length[self.longest] + 1)
+        for l in self.length:
+            coeffs[l] += 1
         return coeffs
 
     def diagram_components(self) -> list[tuple[int, ...]]:
@@ -266,41 +213,25 @@ class CoxeterSystem:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, elem: CoxeterElement) -> None:
-        if elem.system is not self:
-            raise SystemMismatch("elements belong to different Coxeter systems")
-
-    def multiply(self, a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
-        self._check(a)
-        self._check(b)
-        e = a.index
-        for s in b.word:
-            e = self._right[e][s]
-        return CoxeterElement(self, e)
-
-    def right_multiply(self, a: CoxeterElement, s: int) -> CoxeterElement:
-        self._check(a)
-        return CoxeterElement(self, self._right[a.index][s])
-
-    def length_increases(self, a: CoxeterElement, s: int) -> bool:
-        """Whether l(a s) = l(a) + 1."""
-        self._check(a)
-        return len(self._words[self._right[a.index][s]]) > len(self._words[a.index])
+    def multiply(self, a: int, b: int) -> int:
+        right = self.right
+        for s in self.words[b]:
+            a = right[a][s]
+        return a
 
     def reduce_word(self, word: Iterable[int]) -> Word:
         """Canonical reduced word of the element the input word spells."""
-        return self.element_from_word(word).word
+        return self.words[self.element_from_word(word)]
 
-    def reduced_words(self, a: CoxeterElement) -> list[Word]:
+    def reduced_words(self, a: int) -> list[Word]:
         """All reduced words of a, sorted (braid-move closure)."""
-        self._check(a)
-        return sorted(_braid_closure(a.word, self.matrix))
+        return sorted(_braid_closure(self.words[a], self.matrix))
 
     def conjugate_generator_by_longest(self, i: int) -> int:
         """The index j with s_j = w0 s_i w0 (diagram symmetry of w0)."""
-        w0 = self.longest_element
+        w0 = self.longest
         conj = self.multiply(self.multiply(w0, self.generator(i)), w0)
-        word = conj.word
+        word = self.words[conj]
         assert len(word) == 1, "conjugate of a generator by w0 must be a generator"
         return word[0]
 

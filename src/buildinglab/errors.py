@@ -20,10 +20,6 @@ class BoundExceeded(BuildinglabError):
     infinite or simply too large for desk scale."""
 
 
-class SystemMismatch(BuildinglabError):
-    """Two elements from different ambient structures were combined."""
-
-
 class DivisionByZero(BuildinglabError):
     """Multiplicative inverse of zero requested."""
 

@@ -209,7 +209,7 @@ class MoufangFrame:
         self.q = cx.thickness
         self.N = cx.size
         self.identity = identity_perm(self.N)
-        big = cx.schubert_cell(0, cx.coxeter.longest_element)
+        big = cx.schubert_cell(0, cx.coxeter.longest)
         if not big:
             raise NotFound("no chamber opposite the base chamber")
         hull = cx.apartment_hull(0, min(big))

@@ -22,7 +22,6 @@ from buildinglab.chambers import (
     build_flag_building,
     cell_decomposition_report,
 )
-from buildinglab.coxeter import CoxeterElement
 from buildinglab.localfield import finite_field, parse_field_spec
 from buildinglab.moufang import (
     MoufangFrame,
@@ -56,8 +55,7 @@ def test_criterion_1_schubert_cells_and_coordinates():
         if not (report["size_law_ok"] and report["covers_all_chambers"]
                 and report["every_w_nonempty"]):
             problems.append(f"{spec}: cell law violated")
-        for widx in range(cx.coxeter.order):
-            w = CoxeterElement(cx.coxeter, widx)
+        for w in range(cx.coxeter.order):
             row = cx.schubert_coordinates(0, w).verify()
             if not row["bijective"]:
                 problems.append(f"{spec}: coordinates fail at {row['word']}")

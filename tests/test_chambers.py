@@ -74,25 +74,27 @@ def test_parse_geometry_spec():
 def test_w_distance_basics(pg2_2):
     W = pg2_2.coxeter
     c = 0
-    assert pg2_2.w_distance(c, c).is_identity()
+    assert pg2_2.w_distance(c, c) == 0
     for i, e in pg2_2.neighbors(c):
         assert pg2_2.w_distance(c, e) == W.generator(i)
     # symmetry through inverse
     for d in range(0, pg2_2.size, 5):
-        assert pg2_2.w_distance(c, d) == pg2_2.w_distance(d, c).inverse()
+        assert pg2_2.w_distance(c, d) == W.inverse[pg2_2.w_distance(d, c)]
     # gallery distance equals Coxeter length
     for d in range(pg2_2.size):
-        assert pg2_2.gallery_distance(c, d) == pg2_2.w_distance(c, d).length
+        assert pg2_2.gallery_distance(c, d) == W.length[pg2_2.w_distance(c, d)]
 
 
 def test_projection_gate_property(pg2_2):
+    W = pg2_2.coxeter
     for c in range(pg2_2.size):
         for panel in pg2_2.all_panel_ids():
             gate = pg2_2.projection(panel, c)
             wg = pg2_2.w_distance(c, gate)
             for e in pg2_2.panel_members(panel):
                 # delta(c, e) = delta(c, gate) * delta(gate, e), lengths adding
-                assert pg2_2.w_distance(c, e) == wg * pg2_2.w_distance(gate, e)
+                assert pg2_2.w_distance(c, e) == W.multiply(
+                    wg, pg2_2.w_distance(gate, e))
 
 
 def test_verify_axioms_pg2(pg2_2):
@@ -149,9 +151,9 @@ def test_cell_sizes_independent_of_base(pg2_2, w2):
 
 def test_big_cell_and_opposition(pg2_2):
     W = pg2_2.coxeter
-    w0 = W.longest_element
+    w0 = W.longest
     big = pg2_2.schubert_cell(0, w0)
-    assert len(big) == 2 ** w0.length
+    assert len(big) == 2 ** W.length[w0]
     c = 0
     for d in big:
         for i in range(pg2_2.rank):
@@ -166,17 +168,17 @@ def test_big_cell_and_opposition(pg2_2):
 
 def test_coordinates_roundtrip_all_words(pg2_2):
     W = pg2_2.coxeter
-    for w in W.elements():
+    for w in range(W.order):
         for direction in W.reduced_words(w):
             coords = pg2_2.schubert_coordinates(0, w, direction)
             result = coords.verify()
             assert result["bijective"], (w, direction, result)
-            assert result["cell_size"] == 2 ** w.length
+            assert result["cell_size"] == 2 ** W.length[w]
 
 
 def test_coordinates_domain_shape(pg2_2):
     W = pg2_2.coxeter
-    w0 = W.longest_element
+    w0 = W.longest
     coords = pg2_2.schubert_coordinates(0, w0)
     domain = list(coords.domain())
     assert len(domain) == 8
@@ -185,7 +187,7 @@ def test_coordinates_domain_shape(pg2_2):
 
 def test_coordinates_b2_quadrangle(w2):
     W = w2.coxeter
-    w0 = W.longest_element
+    w0 = W.longest
     coords = w2.schubert_coordinates(0, w0)
     result = coords.verify()
     assert result["bijective"]
@@ -202,8 +204,7 @@ def test_coordinates_not_reduced(pg2_2):
 
 
 def test_identity_cell_coordinates(pg2_2):
-    W = pg2_2.coxeter
-    coords = pg2_2.schubert_coordinates(5, W.identity())
+    coords = pg2_2.schubert_coordinates(5, 0)
     assert list(coords.domain()) == [()]
     assert coords.decode(()) == 5
     assert coords.encode(5) == ()

@@ -1,6 +1,9 @@
 """Exit codes, report schema, and determinism of the command line tool."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +120,15 @@ def test_building_coords_all_words(capsys):
     assert all(r["bijective"] for r in rows)
 
 
+@pytest.mark.parametrize("action", ["cells", "coords"])
+@pytest.mark.parametrize("base", ["99", "-1"])
+def test_building_base_out_of_range_is_usage_error(action, base, capsys):
+    code = cli.main(["building", action, "--geometry", "PG2:q=2",
+                     "--base", base])
+    assert code == 2
+    assert "base chamber" in capsys.readouterr().err
+
+
 def test_moufang_check_full(capsys):
     code, report, _ = run(
         ["moufang", "check", "--geometry", "PG2:q=2", "--mu",
@@ -228,3 +240,23 @@ def test_all_quick_profile_deterministic(capsys):
     report1.pop("wall_time_seconds")
     report2.pop("wall_time_seconds")
     assert report1 == report2
+
+
+def _report_under_hash_seed(argv, hash_seed):
+    proc = subprocess.run(
+        [sys.executable, "-m", "buildinglab.cli", *argv, "--json-only"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONHASHSEED=hash_seed))
+    assert proc.returncode == 0, proc.stderr[-500:]
+    report = json.loads(proc.stdout)
+    report.pop("wall_time_seconds")
+    return report
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--profile", "quick"],
+    ["building", "verify", "--geometry", "PG2:q=3"],
+], ids=["all-quick", "verify-PG2-3"])
+def test_report_independent_of_hash_seed(argv):
+    assert (_report_under_hash_seed(argv, "0")
+            == _report_under_hash_seed(argv, "1"))
