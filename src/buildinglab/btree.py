@@ -74,10 +74,6 @@ def make_vertex(field: Field, a: int, b: LocalElement) -> TreeVertex:
     return TreeVertex(a, field.mod_pi_power(b, a))
 
 
-def vertex_key(field: Field, v: TreeVertex):
-    return (v.a, field.canonical_key(v.b))
-
-
 def vertex_label(field: Field, v: TreeVertex) -> str:
     return f"({v.a}, {field.format_element(v.b)})"
 
@@ -171,18 +167,17 @@ class TreeBall:
         self.q = field.residue_q
         self.vertices: list[TreeVertex] = [base_vertex(field)]
         self.dist: list[int] = [0]
-        index = {vertex_key(field, self.vertices[0]): 0}
+        index = {self.vertices[0]: 0}
         self.edges: set[tuple[int, int]] = set()
         frontier = [0]
         for d in range(1, radius + 1):
             nxt = []
             for vi in frontier:
                 for w in neighbors(field, self.vertices[vi]):
-                    key = vertex_key(field, w)
-                    wi = index.get(key)
+                    wi = index.get(w)
                     if wi is None:
                         wi = len(self.vertices)
-                        index[key] = wi
+                        index[w] = wi
                         self.vertices.append(w)
                         self.dist.append(d)
                         nxt.append(wi)

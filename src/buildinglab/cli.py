@@ -189,7 +189,11 @@ def cmd_building(args):
         return results, checks
     W = cx.coxeter
     if args.word:
-        letters = tuple(int(tok) for tok in args.word.split(",") if tok != "")
+        try:
+            letters = tuple(int(tok) for tok in args.word.split(",") if tok)
+        except ValueError:
+            raise InvalidSpec(f"word letters must be integers, got "
+                              f"{args.word!r}") from None
         targets = [W.element_from_word(letters)]
     else:
         targets = range(W.order)

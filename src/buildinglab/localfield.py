@@ -13,15 +13,18 @@ modulo pi^k (`mod_pi_power`), so callers never pick a representation by
 the kind of field.
 
 Precision model.  A nonzero element is (valuation, mantissa, digits, exact).
-Literals and other finite-support constructions are exact; ring operations
-on exact operands stay exact while the result still fits inside the
-precision window, so an exact full cancellation really returns exact zero
-with valuation infinity.  Any truncation drops the exact flag, and results
-of inexact operands carry the minimum relative precision of the inputs.
-When every known digit of an inexact computation cancels, no claim about
-the result is possible and PrecisionExhausted is raised; nothing is ever
-silently rounded to zero.  Equality is decided on the common known window
-(subtract and classify).
+Literals and other finite-support constructions are exact.  The rule for a
+result lives in one place per model, its `_make(v, mant, known)`, which
+every ring operation and normal form returns through: a result of exact
+operands stays exact while it fits inside the precision window, so an exact
+full cancellation really returns exact zero with valuation infinity; any
+truncation drops the exact flag; a result of inexact operands keeps the
+digits its operands determine (`_LocalBase._known_sum`, `_known_product`,
+`_known_inverse`: the least known precision of the inputs), capped at the
+window.  When every known digit of an inexact computation cancels, no claim
+about the result is possible and PrecisionExhausted is raised; nothing is
+ever silently rounded to zero.  Equality is decided on the common known
+window (subtract and classify).
 
 The Frobenius map x -> x^p is additive in characteristic p and the models
 expose both it and its inverse; over F_q((t)) the decomposition
@@ -32,6 +35,7 @@ the field over its subfield of p-th powers, so the index [F : F^p] is p.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -212,9 +216,6 @@ class FiniteField:
     def random_element(self, rng, nonzero: bool = False) -> int:
         return rng.randrange(1 if nonzero else 0, self.q)
 
-    def canonical_key(self, a: int) -> int:
-        return a
-
     def format_element(self, a: int) -> str:
         coeffs = self._decode(a)
         terms = []
@@ -305,7 +306,15 @@ Element = Union[int, LocalElement]
 
 
 class _LocalBase:
-    """Shared plumbing for the two truncated local models."""
+    """Shared plumbing for the two truncated local models.
+
+    A model supplies the representation: `one`, `_make` (the precision
+    rule on a raw window, see the module docstring), the ring operations
+    `add`, `neg`, `mul`, `inv`, and four mantissa hooks used below:
+    `_low_digits(mant, width)` (the digits below relative position width),
+    `_lead_code(mant)` (residue code of the leading digit),
+    `_random_unit(rng)` and `_nonzero_json(a)`.
+    """
 
     local = True
 
@@ -344,14 +353,78 @@ class _LocalBase:
         return r
 
     def uniformizer_power(self, k: int) -> LocalElement:
-        return self._monomial(k, 1)
+        return self.one._replace(v=k)
 
     @property
     def uniformizer(self) -> LocalElement:
-        return self._monomial(1, 1)
+        return self.uniformizer_power(1)
 
     def integral(self, a: LocalElement) -> bool:
         return self.is_zero(a) or a.v >= 0
+
+    # -- the known window of a result (the `known` argument of `_make`);
+    #    None means every operand is exact
+
+    @staticmethod
+    def _known_sum(a: LocalElement, b: LocalElement, v: int):
+        """Relative width, from exponent v, that a + b determines: every
+        digit below the lowest unknown digit of an inexact operand."""
+        if a.exact:
+            return None if b.exact else b.v + b.digits - v
+        if b.exact:
+            return a.v + a.digits - v
+        return min(a.v + a.digits, b.v + b.digits) - v
+
+    @staticmethod
+    def _known_product(a: LocalElement, b: LocalElement):
+        """Relative width that a * b determines: the least inexact window."""
+        if a.exact:
+            return None if b.exact else b.digits
+        return a.digits if b.exact else min(a.digits, b.digits)
+
+    def _known_inverse(self, a: LocalElement) -> int:
+        """Relative width of 1/a when it has no finite expansion: the
+        inverse of an exact a is then an infinite series, cut at the
+        window."""
+        return self.prec if a.exact else a.digits
+
+    # -- normal forms and sampling, in terms of the mantissa hooks
+
+    def mod_pi_power(self, a: LocalElement, k: int) -> LocalElement:
+        """Exact canonical representative of a modulo pi^k (digits below
+        exponent k kept, the rest dropped).  Requires the digits to be known
+        that far.  `_make` normalises it like any result, so a representative
+        wider than the window (only a negative exact p-adic mantissa far
+        below k gives one) comes back as the inexact window."""
+        if a.mant is None or a.v >= k:
+            return ZERO
+        width = k - a.v
+        if not a.exact and a.digits < width:
+            raise PrecisionExhausted(
+                f"digits up to {self.uniformizer_symbol}^{k} not known at "
+                f"this precision")
+        return self._make(a.v, self._low_digits(a.mant, width), None)
+
+    def residue(self, a: LocalElement) -> int:
+        if a.mant is None:
+            return 0
+        if a.v < 0:
+            raise ValueError("residue of a non-integral element")
+        return self._lead_code(a.mant) if a.v == 0 else 0
+
+    def random_element(self, rng, min_val: int = -2, max_val: int = 2,
+                       nonzero: bool = True) -> LocalElement:
+        """Exact element of valuation in [min_val, max_val] with a full
+        window of random digits (zero with chance 0.1 unless nonzero)."""
+        if not nonzero and rng.random() < 0.1:
+            return ZERO
+        v = rng.randint(min_val, max_val)
+        return self._make(v, self._random_unit(rng), None)
+
+    def element_json(self, a: LocalElement):
+        if a.mant is None:
+            return {"valuation": "infinity", "digits": [], "exact": True}
+        return self._nonzero_json(a)
 
 
 class PadicField(_LocalBase):
@@ -376,44 +449,59 @@ class PadicField(_LocalBase):
         self.char = 0
         self.residue_q = p
         self.one = LocalElement(0, 1, 1, True)
+        # p^0 .. p^prec: a mantissa's digit count is its place among them
+        self._powers = [p ** i for i in range(prec + 1)]
 
     @property
     def residue_field(self) -> FiniteField:
         return finite_field(self.p)
 
-    def _monomial(self, v: int, unit: int) -> LocalElement:
-        return LocalElement(v, unit, 1, True)
+    def _make(self, v: int, mant: int, known: Optional[int]) -> LocalElement:
+        """Normalize p^v * mant.  `known` is the relative width actually
+        known (None for exact): keep that many digits, strip the factors p,
+        cap at `prec`, and raise PrecisionExhausted if no digit survives.
+        An exact result is trimmed, or the inexact `prec`-digit window when
+        it is wider than `prec`."""
+        p = self.p
+        if known is not None:
+            mant %= p ** known
+        if not mant:
+            if known is None:
+                return ZERO
+            raise PrecisionExhausted("every known digit cancelled")
+        if not mant % p:
+            j = _val_int(mant, p)
+            v, mant = v + j, mant // p ** j
+            if known is not None:
+                known -= j
+        if known is None:
+            known = bisect_right(self._powers, abs(mant))
+            if known <= self.prec:
+                return LocalElement(v, mant, known, True)
+        if known > self.prec:
+            known = self.prec
+            mant %= self._powers[known]
+        return LocalElement(v, mant, known, False)
 
-    def _mant_width(self, m: int) -> int:
-        w = 0
-        m = abs(m)
-        while m:
-            w += 1
-            m //= self.p
-        return w
+    def _low_digits(self, mant: int, width: int) -> int:
+        return mant % self.p ** width
 
-    def _make_exact(self, v: int, mant: int) -> LocalElement:
-        """Canonical exact element; truncates (dropping exactness) when the
-        mantissa no longer fits in the precision window."""
-        if mant == 0:
-            return ZERO
-        j = _val_int(mant, self.p)
-        v, mant = v + j, mant // self.p ** j
-        width = self._mant_width(mant)
-        if width > self.prec:
-            return LocalElement(v, mant % self.p ** self.prec, self.prec, False)
-        return LocalElement(v, mant, width, True)
+    def _lead_code(self, mant: int) -> int:
+        return mant % self.p
 
-    def _known_to(self, a: LocalElement):
-        # absolute exponent below which every digit of a is known
-        return None if a.exact else a.v + a.digits
+    def _random_unit(self, rng) -> int:
+        top = self._powers[-1]
+        mant = rng.randrange(1, top)
+        while mant % self.p == 0:
+            mant = rng.randrange(1, top)
+        return mant
 
     def from_integer(self, n: int) -> LocalElement:
-        return self._make_exact(0, n)
+        return self._make(0, n, None)
 
     def residue_lift(self, code: int) -> LocalElement:
         """Exact lift of the residue class with code 0 <= code < p."""
-        return self._make_exact(0, code)
+        return self._make(0, code, None)
 
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None:
@@ -421,57 +509,29 @@ class PadicField(_LocalBase):
         if b.mant is None:
             return a
         v = min(a.v, b.v)
-        A = a.mant * self.p ** (a.v - v)
-        B = b.mant * self.p ** (b.v - v)
-        if a.exact and b.exact:
-            return self._make_exact(v, A + B)
-        bounds = [k for k in (self._known_to(a), self._known_to(b)) if k is not None]
-        window = min(bounds) - v
-        s = (A + B) % self.p ** window
-        if s == 0:
-            raise PrecisionExhausted(
-                "every known digit cancelled in addition")
-        j = _val_int(s, self.p)
-        digits = min(window - j, self.prec)
-        return LocalElement(v + j, (s // self.p ** j) % self.p ** digits,
-                            digits, False)
+        p = self.p
+        return self._make(v, a.mant * p ** (a.v - v) + b.mant * p ** (b.v - v),
+                          self._known_sum(a, b, v))
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
             return a
-        if a.exact:
-            return LocalElement(a.v, -a.mant, a.digits, True)
-        mod = self.p ** a.digits
-        return LocalElement(a.v, (-a.mant) % mod, a.digits, False)
+        return self._make(a.v, -a.mant, None if a.exact else a.digits)
 
     def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None or b.mant is None:
             return ZERO
-        if a.exact and b.exact:
-            return self._make_exact(a.v + b.v, a.mant * b.mant)
-        digits = min(x.digits for x in (a, b) if not x.exact)
-        digits = min(digits, self.prec)
-        mant = (a.mant * b.mant) % self.p ** digits
-        return LocalElement(a.v + b.v, mant, digits, False)
+        return self._make(a.v + b.v, a.mant * b.mant,
+                          self._known_product(a, b))
 
     def inv(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
             raise DivisionByZero("inverse of 0")
         if a.exact and a.mant in (1, -1):
             return LocalElement(-a.v, a.mant, 1, True)
-        digits = self.prec if a.exact else a.digits
+        digits = self._known_inverse(a)
         mod = self.p ** digits
-        mant = pow(a.mant % mod, -1, mod)
-        return LocalElement(-a.v, mant, digits, False)
-
-    def residue(self, a: LocalElement) -> int:
-        if a.mant is None:
-            return 0
-        if a.v < 0:
-            raise ValueError("residue of a non-integral element")
-        if a.v > 0:
-            return 0
-        return a.mant % self.p
+        return self._make(-a.v, pow(a.mant % mod, -1, mod), digits)
 
     def frobenius(self, a: LocalElement) -> LocalElement:
         # plain p-th power; additivity is a characteristic-p phenomenon
@@ -480,39 +540,6 @@ class PadicField(_LocalBase):
     def frobenius_inv(self, a: LocalElement) -> LocalElement:
         raise FrobeniusNotInvertible(
             "characteristic 0: p-th roots are not generally available")
-
-    def mod_pi_power(self, a: LocalElement, k: int) -> LocalElement:
-        """Exact canonical representative of a modulo p^k (digits below
-        exponent k kept, the rest dropped).  Requires the digits to be
-        known that far."""
-        if a.mant is None or a.v >= k:
-            return ZERO
-        width = k - a.v
-        if not a.exact and a.digits < width:
-            raise PrecisionExhausted(
-                f"digits up to p^{k} not known at this precision")
-        mant = a.mant % self.p ** width
-        if mant == 0:
-            return ZERO
-        j = _val_int(mant, self.p)
-        return LocalElement(a.v + j, mant // self.p ** j,
-                            self._mant_width(mant // self.p ** j), True)
-
-    def random_element(self, rng, min_val: int = -2, max_val: int = 2,
-                       nonzero: bool = True) -> LocalElement:
-        if not nonzero and rng.random() < 0.1:
-            return ZERO
-        v = rng.randint(min_val, max_val)
-        mant = rng.randrange(1, self.p ** self.prec)
-        while mant % self.p == 0:
-            mant = rng.randrange(1, self.p ** self.prec)
-        return LocalElement(v, mant, self._mant_width(mant), True)
-
-    def canonical_key(self, a: LocalElement):
-        if a.mant is None:
-            return ("zero",)
-        assert a.exact, "canonical keys are for exact elements"
-        return (a.v, a.mant)
 
     def _digit_list(self, a: LocalElement) -> list[int]:
         mant = a.mant % self.p ** a.digits
@@ -528,9 +555,7 @@ class PadicField(_LocalBase):
         digits = ",".join(map(str, self._digit_list(a)))
         return f"{self.p}^{a.v}*[{digits}] + O({self.p}^{a.v + a.digits})"
 
-    def element_json(self, a: LocalElement):
-        if a.mant is None:
-            return {"valuation": "infinity", "digits": [], "exact": True}
+    def _nonzero_json(self, a: LocalElement):
         return {"valuation": a.v,
                 "digits": self._digit_list(a) if not a.exact else None,
                 "mantissa": a.mant if a.exact else None,
@@ -548,6 +573,7 @@ class LaurentField(_LocalBase):
 
     Mantissas are tuples of residue-field codes with nonzero leading entry;
     exact elements are honest Laurent polynomials (trailing zeros trimmed).
+    Coefficient arithmetic indexes the residue field's tables directly.
     """
 
     kind = "laurent"
@@ -568,44 +594,48 @@ class LaurentField(_LocalBase):
     def residue_field(self) -> FiniteField:
         return self.k
 
-    def _monomial(self, v: int, unit: int) -> LocalElement:
-        return LocalElement(v, (unit,), 1, True)
-
     def _make(self, v: int, coeffs: Sequence[int], known: Optional[int]):
-        """Normalize a raw window.  `known` is the relative width actually
-        known (None for exact/finite support)."""
-        coeffs = list(coeffs)
+        """Normalize sum coeffs[i] t^(v+i).  `known` is the relative width
+        actually known (None for exact): keep that many digits, strip
+        leading zeros, cap at `prec`, and raise PrecisionExhausted if no
+        digit survives.  An exact result is trimmed, or the inexact
+        `prec`-digit window when it is wider than `prec`."""
         if known is not None:
             coeffs = coeffs[:known]
-        # strip leading zeros, adjusting the valuation
-        lead = 0
-        while lead < len(coeffs) and coeffs[lead] == 0:
+        lead, end = 0, len(coeffs)
+        while lead < end and not coeffs[lead]:
             lead += 1
-        if lead == len(coeffs):
+        if lead == end:
             if known is None:
                 return ZERO
             raise PrecisionExhausted("every known digit cancelled")
-        v += lead
-        coeffs = coeffs[lead:]
-        if known is not None:
-            known -= lead
         if known is None:
-            # exact: trim trailing zeros, truncate if support is too wide
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            if len(coeffs) > self.prec:
-                return LocalElement(v, tuple(coeffs[:self.prec]), self.prec, False)
-            return LocalElement(v, tuple(coeffs), len(coeffs), True)
+            while not coeffs[end - 1]:
+                end -= 1
+            known = end - lead
+            if known <= self.prec:
+                return LocalElement(v + lead, tuple(coeffs[lead:end]), known,
+                                    True)
+        else:
+            known -= lead
         known = min(known, self.prec)
-        coeffs = (coeffs + [0] * known)[:known]
-        return LocalElement(v, tuple(coeffs), known, False)
+        kept = tuple(coeffs[lead:lead + known])
+        return LocalElement(v + lead, kept + (0,) * (known - len(kept)),
+                            known, False)
 
-    def _known_to(self, a: LocalElement):
-        return None if a.exact else a.v + a.digits
+    def _low_digits(self, mant: tuple, width: int) -> tuple:
+        return mant[:width]
+
+    def _lead_code(self, mant: tuple) -> int:
+        return mant[0]
+
+    def _random_unit(self, rng) -> list[int]:
+        coeffs = [rng.randrange(1, self.q)]
+        coeffs += [rng.randrange(self.q) for _ in range(self.prec - 1)]
+        return coeffs
 
     def from_integer(self, n: int) -> LocalElement:
-        c = self.k.from_integer(n)
-        return ZERO if c == 0 else LocalElement(0, (c,), 1, True)
+        return self._make(0, [self.k.from_integer(n)], None)
 
     def from_coeffs(self, v: int, coeffs: Sequence[int]) -> LocalElement:
         """Exact element sum coeffs[i] * t^(v+i), coefficients as residue
@@ -622,68 +652,61 @@ class LaurentField(_LocalBase):
             return b
         if b.mant is None:
             return a
-        v = min(a.v, b.v)
-        bounds = [k for k in (self._known_to(a), self._known_to(b))
-                  if k is not None]
-        known = (min(bounds) - v) if bounds else None
-        width = max(a.v + len(a.mant), b.v + len(b.mant)) - v
+        if a.v > b.v:
+            a, b = b, a
+        known = self._known_sum(a, b, a.v)
+        off = b.v - a.v
+        width = max(len(a.mant), off + len(b.mant))
         if known is not None:
             width = min(width, known)
-        out = [0] * width
-        for x in (a, b):
-            off = x.v - v
-            for i, c in enumerate(x.mant):
-                if off + i < width:
-                    out[off + i] = self.k.add(out[off + i], c)
-        return self._make(v, out, known)
+        out = list(a.mant[:width]) + [0] * (width - len(a.mant))
+        add, bm = self.k._add, b.mant
+        for i in range(off, min(width, off + len(bm))):
+            out[i] = add[out[i]][bm[i - off]]
+        return self._make(a.v, out, known)
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
             return a
-        return LocalElement(a.v, tuple(self.k.neg(c) for c in a.mant),
+        neg = self.k._neg
+        return LocalElement(a.v, tuple([neg[c] for c in a.mant]),
                             a.digits, a.exact)
 
     def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None or b.mant is None:
             return ZERO
-        known_rel = [x.digits for x in (a, b) if not x.exact]
-        known = min(known_rel) if known_rel else None
+        known = self._known_product(a, b)
         width = len(a.mant) + len(b.mant) - 1
         if known is not None:
             width = min(width, known)
         out = [0] * width
-        for i, x in enumerate(a.mant):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.mant):
-                if i + j >= width:
-                    break
-                if y:
-                    out[i + j] = self.k.add(out[i + j], self.k.mul(x, y))
+        add, mul = self.k._add, self.k._mul
+        for i, x in enumerate(a.mant[:width]):
+            if x:
+                row = mul[x]
+                for n, y in enumerate(b.mant[:width - i], i):
+                    if y:
+                        out[n] = add[out[n]][row[y]]
         return self._make(a.v + b.v, out, known)
 
     def inv(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
             raise DivisionByZero("inverse of 0")
-        if a.exact and len(a.mant) == 1:
-            return LocalElement(-a.v, (self.k.inv(a.mant[0]),), 1, True)
-        digits = self.prec if a.exact else a.digits
-        c = list(a.mant) + [0] * digits
-        lead_inv = self.k.inv(c[0])
+        k = self.k
+        c = a.mant
+        if a.exact and len(c) == 1:
+            return LocalElement(-a.v, (k._inv[c[0]],), 1, True)
+        digits = self._known_inverse(a)
+        add, mul = k._add, k._mul
+        lead_inv = k._inv[c[0]]
+        scale = mul[k._neg[lead_inv]]
         out = [lead_inv]
         for n in range(1, digits):
             acc = 0
-            for j in range(1, n + 1):
-                acc = self.k.add(acc, self.k.mul(c[j], out[n - j]))
-            out.append(self.k.neg(self.k.mul(lead_inv, acc)))
+            for j in range(1, min(n, len(c) - 1) + 1):
+                acc = add[acc][mul[c[j]][out[n - j]]]
+            out.append(scale[acc])
         return self._make(-a.v, out, digits)
-
-    def residue(self, a: LocalElement) -> int:
-        if a.mant is None:
-            return 0
-        if a.v < 0:
-            raise ValueError("residue of a non-integral element")
-        return a.mant[0] if a.v == 0 else 0
 
     def frobenius(self, a: LocalElement) -> LocalElement:
         """x -> x^p; additive because the binomial coefficients vanish."""
@@ -721,41 +744,6 @@ class LaurentField(_LocalBase):
         known = None if a.exact else (a.v + a.digits + p - 1) // p - a.v // p
         return self._make(a.v // p, out, known)
 
-    def mod_pi_power(self, a: LocalElement, k: int) -> LocalElement:
-        """Exact canonical representative modulo t^k (not capped at the
-        working precision; these are finite-support normal forms)."""
-        if a.mant is None or a.v >= k:
-            return ZERO
-        width = k - a.v
-        if not a.exact and a.digits < width:
-            raise PrecisionExhausted(
-                f"digits up to t^{k} not known at this precision")
-        coeffs = list(a.mant[:width])
-        lead = 0
-        while lead < len(coeffs) and coeffs[lead] == 0:
-            lead += 1
-        coeffs = coeffs[lead:]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            return ZERO
-        return LocalElement(a.v + lead, tuple(coeffs), len(coeffs), True)
-
-    def random_element(self, rng, min_val: int = -2, max_val: int = 2,
-                       nonzero: bool = True) -> LocalElement:
-        if not nonzero and rng.random() < 0.1:
-            return ZERO
-        v = rng.randint(min_val, max_val)
-        coeffs = [rng.randrange(1, self.q)]
-        coeffs += [rng.randrange(self.q) for _ in range(self.prec - 1)]
-        return self._make(v, coeffs, None)
-
-    def canonical_key(self, a: LocalElement):
-        if a.mant is None:
-            return ("zero",)
-        assert a.exact, "canonical keys are for exact elements"
-        return (a.v, a.mant)
-
     def format_element(self, a: LocalElement) -> str:
         if a.mant is None:
             return "0"
@@ -778,9 +766,7 @@ class LaurentField(_LocalBase):
             return body
         return f"{body} + O(t^{a.v + a.digits})"
 
-    def element_json(self, a: LocalElement):
-        if a.mant is None:
-            return {"valuation": "infinity", "digits": [], "exact": True}
+    def _nonzero_json(self, a: LocalElement):
         return {"valuation": a.v, "digits": list(a.mant), "exact": a.exact}
 
     def describe(self) -> str:

@@ -108,8 +108,7 @@ def test_distance_oracle_against_bfs(l3):
         w = ball.vertices[rng.randrange(len(ball.vertices))]
         d = tree_distance(l3, v, w)
         assert d == tree_distance(l3, w, v) >= 0
-        assert d <= ball.dist[ball.index[(v.a, l3.canonical_key(v.b))]] + \
-            ball.dist[ball.index[(w.a, l3.canonical_key(w.b))]]
+        assert d <= ball.dist[ball.index[v]] + ball.dist[ball.index[w]]
 
 
 def test_ray_to_spine_ends(q2):

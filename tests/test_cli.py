@@ -120,13 +120,16 @@ def test_building_coords_all_words(capsys):
     assert all(r["bijective"] for r in rows)
 
 
-@pytest.mark.parametrize("action", ["cells", "coords"])
-@pytest.mark.parametrize("base", ["99", "-1"])
-def test_building_base_out_of_range_is_usage_error(action, base, capsys):
-    code = cli.main(["building", action, "--geometry", "PG2:q=2",
-                     "--base", base])
+@pytest.mark.parametrize("args, message", [
+    pytest.param([action, "--base", base], "base chamber",
+                 id=f"{base}-{action}")
+    for base in ("99", "-1") for action in ("cells", "coords")] + [
+    pytest.param(["coords", "--word", "0,x"], "word letters", id="word-0,x")])
+def test_building_base_out_of_range_is_usage_error(args, message, capsys):
+    # also a --word letter that is not an integer
+    code = cli.main(["building", *args, "--geometry", "PG2:q=2"])
     assert code == 2
-    assert "base chamber" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_moufang_check_full(capsys):

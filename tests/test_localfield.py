@@ -337,6 +337,28 @@ def test_residue_lift_is_an_exact_section(F):
         assert F.is_zero(lift) == (code == 0)
 
 
+@pytest.mark.parametrize("F", [PadicField(3, 4), LaurentField(3, 4)])
+def test_make_contract(F):
+    # exact full cancellation is the exact zero
+    x = parse_element(F, "1+pi^3")
+    assert F.sub(x, x) == ZERO
+    # an exact result wider than the window is cut to prec inexact digits
+    sq = F.mul(x, x)  # 1 + 2*pi^3 + pi^6 has 7 digits
+    assert not sq.exact and sq.v == 0 and sq.digits == F.prec
+    assert F.mod_pi_power(sq, F.prec) == parse_element(F, "1+2*pi^3")
+    # an inexact result keeps the digits its operands know, and no more
+    y = F.inv(parse_element(F, "1+pi"))
+    assert not y.exact and y.digits == F.prec
+    tail = F.sub(y, F.mod_pi_power(y, 1))  # 1/(1+pi) = 1 - pi + ...
+    assert not tail.exact and tail.v == 1 and tail.digits == F.prec - 1
+    with pytest.raises(PrecisionExhausted):
+        F.sub(y, y)
+    # reduction needs every digit below the modulus
+    assert F.mod_pi_power(y, F.prec).exact
+    with pytest.raises(PrecisionExhausted):
+        F.mod_pi_power(y, F.prec + 1)
+
+
 # ---------------------------------------------------------------------------
 # differential precision: a low-precision run never claims a digit that a
 # high-precision run of the same program contradicts
