@@ -49,4 +49,5 @@ class NotUnique(BuildinglabError):
 
 
 class SearchBudgetExceeded(BuildinglabError):
-    """A backtracking search hit its node budget before completing."""
+    """An automorphism search visited more branch points than its budget
+    allows before completing."""

@@ -8,14 +8,15 @@ here by residues modulo 2n; the root alpha_i is the half-circuit path
 automorphisms fixing, chamber by chamber, the star of every interior
 vertex i+1, ..., i+n-1.
 
-Root groups are found by a backtracking search over chamber bijections
+Root groups are found by a forward-checking search over chamber bijections
 that preserve the W-valued distance (which characterizes type-preserving
-automorphisms); the identity constraints on the interior stars seed the
-search, and candidate images are filtered through panels of already
-assigned neighbors, so the tree collapses to the genuine freedom.  The
-Moufang property is then checked head on: for each root, the apartments
-containing it are enumerated by completing the half-circuit, and U_i must
-permute them simply transitively, with |U_i| equal to the panel parameter q.
+automorphisms): the identity constraints on the interior stars seed it,
+each assignment filters the images left to every other chamber, and by
+rigidity the search branches once, over the q images of one chamber, and
+otherwise only propagates.  The Moufang property is then checked head on:
+for each root, the apartments containing it are enumerated by completing
+the half-circuit, and U_i must permute them simply transitively, with
+|U_i| equal to the panel parameter q.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
@@ -51,6 +52,9 @@ from .errors import (
 from .localfield import Field, FiniteField
 
 Perm = tuple[int, ...]
+
+# branch points one automorphism search may visit before giving up
+_SEARCH_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -95,101 +99,80 @@ def product_set(first: Iterable[Perm], *rest: Iterable[Perm]) -> set[Perm]:
 
 def find_automorphisms(cx: ChamberComplex,
                        forced: Optional[dict[int, int]] = None,
-                       vertex_fixes: frozenset = frozenset(),
-                       budget: int = 2_000_000) -> list[Perm]:
+                       vertex_fixes: frozenset = frozenset()) -> list[Perm]:
     """All chamber bijections preserving the W-distance, subject to forced
-    images and setwise-fixed panels.
+    images and setwise-fixed panels, in sorted order.
 
     Preserving delta on all pairs is equivalent to being a type-preserving
-    automorphism, so candidates are validated pairwise against everything
-    already assigned; chambers are ordered breadth-first from the forced
-    seeds so each new chamber is confined to a single image panel.
+    automorphism.  The search is forward checking: each open chamber keeps
+    the images x still consistent with every assignment made so far
+    (delta(c, e) = delta(x, y) for each assigned e -> y), starting from its
+    forced image or, if it lies on a setwise-fixed panel, from that panel.
+    The open chamber with the fewest images, lowest index first, is
+    assigned next and filters every other list; the search branches only
+    where two or more images are left.  Since delta(c, e) is the identity
+    only for e = c, the filter keeps the map injective.  By rigidity a root
+    group search branches once, q ways, and then only propagates.
     """
+    if not forced and not vertex_fixes:
+        raise InvalidSpec("automorphism search needs at least one constraint")
     N = cx.size
     delta = [cx._delta_from(c)[1] for c in range(N)]
-    forced = dict(forced or {})
-
-    # chambers whose panels are all setwise fixed can only map to themselves
+    forced = forced or {}
+    open_images: dict[int, list[int]] = {}
     for c in range(N):
-        if c in forced:
-            continue
-        pins = [i for i in range(cx.rank)
-                if (i, cx.panel_of[i][c]) in vertex_fixes]
-        if len(pins) == cx.rank:
-            forced[c] = c
-
-    for (a, x), (b, y) in itertools.combinations(forced.items(), 2):
-        if delta[a][b] != delta[x][y]:
-            return []
-    for c, x in forced.items():
+        cands = [forced[c]] if c in forced else range(N)
         for i in range(cx.rank):
-            pid = (i, cx.panel_of[i][c])
-            if pid in vertex_fixes and cx.panel_of[i][x] != pid[1]:
-                return []
-
-    # breadth-first order from the seeds, remembering one assigned neighbor
-    order: list[tuple[int, int, int]] = []   # (chamber, via-type, neighbor)
-    seen = set(forced)
-    frontier = sorted(forced)
-    if not frontier:
-        raise InvalidSpec("automorphism search needs at least one constraint")
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(cx.rank):
-                for e in cx.copanel_members(i, c):
-                    if e not in seen:
-                        seen.add(e)
-                        order.append((e, i, c))
-                        nxt.append(e)
-        frontier = nxt
-    if len(seen) != N:
-        raise InvalidSpec("chamber graph is not connected")
-
-    assign = list(forced.items())
-    image = [-1] * N
-    used = [False] * N
-    for a, x in forced.items():
-        image[a] = x
-        used[x] = True
+            p = cx.panel_of[i][c]
+            if (i, p) in vertex_fixes:
+                cands = [x for x in cands if cx.panel_of[i][x] == p]
+        if not cands:
+            return []
+        open_images[c] = list(cands)
     solutions: list[Perm] = []
     nodes = 0
 
-    def viable(c: int, x: int) -> bool:
-        for i in range(cx.rank):
-            pid = (i, cx.panel_of[i][c])
-            if pid in vertex_fixes and cx.panel_of[i][x] != pid[1]:
-                return False
-        dc = delta[c]
-        dx = delta[x]
-        for a, y in assign:
-            if dc[a] != dx[y]:
-                return False
-        return True
+    def assign(c: int, x: int,
+               images: dict[int, list[int]]) -> Optional[dict[int, list[int]]]:
+        """The open lists left after c -> x, or None if one empties."""
+        dc, dx = delta[c], delta[x]
+        out = {}
+        for e, ys in images.items():
+            if e == c:
+                continue
+            want = dc[e]
+            if len(ys) > 1 or dx[ys[0]] != want:
+                ys = [y for y in ys if dx[y] == want]
+                if not ys:
+                    return None
+            out[e] = ys
+        return out
 
-    def recurse(k: int) -> None:
+    def search(image: list[int], images: dict[int, list[int]]) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
+        if nodes > _SEARCH_BUDGET:
             raise SearchBudgetExceeded(
-                f"automorphism search passed {budget} nodes")
-        if k == len(order):
+                f"automorphism search passed {_SEARCH_BUDGET} nodes")
+        while images:
+            size, c = min(zip(map(len, images.values()), images))
+            if size > 1:
+                break
+            image[c] = images[c][0]
+            images = assign(c, image[c], images)
+            if images is None:
+                return
+        if not images:
             solutions.append(tuple(image))
             return
-        c, via, nb = order[k]
-        target_panel = cx.panel_of[via][image[nb]]
-        for x in cx.panels[via][target_panel]:
-            if used[x] or not viable(c, x):
-                continue
-            image[c] = x
-            used[x] = True
-            assign.append((c, x))
-            recurse(k + 1)
-            assign.pop()
-            used[x] = False
-            image[c] = -1
+        for x in images[c]:
+            rest = assign(c, x, images)
+            if rest is not None:
+                branch = list(image)
+                branch[c] = x
+                search(branch, rest)
 
-    recurse(0)
+    search([-1] * N, open_images)
     return sorted(solutions)
 
 

@@ -1,10 +1,14 @@
+import itertools
+from typing import Optional
+
 import pytest
 
-from buildinglab.chambers import build_flag_building
-from buildinglab.errors import InvalidSpec, NotFound
+from buildinglab.chambers import ChamberComplex, build_flag_building
+from buildinglab.errors import InvalidSpec, NotFound, SearchBudgetExceeded
 from buildinglab.localfield import finite_field, parse_field_spec
 from buildinglab.moufang import (
     MoufangFrame,
+    Perm,
     all_roots,
     apartments_containing_root,
     commutator,
@@ -24,6 +28,117 @@ from buildinglab.moufang import (
     product_stabilizer_check,
     quadrangle_identity_check,
 )
+
+
+# The search as it stood before forward checking, kept as the oracle for
+# find_automorphisms: a static breadth-first order from the seeds, each
+# chamber's candidates drawn from one assigned neighbor's panel.
+def _reference_automorphisms(cx: ChamberComplex,
+                              forced: Optional[dict[int, int]] = None,
+                              vertex_fixes: frozenset = frozenset(),
+                              budget: int = 2_000_000) -> list[Perm]:
+    """All chamber bijections preserving the W-distance, subject to forced
+    images and setwise-fixed panels.
+
+    Preserving delta on all pairs is equivalent to being a type-preserving
+    automorphism, so candidates are validated pairwise against everything
+    already assigned; chambers are ordered breadth-first from the forced
+    seeds so each new chamber is confined to a single image panel.
+    """
+    N = cx.size
+    delta = [cx._delta_from(c)[1] for c in range(N)]
+    forced = dict(forced or {})
+
+    # chambers whose panels are all setwise fixed can only map to themselves
+    for c in range(N):
+        if c in forced:
+            continue
+        pins = [i for i in range(cx.rank)
+                if (i, cx.panel_of[i][c]) in vertex_fixes]
+        if len(pins) == cx.rank:
+            forced[c] = c
+
+    for (a, x), (b, y) in itertools.combinations(forced.items(), 2):
+        if delta[a][b] != delta[x][y]:
+            return []
+    for c, x in forced.items():
+        for i in range(cx.rank):
+            pid = (i, cx.panel_of[i][c])
+            if pid in vertex_fixes and cx.panel_of[i][x] != pid[1]:
+                return []
+
+    # breadth-first order from the seeds, remembering one assigned neighbor
+    order: list[tuple[int, int, int]] = []   # (chamber, via-type, neighbor)
+    seen = set(forced)
+    frontier = sorted(forced)
+    if not frontier:
+        raise InvalidSpec("automorphism search needs at least one constraint")
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in range(cx.rank):
+                for e in cx.copanel_members(i, c):
+                    if e not in seen:
+                        seen.add(e)
+                        order.append((e, i, c))
+                        nxt.append(e)
+        frontier = nxt
+    if len(seen) != N:
+        raise InvalidSpec("chamber graph is not connected")
+
+    assign = list(forced.items())
+    image = [-1] * N
+    used = [False] * N
+    for a, x in forced.items():
+        image[a] = x
+        used[x] = True
+    solutions: list[Perm] = []
+    nodes = 0
+
+    def viable(c: int, x: int) -> bool:
+        for i in range(cx.rank):
+            pid = (i, cx.panel_of[i][c])
+            if pid in vertex_fixes and cx.panel_of[i][x] != pid[1]:
+                return False
+        dc = delta[c]
+        dx = delta[x]
+        for a, y in assign:
+            if dc[a] != dx[y]:
+                return False
+        return True
+
+    def recurse(k: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(
+                f"automorphism search passed {budget} nodes")
+        if k == len(order):
+            solutions.append(tuple(image))
+            return
+        c, via, nb = order[k]
+        target_panel = cx.panel_of[via][image[nb]]
+        for x in cx.panels[via][target_panel]:
+            if used[x] or not viable(c, x):
+                continue
+            image[c] = x
+            used[x] = True
+            assign.append((c, x))
+            recurse(k + 1)
+            assign.pop()
+            used[x] = False
+            image[c] = -1
+
+    recurse(0)
+    return sorted(solutions)
+
+
+def _assert_delta_preserving(cx, perms):
+    delta = [cx._delta_from(c)[1] for c in range(cx.size)]
+    for g in perms:
+        for c in range(cx.size):
+            dc, dg = delta[c], delta[g[c]]
+            assert all(dc[e] == dg[g[e]] for e in range(cx.size))
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +204,60 @@ def test_circuit_shape(frame2):
 def test_identity_forced_search(pg2_2):
     sols = find_automorphisms(pg2_2, forced={c: c for c in range(pg2_2.size)})
     assert sols == [identity_perm(pg2_2.size)]
+    # a neighbor of a fixed chamber cannot go to a chamber not adjacent to it
+    i, nb = next(pg2_2.neighbors(0))
+    far = next(d for d in range(pg2_2.size)
+               if pg2_2.gallery_distance(0, d) > 1)
+    assert find_automorphisms(pg2_2, forced={0: 0, nb: far}) == []
+    # a forced image off a setwise-fixed panel
+    pinned = frozenset({pg2_2.panel_id(1 - i, 0)})
+    assert find_automorphisms(pg2_2, forced={0: nb},
+                              vertex_fixes=pinned) == []
+    # every image forced: the forced pairs are delta-checked too
+    swapped = dict(enumerate(range(pg2_2.size)))
+    swapped[nb], swapped[far] = far, nb
+    assert find_automorphisms(pg2_2, forced=swapped) == []
+    with pytest.raises(InvalidSpec):
+        find_automorphisms(pg2_2)
+
+
+# roots 0, 3 and 5 of PG2:q=4 take seconds each in the reference search
+@pytest.mark.parametrize("spec, roots", [
+    ("PG2:q=2", range(6)),
+    ("PG2:q=3", range(6)),
+    ("W:q=2", range(8)),
+    ("PG2:q=4", (1, 2, 4)),
+], ids=["PG2:q=2", "PG2:q=3", "W:q=2", "PG2:q=4"])
+def test_search_matches_reference_on_base_roots(spec, roots):
+    frame = MoufangFrame(build_flag_building(spec))
+    for i in roots:
+        interior = frame.root_path(i)[1:-1]
+        fixed = {c: c for pid in interior for c in frame.star(pid)}
+        got = find_automorphisms(frame.cx, forced=fixed)
+        assert got == _reference_automorphisms(frame.cx, forced=fixed)
+        assert len(got) == frame.q
+        _assert_delta_preserving(frame.cx, got)
+
+
+def test_search_matches_reference_on_stabilizers(framew):
+    for j in (0, 1):
+        for i in range(1, framew.n - j + 1):
+            groups = [framew.root_group(k) for k in range(i, i + j + 1)]
+            fixed = fixed_vertices_of_set(framew.cx, product_set(*groups))
+            got = find_automorphisms(framew.cx, vertex_fixes=fixed)
+            assert got == _reference_automorphisms(framew.cx,
+                                                   vertex_fixes=fixed)
+            assert len(got) == 2 ** (j + 1)
+            _assert_delta_preserving(framew.cx, got)
+
+
+def test_root_groups_pg2_5():
+    frame = MoufangFrame(build_flag_building("PG2:q=5"))
+    for i in range(6):
+        U = frame.root_group(i)
+        assert len(U) == 5 and frame.identity in U
+    fit = fit_parametrization(frame, finite_field(5), 1)
+    assert orbit_labeling_check(frame, fit["x"], 1)["ok"]
 
 
 def test_root_groups_have_order_q(frame2, frame3):
