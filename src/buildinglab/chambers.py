@@ -41,7 +41,6 @@ from .coxeter import (
     MATRIX_A2,
     MATRIX_B2,
     CoxeterSystem,
-    build_coxeter_system,
     type_a_matrix,
 )
 from .errors import (
@@ -128,7 +127,7 @@ class ChamberComplex:
         self.chambers: list[Chamber] = sorted(chambers)
         self.size = len(self.chambers)
         self.rank = len(self.chambers[0])
-        self.coxeter: CoxeterSystem = build_coxeter_system(matrix)
+        self.coxeter = CoxeterSystem(matrix)
         self.thickness = thickness  # q when equal-parameter, else None
         self._chamber_index = {ch: k for k, ch in enumerate(self.chambers)}
         self.panels: list[list[tuple[int, ...]]] = []

@@ -38,7 +38,7 @@ from .chambers import (
     cell_decomposition_report,
     verify_building_axioms,
 )
-from .coxeter import build_coxeter_system, parse_coxeter_matrix
+from .coxeter import CoxeterSystem, parse_coxeter_matrix
 from .errors import BuildinglabError, InvalidSpec, NotFound, NotUnique
 from .localfield import (
     INFINITY,
@@ -88,7 +88,7 @@ def _check(checks: list, cid: str, ok: bool, witness=None) -> bool:
 def cmd_coxeter(args):
     with open(args.matrix) as fh:
         matrix = parse_coxeter_matrix(fh.read())
-    system = build_coxeter_system(matrix)
+    system = CoxeterSystem(matrix)
     results = {
         "rank": system.rank,
         "order": system.order,
@@ -96,7 +96,9 @@ def cmd_coxeter(args):
         "decomposable": system.is_decomposable(),
     }
     checks = []
-    _check(checks, "system_enumerated", system.order > 0)
+    bad = system.relation_violation()
+    _check(checks, "system_enumerated", bad is None,
+           bad and dict(zip(("element", "i", "j"), bad)))
     if args.poincare:
         poincare = system.poincare_polynomial()
         results["poincare"] = poincare

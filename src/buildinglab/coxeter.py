@@ -1,4 +1,4 @@
-"""Finite Coxeter systems by pure word combinatorics.
+"""Finite Coxeter systems as integer-indexed tables.
 
 A Coxeter system (W, I) is presented by its Coxeter matrix m, where
 m[i][i] = 1 and m[i][j] = m[j][i] >= 2 is the order of s_i s_j.  Elements
@@ -6,21 +6,24 @@ are plain ints indexing the system's tables: element k is the k-th in
 shortlex order (0 is the identity), `words[k]` is its canonical reduced
 word (the lexicographically least reduced word in the letters
 I = {0, ..., r-1}), and `length`, `right` (the right Cayley table) and
-`inverse` are lists indexed the same way.  Everything rests on Tits'
-solution of the word problem: two reduced words express the same element
-exactly when they are connected by braid moves, and a word is reduced
-exactly when no sequence of braid moves exposes a doubled letter.  No
-linear representation is involved, so all arithmetic stays in small integer
-tuples and is exact by construction.
+`inverse` are lists indexed the same way.  No linear representation is
+involved, so all arithmetic stays in small integers and is exact by
+construction.
 
 Enumeration is breadth-first over right multiplication by generators, ties
-broken by generator index, and aborts with BoundExceeded once the element
-bound is passed (default 10**5).  That bound is the only concession to
-infinite systems, which are otherwise out of scope at desk scale, and in
-practice it surfaces them slowly: the braid closure behind each normal
-form grows exponentially with word length.  On a 2-vCPU VM affine A~2
-(rows 1 3 3 / 3 1 3 / 3 3 1) passed a bound of 1000 after about 25 s and
-had not reached the default bound after 120 s.
+broken by generator index, and is decided by rank-2 descents alone.  If s
+and t are both right descents of an element x, then x = y w0(s, t) with
+lengths adding, y the shortest element of its <s, t>-coset (the parabolic
+factorisation; Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  So
+for w and a non-descent s, ws was reached before exactly when, for some
+t != s, walking w down by t, s, t, ... takes m_st - 1 steps to y and the
+element u = y (... t s) of length l(w) already has its t-entry set: that
+entry is ws.  Otherwise ws is new and its word is words[w] + (s,).
+
+The enumeration aborts with BoundExceeded once the element bound is passed
+(default 10**5).  That bound is how infinite systems surface: on a 2-vCPU
+VM affine A~2 (rows 1 3 3 / 3 1 3 / 3 3 1) reaches the default bound in
+under a second.
 """
 
 from __future__ import annotations
@@ -32,60 +35,6 @@ from .errors import BoundExceeded, InvalidSpec
 Word = tuple[int, ...]
 
 DEFAULT_ELEMENT_BOUND = 100_000
-
-
-def _alt(i: int, j: int, length: int) -> Word:
-    """Alternating word i j i j ... of the given length."""
-    return tuple(i if k % 2 == 0 else j for k in range(length))
-
-
-def _braid_closure(word: Word, matrix) -> set[Word]:
-    """All words reachable from `word` by braid moves alone.
-
-    For a reduced word this is the full set of reduced expressions of the
-    element (Tits); for a non-reduced word it is still closed under braid
-    moves, which is all the reduction loop needs.
-    """
-    seen = {word}
-    queue = [word]
-    while queue:
-        w = queue.pop()
-        n = len(w)
-        for k in range(n - 1):
-            i, j = w[k], w[k + 1]
-            if i == j:
-                continue
-            order = matrix[i][j]
-            if k + order > n or w[k:k + order] != _alt(i, j, order):
-                continue
-            new = w[:k] + _alt(j, i, order) + w[k + order:]
-            if new not in seen:
-                seen.add(new)
-                queue.append(new)
-    return seen
-
-
-def _normal_form(word: Word, matrix) -> Word:
-    """Canonical reduced word: lex-least element of the braid class.
-
-    Repeatedly closes under braid moves and strikes the first doubled
-    letter found (scanning variants in sorted order keeps the reduction
-    deterministic); a class with no doubled letter is reduced.
-    """
-    w = tuple(word)
-    while True:
-        closure = _braid_closure(w, matrix)
-        shrunk = None
-        for cand in sorted(closure):
-            for k in range(len(cand) - 1):
-                if cand[k] == cand[k + 1]:
-                    shrunk = cand[:k] + cand[k + 2:]
-                    break
-            if shrunk is not None:
-                break
-        if shrunk is None:
-            return min(closure)
-        w = shrunk
 
 
 def parse_coxeter_matrix(text: str) -> list[list[int]]:
@@ -132,11 +81,11 @@ class CoxeterSystem:
         _validate_matrix(matrix)
         self.matrix = tuple(tuple(row) for row in matrix)
         self.rank = len(matrix)
-        self.words: list[Word] = []
-        self.right: list[list[int]] = []
+        self.words: list[Word] = [()]
+        self.length: list[int] = [0]
+        self.right: list[list[int]] = [[-1] * self.rank]
         self._enumerate(element_bound)
         self.order = len(self.words)
-        self.length = [len(w) for w in self.words]
         top = max(self.length)
         longest = [k for k, l in enumerate(self.length) if l == top]
         # unique in a finite Coxeter group; a tie would mean a broken engine
@@ -146,27 +95,58 @@ class CoxeterSystem:
                         for w in self.words]
 
     def _enumerate(self, bound: int) -> None:
-        matrix = self.matrix
-        index: dict[Word, int] = {(): 0}
-        self.words.append(())
-        k = 0
-        while k < len(self.words):
-            w = self.words[k]
-            row = []
+        """Breadth-first fill of the tables (see the module docstring).
+
+        right[w][s] and right[ws][s] are set together, so when w comes up
+        its s-entry is already set exactly when s is a descent of w.
+        """
+        words, length, right = self.words, self.length, self.right
+        w = 0
+        while w < len(words):
+            row = right[w]
             for s in range(self.rank):
-                nf = _normal_form(w + (s,), matrix)
-                j = index.get(nf)
-                if j is None:
-                    j = len(self.words)
-                    if j >= bound:
+                if row[s] >= 0:
+                    continue
+                ws = self._known_product(w, s)
+                if ws < 0:
+                    ws = len(words)
+                    if ws >= bound:
                         raise BoundExceeded(
                             f"enumeration passed {bound} elements; "
                             "system is infinite or over desk scale")
-                    index[nf] = j
-                    self.words.append(nf)
-                row.append(j)
-            self.right.append(row)
-            k += 1
+                    words.append(words[w] + (s,))
+                    length.append(length[w] + 1)
+                    right.append([-1] * self.rank)
+                row[s] = ws
+                right[ws][s] = w
+            w += 1
+
+    def _known_product(self, w: int, s: int) -> int:
+        """ws if the table already holds it, else -1 (s not a descent of w).
+
+        ws is already held only if it has a second descent t, and then
+        ws = y w0(s, t) = u t with u = y (... t s) one shorter.
+        """
+        right, length = self.right, self.length
+        for t in range(self.rank):
+            if t == s:
+                continue
+            m = self.matrix[s][t]
+            # walk w down by t, s, t, ...; ws = y w0(s, t) needs m - 1 steps
+            y, k = w, 0
+            while k < m - 1:
+                down = right[y][(t, s)[k % 2]]
+                if down < 0 or length[down] > length[y]:
+                    break
+                y, k = down, k + 1
+            if k < m - 1:
+                continue
+            u = y
+            for i in range(k, 0, -1):  # k alternating letters ending in s
+                u = right[u][(t, s)[i % 2]]
+            if right[u][t] >= 0:
+                return right[u][t]
+        return -1
 
     # -- element constructors -------------------------------------------
 
@@ -215,6 +195,20 @@ class CoxeterSystem:
     def is_decomposable(self) -> bool:
         return len(self.diagram_components()) > 1
 
+    def relation_violation(self) -> tuple[int, int, int] | None:
+        """First (w, i, j), i <= j, with w (s_i s_j)^m_ij != w in the
+        table, or None when every row satisfies the Coxeter relations."""
+        right = self.right
+        for w in range(self.order):
+            for i in range(self.rank):
+                for j in range(i, self.rank):
+                    x = w
+                    for _ in range(self.matrix[i][j]):
+                        x = right[right[x][i]][j]
+                    if x != w:
+                        return w, i, j
+        return None
+
     # -- arithmetic -------------------------------------------------------
 
     def multiply(self, a: int, b: int) -> int:
@@ -228,8 +222,13 @@ class CoxeterSystem:
         return self.words[self.element_from_word(word)]
 
     def reduced_words(self, a: int) -> list[Word]:
-        """All reduced words of a, sorted (braid-move closure)."""
-        return sorted(_braid_closure(self.words[a], self.matrix))
+        """All reduced words of a, sorted: for each descent s of a, the
+        reduced words of a s followed by s."""
+        if a == 0:
+            return [()]
+        return sorted(word + (s,) for s, b in enumerate(self.right[a])
+                      if self.length[b] < self.length[a]
+                      for word in self.reduced_words(b))
 
     def conjugate_generator_by_longest(self, i: int) -> int:
         """The index j with s_j = w0 s_i w0 (diagram symmetry of w0)."""
@@ -238,17 +237,6 @@ class CoxeterSystem:
         word = self.words[conj]
         assert len(word) == 1, "conjugate of a generator by w0 must be a generator"
         return word[0]
-
-
-def build_coxeter_system(matrix: Sequence[Sequence[int]],
-                         element_bound: int = DEFAULT_ELEMENT_BOUND) -> CoxeterSystem:
-    """Enumerate the Coxeter system of the given matrix.
-
-    Raises BoundExceeded if the enumeration passes element_bound.  An
-    infinite (e.g. affine) matrix gets there only slowly; see the module
-    docstring.
-    """
-    return CoxeterSystem(matrix, element_bound)
 
 
 # Matrices for the rank-2 catalog and small flag geometries.

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from buildinglab import cli
+from buildinglab.coxeter import CoxeterSystem
 
 
 def run(argv, capsys):
@@ -28,6 +29,32 @@ def test_coxeter_matrix_file(tmp_path, capsys):
     assert report["results"]["poincare"] == [1, 2, 2, 2, 1]
     assert report["checks_failed"] == 0
     assert "coxeter" in err
+
+
+def test_coxeter_infinite_matrix_is_bound_exceeded(tmp_path, capsys):
+    # affine A~2 passes the default element bound in about a second
+    path = tmp_path / "affine_a2.txt"
+    path.write_text("1 3 3\n3 1 3\n3 3 1\n")
+    assert cli.main(["coxeter", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "enumeration passed 100000 elements" in captured.err
+
+
+def test_coxeter_broken_table_fails_relation_check(tmp_path, monkeypatch,
+                                                   capsys):
+    class Broken(CoxeterSystem):
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            row = self.right[3]
+            row[0], row[1] = row[1], row[0]
+    monkeypatch.setattr(cli, "CoxeterSystem", Broken)
+    path = tmp_path / "b2.txt"
+    path.write_text("1 4\n4 1\n")
+    code, report, _ = run(["coxeter", "--matrix", str(path)], capsys)
+    assert code == 1
+    assert report["failures"][0]["id"] == "system_enumerated"
+    assert set(report["failures"][0]["witness"]) == {"element", "i", "j"}
 
 
 def test_field_classify_and_eval(capsys):
