@@ -120,7 +120,7 @@ class ChamberComplex:
     """Chambers plus i-panel partitions, with an attached Coxeter system."""
 
     def __init__(self, chambers: Sequence[Chamber], matrix,
-                 geometry: str = "", thickness: Optional[int] = None):
+                 geometry: str, thickness: int):
         if not chambers:
             raise InvalidSpec("empty chamber set")
         self.geometry = geometry
@@ -128,7 +128,7 @@ class ChamberComplex:
         self.size = len(self.chambers)
         self.rank = len(self.chambers[0])
         self.coxeter = CoxeterSystem(matrix)
-        self.thickness = thickness  # q when equal-parameter, else None
+        self.thickness = thickness  # the equal panel parameter q
         self._chamber_index = {ch: k for k, ch in enumerate(self.chambers)}
         self.panels: list[list[tuple[int, ...]]] = []
         self.panel_of: list[list[int]] = []
@@ -336,7 +336,7 @@ class ChamberComplex:
         return SchubertCoordinates(self, c0, w, direction)
 
     def __repr__(self) -> str:
-        return (f"ChamberComplex({self.geometry or 'custom'}, "
+        return (f"ChamberComplex({self.geometry}, "
                 f"{self.size} chambers, rank {self.rank})")
 
 
@@ -615,13 +615,12 @@ def cell_decomposition_report(cx: ChamberComplex, c0: int = 0) -> dict:
     """Cell sizes from c0 with the q^l(w) law and the partition total."""
     W = cx.coxeter
     sizes = cx.cell_sizes(c0)
-    q = cx.thickness
     rows = []
     law_ok = True
     for w, size in sorted(sizes.items()):
         length = W.length[w]
-        expected = q ** length if q is not None else None
-        if expected is not None and expected != size:
+        expected = cx.thickness ** length
+        if expected != size:
             law_ok = False
         rows.append({"word": list(W.words[w]), "length": length,
                      "size": size, "expected": expected})

@@ -52,7 +52,6 @@ from .moufang import (
     commutator_containment_check,
     filtration_indices,
     fit_parametrization,
-    moufang_transitivity_check,
     mu_element,
     orbit_labeling_check,
     product_stabilizer_check,
@@ -192,11 +191,14 @@ def cmd_building(args):
     W = cx.coxeter
     if args.word:
         try:
-            letters = tuple(int(tok) for tok in args.word.split(",") if tok)
+            letters = tuple(int(tok) for tok in args.word.split(","))
         except ValueError:
             raise InvalidSpec(f"word letters must be integers, got "
                               f"{args.word!r}") from None
-        targets = [W.element_from_word(letters)]
+        w = W.element_from_word(letters)
+        if len(letters) != W.length[w]:
+            raise InvalidSpec(f"word {args.word!r} is not reduced")
+        targets = [w]
     else:
         targets = range(W.order)
     rows = []
@@ -259,6 +261,20 @@ def _moufang_commutator_block(frame, checks, label):
     return info
 
 
+def _moufang_block(spec, checks, transitivity_id, mu, commutators):
+    """Transitivity and the optional mu and commutator blocks on one frame,
+    so each root group is searched once."""
+    frame = MoufangFrame(build_flag_building(spec))
+    trans = frame.transitivity_check()
+    _check(checks, transitivity_id, trans["ok"], trans["failures"])
+    block = {"transitivity": trans}
+    if mu:
+        block["mu"] = _moufang_mu_block(frame, checks, spec)
+    if commutators:
+        block["commutators"] = _moufang_commutator_block(frame, checks, spec)
+    return block
+
+
 def cmd_moufang(args):
     checks = []
     if args.action == "filtration":
@@ -268,22 +284,15 @@ def cmd_moufang(args):
         results = {"filtration": report, "indices": report["indices"]}
         _check(checks, "filtration_indices", report["ok"], report["levels"])
         return results, checks
-    cx = build_flag_building(args.geometry)
-    trans = moufang_transitivity_check(cx, exhaustive=True)
+    block = _moufang_block(args.geometry, checks, "moufang_transitivity",
+                           args.mu, args.commutators)
+    trans = block["transitivity"]
     results = {
         "geometry": args.geometry,
-        "transitivity": trans,
         "roots_checked": trans["roots_checked"],
         "orbit_counts": trans["apartments_per_root"],
+        **block,
     }
-    _check(checks, "moufang_transitivity", trans["ok"],
-           trans["failures"])
-    frame = MoufangFrame(cx)
-    if args.mu:
-        results["mu"] = _moufang_mu_block(frame, checks, args.geometry)
-    if args.commutators:
-        results["commutators"] = _moufang_commutator_block(
-            frame, checks, args.geometry)
     return results, checks
 
 
@@ -348,17 +357,9 @@ def run_all(profile: str, seed: int):
 
     moufang = {}
     for spec in ("PG2:q=2", "PG2:q=3", "W:q=2"):
-        cx = build_flag_building(spec)
-        block = {}
-        trans = moufang_transitivity_check(cx, exhaustive=True)
-        block["transitivity"] = trans
-        _check(checks, f"moufang_transitivity:{spec}", trans["ok"],
-               trans["failures"])
-        frame = MoufangFrame(cx)
-        block["mu"] = _moufang_mu_block(frame, checks, spec) \
-            if spec.startswith("PG2") else None
-        block["commutators"] = _moufang_commutator_block(frame, checks, spec)
-        moufang[spec] = block
+        moufang[spec] = {"mu": None, **_moufang_block(
+            spec, checks, f"moufang_transitivity:{spec}",
+            mu=spec.startswith("PG2"), commutators=True)}
     results["moufang"] = moufang
 
     filtration = {}
@@ -497,6 +498,9 @@ def _validate(args) -> None:
     if args.command == "projline" and args.action == "hua" \
             and (args.x is None or args.y is None):
         raise InvalidSpec("projline hua needs --x and --y")
+    if (args.command, getattr(args, "action", None)) in (
+            ("projline", "recover"), ("bt", "iwasawa")) and args.samples < 1:
+        raise InvalidSpec("--samples must be at least 1")
     if args.command == "moufang":
         if args.action == "check" and not args.geometry:
             raise InvalidSpec("moufang check needs --geometry")

@@ -2,11 +2,14 @@
 
 A rank-2 chamber complex of gonality n is viewed through its incidence
 graph: vertices are the panels of both types, and each chamber is an edge
-joining its two panels.  An apartment is a circuit of length 2n, labeled
-here by residues modulo 2n; the root alpha_i is the half-circuit path
-(i, i+1, ..., i+n), and its root group U_i consists of the type-preserving
-automorphisms fixing, chamber by chamber, the star of every interior
-vertex i+1, ..., i+n-1.
+joining its two panels.  A MoufangFrame builds that graph once and is the
+one rank-2 view every check below runs on.  An apartment is a circuit of
+length 2n, labeled here by residues modulo 2n; the root alpha_i is the
+half-circuit path (i, i+1, ..., i+n), and its root group U_i consists of
+the type-preserving automorphisms fixing, chamber by chamber, the star of
+every interior vertex i+1, ..., i+n-1.  The frame caches each root group
+by its interior, so transitivity, mu, stabilizers and commutators search
+it once.
 
 Root groups are found by a forward-checking search over chamber bijections
 that preserve the W-valued distance (which characterizes type-preserving
@@ -14,9 +17,10 @@ automorphisms): the identity constraints on the interior stars seed it,
 each assignment filters the images left to every other chamber, and by
 rigidity the search branches once, over the q images of one chamber, and
 otherwise only propagates.  The Moufang property is then checked head on:
-for each root, the apartments containing it are enumerated by completing
-the half-circuit, and U_i must permute them simply transitively, with
-|U_i| equal to the panel parameter q.
+one simple-path search on the graph enumerates the roots (the n-edge
+paths) and closes each root into the apartments containing it (a second
+n-edge path back to its start), and U_i must permute those simply
+transitively, with |U_i| equal to the panel parameter q.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
@@ -180,25 +184,60 @@ def find_automorphisms(cx: ChamberComplex,
 # the polygon frame
 
 class MoufangFrame:
-    """A rank-2 complex with a labeled base apartment circuit."""
+    """The rank-2 view of a complex: its incidence graph, a labeled base
+    apartment circuit, and one root-group cache."""
 
     def __init__(self, cx: ChamberComplex):
         if cx.rank != 2:
             raise InvalidSpec("root-group machinery expects a rank-2 complex")
-        if cx.thickness is None:
-            raise InvalidSpec("equal-parameter geometry required")
         self.cx = cx
         self.n = cx.coxeter.matrix[0][1]
         self.q = cx.thickness
         self.N = cx.size
         self.identity = identity_perm(self.N)
+        # panel -> {neighbor panel: the chamber joining them}, sorted
+        self.graph: dict[PanelId, dict[PanelId, int]] = {}
+        for pid in cx.all_panel_ids():
+            row = {}
+            for c in cx.panel_members(pid):
+                other = cx.panel_id(1 - pid[0], c)
+                if other in row:
+                    raise NotFound(f"girth violation: panels {pid} and "
+                                   f"{other} share two chambers")
+                row[other] = c
+            self.graph[pid] = dict(sorted(row.items()))
         big = cx.schubert_cell(0, cx.coxeter.longest)
         if not big:
             raise NotFound("no chamber opposite the base chamber")
         hull = cx.apartment_hull(0, min(big))
-        self.circuit, self.edge_chambers = _circuit_labels(cx, hull)
+        self.circuit, self.edge_chambers = self._circuit_labels(hull)
         self.apartment = frozenset(hull)
         self._root_cache: dict[frozenset, list[Perm]] = {}
+
+    def _circuit_labels(self, hull: Sequence[int]):
+        """Walk the thin hull as a circuit; returns (vertices, edge chambers)
+        with edge k joining vertices k and k+1.  Starts at the least panel and
+        turns toward its least neighbor, so the labeling is reproducible."""
+        inside = set(hull)
+        ring = {}
+        for c in hull:
+            for i in range(2):
+                pid = self.cx.panel_id(i, c)
+                ring[pid] = {other: e for other, e in self.graph[pid].items()
+                             if e in inside}
+                if len(ring[pid]) != 2:
+                    raise NotFound(f"hull is not thin at panel {pid}")
+        start = min(ring)
+        vertices = [start]
+        prev, cur = start, next(iter(ring[start]))
+        edges = [ring[start][cur]]
+        while cur != start:
+            vertices.append(cur)
+            prev, cur = cur, next(p for p in ring[cur] if p != prev)
+            edges.append(ring[prev][cur])
+        if len(vertices) != len(ring):
+            raise NotFound("hull walk did not close into a single circuit")
+        return vertices, edges
 
     # vertices and roots ---------------------------------------------------
 
@@ -225,6 +264,85 @@ class MoufangFrame:
 
     def root_group(self, i: int) -> list[Perm]:
         return self.root_group_of_path(self.root_path(i))
+
+    # roots of the whole building -------------------------------------------
+
+    def _paths(self, start: PanelId, edges: int,
+               avoid: frozenset = frozenset()) -> Iterator[tuple]:
+        """Simple paths of the given number of edges from start that miss
+        the avoided panels."""
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            if len(path) == edges + 1:
+                yield path
+                continue
+            for nxt in self.graph[path[-1]]:
+                if nxt not in path and nxt not in avoid:
+                    stack.append(path + (nxt,))
+
+    def all_roots(self) -> list[tuple[PanelId, ...]]:
+        """All n-edge paths in the incidence graph, up to reversal; these
+        are exactly the roots (half-apartments) of the polygon."""
+        return sorted({min(path, path[::-1]) for start in self.graph
+                       for path in self._paths(start, self.n)})
+
+    def apartments_containing(self,
+                              path: Sequence[PanelId]) -> list[frozenset]:
+        """Apartments (as chamber sets) whose circuit contains the root
+        path, found by closing it with a second n-edge path."""
+        out = []
+        for back in self._paths(path[-1], self.n, frozenset(path[1:-1])):
+            if back[-1] == path[0]:
+                circuit = tuple(path) + back[1:]
+                out.append(frozenset(self.graph[a][b] for a, b
+                                     in zip(circuit, circuit[1:])))
+        return sorted(out, key=sorted)
+
+    # the Moufang condition --------------------------------------------------
+
+    def transitivity_check(self, exhaustive: bool = True,
+                           root_limit: Optional[int] = None) -> dict:
+        """For each root: |U_alpha| = q and the action on the apartments
+        containing the root is simply transitive."""
+        n, q = self.n, self.q
+        roots = self.all_roots() if exhaustive else [self.root_path(i)
+                                                     for i in range(2 * n)]
+        if root_limit is not None:
+            roots = roots[:root_limit]
+        failures = []
+        orders = set()
+        apartment_counts = set()
+        for path in roots:
+            U = self.root_group_of_path(path)
+            apartments = self.apartments_containing(path)
+            orders.add(len(U))
+            apartment_counts.add(len(apartments))
+            ok = len(U) == q and len(apartments) == q
+            if ok:
+                base = apartments[0]
+                orbit = {frozenset(g[c] for c in base) for g in U}
+                stab = [g for g in U
+                        if frozenset(g[c] for c in base) == base
+                        and g != self.identity]
+                ok = orbit == set(apartments) and not stab
+            if not ok:
+                failures.append({
+                    "root": [list(map(int, pid)) for pid in path],
+                    "group_order": len(U),
+                    "apartments": len(apartments),
+                })
+        return {
+            "geometry": self.cx.geometry,
+            "gonality": n,
+            "q": q,
+            "roots_checked": len(roots),
+            "mode": "exhaustive" if exhaustive else "base-apartment",
+            "group_orders": sorted(orders),
+            "apartments_per_root": sorted(apartment_counts),
+            "failures": failures[:10],
+            "ok": not failures and orders == {q} and apartment_counts == {q},
+        }
 
     # the apartment action ---------------------------------------------------
 
@@ -256,145 +374,11 @@ class MoufangFrame:
         return all(vm[k] == (2 * i - k) % m for k in range(m))
 
 
-def _circuit_labels(cx: ChamberComplex, hull: Sequence[int]):
-    """Walk the thin hull as a circuit; returns (vertices, edge chambers)
-    with edge k joining vertices k and k+1.  Starts at the least panel and
-    turns toward its least neighbor, so the labeling is reproducible."""
-    hull_set = set(hull)
-    star: dict[PanelId, list[int]] = {}
-    for c in hull:
-        for i in range(cx.rank):
-            star.setdefault(cx.panel_id(i, c), []).append(c)
-    for pid, members in star.items():
-        if len(members) != 2:
-            raise NotFound(f"hull is not thin at panel {pid}")
-
-    def other_panel(c: int, pid: PanelId) -> PanelId:
-        i = 1 - pid[0]
-        return cx.panel_id(i, c)
-
-    start = min(star)
-    first_steps = sorted(
-        (other_panel(c, start), c) for c in star[start])
-    vertices = [start]
-    edges = []
-    nxt, via = first_steps[0]
-    while nxt != start:
-        vertices.append(nxt)
-        edges.append(via)
-        c1, c2 = star[nxt]
-        via = c2 if via == c1 else c1
-        nxt = other_panel(via, nxt)
-    edges.append(via)
-    if len(vertices) != len(star):
-        raise NotFound("hull walk did not close into a single circuit")
-    return vertices, edges
-
-
-# ---------------------------------------------------------------------------
-# roots of the whole building
-
-def all_roots(cx: ChamberComplex, n: int) -> list[tuple[PanelId, ...]]:
-    """All n-edge paths in the incidence graph, up to reversal; these are
-    exactly the roots (half-apartments) of the polygon."""
-    neighbor: dict[PanelId, list[tuple[PanelId, int]]] = {}
-    for pid in cx.all_panel_ids():
-        via = []
-        for c in cx.panel_members(pid):
-            via.append((cx.panel_id(1 - pid[0], c), c))
-        neighbor[pid] = sorted(via)
-    out = set()
-    for start in neighbor:
-        stack = [(start,)]
-        while stack:
-            path = stack.pop()
-            if len(path) == n + 1:
-                out.add(min(path, path[::-1]))
-                continue
-            for nxt, _ in neighbor[path[-1]]:
-                if nxt not in path:
-                    stack.append(path + (nxt,))
-    return sorted(out)
-
-
-def apartments_containing_root(cx: ChamberComplex, path: Sequence[PanelId],
-                               n: int) -> list[frozenset]:
-    """Apartments (as chamber sets) whose circuit contains the root path,
-    found by completing the path to a 2n-circuit."""
-
-    def shared_chamber(a: PanelId, b: PanelId) -> int:
-        members = set(cx.panel_members(a)) & set(cx.panel_members(b))
-        assert len(members) == 1, "girth violation: panels share two chambers"
-        return members.pop()
-
-    def neighbors(pid: PanelId):
-        for c in cx.panel_members(pid):
-            yield cx.panel_id(1 - pid[0], c)
-
-    interior = set(path[1:-1])
-    target = path[0]
-    results = []
-    stack = [(path[-1],)]
-    while stack:
-        tail = stack.pop()
-        if len(tail) == n:
-            if target in (set(neighbors(tail[-1])) - interior):
-                circuit = tuple(path) + tail[1:]
-                chambers = frozenset(
-                    shared_chamber(circuit[k], circuit[(k + 1) % len(circuit)])
-                    for k in range(len(circuit)))
-                results.append(chambers)
-            continue
-        for nxt in neighbors(tail[-1]):
-            if nxt not in interior and nxt not in tail and nxt != target:
-                stack.append(tail + (nxt,))
-    return sorted(results, key=sorted)
-
-
 def moufang_transitivity_check(cx: ChamberComplex,
                                exhaustive: bool = True,
                                root_limit: Optional[int] = None) -> dict:
-    """For each root: |U_alpha| = q and the action on the apartments
-    containing the root is simply transitive."""
-    frame = MoufangFrame(cx)
-    n, q = frame.n, frame.q
-    roots = all_roots(cx, n) if exhaustive else [frame.root_path(i)
-                                                 for i in range(2 * n)]
-    if root_limit is not None:
-        roots = roots[:root_limit]
-    failures = []
-    orders = set()
-    apartment_counts = set()
-    for path in roots:
-        U = frame.root_group_of_path(path)
-        apartments = apartments_containing_root(cx, path, n)
-        orders.add(len(U))
-        apartment_counts.add(len(apartments))
-        ok = len(U) == q and len(apartments) == q
-        if ok:
-            base = apartments[0]
-            orbit = {frozenset(g[c] for c in base) for g in U}
-            stab = [g for g in U
-                    if frozenset(g[c] for c in base) == base
-                    and g != frame.identity]
-            ok = orbit == set(apartments) and not stab
-        if not ok:
-            failures.append({
-                "root": [list(map(int, pid)) for pid in path],
-                "group_order": len(U),
-                "apartments": len(apartments),
-            })
-    return {
-        "geometry": cx.geometry,
-        "gonality": n,
-        "q": q,
-        "roots_checked": len(roots),
-        "mode": "exhaustive" if exhaustive else "base-apartment",
-        "group_orders": sorted(orders),
-        "apartments_per_root": sorted(apartment_counts),
-        "failures": failures[:10],
-        "ok": not failures and orders == {q} and apartment_counts == {q},
-    }
+    """The transitivity check of a fresh frame on cx."""
+    return MoufangFrame(cx).transitivity_check(exhaustive, root_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,7 @@ def recover_multiplication(field: Field, x, y):
 
 # -- sampling and agreement reports ------------------------------------------
 
-def sample_point(field: Field, rng, allow_inf: bool = True):
-    if allow_inf and rng.random() < 0.08:
-        return INF
+def sample_point(field: Field, rng):
     return field.random_element(rng, nonzero=False)
 
 
@@ -175,14 +173,14 @@ def recovery_check(field: Field, pairs: int, seed: int) -> dict:
     max_draw = 3 * pairs + 30
     while compared < pairs and drawn < max_draw:
         drawn += 1
-        x = sample_point(field, rng, allow_inf=False)
+        x = sample_point(field, rng)
         mode = drawn % 10
         if mode == 7:
             y = field.zero                       # forces x*y = 0
         elif mode == 3 and not field.is_zero(x):
             y = field.neg(field.inv(x))          # forces x*y = -1
         else:
-            y = sample_point(field, rng, allow_inf=False)
+            y = sample_point(field, rng)
         try:
             hua = hua_triple_product(field, x, y)
             native_triple = field.mul(field.mul(x, y), x)

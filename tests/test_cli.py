@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from buildinglab import cli
+from buildinglab import cli, moufang
 from buildinglab.coxeter import CoxeterSystem
 
 
@@ -151,12 +151,24 @@ def test_building_coords_all_words(capsys):
     pytest.param([action, "--base", base], "base chamber",
                  id=f"{base}-{action}")
     for base in ("99", "-1") for action in ("cells", "coords")] + [
-    pytest.param(["coords", "--word", "0,x"], "word letters", id="word-0,x")])
+    pytest.param(["coords", "--word", "0,x"], "word letters", id="word-0,x"),
+    pytest.param(["coords", "--word", ","], "word letters", id="word-,"),
+    pytest.param(["coords", "--word", "0,0"], "not reduced", id="word-0,0")])
 def test_building_base_out_of_range_is_usage_error(args, message, capsys):
-    # also a --word letter that is not an integer
+    # also a --word that is not a reduced word of integer letters
     code = cli.main(["building", *args, "--geometry", "PG2:q=2"])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["projline", "recover", "--field", "F7"],
+    ["bt", "iwasawa", "--field", "Q5"],
+], ids=["recover", "iwasawa"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_below_one_is_usage_error(argv, samples, capsys):
+    assert cli.main([*argv, "--samples", samples]) == 2
+    assert "--samples must be at least 1" in capsys.readouterr().err
 
 
 def test_moufang_check_full(capsys):
@@ -170,6 +182,22 @@ def test_moufang_check_full(capsys):
     ids = [c["id"] for c in report["checks"]]
     assert "mu_product_formula:PG2:q=2" in ids
     assert "commutator_containments:PG2:q=2" in ids
+
+
+def test_moufang_check_searches_each_group_once(monkeypatch, capsys):
+    searches = []
+    search = moufang.find_automorphisms
+
+    def counted(cx, forced=None, vertex_fixes=frozenset()):
+        searches.append((frozenset((forced or {}).items()), vertex_fixes))
+        return search(cx, forced, vertex_fixes)
+    monkeypatch.setattr(moufang, "find_automorphisms", counted)
+    code, report, _ = run(
+        ["moufang", "check", "--geometry", "PG2:q=2", "--mu",
+         "--commutators"], capsys)
+    assert code == 0
+    # the 84 roots have 21 interiors (one per chamber); three stabilizers
+    assert len(searches) == len(set(searches)) == 24
 
 
 def test_moufang_check_needs_geometry(capsys):
@@ -286,7 +314,8 @@ def _report_under_hash_seed(argv, hash_seed):
 @pytest.mark.parametrize("argv", [
     ["all", "--profile", "quick"],
     ["building", "verify", "--geometry", "PG2:q=3"],
-], ids=["all-quick", "verify-PG2-3"])
+    ["moufang", "check", "--geometry", "W:q=2", "--mu", "--commutators"],
+], ids=["all-quick", "verify-PG2-3", "moufang-W-2"])
 def test_report_independent_of_hash_seed(argv):
     assert (_report_under_hash_seed(argv, "0")
             == _report_under_hash_seed(argv, "1"))

@@ -9,8 +9,6 @@ from buildinglab.localfield import finite_field, parse_field_spec
 from buildinglab.moufang import (
     MoufangFrame,
     Perm,
-    all_roots,
-    apartments_containing_root,
     commutator,
     commutator_containment_check,
     compose,
@@ -277,18 +275,41 @@ def test_root_group_fixes_interior_and_moves_something(frame2):
                               for g in nontrivial)
 
 
-def test_root_enumeration_counts(pg2_2, w2):
+def test_root_enumeration_counts(frame2, framew):
     # PG(2,2): 14 panels of degree 3, paths of 3 edges: 14*3*2*2/2
-    assert len(all_roots(pg2_2, 3)) == 84
+    assert len(frame2.all_roots()) == 84
     # W(2): 30 panels of degree 3, paths of 4 edges: 30*3*2*2*2/2
-    assert len(all_roots(w2, 4)) == 360
+    assert len(framew.all_roots()) == 360
 
 
 def test_apartments_containing_base_root(frame2):
     path = frame2.root_path(0)
-    apartments = apartments_containing_root(frame2.cx, path, frame2.n)
+    apartments = frame2.apartments_containing(path)
     assert len(apartments) == 2
     assert frame2.apartment in apartments
+
+
+@pytest.mark.parametrize("frame_name", ["frame3", "framew"])
+def test_completed_apartments_are_hulls(frame_name, request):
+    # the graph route (closing a root path) against the W-distance route
+    # (the convex hull of an opposite pair inside the apartment)
+    frame = request.getfixturevalue(frame_name)
+    cx = frame.cx
+    w0 = cx.coxeter.longest
+    for i in range(2 * frame.n):
+        apartments = frame.apartments_containing(frame.root_path(i))
+        assert len(apartments) == frame.q
+        for apartment in apartments:
+            c = min(apartment)
+            d = next(e for e in sorted(apartment) if cx.w_distance(c, e) == w0)
+            assert frozenset(cx.apartment_hull(c, d)) == apartment
+
+
+def test_girth_violation_is_not_found(pg2_2, monkeypatch):
+    # every chamber reports the same two panels: a 2-cycle in the graph
+    monkeypatch.setattr(pg2_2, "panel_id", lambda i, c: (i, 0))
+    with pytest.raises(NotFound, match="girth"):
+        MoufangFrame(pg2_2)
 
 
 def test_moufang_transitivity_pg2_2(pg2_2):
