@@ -13,6 +13,14 @@ families are built from finite-field linear algebra:
   Aflags:n=<k>,q=<n>  complete flags of subspaces of F_q^{k+1}, attached
                   symmetric-group type.
 
+All three are flag complexes of subspaces of F_q^m and are built one way.
+The subspaces of each dimension are listed once each as reduced-row-echelon
+bases, one Schubert cell of the Grassmannian per choice of pivot columns; a
+family may filter them (W keeps the totally isotropic ones); flags then grow
+one dimension at a time by containment.  Partial flags never outnumber
+chambers, so the build raises BoundExceeded as soon as a layer passes
+CHAMBER_BOUND.
+
 The W-valued distance delta(c, d) is computed by breadth-first search over
 minimal galleries, folding the gallery type into the Coxeter system as the
 search goes; well-definedness of that assignment across all minimal
@@ -62,10 +70,10 @@ PanelId = tuple[int, int]        # (type, panel index)
 # linear algebra over F_q
 
 def rref(F: FiniteField, rows: Sequence[Vector]) -> Subspace:
-    """Canonical reduced-row-echelon basis of the span."""
+    """Canonical reduced-row-echelon basis of the span (by elimination; the
+    tests check `all_subspaces` and `subspace_leq` against it)."""
     mat = [list(r) for r in rows]
     n = len(mat[0]) if mat else 0
-    pivots = []
     r = 0
     for col in range(n):
         pivot = next((k for k in range(r, len(mat)) if mat[k][col] != 0), None)
@@ -78,39 +86,45 @@ def rref(F: FiniteField, rows: Sequence[Vector]) -> Subspace:
             if k != r and mat[k][col] != 0:
                 c = mat[k][col]
                 mat[k] = [F.sub(x, F.mul(c, y)) for x, y in zip(mat[k], mat[r])]
-        pivots.append(col)
         r += 1
     return tuple(tuple(row) for row in mat[:r])
 
 
-def span_contains(F: FiniteField, space: Subspace, vec: Vector) -> bool:
-    return len(rref(F, list(space) + [vec])) == len(space)
-
-
-def subspace_leq(F: FiniteField, small: Subspace, big: Subspace) -> bool:
-    return len(rref(F, list(big) + list(small))) == len(big)
-
-
-def nonzero_vectors(F: FiniteField, n: int) -> Iterator[Vector]:
-    for v in itertools.product(range(F.q), repeat=n):
-        if any(v):
-            yield v
+def subspace_leq(F: FiniteField, small: Sequence[Vector],
+                 big: Subspace) -> bool:
+    """Whether span(small) lies in big: every vector of small must equal
+    the combination of big's rows read off at big's pivot columns."""
+    pivots = [row.index(F.one) for row in big]
+    for v in small:
+        rest = list(v)
+        for p, row in zip(pivots, big):
+            if v[p]:
+                rest = [F.sub(x, F.mul(v[p], y)) for x, y in zip(rest, row)]
+        if any(rest):
+            return False
+    return True
 
 
 def all_subspaces(F: FiniteField, n: int, dim: int) -> list[Subspace]:
-    """All dim-dimensional subspaces of F^n, canonical and sorted."""
-    current = {(): None}
-    spaces = [()]
-    for _ in range(dim):
-        nxt = {}
-        for sp in spaces:
-            for v in nonzero_vectors(F, n):
-                if sp and span_contains(F, sp, v):
-                    continue
-                bigger = rref(F, list(sp) + [v])
-                nxt[bigger] = None
-        spaces = list(nxt)
-    return sorted(spaces)
+    """All dim-dimensional subspaces of F^n, each once as its canonical
+    reduced-row-echelon basis, sorted.
+
+    The bases are enumerated cell by cell (the Schubert cells of the
+    Grassmannian): for each choice of pivot columns, row r has a one in its
+    pivot column, zeros left of it and in the other pivot columns, and a free
+    entry in every other column right of its pivot."""
+    out = []
+    for pivots in itertools.combinations(range(n), dim):
+        free = [(r, c) for r, p in enumerate(pivots)
+                for c in range(p + 1, n) if c not in pivots]
+        for values in itertools.product(range(F.q), repeat=len(free)):
+            rows = [[0] * n for _ in pivots]
+            for r, p in enumerate(pivots):
+                rows[r][p] = F.one
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
+            out.append(tuple(map(tuple, rows)))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +143,6 @@ class ChamberComplex:
         self.rank = len(self.chambers[0])
         self.coxeter = CoxeterSystem(matrix)
         self.thickness = thickness  # the equal panel parameter q
-        self._chamber_index = {ch: k for k, ch in enumerate(self.chambers)}
         self.panels: list[list[tuple[int, ...]]] = []
         self.panel_of: list[list[int]] = []
         for i in range(self.rank):
@@ -147,9 +160,6 @@ class ChamberComplex:
         self._delta_cache: dict[int, tuple] = {}
 
     # -- navigation ------------------------------------------------------
-
-    def chamber_index(self, chamber: Chamber) -> int:
-        return self._chamber_index[chamber]
 
     def panel_id(self, i: int, c: int) -> PanelId:
         return (i, self.panel_of[i][c])
@@ -456,90 +466,72 @@ class SchubertCoordinates:
 # ---------------------------------------------------------------------------
 # geometries
 
+# family -> its parameter names, all required
+FAMILIES = {"PG2": ("q",), "W": ("q",), "Aflags": ("n", "q")}
+
+# the largest flag complex built (see the module docstring)
+CHAMBER_BOUND = 2000
+
+
 def parse_geometry_spec(spec: str) -> tuple[str, dict]:
-    spec = spec.strip()
-    head, _, rest = spec.partition(":")
-    params = {}
-    if rest:
-        for piece in rest.split(","):
-            key, _, val = piece.partition("=")
-            if not val:
-                raise InvalidSpec(f"bad geometry parameter {piece!r}")
-            try:
-                params[key] = int(val)
-            except ValueError:
-                raise InvalidSpec(f"bad geometry parameter {piece!r}") from None
-    if head not in ("PG2", "W", "Aflags"):
+    head, _, rest = spec.strip().partition(":")
+    if head not in FAMILIES:
         raise InvalidSpec(f"unknown geometry family {head!r}")
+    names = FAMILIES[head]
+    params = {}
+    for piece in rest.split(",") if rest else ():
+        key, _, val = piece.partition("=")
+        if key not in names or key in params:
+            raise InvalidSpec(f"{head} takes each of {', '.join(names)} "
+                              f"once, got {piece!r}")
+        try:
+            params[key] = int(val)
+        except ValueError:
+            raise InvalidSpec(f"bad geometry parameter {piece!r}") from None
+    if len(params) != len(names):
+        raise InvalidSpec(f"{head} needs "
+                          + ",".join(f"{k}=<int>" for k in names))
     return head, params
 
 
-def build_flag_building(spec: str,
-                        chamber_bound: int = 2000) -> ChamberComplex:
+def build_flag_building(spec: str) -> ChamberComplex:
     """Chamber complex of the named flag geometry."""
     head, params = parse_geometry_spec(spec)
+    q = params["q"]
+    F = finite_field(q)
+    keep = None
     if head == "PG2":
-        q = params.get("q")
-        if q is None:
-            raise InvalidSpec("PG2 needs q=<prime power>")
-        return _build_pg2(q, spec)
-    if head == "W":
-        q = params.get("q")
-        if q is None:
-            raise InvalidSpec("W needs q=<prime power>")
-        return _build_symplectic_quadrangle(q, spec)
-    n = params.get("n")
-    q = params.get("q")
-    if n is None or q is None:
-        raise InvalidSpec("Aflags needs n=<rank>,q=<prime power>")
-    if n < 2:
-        raise InvalidSpec("Aflags rank must be at least 2")
-    return _build_a_flags(n, q, spec, chamber_bound)
+        ambient, dims, matrix = 3, (1, 2), MATRIX_A2
+    elif head == "W":
+        ambient, dims, matrix = 4, (1, 2), MATRIX_B2
+        keep = _totally_isotropic
+    else:
+        n = params["n"]
+        if n < 2:
+            raise InvalidSpec("Aflags rank must be at least 2")
+        ambient, dims, matrix = n + 1, tuple(range(1, n + 1)), type_a_matrix(n)
+    flags: list[Chamber] = [()]
+    for dim in dims:
+        layer = [sp for sp in all_subspaces(F, ambient, dim)
+                 if keep is None or keep(F, sp)]
+        grown = []
+        for flag in flags:
+            for sp in layer:
+                if not flag or subspace_leq(F, flag[-1], sp):
+                    grown.append(flag + (sp,))
+            if len(grown) > CHAMBER_BOUND:
+                raise BoundExceeded(
+                    f"flag count passed {CHAMBER_BOUND} for {spec}")
+        flags = grown
+    return ChamberComplex(flags, matrix, geometry=spec, thickness=q)
 
 
-def _build_pg2(q: int, spec: str) -> ChamberComplex:
-    F = finite_field(q)
-    points = all_subspaces(F, 3, 1)
-    lines = all_subspaces(F, 3, 2)
-    chambers = [(pt, ln) for pt in points for ln in lines
-                if subspace_leq(F, pt, ln)]
-    return ChamberComplex(chambers, MATRIX_A2, geometry=spec, thickness=q)
-
-
-def _symplectic_form(F: FiniteField, x: Vector, y: Vector) -> int:
-    a = F.sub(F.mul(x[0], y[1]), F.mul(x[1], y[0]))
-    b = F.sub(F.mul(x[2], y[3]), F.mul(x[3], y[2]))
-    return F.add(a, b)
-
-
-def _build_symplectic_quadrangle(q: int, spec: str) -> ChamberComplex:
-    F = finite_field(q)
-    points = all_subspaces(F, 4, 1)
-    lines = [sp for sp in all_subspaces(F, 4, 2)
-             if _symplectic_form(F, sp[0], sp[1]) == 0]
-    chambers = [(pt, ln) for ln in lines for pt in points
-                if subspace_leq(F, pt, ln)]
-    return ChamberComplex(chambers, MATRIX_B2, geometry=spec, thickness=q)
-
-
-def _build_a_flags(n: int, q: int, spec: str, bound: int) -> ChamberComplex:
-    F = finite_field(q)
-    layers = [all_subspaces(F, n + 1, k) for k in range(1, n + 1)]
-    chambers: list[Chamber] = []
-    def grow(flag: tuple, k: int):
-        if len(chambers) > bound:
-            raise BoundExceeded(
-                f"flag count passed {bound} for {spec}")
-        if k == n:
-            chambers.append(flag)
-            return
-        for sp in layers[k]:
-            if subspace_leq(F, flag[-1], sp):
-                grow(flag + (sp,), k + 1)
-    for sp in layers[0]:
-        grow((sp,), 1)
-    return ChamberComplex(chambers, type_a_matrix(n), geometry=spec,
-                          thickness=q)
+def _totally_isotropic(F: FiniteField, space: Subspace) -> bool:
+    """Whether the alternating form x0y1 - x1y0 + x2y3 - x3y2 on F^4
+    vanishes on the span."""
+    return all(F.add(F.sub(F.mul(x[0], y[1]), F.mul(x[1], y[0])),
+                     F.sub(F.mul(x[2], y[3]), F.mul(x[3], y[2]))) == 0
+               for x, y in itertools.combinations(space, 2))
 
 
 # ---------------------------------------------------------------------------

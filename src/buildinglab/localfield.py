@@ -720,7 +720,7 @@ class LaurentField(_LocalBase):
         out = [0] * width
         for i, c in enumerate(a.mant):
             if c and i * p < width:
-                out[i * p] = self.k.pow(c, p)
+                out[i * p] = self.k.frobenius(c)
         return self._make(a.v * p, out, known)
 
     def frobenius_inv(self, a: LocalElement) -> LocalElement:

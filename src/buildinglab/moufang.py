@@ -406,26 +406,21 @@ def mu_element(frame: MoufangFrame, u: Perm, i: int) -> Perm:
 
 def _additive_isos(field: FiniteField, group: Sequence[Perm],
                    ident: Perm) -> Iterator[dict[int, Perm]]:
-    """All additive isomorphisms (F_q, +) -> U, as code -> perm tables.
+    """All additive isomorphisms (F_q, +) -> U, as element -> perm tables.
 
-    Elements of F_q are base-p coefficient vectors; an iso is determined
-    by independent images of the basis monomials."""
+    An iso is determined by independent images of the basis 1, w, ...,
+    w^(m-1) of F_q over F_p; the table is filled by adding basis elements."""
     q, p, m = field.q, field.p, field.degree
+    basis = [field.pow(field.generator(), k) for k in range(m)]
     nontrivial = [g for g in group if g != ident]
     for gens in itertools.permutations(nontrivial, m):
-        table = {}
-        good = True
-        for code in range(q):
-            digits = []
-            c = code
-            for _ in range(m):
-                digits.append(c % p)
-                c //= p
-            acc = ident
-            for g, d in zip(gens, digits):
-                for _ in range(d):
-                    acc = compose(acc, g)
-            table[code] = acc
+        table = {field.zero: ident}
+        for b, g in zip(basis, gens):
+            for a, acc in list(table.items()):
+                for _ in range(p - 1):
+                    a, acc = field.add(a, b), compose(acc, g)
+                    table[a] = acc
+        table = dict(sorted(table.items()))
         if len(set(table.values())) == q and set(table.values()) == set(group):
             good = all(
                 compose(table[a], table[b]) == table[field.add(a, b)]

@@ -4,12 +4,16 @@ import pytest
 
 from buildinglab.chambers import (
     ChamberComplex,
+    all_subspaces,
     build_flag_building,
     cell_decomposition_report,
     parse_geometry_spec,
+    rref,
+    subspace_leq,
     verify_building_axioms,
 )
-from buildinglab.errors import InvalidSpec, NotReduced
+from buildinglab.errors import BoundExceeded, InvalidSpec, NotReduced
+from buildinglab.localfield import finite_field
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +37,38 @@ def test_chamber_counts(pg2_2, pg2_3, w2):
     assert pg2_2.size == 21
     assert pg2_3.size == 52
     assert w2.size == 45
+    assert build_flag_building("PG2:q=4").size == 105
+    assert build_flag_building("W:q=3").size == 160
+
+
+def gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q, n, dim", [
+    (2, 4, 0), (2, 4, 1), (2, 4, 2), (2, 4, 3), (2, 4, 4), (3, 3, 1),
+    (3, 4, 2), (4, 3, 1), (4, 4, 2), (5, 3, 2), (9, 3, 1), (9, 3, 2)])
+def test_all_subspaces_are_the_echelon_forms(q, n, dim):
+    F = finite_field(q)
+    spaces = all_subspaces(F, n, dim)
+    assert len(spaces) == gaussian_binomial(n, dim, q)
+    assert all(rref(F, sp) == sp and len(sp) == dim for sp in spaces)
+    assert len(set(spaces)) == len(spaces)
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 3)])
+def test_subspace_leq_matches_rank(q, n):
+    # reading coefficients off the pivots against the rank of the stack
+    F = finite_field(q)
+    spaces = [sp for dim in range(n + 1) for sp in all_subspaces(F, n, dim)]
+    for small in spaces:
+        for big in spaces:
+            by_rank = len(rref(F, list(big) + list(small))) == len(big)
+            assert subspace_leq(F, small, big) == by_rank, (small, big)
 
 
 def test_counts_match_poincare(pg2_2, pg2_3, w2):
@@ -51,7 +87,8 @@ def test_panel_sizes(pg2_2, w2):
 def test_aflags_n2_matches_plane(pg2_3):
     aflags = build_flag_building("Aflags:n=2,q=3")
     assert aflags.size == pg2_3.size == 52
-    assert [len(p) for p in aflags.panels] == [len(p) for p in pg2_3.panels]
+    assert aflags.chambers == pg2_3.chambers
+    assert aflags.panels == pg2_3.panels
     assert aflags.coxeter.order == 6
 
 
@@ -65,10 +102,25 @@ def test_aflags_n3_count():
 def test_parse_geometry_spec():
     assert parse_geometry_spec("PG2:q=4") == ("PG2", {"q": 4})
     assert parse_geometry_spec("Aflags:n=3,q=2") == ("Aflags", {"n": 3, "q": 2})
-    with pytest.raises(InvalidSpec):
-        parse_geometry_spec("PG3:q=2")
-    with pytest.raises(InvalidSpec):
-        build_flag_building("PG2:r=2")
+    # unknown family, unknown, repeated, missing or non-integer parameters
+    for spec in ("PG3:q=2", "PG2:r=2", "PG2:q=3,n=7", "PG2:q=2,q=3", "PG2",
+                 "PG2:q=", "W:q=2,n=2", "Aflags:q=2", "Aflags:n=3,q=2,n=3"):
+        with pytest.raises(InvalidSpec):
+            parse_geometry_spec(spec)
+        with pytest.raises(InvalidSpec):
+            build_flag_building(spec)
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=13", "W:q=7", "Aflags:n=3,q=3"])
+def test_bound_exceeded_for_every_family(spec):
+    # 2562, 3200 and 2080 flags; the bound stops the build partway
+    with pytest.raises(BoundExceeded):
+        build_flag_building(spec)
+
+
+def test_largest_geometries_under_the_bound():
+    assert build_flag_building("PG2:q=11").size == 1596
+    assert build_flag_building("W:q=5").size == 936
 
 
 def test_w_distance_basics(pg2_2):

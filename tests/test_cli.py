@@ -161,6 +161,16 @@ def test_building_base_out_of_range_is_usage_error(args, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("geometry, message", [
+    ("PG2:q=3,n=7", "takes each of q once"),
+    ("PG2:q=2,q=3", "takes each of q once"),
+    ("W:q=7", "flag count passed 2000"),
+])
+def test_bad_or_oversized_geometry_is_usage_error(geometry, message, capsys):
+    assert cli.main(["building", "cells", "--geometry", geometry]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["projline", "recover", "--field", "F7"],
     ["bt", "iwasawa", "--field", "Q5"],
@@ -315,7 +325,10 @@ def _report_under_hash_seed(argv, hash_seed):
     ["all", "--profile", "quick"],
     ["building", "verify", "--geometry", "PG2:q=3"],
     ["moufang", "check", "--geometry", "W:q=2", "--mu", "--commutators"],
-], ids=["all-quick", "verify-PG2-3", "moufang-W-2"])
+    ["building", "coords", "--geometry", "W:q=2"],
+    ["building", "cells", "--geometry", "Aflags:n=3,q=2"],
+], ids=["all-quick", "verify-PG2-3", "moufang-W-2", "coords-W-2",
+        "cells-Aflags-3-2"])
 def test_report_independent_of_hash_seed(argv):
     assert (_report_under_hash_seed(argv, "0")
             == _report_under_hash_seed(argv, "1"))
