@@ -25,9 +25,10 @@ column reduction on the first column of g: the pivot row decides the
 shape of an explicit k in SL2(O), and b = k^-1 g comes out upper
 triangular; everything is verified by multiplying back under the
 precision-window equality.  Boundary transitivity of the integral
-subgroup is checked at finite depth on the projective line over O/pi^d,
-whose q^(d-1)(q+1) points must form a single orbit under the elementary
-matrices with additive-generator entries.
+subgroup is checked at finite depth on the tree itself: the sphere of
+radius d around the base vertex is the projective line over O/pi^d, and
+its q^(d-1)(q+1) vertices must form a single orbit under the elementary
+matrices with additive-generator entries, acting on vertex matrices.
 """
 
 from __future__ import annotations
@@ -449,17 +450,14 @@ def iwasawa_decompose(field: Field, g: Mat) -> dict:
         return field.add(field.mul(kinv[i][0], g[0][j]),
                          field.mul(kinv[i][1], g[1][j]))
 
-    b21_cancelled = False
+    # b21 is zero exactly, or zero to the working precision when every
+    # known digit cancels; a surviving digit is a genuine failure
+    cancelled = False
     try:
-        b21 = entry(1, 0)
-        if not field.is_zero(b21):
-            b21_cancelled = None    # a genuine nonzero residue: failure
-            b21 = ZERO
+        upper_triangular = field.is_zero(entry(1, 0))
     except PrecisionExhausted:
-        # every known digit cancelled: zero to the working precision
-        b21 = ZERO
-        b21_cancelled = True
-    b: Mat = ((entry(0, 0), entry(0, 1)), (b21, entry(1, 1)))
+        upper_triangular = cancelled = True
+    b: Mat = ((entry(0, 0), entry(0, 1)), (ZERO, entry(1, 1)))
 
     back = mat_mul(field, k, b)
     multiply_back = all(field.eq(back[i][j], g[i][j])
@@ -470,7 +468,7 @@ def iwasawa_decompose(field: Field, g: Mat) -> dict:
         "k_unit_determinant": (not field.is_zero(det_k)
                                and field.valuation(det_k) == 0
                                and field.eq(det_k, field.one)),
-        "b_upper_triangular": b21_cancelled is not None,
+        "b_upper_triangular": upper_triangular,
         "b_determinant_one": field.eq(mat_det(field, b), field.one),
         "multiply_back": multiply_back,
     }
@@ -478,7 +476,7 @@ def iwasawa_decompose(field: Field, g: Mat) -> dict:
         "k": k,
         "b": b,
         "checks": checks,
-        "b21_cancelled_to_precision": bool(b21_cancelled),
+        "b21_cancelled_to_precision": cancelled,
         "ok": all(checks.values()),
     }
 
@@ -514,92 +512,65 @@ def iwasawa_report(field: Field, samples: int, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # boundary transitivity at finite depth
 
-def boundary_transitivity_check(field: Field, depth: int) -> dict:
-    """Orbit structure of the elementary integral matrices on the
-    projective line over O/pi^depth: q^(depth-1)(q+1) points, one orbit.
+def _elementary_steps(field: Field, depth: int) -> list[LocalElement]:
+    """Additive generators s of O/pi^depth: 1 alone in characteristic 0
+    (Z/p^depth is cyclic), and the lifts of the F_p-basis w^i of the
+    residue field times pi^j in characteristic p."""
+    if field.char == 0:
+        return [field.one]
+    return [field.mul(field.residue_lift(field.p ** i),
+                      field.uniformizer_power(j))
+            for j in range(depth) for i in range(field.residue_field.degree)]
 
-    Ring elements are exact field elements reduced by mod_pi_power, whose
-    canonical forms serve directly as point keys: (x : 1) is ("A", x) and
-    (1 : y) with y in pi O is ("B", y).  The elementary matrices carry
-    entries +-s for additive generators s of O/pi^depth: 1 alone in
-    characteristic 0 (Z/p^depth is cyclic), and the lifts of the F_p-basis
-    w^i of the residue field times pi^j in characteristic p."""
+
+def boundary_transitivity_check(field: Field, depth: int) -> dict:
+    """Orbit structure of the elementary integral matrices E12(+-s) and
+    E21(+-s), s in `_elementary_steps`, on the sphere of radius `depth`
+    around the base vertex: the projective line over O/pi^depth, whose
+    q^(depth-1)(q+1) vertices must form one orbit.
+
+    A matrix g moves a vertex v to the class of the lattice spanned by the
+    columns of g M_v; an image off the sphere is a failure."""
     _require_local(field)
     if depth < 1:
         raise InvalidSpec("depth must be at least 1")
     if depth > field.prec:
         raise PrecisionExhausted(
             f"depth {depth} exceeds the precision window {field.prec}")
-
-    def reduce(x):
-        return field.mod_pi_power(x, depth)
-
-    lifts = residue_lifts(field)
-    powers = [field.uniformizer_power(j) for j in range(depth)]
-    ideal = [ZERO]                      # pi O / pi^depth O
-    for j in range(1, depth):
-        ideal = [field.add(x, field.mul(c, powers[j]))
-                 for x in ideal for c in lifts]
-    ring = [field.add(x, c) for x in ideal for c in lifts]
-    points = {("A", reduce(x)) for x in ring}
-    points.update(("B", reduce(y)) for y in ideal)
+    ball = TreeBall(field, depth)
+    sphere = [v for v, d in zip(ball.vertices, ball.dist) if d == depth]
+    points = set(sphere)
     q = field.residue_q
     expected = q ** (depth - 1) * (q + 1)
 
-    one = reduce(field.one)
-    inverses: dict = {}
-
-    def divide(x, y):
-        # x / y modulo pi^depth for a unit y, inverses cached by class
-        if y == one:
-            return x
-        inv = inverses.get(y)
-        if inv is None:
-            inv = inverses[y] = reduce(field.inv(y))
-        return reduce(field.mul(x, inv))
-
-    def normalize(x, y):
-        x, y = reduce(x), reduce(y)
-        if field.valuation(y) == 0:
-            return ("A", divide(x, y))
-        if field.valuation(x) == 0:
-            return ("B", divide(y, x))
-        raise InvalidSpec("point is not primitive")
-
-    if field.char == 0:
-        steps = [field.one]
-    else:
-        steps = [field.mul(field.residue_lift(field.p ** i), powers[j])
-                 for j in range(depth)
-                 for i in range(field.residue_field.degree)]
+    one = field.one
     gens = []
-    for s in steps:
-        for sign in (s, field.neg(s)):
-            gens.append(("E12", sign))
-            gens.append(("E21", sign))
+    for s in _elementary_steps(field, depth):
+        for t in (s, field.neg(s)):
+            gens.append(((one, t), (ZERO, one)))
+            gens.append(((one, ZERO), (t, one)))
 
-    def apply(gen, pt):
-        name, s = gen
-        x, y = (pt[1], one) if pt[0] == "A" else (one, pt[1])
-        if name == "E12":
-            return normalize(field.add(x, field.mul(s, y)), y)
-        return normalize(x, field.add(y, field.mul(s, x)))
-
-    remaining = set(points)
+    left_sphere = False
+    seen: set = set()
     orbits = []
-    while remaining:
-        start = remaining.pop()
-        orbit = {start}
+    for start in sphere:
+        if start in seen:
+            continue
+        seen.add(start)
         frontier = [start]
+        size = 1
         while frontier:
-            pt = frontier.pop()
-            for gen in gens:
-                img = apply(gen, pt)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        remaining -= orbit
-        orbits.append(len(orbit))
+            v = frontier.pop()
+            for g in gens:
+                image = mat_mul(field, g, vertex_matrix(field, v))
+                w = hnf_lattice(field, list(zip(*image)))
+                if w not in points:
+                    left_sphere = True
+                elif w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+                    size += 1
+        orbits.append(size)
     return {
         "field": field.describe(),
         "depth": depth,
@@ -608,5 +579,6 @@ def boundary_transitivity_check(field: Field, depth: int) -> dict:
         "orbit_count": len(orbits),
         "orbit_sizes": sorted(orbits, reverse=True),
         "generators": len(gens),
-        "ok": len(points) == expected and len(orbits) == 1,
+        "ok": (len(points) == expected and len(orbits) == 1
+               and not left_sphere),
     }

@@ -537,16 +537,20 @@ def _totally_isotropic(F: FiniteField, space: Subspace) -> bool:
 # ---------------------------------------------------------------------------
 # axiom verification
 
-def verify_building_axioms(cx: ChamberComplex,
-                           pair_budget: int = 12_000,
-                           seed: int = 0) -> dict:
+# B1 checks every chamber pair up to this many pairs, and this many pairs
+# drawn from a Random(PAIR_SEED) stream beyond it
+PAIR_BUDGET = 12_000
+PAIR_SEED = 0
+
+
+def verify_building_axioms(cx: ChamberComplex) -> dict:
     """Evidence report for the three building axioms.
 
     (B3) every panel has at least 3 chambers (thickness); (B2) surfaces as
     single-valuedness of the BFS W-distance over all minimal galleries from
     every base chamber; (B1) constructs an apartment around each chamber
     pair and checks it is thin and W-isometric.  Pairs are exhaustive up to
-    `pair_budget`, sampled deterministically beyond it.
+    PAIR_BUDGET, sampled deterministically beyond it.
     """
     report: dict = {"geometry": cx.geometry, "chambers": cx.size,
                     "rank": cx.rank,
@@ -571,13 +575,13 @@ def verify_building_axioms(cx: ChamberComplex,
     }
 
     total_pairs = cx.size * cx.size
-    if total_pairs <= pair_budget:
+    if total_pairs <= PAIR_BUDGET:
         pairs = [(c, d) for c in range(cx.size) for d in range(cx.size)]
         mode = "exhaustive"
     else:
-        rng = random.Random(seed)
+        rng = random.Random(PAIR_SEED)
         pairs = [(rng.randrange(cx.size), rng.randrange(cx.size))
-                 for _ in range(pair_budget)]
+                 for _ in range(PAIR_BUDGET)]
         mode = "sampled"
     b1_failures = []
     for c, d in pairs:

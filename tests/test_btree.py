@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from buildinglab import btree
 from buildinglab.btree import (
     BoundaryPoint,
     TreeVertex,
@@ -21,6 +23,7 @@ from buildinglab.btree import (
     normalize_end,
     parse_end,
     ray_to_end,
+    residue_lifts,
     sl2_sample,
     tree_distance,
     vertex_matrix,
@@ -213,6 +216,160 @@ def test_iwasawa_factors_shape(q5):
         back = mat_mul(q5, k, b)
         assert all(q5.eq(back[i][j], g[i][j])
                    for i in range(2) for j in range(2))
+
+
+def _reference_boundary(field, depth):
+    """The projective line over O/pi^depth as its own model, independent
+    of the tree: (report, points) with points keyed ("A", x) for (x : 1)
+    and ("B", y) for (1 : y), y in pi O."""
+    btree._require_local(field)
+    if depth < 1:
+        raise InvalidSpec("depth must be at least 1")
+    if depth > field.prec:
+        raise PrecisionExhausted(
+            f"depth {depth} exceeds the precision window {field.prec}")
+
+    def reduce(x):
+        return field.mod_pi_power(x, depth)
+
+    lifts = residue_lifts(field)
+    powers = [field.uniformizer_power(j) for j in range(depth)]
+    ideal = [ZERO]                      # pi O / pi^depth O
+    for j in range(1, depth):
+        ideal = [field.add(x, field.mul(c, powers[j]))
+                 for x in ideal for c in lifts]
+    ring = [field.add(x, c) for x in ideal for c in lifts]
+    points = {("A", reduce(x)) for x in ring}
+    points.update(("B", reduce(y)) for y in ideal)
+    q = field.residue_q
+    expected = q ** (depth - 1) * (q + 1)
+
+    one = reduce(field.one)
+    inverses: dict = {}
+
+    def divide(x, y):
+        # x / y modulo pi^depth for a unit y, inverses cached by class
+        if y == one:
+            return x
+        inv = inverses.get(y)
+        if inv is None:
+            inv = inverses[y] = reduce(field.inv(y))
+        return reduce(field.mul(x, inv))
+
+    def normalize(x, y):
+        x, y = reduce(x), reduce(y)
+        if field.valuation(y) == 0:
+            return ("A", divide(x, y))
+        if field.valuation(x) == 0:
+            return ("B", divide(y, x))
+        raise InvalidSpec("point is not primitive")
+
+    if field.char == 0:
+        steps = [field.one]
+    else:
+        steps = [field.mul(field.residue_lift(field.p ** i), powers[j])
+                 for j in range(depth)
+                 for i in range(field.residue_field.degree)]
+    gens = []
+    for s in steps:
+        for sign in (s, field.neg(s)):
+            gens.append(("E12", sign))
+            gens.append(("E21", sign))
+
+    def apply(gen, pt):
+        name, s = gen
+        x, y = (pt[1], one) if pt[0] == "A" else (one, pt[1])
+        if name == "E12":
+            return normalize(field.add(x, field.mul(s, y)), y)
+        return normalize(x, field.add(y, field.mul(s, x)))
+
+    remaining = set(points)
+    orbits = []
+    while remaining:
+        start = remaining.pop()
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            pt = frontier.pop()
+            for gen in gens:
+                img = apply(gen, pt)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        remaining -= orbit
+        orbits.append(len(orbit))
+    return {
+        "field": field.describe(),
+        "depth": depth,
+        "classes": len(points),
+        "expected_classes": expected,
+        "orbit_count": len(orbits),
+        "orbit_sizes": sorted(orbits, reverse=True),
+        "generators": len(gens),
+        "ok": len(points) == expected and len(orbits) == 1,
+    }, points
+
+
+REFERENCE_CASES = (
+    [(f"Qp:p={p},prec=8", d) for p in (2, 3, 5) for d in (1, 2, 3, 4)]
+    + [("Laurent:q=3,prec=8", 3), ("Laurent:q=4,prec=8", 3),
+       ("Laurent:q=8,prec=4", 2), ("Laurent:q=9,prec=4", 2),
+       ("Laurent:q=4,prec=4", 4), ("Laurent:q=2,prec=6", 6),
+       ("Qp:p=2,prec=4", 4), ("Qp:p=7,prec=3", 3)])
+
+
+@pytest.mark.parametrize("spec, depth", REFERENCE_CASES)
+def test_boundary_check_matches_reference_model(spec, depth):
+    field = parse_field_spec(spec)
+    expected, _ = _reference_boundary(field, depth)
+    report = boundary_transitivity_check(field, depth)
+    assert json.dumps(report) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("spec, depth", [
+    ("Qp:p=2,prec=8", 3), ("Qp:p=5,prec=8", 4), ("Laurent:q=4,prec=8", 3),
+    ("Laurent:q=2,prec=6", 6)])
+def test_reference_points_are_the_sphere(spec, depth):
+    # e -> the depth-th vertex of the ray toward e is one-to-one from the
+    # reference points onto the vertices at distance depth
+    field = parse_field_spec(spec)
+    _, points = _reference_boundary(field, depth)
+    ends = [BoundaryPoint(x, field.one) if tag == "A"
+            else BoundaryPoint(field.one, x) for tag, x in points]
+    image = {ray_to_end(field, e, depth)[depth] for e in ends}
+    ball = build_tree_ball(field, depth)
+    sphere = {v for v, d in zip(ball.vertices, ball.dist) if d == depth}
+    assert len(image) == len(points)
+    assert image == sphere
+
+
+def test_boundary_orbit_splits_without_deep_steps(monkeypatch):
+    # E12 and E21 with constant entries only: SL2(F_4) is not transitive
+    # on the projective line over F_4[t]/t^3
+    field = parse_field_spec("Laurent:q=4,prec=8")
+    steps = btree._elementary_steps
+    monkeypatch.setattr(btree, "_elementary_steps",
+                        lambda f, depth: steps(f, 1))
+    report = boundary_transitivity_check(field, 3)
+    assert report["classes"] == report["expected_classes"] == 80
+    assert report["generators"] == 8
+    assert report["orbit_count"] > 1
+    assert not report["ok"]
+
+
+@pytest.mark.parametrize("spec, depth", [("Laurent:q=4,prec=8", 3),
+                                         ("Qp:p=3,prec=8", 2)])
+def test_boundary_images_off_the_sphere_fail(monkeypatch, spec, depth):
+    # a non-integral entry pi^-1 moves sphere vertices off the sphere; the
+    # other steps still join the sphere into one orbit
+    field = parse_field_spec(spec)
+    steps = btree._elementary_steps
+    monkeypatch.setattr(btree, "_elementary_steps", lambda f, d: (
+        steps(f, d) + [f.uniformizer_power(-1)]))
+    report = boundary_transitivity_check(field, depth)
+    assert report["orbit_count"] == 1
+    assert report["classes"] == report["expected_classes"]
+    assert not report["ok"]
 
 
 def test_boundary_transitivity_counts(q2, l3):

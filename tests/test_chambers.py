@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from buildinglab import chambers
 from buildinglab.chambers import (
     ChamberComplex,
     all_subspaces,
@@ -168,9 +169,11 @@ def test_verify_axioms_pg2_3(pg2_3):
     assert report["ok"], report
 
 
-def test_verify_flags_sampled_mode():
+def test_verify_flags_sampled_mode(monkeypatch):
     cx = build_flag_building("Aflags:n=3,q=2")
-    report = verify_building_axioms(cx, pair_budget=400, seed=3)
+    monkeypatch.setattr(chambers, "PAIR_BUDGET", 400)
+    monkeypatch.setattr(chambers, "PAIR_SEED", 3)
+    report = verify_building_axioms(cx)
     assert report["B1_apartments"]["mode"] == "sampled"
     assert report["ok"], report
 

@@ -327,8 +327,9 @@ def _report_under_hash_seed(argv, hash_seed):
     ["moufang", "check", "--geometry", "W:q=2", "--mu", "--commutators"],
     ["building", "coords", "--geometry", "W:q=2"],
     ["building", "cells", "--geometry", "Aflags:n=3,q=2"],
+    ["bt", "boundary", "--field", "Laurent:q=4,prec=8", "--depth", "3"],
 ], ids=["all-quick", "verify-PG2-3", "moufang-W-2", "coords-W-2",
-        "cells-Aflags-3-2"])
+        "cells-Aflags-3-2", "boundary-Laurent-4"])
 def test_report_independent_of_hash_seed(argv):
     assert (_report_under_hash_seed(argv, "0")
             == _report_under_hash_seed(argv, "1"))

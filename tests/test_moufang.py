@@ -334,6 +334,15 @@ def test_moufang_transitivity_quadrangle(w2):
     assert report["group_orders"] == [2]
 
 
+def test_transitivity_check_is_exhaustive_only(pg2_2):
+    with pytest.raises(InvalidSpec, match="exhaustive"):
+        moufang_transitivity_check(pg2_2, exhaustive=False)
+    report = MoufangFrame(pg2_2).transitivity_check(root_limit=5)
+    assert report["mode"] == "exhaustive"
+    assert report["roots_checked"] == 5
+    assert report["ok"]
+
+
 def test_mu_exists_unique_and_reflects(frame2, frame3):
     for frame in (frame2, frame3):
         for u in frame.root_group(1):
