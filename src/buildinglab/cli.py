@@ -356,7 +356,10 @@ def run_all(profile: str, seed: int):
     results["hua_recovery"] = recovery
 
     moufang = {}
-    for spec in ("PG2:q=2", "PG2:q=3", "W:q=2"):
+    specs = ("PG2:q=2", "PG2:q=3", "W:q=2")
+    if profile == "full":
+        specs += ("PG2:q=4", "W:q=3")
+    for spec in specs:
         moufang[spec] = {"mu": None, **_moufang_block(
             spec, checks, f"moufang_transitivity:{spec}",
             mu=spec.startswith("PG2"), commutators=True)}

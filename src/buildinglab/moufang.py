@@ -7,9 +7,9 @@ one rank-2 view every check below runs on.  An apartment is a circuit of
 length 2n, labeled here by residues modulo 2n; the root alpha_i is the
 half-circuit path (i, i+1, ..., i+n), and its root group U_i consists of
 the type-preserving automorphisms fixing, chamber by chamber, the star of
-every interior vertex i+1, ..., i+n-1.  The frame caches each root group
-by its interior, so transitivity, mu, stabilizers and commutators search
-it once.
+every interior vertex i+1, ..., i+n-1.  The frame caches each searched
+root group by its interior, so transitivity, mu, stabilizers and
+commutators search it once; groups made by conjugation are not kept.
 
 Root groups are found by a forward-checking search over chamber bijections
 that preserve the W-valued distance (which characterizes type-preserving
@@ -19,8 +19,12 @@ rigidity the search branches once, over the q images of one chamber, and
 otherwise only propagates.  The Moufang property is then checked head on:
 one simple-path search on the graph enumerates the roots (the n-edge
 paths) and closes each root into the apartments containing it (a second
-n-edge path back to its start), and U_i must permute those simply
-transitively, with |U_i| equal to the panel parameter q.
+n-edge path back to its start), and each root group must permute those
+simply transitively, with order equal to the panel parameter q.  Only the
+2n base root groups are searched for that; every other root group is a
+conjugate g^-1 U_i g reached by walking the roots under the base root
+elements, checked element by element, and a seeded few are searched again
+as the independent route.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
@@ -59,6 +63,11 @@ Perm = tuple[int, ...]
 
 # branch points one automorphism search may visit before giving up
 _SEARCH_BUDGET = 2_000_000
+
+# conjugated root groups that each transitivity check also searches
+# directly, drawn with this seed
+CROSS_CHECK_GROUPS = 4
+CROSS_CHECK_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +220,7 @@ class MoufangFrame:
             raise NotFound("no chamber opposite the base chamber")
         hull = cx.apartment_hull(0, min(big))
         self.circuit, self.edge_chambers = self._circuit_labels(hull)
+        self.circuit_index = {pid: k for k, pid in enumerate(self.circuit)}
         self.apartment = frozenset(hull)
         self._root_cache: dict[frozenset, list[Perm]] = {}
 
@@ -253,12 +263,17 @@ class MoufangFrame:
     def star(self, pid: PanelId) -> tuple[int, ...]:
         return self.cx.panel_members(pid)
 
+    def star_fixing(self, vertices: Iterable[PanelId]) -> dict[int, int]:
+        """Every chamber on the stars of the given vertices, mapped to
+        itself: the forced images of a root-group search."""
+        return {c: c for pid in vertices for c in self.star(pid)}
+
     def root_group_of_path(self, path: Sequence[PanelId]) -> list[Perm]:
         interior = frozenset(path[1:-1])
         cached = self._root_cache.get(interior)
         if cached is None:
-            fixed = {c: c for pid in interior for c in self.star(pid)}
-            cached = find_automorphisms(self.cx, forced=fixed)
+            cached = find_automorphisms(self.cx,
+                                        forced=self.star_fixing(interior))
             self._root_cache[interior] = cached
         return cached
 
@@ -301,45 +316,151 @@ class MoufangFrame:
 
     # the Moufang condition --------------------------------------------------
 
+    @staticmethod
+    def interior(path: Sequence[PanelId]) -> tuple[PanelId, ...]:
+        """The inner vertices of a root path, read in the smaller direction;
+        the root group depends on nothing else."""
+        inner = tuple(path[1:-1])
+        return min(inner, inner[::-1])
+
+    def is_automorphism(self, g: Perm) -> bool:
+        """Is g a panel-preserving bijection of the chambers, that is, a
+        type-preserving automorphism: per type, the pairs (panel of c,
+        panel of g(c)) are exactly as many as the panels."""
+        if sorted(g) != list(self.identity):
+            return False
+        return all(len(set(zip(po, [po[x] for x in g]))) == len(plist)
+                   for po, plist in zip(self.cx.panel_of, self.cx.panels))
+
+    def root_groups_by_conjugation(
+            self, paths: Iterable[Sequence[PanelId]]) -> Iterator[tuple]:
+        """(interior, group, conjugated) once for each interior of the given
+        root paths; each group is made when yielded and not kept.
+
+        Only the 2n base root groups are searched.  A breadth-first walk over
+        the interiors, under the nontrivial base root elements as generators,
+        keeps a Schreier tree (parent interior, generator index) and stops
+        once every wanted interior is reached.  A depth-first pass over that
+        tree then conjugates one group per tree edge, U_{alpha g} =
+        g^-1 U_alpha g, holding groups only along the current branch.
+        Interiors the walk misses are searched (conjugated False)."""
+        wanted: dict[tuple, Sequence[PanelId]] = {}
+        for path in paths:
+            wanted.setdefault(self.interior(path), path)
+        base = {self.interior(self.root_path(i)): self.root_group(i)
+                for i in range(2 * self.n)}
+        gens = [g for U in base.values() for g in U
+                if g != self.identity and self.is_automorphism(g)]
+        inverses = [inverse_perm(g) for g in gens]
+        vertex_maps = [[[po[g[members[0]]] for members in plist]
+                        for po, plist in zip(self.cx.panel_of, self.cx.panels)]
+                       for g in gens]
+        parent: dict[tuple, tuple] = {key: (None, None) for key in base}
+        missing = wanted.keys() - parent.keys()
+        frontier = list(base)
+        while frontier and missing:
+            nxt = []
+            for key in frontier:
+                for k, vm in enumerate(vertex_maps):
+                    img = tuple((t, vm[t][p]) for t, p in key)
+                    img = min(img, img[::-1])
+                    if img not in parent:
+                        parent[img] = (key, k)
+                        nxt.append(img)
+                        missing.discard(img)
+            frontier = nxt
+        needed = set()
+        for key in wanted:
+            while key in parent and key not in needed:
+                needed.add(key)
+                key = parent[key][0]
+        children: dict[tuple, list] = {}
+        for key, (up, k) in parent.items():
+            if up is not None and key in needed:
+                children.setdefault(up, []).append((key, k))
+        stack = [(key, U, None) for key, U in reversed(base.items())
+                 if key in needed]
+        while stack:
+            key, U, k = stack.pop()
+            if k is not None:
+                U = [compose(compose(inverses[k], u), gens[k]) for u in U]
+            if key in wanted:
+                yield key, U, k is not None
+            stack.extend((child, U, j)
+                         for child, j in reversed(children.get(key, [])))
+        for key in sorted(missing):
+            yield key, self.root_group_of_path(wanted[key]), False
+
     def transitivity_check(self, root_limit: Optional[int] = None) -> dict:
         """For each root (the first `root_limit` if given): |U_alpha| = q
         and the action on the apartments containing the root is simply
-        transitive."""
+        transitive.
+
+        The groups come from `root_groups_by_conjugation`, and every element
+        is checked to be an automorphism fixing each chamber of the interior
+        stars; by rigidity U_alpha acts freely on the q apartments containing
+        alpha, so q distinct such elements are the whole group.  As an
+        independent route, the groups of CROSS_CHECK_GROUPS interiors off the
+        base apartment, drawn with CROSS_CHECK_SEED, are searched directly
+        and must come out the same sets."""
         n, q = self.n, self.q
         roots = self.all_roots()
         if root_limit is not None:
             roots = roots[:root_limit]
+        by_interior: dict[tuple, list[int]] = {}
+        for r, path in enumerate(roots):
+            by_interior.setdefault(self.interior(path), []).append(r)
+        base = {self.interior(self.root_path(i)) for i in range(2 * n)}
+        off_base = sorted(by_interior.keys() - base)
+        sample = set(random.Random(CROSS_CHECK_SEED).sample(
+            off_base, min(CROSS_CHECK_GROUPS, len(off_base))))
         failures = []
         orders = set()
         apartment_counts = set()
-        for path in roots:
-            U = self.root_group_of_path(path)
-            apartments = self.apartments_containing(path)
+        routes = Counter()
+        for key, U, conjugated in self.root_groups_by_conjugation(roots):
+            fixed = self.star_fixing(key)
+            elements_ok = all(self.is_automorphism(g)
+                              and all(g[c] == c for c in fixed) for g in U)
+            agrees = key not in sample or set(U) == set(
+                find_automorphisms(self.cx, forced=fixed))
+            route = "conjugated" if conjugated else "searched"
             orders.add(len(U))
-            apartment_counts.add(len(apartments))
-            ok = len(U) == q and len(apartments) == q
-            if ok:
-                base = apartments[0]
-                orbit = {frozenset(g[c] for c in base) for g in U}
-                stab = [g for g in U
-                        if frozenset(g[c] for c in base) == base
-                        and g != self.identity]
-                ok = orbit == set(apartments) and not stab
-            if not ok:
-                failures.append({
-                    "root": [list(map(int, pid)) for pid in path],
-                    "group_order": len(U),
-                    "apartments": len(apartments),
-                })
+            for r in by_interior[key]:
+                routes[route] += 1
+                path = roots[r]
+                apartments = self.apartments_containing(path)
+                apartment_counts.add(len(apartments))
+                ok = elements_ok and len(U) == q and len(apartments) == q
+                if ok:
+                    base_apartment = apartments[0]
+                    orbit = {frozenset(g[c] for c in base_apartment)
+                             for g in U}
+                    stab = [g for g in U
+                            if frozenset(g[c] for c in base_apartment)
+                            == base_apartment and g != self.identity]
+                    ok = orbit == set(apartments) and not stab
+                if not (ok and agrees):
+                    failures.append((r, {
+                        "root": [list(map(int, pid)) for pid in path],
+                        "group_order": len(U),
+                        "apartments": len(apartments),
+                        "route": route,
+                        "elements_ok": elements_ok,
+                        "agrees_with_search": agrees,
+                    }))
         return {
             "geometry": self.cx.geometry,
             "gonality": n,
             "q": q,
             "roots_checked": len(roots),
             "mode": "exhaustive",
+            "roots_conjugated": routes["conjugated"],
+            "roots_searched": routes["searched"],
+            "groups_cross_checked": len(sample),
             "group_orders": sorted(orders),
             "apartments_per_root": sorted(apartment_counts),
-            "failures": failures[:10],
+            "failures": [entry for _, entry in sorted(failures)[:10]],
             "ok": not failures and orders == {q} and apartment_counts == {q},
         }
 
@@ -351,15 +472,14 @@ class MoufangFrame:
     def induced_vertex_map(self, g: Perm) -> Optional[list[int]]:
         """Labels of the images of the circuit vertices, or None if the
         image leaves the circuit."""
-        lookup = {pid: k for k, pid in enumerate(self.circuit)}
         out = []
         for pid in self.circuit:
             t, _ = pid
             member = self.star(pid)[0]
             img = (t, self.cx.panel_of[t][g[member]])
-            if img not in lookup:
+            if img not in self.circuit_index:
                 return None
-            out.append(lookup[img])
+            out.append(self.circuit_index[img])
         return out
 
     def is_reflection_through(self, g: Perm, i: int) -> bool:

@@ -206,8 +206,23 @@ def test_moufang_check_searches_each_group_once(monkeypatch, capsys):
         ["moufang", "check", "--geometry", "PG2:q=2", "--mu",
          "--commutators"], capsys)
     assert code == 0
-    # the 84 roots have 21 interiors (one per chamber); three stabilizers
-    assert len(searches) == len(set(searches)) == 24
+    # six base root groups, four conjugated groups cross-checked by a
+    # direct search, three stabilizers; the other 15 of the 21 root
+    # interiors (one per chamber) get their groups by conjugation
+    assert len(searches) == len(set(searches)) == 13
+
+
+def test_full_profile_checks_larger_moufang_geometries(capsys):
+    code, report, _ = run(["all", "--profile", "full"], capsys)
+    assert code == 0
+    moufang_block = report["results"]["moufang"]
+    assert set(moufang_block) == {"PG2:q=2", "PG2:q=3", "W:q=2",
+                                  "PG2:q=4", "W:q=3"}
+    trans = moufang_block["W:q=3"]["transitivity"]
+    assert trans["roots_checked"] == 4320 and trans["ok"]
+    ids = {c["id"] for c in report["checks"]}
+    assert {"moufang_transitivity:PG2:q=4", "mu_product_formula:PG2:q=4",
+            "quadrangle_identity:W:q=3"} <= ids
 
 
 def test_moufang_check_needs_geometry(capsys):
@@ -325,10 +340,12 @@ def _report_under_hash_seed(argv, hash_seed):
     ["all", "--profile", "quick"],
     ["building", "verify", "--geometry", "PG2:q=3"],
     ["moufang", "check", "--geometry", "W:q=2", "--mu", "--commutators"],
+    ["moufang", "check", "--geometry", "PG2:q=4"],
     ["building", "coords", "--geometry", "W:q=2"],
     ["building", "cells", "--geometry", "Aflags:n=3,q=2"],
     ["bt", "boundary", "--field", "Laurent:q=4,prec=8", "--depth", "3"],
-], ids=["all-quick", "verify-PG2-3", "moufang-W-2", "coords-W-2",
+], ids=["all-quick", "verify-PG2-3", "moufang-W-2", "moufang-PG2-4",
+        "coords-W-2",
         "cells-Aflags-3-2", "boundary-Laurent-4"])
 def test_report_independent_of_hash_seed(argv):
     assert (_report_under_hash_seed(argv, "0")

@@ -1,10 +1,12 @@
 import itertools
+import random
 from typing import Optional
 
 import pytest
 
 from buildinglab.chambers import ChamberComplex, build_flag_building
 from buildinglab.errors import InvalidSpec, NotFound, SearchBudgetExceeded
+from buildinglab import moufang
 from buildinglab.localfield import finite_field, parse_field_spec
 from buildinglab.moufang import (
     MoufangFrame,
@@ -341,6 +343,108 @@ def test_transitivity_check_is_exhaustive_only(pg2_2):
     assert report["mode"] == "exhaustive"
     assert report["roots_checked"] == 5
     assert report["ok"]
+
+
+# the search stays the oracle for the groups the walk makes by conjugation
+@pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "PG2:q=4", "W:q=2"])
+def test_conjugated_groups_match_search_on_every_root(spec):
+    frame = MoufangFrame(build_flag_building(spec))
+    roots = frame.all_roots()
+    interiors = {frame.interior(path) for path in roots}
+    base = {frame.interior(frame.root_path(i)) for i in range(2 * frame.n)}
+    seen = []
+    for key, U, conjugated in frame.root_groups_by_conjugation(roots):
+        seen.append(key)
+        assert conjugated == (key not in base)
+        assert len(U) == frame.q
+        searched = find_automorphisms(frame.cx, forced=frame.star_fixing(key))
+        assert set(U) == set(searched)
+    assert len(seen) == len(set(seen)) and set(seen) == interiors
+
+
+def test_conjugated_groups_match_search_on_sampled_roots():
+    frame = MoufangFrame(build_flag_building("W:q=3"))
+    roots = random.Random(7).sample(frame.all_roots(), 24)
+    interiors = {frame.interior(path) for path in roots}
+    got = {key: U for key, U, _ in frame.root_groups_by_conjugation(roots)}
+    assert set(got) == interiors
+    for key, U in got.items():
+        searched = find_automorphisms(frame.cx, forced=frame.star_fixing(key))
+        assert set(U) == set(searched)
+        assert len(U) == 3
+
+
+def test_transitivity_counts_routes(pg2_2):
+    report = MoufangFrame(pg2_2).transitivity_check()
+    # six base interiors carry four roots each; the rest are conjugated
+    assert report["roots_searched"] == 24
+    assert report["roots_conjugated"] == 60
+    assert report["groups_cross_checked"] == moufang.CROSS_CHECK_GROUPS
+
+
+def _broken_base_frame(spec, i, transform):
+    frame = MoufangFrame(build_flag_building(spec))
+    U = frame.root_group(i)
+    frame._root_cache[frozenset(frame.root_path(i)[1:-1])] = transform(
+        frame, U)
+    return frame
+
+
+def test_transitivity_fails_on_base_group_missing_an_element():
+    frame = _broken_base_frame(
+        "PG2:q=3", 1, lambda f, U: [g for g in U if g != f.identity][:2])
+    report = frame.transitivity_check()
+    assert not report["ok"]
+    assert 2 in report["group_orders"]
+
+
+def _swap_off_the_apartments(frame, U):
+    # two chambers on the star of the middle interior vertex of root 1 that
+    # no apartment through a root with this interior contains: swapping
+    # them leaves every orbit and stabilizer count as it was
+    middle = frame.vertex(3)
+    c, d = [c for c in frame.star(middle)
+            if c not in (frame.chamber_on_edge(2), frame.chamber_on_edge(3))]
+    u = next(g for g in U if g != frame.identity)
+    bad = list(u)
+    bad[c], bad[d] = bad[d], bad[c]
+    return [g if g != u else tuple(bad) for g in U]
+
+
+def test_transitivity_fails_on_base_group_with_a_non_automorphism():
+    frame = _broken_base_frame("W:q=3", 1, _swap_off_the_apartments)
+    assert not all(frame.is_automorphism(g) for g in frame.root_group(1))
+    report = frame.transitivity_check()
+    assert not report["ok"]
+    # the explicit element check alone catches it: orbits and the search
+    # agree on these roots
+    assert any(not f["elements_ok"] and f["agrees_with_search"]
+               and f["group_order"] == f["apartments"] == 3
+               for f in report["failures"])
+
+
+def test_transitivity_fails_when_the_search_disagrees(monkeypatch):
+    # with the base groups found, a search that returns nothing makes the
+    # sampled cross-checks disagree with the conjugated groups
+    frame = MoufangFrame(build_flag_building("PG2:q=2"))
+    for i in range(2 * frame.n):
+        frame.root_group(i)
+    monkeypatch.setattr(moufang, "find_automorphisms", lambda *a, **k: [])
+    report = frame.transitivity_check()
+    assert not report["ok"]
+    assert report["failures"]
+    assert all(f["route"] == "conjugated" and not f["agrees_with_search"]
+               for f in report["failures"])
+
+
+def test_is_automorphism(frame2):
+    U = frame2.root_group(1)
+    assert all(frame2.is_automorphism(g) for g in U)
+    g = list(frame2.identity)
+    g[0], g[1] = g[1], g[0]
+    assert not frame2.is_automorphism(tuple(g))
+    assert not frame2.is_automorphism(frame2.identity[:-1])
+    assert not frame2.is_automorphism((0,) * frame2.N)
 
 
 def test_mu_exists_unique_and_reflects(frame2, frame3):
