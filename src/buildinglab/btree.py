@@ -482,12 +482,15 @@ def iwasawa_decompose(field: Field, g: Mat) -> dict:
 
 
 def iwasawa_report(field: Field, samples: int, seed: int = 0) -> dict:
+    """Decompose `samples` sampled SL2 matrices.  A draw whose decomposition
+    runs out of precision is counted as exhausted and drawn again, up to
+    3 * samples + 30 draws in all."""
     rng = random.Random(seed)
-    verified = 0
-    exhausted = 0
+    drawn = verified = exhausted = 0
     failures = []
-    for sample in range(samples):
+    while verified + len(failures) < samples and drawn < 3 * samples + 30:
         g = sl2_sample(field, rng)
+        drawn += 1
         try:
             result = iwasawa_decompose(field, g)
         except PrecisionExhausted:
@@ -496,7 +499,7 @@ def iwasawa_report(field: Field, samples: int, seed: int = 0) -> dict:
         if result["ok"]:
             verified += 1
         else:
-            failures.append({"sample": sample,
+            failures.append({"sample": drawn - 1,
                              "g": mat_json(field, g),
                              "checks": result["checks"]})
     return {

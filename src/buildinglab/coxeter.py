@@ -20,10 +20,10 @@ t != s, walking w down by t, s, t, ... takes m_st - 1 steps to y and the
 element u = y (... t s) of length l(w) already has its t-entry set: that
 entry is ws.  Otherwise ws is new and its word is words[w] + (s,).
 
-The enumeration aborts with BoundExceeded once the element bound is passed
-(default 10**5).  That bound is how infinite systems surface: on a 2-vCPU
-VM affine A~2 (rows 1 3 3 / 3 1 3 / 3 3 1) reaches the default bound in
-under a second.
+The enumeration aborts with BoundExceeded once ELEMENT_BOUND = 10**5
+elements are passed.  That bound is how infinite systems surface: on a
+2-vCPU VM affine A~2 (rows 1 3 3 / 3 1 3 / 3 3 1) reaches it in under a
+second.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import BoundExceeded, InvalidSpec
 
 Word = tuple[int, ...]
 
-DEFAULT_ELEMENT_BOUND = 100_000
+ELEMENT_BOUND = 100_000
 
 
 def parse_coxeter_matrix(text: str) -> list[list[int]]:
@@ -76,15 +76,14 @@ class CoxeterSystem:
     `longest` (index of w0) and `order`.
     """
 
-    def __init__(self, matrix: Sequence[Sequence[int]],
-                 element_bound: int = DEFAULT_ELEMENT_BOUND):
+    def __init__(self, matrix: Sequence[Sequence[int]]):
         _validate_matrix(matrix)
         self.matrix = tuple(tuple(row) for row in matrix)
         self.rank = len(matrix)
         self.words: list[Word] = [()]
         self.length: list[int] = [0]
         self.right: list[list[int]] = [[-1] * self.rank]
-        self._enumerate(element_bound)
+        self._enumerate()
         self.order = len(self.words)
         top = max(self.length)
         longest = [k for k, l in enumerate(self.length) if l == top]
@@ -94,7 +93,7 @@ class CoxeterSystem:
         self.inverse = [self.element_from_word(reversed(w))
                         for w in self.words]
 
-    def _enumerate(self, bound: int) -> None:
+    def _enumerate(self) -> None:
         """Breadth-first fill of the tables (see the module docstring).
 
         right[w][s] and right[ws][s] are set together, so when w comes up
@@ -110,9 +109,9 @@ class CoxeterSystem:
                 ws = self._known_product(w, s)
                 if ws < 0:
                     ws = len(words)
-                    if ws >= bound:
+                    if ws >= ELEMENT_BOUND:
                         raise BoundExceeded(
-                            f"enumeration passed {bound} elements; "
+                            f"enumeration passed {ELEMENT_BOUND} elements; "
                             "system is infinite or over desk scale")
                     words.append(words[w] + (s,))
                     length.append(length[w] + 1)

@@ -22,9 +22,10 @@ paths) and closes each root into the apartments containing it (a second
 n-edge path back to its start), and each root group must permute those
 simply transitively, with order equal to the panel parameter q.  Only the
 2n base root groups are searched for that; every other root group is a
-conjugate g^-1 U_i g reached by walking the roots under the base root
-elements, checked element by element, and a seeded few are searched again
-as the independent route.
+conjugate g^-1 U_i g, g the product of the base root elements on the path
+to its interior in a breadth-first walk from the base interiors, checked
+element by element, and a seeded few are searched again as the
+independent route.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
@@ -68,6 +69,9 @@ _SEARCH_BUDGET = 2_000_000
 # directly, drawn with this seed
 CROSS_CHECK_GROUPS = 4
 CROSS_CHECK_SEED = 0
+
+# sampled elements of each valuation ball in a filtration check
+FILTRATION_SAMPLES = 40
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +226,7 @@ class MoufangFrame:
         self.circuit, self.edge_chambers = self._circuit_labels(hull)
         self.circuit_index = {pid: k for k, pid in enumerate(self.circuit)}
         self.apartment = frozenset(hull)
-        self._root_cache: dict[frozenset, list[Perm]] = {}
+        self._root_cache: dict[tuple, list[Perm]] = {}
 
     def _circuit_labels(self, hull: Sequence[int]):
         """Walk the thin hull as a circuit; returns (vertices, edge chambers)
@@ -268,14 +272,16 @@ class MoufangFrame:
         itself: the forced images of a root-group search."""
         return {c: c for pid in vertices for c in self.star(pid)}
 
-    def root_group_of_path(self, path: Sequence[PanelId]) -> list[Perm]:
-        interior = frozenset(path[1:-1])
+    def _root_group(self, interior: tuple[PanelId, ...]) -> list[Perm]:
         cached = self._root_cache.get(interior)
         if cached is None:
             cached = find_automorphisms(self.cx,
                                         forced=self.star_fixing(interior))
             self._root_cache[interior] = cached
         return cached
+
+    def root_group_of_path(self, path: Sequence[PanelId]) -> list[Perm]:
+        return self._root_group(self.interior(path))
 
     def root_group(self, i: int) -> list[Perm]:
         return self.root_group_of_path(self.root_path(i))
@@ -335,61 +341,47 @@ class MoufangFrame:
     def root_groups_by_conjugation(
             self, paths: Iterable[Sequence[PanelId]]) -> Iterator[tuple]:
         """(interior, group, conjugated) once for each interior of the given
-        root paths; each group is made when yielded and not kept.
+        root paths, in sorted order; each group is made when yielded and not
+        kept.
 
         Only the 2n base root groups are searched.  A breadth-first walk over
         the interiors, under the nontrivial base root elements as generators,
-        keeps a Schreier tree (parent interior, generator index) and stops
-        once every wanted interior is reached.  A depth-first pass over that
-        tree then conjugates one group per tree edge, U_{alpha g} =
-        g^-1 U_alpha g, holding groups only along the current branch.
-        Interiors the walk misses are searched (conjugated False)."""
-        wanted: dict[tuple, Sequence[PanelId]] = {}
-        for path in paths:
-            wanted.setdefault(self.interior(path), path)
+        records for each interior it reaches the interior it came from and
+        the generator, and stops once every wanted interior is reached.  The
+        generator word back to a base interior alpha multiplies into one
+        element g, and U_{alpha g} = g^-1 U_alpha g.  Interiors the walk
+        misses are searched (conjugated False)."""
+        wanted = {self.interior(path) for path in paths}
         base = {self.interior(self.root_path(i)): self.root_group(i)
                 for i in range(2 * self.n)}
         gens = [g for U in base.values() for g in U
                 if g != self.identity and self.is_automorphism(g)]
-        inverses = [inverse_perm(g) for g in gens]
-        vertex_maps = [[[po[g[members[0]]] for members in plist]
-                        for po, plist in zip(self.cx.panel_of, self.cx.panels)]
-                       for g in gens]
-        parent: dict[tuple, tuple] = {key: (None, None) for key in base}
-        missing = wanted.keys() - parent.keys()
+        panel_maps = [_panel_images(self.cx, g) for g in gens]
+        parent: dict[tuple, Optional[tuple]] = dict.fromkeys(base)
+        missing = wanted - parent.keys()
         frontier = list(base)
         while frontier and missing:
             nxt = []
             for key in frontier:
-                for k, vm in enumerate(vertex_maps):
-                    img = tuple((t, vm[t][p]) for t, p in key)
+                for k, images in enumerate(panel_maps):
+                    img = tuple((t, images[t][p]) for t, p in key)
                     img = min(img, img[::-1])
                     if img not in parent:
                         parent[img] = (key, k)
                         nxt.append(img)
                         missing.discard(img)
             frontier = nxt
-        needed = set()
-        for key in wanted:
-            while key in parent and key not in needed:
-                needed.add(key)
-                key = parent[key][0]
-        children: dict[tuple, list] = {}
-        for key, (up, k) in parent.items():
-            if up is not None and key in needed:
-                children.setdefault(up, []).append((key, k))
-        stack = [(key, U, None) for key, U in reversed(base.items())
-                 if key in needed]
-        while stack:
-            key, U, k = stack.pop()
-            if k is not None:
-                U = [compose(compose(inverses[k], u), gens[k]) for u in U]
-            if key in wanted:
-                yield key, U, k is not None
-            stack.extend((child, U, j)
-                         for child, j in reversed(children.get(key, [])))
-        for key in sorted(missing):
-            yield key, self.root_group_of_path(wanted[key]), False
+        for key in sorted(wanted):
+            if key in missing:
+                yield key, self._root_group(key), False
+                continue
+            g, top = self.identity, key
+            while parent[top] is not None:
+                top, k = parent[top]
+                g = compose(gens[k], g)
+            g_inv = inverse_perm(g)
+            U = [compose(compose(g_inv, u), g) for u in base[top]]
+            yield key, U, top != key
 
     def transitivity_check(self, root_limit: Optional[int] = None) -> dict:
         """For each root (the first `root_limit` if given): |U_alpha| = q
@@ -618,14 +610,16 @@ def orbit_labeling_check(frame: MoufangFrame, x_table: dict[int, Perm],
 # ---------------------------------------------------------------------------
 # product groups, stabilizers, commutators
 
+def _panel_images(cx: ChamberComplex, g: Perm) -> list[list[int]]:
+    """Per type, the index of the image of each panel under g."""
+    return [[po[g[members[0]]] for members in plist]
+            for po, plist in zip(cx.panel_of, cx.panels)]
+
+
 def fixed_vertices_of_set(cx: ChamberComplex, perms: Iterable[Perm]) -> frozenset:
-    perms = list(perms)
-    out = []
-    for pid in cx.all_panel_ids():
-        member = cx.panel_members(pid)[0]
-        if all(cx.panel_of[pid[0]][g[member]] == pid[1] for g in perms):
-            out.append(pid)
-    return frozenset(out)
+    maps = [_panel_images(cx, g) for g in perms]
+    return frozenset((t, p) for t, p in cx.all_panel_ids()
+                     if all(images[t][p] == p for images in maps))
 
 
 def product_stabilizer_check(frame: MoufangFrame, i: int, j: int) -> dict:
@@ -728,7 +722,7 @@ def quadrangle_identity_check(frame: MoufangFrame, field: FiniteField) -> dict:
 # valuation filtration of a root group over a local field
 
 def filtration_indices(field: Field, k_lo: int, k_hi: int,
-                       seed: int = 0, samples: int = 40) -> dict:
+                       seed: int = 0) -> dict:
     """Indices of successive valuation balls U_k = {t : v(t) >= k}.  The
     index [U_k : U_(k+1)] is measured as the number of distinct classes
     modulo pi^(k+1) (exact representatives from `mod_pi_power`) met by the
@@ -752,11 +746,11 @@ def filtration_indices(field: Field, k_lo: int, k_hi: int,
         distinct = (len(met) == len(reps)
                     and all(field.valuation(rep) >= k for rep in reps))
         covered = 0
-        for _ in range(samples):
+        for _ in range(FILTRATION_SAMPLES):
             x = field.random_element(rng, min_val=k, max_val=k + 3)
             if met[field.mod_pi_power(x, k + 1)] == 1:
                 covered += 1
-        level_ok = distinct and covered == samples
+        level_ok = distinct and covered == FILTRATION_SAMPLES
         ok = ok and level_ok
         levels.append({"k": k, "index": len(met),
                        "distinct": distinct,

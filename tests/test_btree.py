@@ -204,6 +204,26 @@ def test_iwasawa_sampled_reports(q5, l3):
         assert report["exhausted"] == 0
 
 
+def test_iwasawa_redraws_exhausted_samples():
+    # at one digit of precision a few draws run out of digits; each is
+    # drawn again, so every requested sample is still decomposed
+    field = parse_field_spec("Qp:p=2,prec=1")
+    report = iwasawa_report(field, samples=500, seed=1)
+    assert report["exhausted"] > 0
+    assert report["verified"] == 500
+    assert report["ok"] and not report["failures"]
+
+
+def test_iwasawa_redraws_stop_at_the_cap(q5, monkeypatch):
+    def exhausted(field, g):
+        raise PrecisionExhausted("no digits left")
+    monkeypatch.setattr(btree, "iwasawa_decompose", exhausted)
+    report = iwasawa_report(q5, samples=10, seed=1)
+    assert report["exhausted"] == 3 * 10 + 30
+    assert report["verified"] == 0
+    assert not report["ok"]
+
+
 def test_iwasawa_factors_shape(q5):
     rng = random.Random(13)
     for _ in range(25):

@@ -385,7 +385,7 @@ def test_transitivity_counts_routes(pg2_2):
 def _broken_base_frame(spec, i, transform):
     frame = MoufangFrame(build_flag_building(spec))
     U = frame.root_group(i)
-    frame._root_cache[frozenset(frame.root_path(i)[1:-1])] = transform(
+    frame._root_cache[frame.interior(frame.root_path(i))] = transform(
         frame, U)
     return frame
 
@@ -435,6 +435,23 @@ def test_transitivity_fails_when_the_search_disagrees(monkeypatch):
     assert report["failures"]
     assert all(f["route"] == "conjugated" and not f["agrees_with_search"]
                for f in report["failures"])
+
+
+def test_interiors_the_walk_misses_are_searched():
+    # trivial base groups leave the walk no generator, so every interior
+    # off the base apartment falls back to the search
+    frame = MoufangFrame(build_flag_building("PG2:q=2"))
+    for i in range(2 * frame.n):
+        frame._root_cache[frame.interior(frame.root_path(i))] = [
+            frame.identity]
+    report = frame.transitivity_check()
+    assert report["roots_conjugated"] == 0
+    assert report["roots_searched"] == report["roots_checked"] == 84
+    assert not report["ok"]
+    assert report["group_orders"] == [1, 2]
+    assert report["failures"] and all(
+        f["route"] == "searched" and f["group_order"] == 1
+        for f in report["failures"])
 
 
 def test_is_automorphism(frame2):
