@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,13 @@ from buildinglab.chambers import (
     subspace_leq,
     verify_building_axioms,
 )
-from buildinglab.errors import BoundExceeded, InvalidSpec, NotReduced
+from buildinglab.errors import (
+    BoundExceeded,
+    InvalidSpec,
+    NotFound,
+    NotReduced,
+    NotUnique,
+)
 from buildinglab.localfield import finite_field
 
 
@@ -169,13 +176,113 @@ def test_verify_axioms_pg2_3(pg2_3):
     assert report["ok"], report
 
 
+def _pair_problems(cx, c, d):
+    """The B1 check of one pair on its own hull."""
+    try:
+        return cx.check_apartment(cx.apartment_containing(c, d))
+    except (NotFound, NotUnique) as exc:
+        return [("error", str(exc))]
+
+
+def _b1_per_pair(cx):
+    """B1 with one hull per listed pair and no cover: the oracle for the
+    covered route of verify_building_axioms."""
+    if cx.size * cx.size <= chambers.PAIR_BUDGET:
+        pairs = [(c, d) for c in range(cx.size) for d in range(cx.size)]
+        mode = "exhaustive"
+    else:
+        rng = random.Random(chambers.PAIR_SEED)
+        pairs = [(rng.randrange(cx.size), rng.randrange(cx.size))
+                 for _ in range(chambers.PAIR_BUDGET)]
+        mode = "sampled"
+    failures = []
+    for c, d in pairs:
+        bad = _pair_problems(cx, c, d)
+        if bad:
+            failures.append({"pair": [c, d], "problems": bad[:4]})
+            if len(failures) >= 10:
+                break
+    return {"ok": not failures, "pairs_checked": len(pairs), "mode": mode,
+            "failures": failures}
+
+
+def _covered_b1(cx):
+    b1 = dict(verify_building_axioms(cx)["B1_apartments"])
+    return b1.pop("apartments_checked"), b1
+
+
+def _apartment_count(cx):
+    W = cx.coxeter
+    return cx.size * cx.thickness ** W.length[W.longest] // W.order
+
+
+@pytest.mark.parametrize("name", ["pg2_2", "pg2_3", "w2"])
+def test_b1_cover_matches_per_pair_oracle(name, request):
+    cx = request.getfixturevalue(name)
+    hulls, b1 = _covered_b1(cx)
+    assert b1 == _b1_per_pair(cx)
+    assert b1["mode"] == "exhaustive"
+    # an exhaustive cover builds every apartment exactly once
+    assert hulls == _apartment_count(cx)
+
+
 def test_verify_flags_sampled_mode(monkeypatch):
     cx = build_flag_building("Aflags:n=3,q=2")
     monkeypatch.setattr(chambers, "PAIR_BUDGET", 400)
     monkeypatch.setattr(chambers, "PAIR_SEED", 3)
     report = verify_building_axioms(cx)
-    assert report["B1_apartments"]["mode"] == "sampled"
     assert report["ok"], report
+    b1 = dict(report["B1_apartments"])
+    assert b1.pop("apartments_checked") <= _apartment_count(cx) == 840
+    assert b1["mode"] == "sampled"
+    assert b1 == _b1_per_pair(cx)
+
+
+@pytest.mark.parametrize("spec, hulls, apartments", [
+    ("PG2:q=4", 1120, 1120),
+    ("W:q=3", 1584, 1620),
+])
+def test_apartments_checked_within_the_apartment_count(spec, hulls,
+                                                       apartments):
+    cx = build_flag_building(spec)
+    report = verify_building_axioms(cx)
+    assert report["ok"], report
+    assert _apartment_count(cx) == apartments
+    assert report["B1_apartments"]["apartments_checked"] == hulls
+
+
+def test_b1_fails_on_a_complex_missing_a_chamber(pg2_2):
+    broken = ChamberComplex(pg2_2.chambers[1:], pg2_2.coxeter.matrix,
+                            geometry="broken", thickness=2)
+    _, b1 = _covered_b1(broken)
+    assert not b1["ok"]
+    assert not _b1_per_pair(broken)["ok"]
+    assert b1["failures"]
+    for failure in b1["failures"]:
+        assert _pair_problems(broken, *failure["pair"])
+
+
+def test_a_rejected_apartment_lists_its_opposite_pairs(pg2_2, monkeypatch):
+    # two opposite chambers lie in one apartment only, so no other hull
+    # can cover them once this one is rejected
+    rejected = sorted(pg2_2.apartment_containing(0, 16))
+    check = ChamberComplex.check_apartment
+
+    def reject_one(self, hull):
+        if self is pg2_2 and sorted(hull) == rejected:
+            return [("rejected",)]
+        return check(self, hull)
+    monkeypatch.setattr(ChamberComplex, "check_apartment", reject_one)
+    W = pg2_2.coxeter
+    opposite = [[e, f] for e in rejected for f in rejected
+                if pg2_2.w_distance(e, f) == W.longest]
+    assert len(opposite) == 6
+    hulls, b1 = _covered_b1(pg2_2)
+    assert not b1["ok"]
+    listed = [failure["pair"] for failure in b1["failures"]]
+    assert all(pair in listed for pair in opposite)
+    assert all(_pair_problems(pg2_2, *pair) for pair in listed)
+    assert hulls == _apartment_count(pg2_2) - 1 + len(listed)
 
 
 def test_apartments_are_thin_and_isometric(pg2_2):

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from buildinglab import cli, moufang
+from buildinglab import btree, cli, moufang
 from buildinglab.coxeter import CoxeterSystem
+from buildinglab.errors import PrecisionExhausted
 
 
 def run(argv, capsys):
@@ -258,6 +259,17 @@ def test_bt_iwasawa(capsys):
     assert report["results"]["iwasawa"]["verified"] == 40
 
 
+def test_bt_iwasawa_at_the_redraw_cap_names_its_draws(monkeypatch, capsys):
+    def exhausted(field, g):
+        raise PrecisionExhausted("no digits left")
+    monkeypatch.setattr(btree, "iwasawa_decompose", exhausted)
+    code, report, _ = run(
+        ["bt", "iwasawa", "--field", "Q5", "--samples", "10"], capsys)
+    assert code == 1
+    assert report["failures"][0]["witness"] == {
+        "samples": 10, "verified": 0, "exhausted": 60}
+
+
 def test_bt_boundary(capsys):
     code, report, _ = run(
         ["bt", "boundary", "--field", "Q2", "--depth", "3"], capsys)
@@ -339,13 +351,14 @@ def _report_under_hash_seed(argv, hash_seed):
 @pytest.mark.parametrize("argv", [
     ["all", "--profile", "quick"],
     ["building", "verify", "--geometry", "PG2:q=3"],
+    ["building", "verify", "--geometry", "W:q=3"],
     ["moufang", "check", "--geometry", "W:q=2", "--mu", "--commutators"],
     ["moufang", "check", "--geometry", "PG2:q=4"],
     ["building", "coords", "--geometry", "W:q=2"],
     ["building", "cells", "--geometry", "Aflags:n=3,q=2"],
     ["bt", "boundary", "--field", "Laurent:q=4,prec=8", "--depth", "3"],
-], ids=["all-quick", "verify-PG2-3", "moufang-W-2", "moufang-PG2-4",
-        "coords-W-2",
+], ids=["all-quick", "verify-PG2-3", "verify-W-3", "moufang-W-2",
+        "moufang-PG2-4", "coords-W-2",
         "cells-Aflags-3-2", "boundary-Laurent-4"])
 def test_report_independent_of_hash_seed(argv):
     assert (_report_under_hash_seed(argv, "0")
