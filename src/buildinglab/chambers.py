@@ -590,7 +590,7 @@ def verify_building_axioms(cx: ChamberComplex) -> dict:
     covered = [bytearray(cx.size) for _ in range(cx.size)]
     b1_failures = []
     hulls = 0
-    for c, d in pairs:
+    for walked, (c, d) in enumerate(pairs, 1):
         if covered[c][d]:
             continue
         hulls += 1
@@ -609,7 +609,7 @@ def verify_building_axioms(cx: ChamberComplex) -> dict:
                 covered[e][f] = 1
     report["B1_apartments"] = {
         "ok": not b1_failures,
-        "pairs_checked": len(pairs),
+        "pairs_checked": walked,
         "mode": mode,
         "apartments_checked": hulls,
         "failures": b1_failures,

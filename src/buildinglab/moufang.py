@@ -17,15 +17,15 @@ automorphisms): the identity constraints on the interior stars seed it,
 each assignment filters the images left to every other chamber, and by
 rigidity the search branches once, over the q images of one chamber, and
 otherwise only propagates.  The Moufang property is then checked head on:
-one simple-path search on the graph enumerates the roots (the n-edge
-paths) and closes each root into the apartments containing it (a second
-n-edge path back to its start), and each root group must permute those
-simply transitively, with order equal to the panel parameter q.  Only the
-2n base root groups are searched for that; every other root group is a
-conjugate g^-1 U_i g, g the product of the base root elements on the path
-to its interior in a breadth-first walk from the base interiors, checked
-element by element, and a seeded few are searched again as the
-independent route.
+one simple-path walk on the graph lists the roots (the n-edge paths) and
+files each under its two ends; the apartments containing a root are its
+union with each other root between the same ends that misses its
+interior, and each root group must permute those simply transitively,
+with order equal to the panel parameter q.  Only the 2n base root groups
+are searched for that; every other root group is a conjugate g^-1 U_i g,
+g the product of the base root elements on the path to its interior in a
+breadth-first walk from the base interiors, checked element by element,
+and a seeded few are searched again as the independent route.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
@@ -227,6 +227,8 @@ class MoufangFrame:
         self.circuit_index = {pid: k for k, pid in enumerate(self.circuit)}
         self.apartment = frozenset(hull)
         self._root_cache: dict[tuple, list[Perm]] = {}
+        self._roots: Optional[list[tuple[PanelId, ...]]] = None
+        self._roots_by_ends: dict[tuple, list[tuple[PanelId, ...]]] = {}
 
     def _circuit_labels(self, hull: Sequence[int]):
         """Walk the thin hull as a circuit; returns (vertices, edge chambers)
@@ -280,45 +282,46 @@ class MoufangFrame:
             self._root_cache[interior] = cached
         return cached
 
-    def root_group_of_path(self, path: Sequence[PanelId]) -> list[Perm]:
-        return self._root_group(self.interior(path))
-
     def root_group(self, i: int) -> list[Perm]:
-        return self.root_group_of_path(self.root_path(i))
+        return self._root_group(self.interior(self.root_path(i)))
 
     # roots of the whole building -------------------------------------------
 
-    def _paths(self, start: PanelId, edges: int,
-               avoid: frozenset = frozenset()) -> Iterator[tuple]:
-        """Simple paths of the given number of edges from start that miss
-        the avoided panels."""
-        stack = [(start,)]
-        while stack:
-            path = stack.pop()
-            if len(path) == edges + 1:
-                yield path
-                continue
-            for nxt in self.graph[path[-1]]:
-                if nxt not in path and nxt not in avoid:
-                    stack.append(path + (nxt,))
-
     def all_roots(self) -> list[tuple[PanelId, ...]]:
         """All n-edge paths in the incidence graph, up to reversal; these
-        are exactly the roots (half-apartments) of the polygon."""
-        return sorted({min(path, path[::-1]) for start in self.graph
-                       for path in self._paths(start, self.n)})
+        are exactly the roots (half-apartments) of the polygon.  One walk
+        per frame lists them, each filed under its ends (first < last)."""
+        if self._roots is None:
+            found = set()
+            for start in self.graph:
+                stack = [(start,)]
+                while stack:
+                    path = stack.pop()
+                    if len(path) == self.n + 1:
+                        found.add(min(path, path[::-1]))
+                        continue
+                    for nxt in self.graph[path[-1]]:
+                        if nxt not in path:
+                            stack.append(path + (nxt,))
+            self._roots = sorted(found)
+            for path in self._roots:
+                self._roots_by_ends.setdefault(
+                    (path[0], path[-1]), []).append(path)
+        return self._roots
 
     def apartments_containing(self,
                               path: Sequence[PanelId]) -> list[frozenset]:
         """Apartments (as chamber sets) whose circuit contains the root
-        path, found by closing it with a second n-edge path."""
-        out = []
-        for back in self._paths(path[-1], self.n, frozenset(path[1:-1])):
-            if back[-1] == path[0]:
-                circuit = tuple(path) + back[1:]
-                out.append(frozenset(self.graph[a][b] for a, b
-                                     in zip(circuit, circuit[1:])))
-        return sorted(out, key=sorted)
+        path: its union with each root between the same ends that misses
+        its interior (each closes it to a 2n-circuit; the path itself meets
+        its own interior and is left out)."""
+        self.all_roots()
+        ends = min((path[0], path[-1]), (path[-1], path[0]))
+        inner = set(path[1:-1])
+        return sorted((frozenset(self.graph[a][b] for p in (path, other)
+                                 for a, b in zip(p, p[1:]))
+                       for other in self._roots_by_ends.get(ends, ())
+                       if inner.isdisjoint(other[1:-1])), key=sorted)
 
     # the Moufang condition --------------------------------------------------
 
@@ -458,9 +461,6 @@ class MoufangFrame:
 
     # the apartment action ---------------------------------------------------
 
-    def maps_apartment_to_itself(self, g: Perm) -> bool:
-        return frozenset(g[c] for c in self.apartment) == self.apartment
-
     def induced_vertex_map(self, g: Perm) -> Optional[list[int]]:
         """Labels of the images of the circuit vertices, or None if the
         image leaves the circuit."""
@@ -476,7 +476,7 @@ class MoufangFrame:
 
     def is_reflection_through(self, g: Perm, i: int) -> bool:
         """Does g act on the circuit as the reflection fixing i and i+n."""
-        if not self.maps_apartment_to_itself(g):
+        if frozenset(g[c] for c in self.apartment) != self.apartment:
             return False
         vm = self.induced_vertex_map(g)
         if vm is None:

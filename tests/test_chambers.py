@@ -196,13 +196,13 @@ def _b1_per_pair(cx):
                  for _ in range(chambers.PAIR_BUDGET)]
         mode = "sampled"
     failures = []
-    for c, d in pairs:
+    for walked, (c, d) in enumerate(pairs, 1):
         bad = _pair_problems(cx, c, d)
         if bad:
             failures.append({"pair": [c, d], "problems": bad[:4]})
             if len(failures) >= 10:
                 break
-    return {"ok": not failures, "pairs_checked": len(pairs), "mode": mode,
+    return {"ok": not failures, "pairs_checked": walked, "mode": mode,
             "failures": failures}
 
 
@@ -255,11 +255,18 @@ def test_b1_fails_on_a_complex_missing_a_chamber(pg2_2):
     broken = ChamberComplex(pg2_2.chambers[1:], pg2_2.coxeter.matrix,
                             geometry="broken", thickness=2)
     _, b1 = _covered_b1(broken)
+    per_pair = _b1_per_pair(broken)
     assert not b1["ok"]
-    assert not _b1_per_pair(broken)["ok"]
+    assert not per_pair["ok"]
     assert b1["failures"]
     for failure in b1["failures"]:
         assert _pair_problems(broken, *failure["pair"])
+    # both walks stop at their tenth failure and count only the pairs met
+    listed = [[c, d] for c in range(broken.size) for d in range(broken.size)]
+    for report in (b1, per_pair):
+        assert len(report["failures"]) == 10
+        tenth = listed.index(report["failures"][-1]["pair"])
+        assert report["pairs_checked"] == tenth + 1 < 400
 
 
 def test_a_rejected_apartment_lists_its_opposite_pairs(pg2_2, monkeypatch):

@@ -307,6 +307,67 @@ def test_completed_apartments_are_hulls(frame_name, request):
             assert frozenset(cx.apartment_hull(c, d)) == apartment
 
 
+# The apartment search as it stood before the ends lookup, kept as the
+# oracle for apartments_containing: close the root with a second n-edge
+# path from its end back to its start that misses its interior.
+def _reference_paths(frame, start, edges, avoid=frozenset()):
+    """Simple paths of the given number of edges from start that miss
+    the avoided panels."""
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        if len(path) == edges + 1:
+            yield path
+            continue
+        for nxt in frame.graph[path[-1]]:
+            if nxt not in path and nxt not in avoid:
+                stack.append(path + (nxt,))
+
+
+def _reference_apartments(frame, path):
+    """Apartments (as chamber sets) whose circuit contains the root
+    path, found by closing it with a second n-edge path."""
+    out = []
+    for back in _reference_paths(frame, path[-1], frame.n,
+                                 frozenset(path[1:-1])):
+        if back[-1] == path[0]:
+            circuit = tuple(path) + back[1:]
+            out.append(frozenset(frame.graph[a][b] for a, b
+                                 in zip(circuit, circuit[1:])))
+    return sorted(out, key=sorted)
+
+
+def _assert_apartments_match_reference(frame, roots):
+    for path in roots:
+        for oriented in (path, path[::-1]):
+            assert (frame.apartments_containing(oriented)
+                    == _reference_apartments(frame, oriented))
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "W:q=2"])
+def test_apartments_match_reference_on_every_root(spec):
+    frame = MoufangFrame(build_flag_building(spec))
+    _assert_apartments_match_reference(frame, frame.all_roots())
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=4", "W:q=3"])
+def test_apartments_match_reference_on_sampled_roots(spec):
+    frame = MoufangFrame(build_flag_building(spec))
+    roots = random.Random(7).sample(frame.all_roots(), 40)
+    _assert_apartments_match_reference(frame, roots)
+
+
+def test_transitivity_fails_on_a_root_missing_from_the_list():
+    # the roots sharing the dropped root's ends each lose one apartment
+    frame = MoufangFrame(build_flag_building("PG2:q=3"))
+    frame.all_roots()
+    dropped = frame._roots.pop(100)
+    frame._roots_by_ends[(dropped[0], dropped[-1])].remove(dropped)
+    report = frame.transitivity_check()
+    assert not report["ok"]
+    assert frame.q - 1 in report["apartments_per_root"]
+
+
 def test_girth_violation_is_not_found(pg2_2, monkeypatch):
     # every chamber reports the same two panels: a 2-cycle in the graph
     monkeypatch.setattr(pg2_2, "panel_id", lambda i, c: (i, 0))
