@@ -521,9 +521,8 @@ def _elementary_steps(field: Field, depth: int) -> list[LocalElement]:
     residue field times pi^j in characteristic p."""
     if field.char == 0:
         return [field.one]
-    return [field.mul(field.residue_lift(field.p ** i),
-                      field.uniformizer_power(j))
-            for j in range(depth) for i in range(field.residue_field.degree)]
+    return [field.mul(field.residue_lift(b), field.uniformizer_power(j))
+            for j in range(depth) for b in field.residue_field.basis()]
 
 
 def boundary_transitivity_check(field: Field, depth: int) -> dict:

@@ -81,11 +81,15 @@ def _check(checks: list, cid: str, ok: bool, witness=None) -> bool:
     return bool(ok)
 
 
-def _iwasawa_witness(report: dict):
-    """The failed decompositions, or the draw counts of a run that stopped
-    at the redraw cap with none failed."""
-    return report["failures"] or {
-        key: report[key] for key in ("samples", "verified", "exhausted")}
+_IWASAWA_DRAWS = ("samples", "verified", "exhausted")
+
+
+def _sampled_witness(report: dict, counts: tuple, failures):
+    """The `failures` witness when a sampled run failed somewhere, else the
+    draw `counts` of a run that stopped at its redraw cap with none
+    failed."""
+    return failures if report["failures"] else {
+        key: report[key] for key in counts}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,8 @@ def cmd_projline(args):
         "failures": report["failures"],
     }
     _check(checks, "recovered_operations_match", report["ok"],
-           {"failures": report["failures"]})
+           _sampled_witness(report, ("pairs_compared", "skipped"),
+                            {"failures": report["failures"]}))
     return results, checks
 
 
@@ -320,7 +325,7 @@ def cmd_bt(args):
         report = iwasawa_report(field, args.samples, args.seed)
         results = {"iwasawa": report}
         _check(checks, "iwasawa_decompositions", report["ok"],
-               _iwasawa_witness(report))
+               _sampled_witness(report, _IWASAWA_DRAWS, report["failures"]))
         return results, checks
     report = boundary_transitivity_check(field, args.depth)
     results = {"boundary": report}
@@ -383,7 +388,8 @@ def run_all(profile: str, seed: int):
     q5 = parse_field_spec("Qp:p=5,prec=8")
     iwasawa = iwasawa_report(q5, samples, seed)
     results["iwasawa"] = iwasawa
-    _check(checks, "iwasawa:Q5", iwasawa["ok"], _iwasawa_witness(iwasawa))
+    _check(checks, "iwasawa:Q5", iwasawa["ok"], _sampled_witness(
+        iwasawa, _IWASAWA_DRAWS, iwasawa["failures"]))
 
     boundary = {}
     for p in (2, 3, 5):

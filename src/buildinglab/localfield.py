@@ -3,14 +3,22 @@
 Three models share one interface: the finite field F_q (q = p^m, polynomial
 basis over F_p modulo the lexicographically least monic irreducible), the
 field Q_p of p-adic numbers truncated at a fixed relative precision, and the
-Laurent-series field F_q((t)) truncated the same way.  F_q works on integer
-codes through addition, negation, multiplication and inversion tables built
-once from coefficient-wise polynomial arithmetic.  The two local models
-carry a discrete valuation v with v(0) treated as infinity, a residue map on
-integral elements, its exact section `residue_lift` on residue codes, a
-uniformizer (p, respectively t), and exact canonical representatives
-modulo pi^k (`mod_pi_power`), so callers never pick a representation by
-the kind of field.
+Laurent-series field F_q((t)) truncated the same way.  One private base,
+`_FieldBase`, derives `sub`, `div` and `pow` from each model's own `add`,
+`neg`, `mul` and `inv`.
+
+F_q works on integer codes through addition, negation, multiplication and
+inversion tables built once from coefficient-wise polynomial arithmetic.
+One digit routine (`_digits`) reads codes and p-adic windows in base p, one
+remainder (`_poly_rem`) reduces polynomials over F_p both in those products
+and in the search for the modulus, and `FiniteField.basis()` names the
+F_p-basis, so no caller builds a code itself.
+
+The two local models carry a discrete valuation v with v(0) treated as
+infinity, a residue map on integral elements, its exact section
+`residue_lift` on residue codes, a uniformizer (p, respectively t), and
+exact canonical representatives modulo pi^k (`mod_pi_power`), so callers
+never pick a representation by the kind of field.
 
 Precision model.  A nonzero element is (valuation, mantissa, digits, exact).
 Literals and other finite-support constructions are exact.  The rule for a
@@ -49,6 +57,15 @@ from .errors import (
 INFINITY = float("inf")
 
 
+def _val_int(n: int, p: int) -> int:
+    """Exponent of p in a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def _factor_prime_power(q: int) -> tuple[int, int]:
     """q = p^m with p prime, else InvalidSpec."""
     if q < 2:
@@ -60,38 +77,71 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         p += 1
     else:
         return q, 1
-    m = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:
+    m = _val_int(q, p)
+    if q != p ** m:
         raise InvalidSpec(f"{q} is not a prime power")
     return p, m
 
 
-def _val_int(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _digits(n: int, p: int, width: int) -> list[int]:
+    """The `width` lowest base-p digits of n, least significant first (the
+    digits of n mod p^width, also for negative n)."""
+    out = []
+    for _ in range(width):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
+def _poly_rem(coeffs: Sequence[int], monic: Sequence[int],
+              p: int) -> list[int]:
+    """Remainder of the polynomial `coeffs` over F_p (entries in 0..p-1,
+    constant term first) modulo the `monic` polynomial: its deg(monic) low
+    coefficients."""
+    rem = list(coeffs)
+    d = len(monic) - 1
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        if c:
+            for j in range(d):
+                rem[k - d + j] = (rem[k - d + j] - c * monic[j]) % p
+    return rem[:d]
+
+
+class _FieldBase:
+    """The operations every model derives from its own `one`, `add`,
+    `neg`, `mul` and `inv`."""
+
+    local = False
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def pow(self, a, n: int):
+        if n < 0:
+            return self.pow(self.inv(a), -n)
+        r = self.one
+        for _ in range(n):
+            r = self.mul(r, a)
+        return r
 
 
 # ---------------------------------------------------------------------------
 # finite fields
 
 
-class FiniteField:
+class FiniteField(_FieldBase):
     """F_q with elements encoded as integers 0..q-1 (base-p coefficient
-    vectors in the polynomial basis).  All operations are table-driven and
-    exact: `add`, `neg`, `mul`, `inv` and `pow` are lookups in tables built
-    once by coefficient-wise arithmetic (`_decode`, `_encode`, `_poly_mul`),
-    which stays available as the reference the tables are tested against."""
+    vectors in the polynomial basis).  `add`, `neg`, `mul` and `inv` are
+    lookups in tables built once by coefficient-wise arithmetic (`_decode`,
+    `_encode`, `_poly_mul`), which stays available as the reference the
+    tables are tested against; `sub`, `div` and `pow` come from the base.
+    `basis()` is the F_p-basis 1, w, ..., w^(m-1) behind the codes."""
 
     kind = "finite"
-    local = False
     prec: Optional[int] = None
 
     def __init__(self, q: int):
@@ -103,7 +153,7 @@ class FiniteField:
         self.residue_q = q
         self.zero = 0
         self.one = 1
-        self.modulus = _least_irreducible(p, m) if m > 1 else None
+        self.modulus = _least_irreducible(p, m)
         coeffs = [self._decode(a) for a in range(q)]
         self._add = [[self._encode([x + y for x, y in zip(ca, cb)])
                       for cb in coeffs] for ca in coeffs]
@@ -119,12 +169,7 @@ class FiniteField:
         self._frob_inv = [self._frob.index(a) for a in range(q)]
 
     def _decode(self, code: int) -> list[int]:
-        p = self.p
-        coeffs = []
-        for _ in range(self.degree):
-            coeffs.append(code % p)
-            code //= p
-        return coeffs
+        return _digits(code, self.p, self.degree)
 
     def _encode(self, coeffs: Sequence[int]) -> int:
         code = 0
@@ -140,15 +185,7 @@ class FiniteField:
             if x:
                 for j, y in enumerate(cb):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        mod = self.modulus
-        for k in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(self.degree):
-                    prod[k - self.degree + j] = (
-                        prod[k - self.degree + j] - c * mod[j]) % p
-        return self._encode(prod[:self.degree])
+        return self._encode(_poly_rem(prod, self.modulus, p))
 
     # -- interface shared with the local models --------------------------
 
@@ -164,9 +201,6 @@ class FiniteField:
     def neg(self, a: int) -> int:
         return self._neg[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -174,18 +208,6 @@ class FiniteField:
         if a == 0:
             raise DivisionByZero("inverse of 0 in F_q")
         return self._inv[a]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        row = self._mul[a]
-        r = 1
-        for _ in range(n):
-            r = row[r]
-        return r
 
     def valuation(self, a: int):
         return INFINITY if a == 0 else 0
@@ -209,6 +231,11 @@ class FiniteField:
     def generator(self) -> int:
         """Class of the polynomial variable (only meaningful for q > p)."""
         return self.p if self.degree > 1 else 1
+
+    def basis(self) -> list[int]:
+        """The F_p-basis 1, w, ..., w^(m-1) of F_q."""
+        w = self.generator()
+        return [self.pow(w, k) for k in range(self.degree)]
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.q))
@@ -247,42 +274,16 @@ def finite_field(q: int) -> FiniteField:
 @lru_cache(maxsize=None)
 def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree m over F_p,
-    as a coefficient tuple (c0, ..., c_{m-1}, 1).  Deterministic, so the
-    polynomial model of F_q never depends on run order."""
-
-    def poly_mod(num: list[int], den: list[int]) -> list[int]:
-        num = num[:]
-        dn = len(den) - 1
-        inv_lead = pow(den[-1], -1, p)
-        for k in range(len(num) - 1, dn - 1, -1):
-            c = (num[k] * inv_lead) % p
-            if c:
-                for j in range(dn + 1):
-                    num[k - dn + j] = (num[k - dn + j] - c * den[j]) % p
-        while len(num) > 1 and num[-1] == 0:
-            num.pop()
-        return num
+    as a coefficient tuple (c0, ..., c_{m-1}, 1), found by trial division
+    by every monic of degree at most m/2 (x for m = 1).  Deterministic, so
+    the polynomial model of F_q never depends on run order."""
 
     def all_monic(deg: int):
-        for code in range(p ** deg):
-            coeffs = []
-            c = code
-            for _ in range(deg):
-                coeffs.append(c % p)
-                c //= p
-            yield coeffs + [1]
+        return (_digits(code, p, deg) + [1] for code in range(p ** deg))
 
     for cand in all_monic(m):
-        ok = True
-        for d in range(1, m // 2 + 1):
-            for div in all_monic(d):
-                rem = poly_mod(cand, div)
-                if rem == [0]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(any(_poly_rem(cand, div, p))
+               for d in range(1, m // 2 + 1) for div in all_monic(d)):
             return tuple(cand)
     raise InvalidSpec(f"no irreducible of degree {m} over F_{p}")  # unreachable
 
@@ -305,12 +306,13 @@ ZERO = LocalElement(0, None, 0, True)  # unique exact zero, valuation infinity
 Element = Union[int, LocalElement]
 
 
-class _LocalBase:
+class _LocalBase(_FieldBase):
     """Shared plumbing for the two truncated local models.
 
     A model supplies the representation: `one`, `_make` (the precision
     rule on a raw window, see the module docstring), the ring operations
-    `add`, `neg`, `mul`, `inv`, and four mantissa hooks used below:
+    `add`, `neg`, `mul`, `inv` (from which the base derives `sub`, `div`
+    and `pow`), and four mantissa hooks used below:
     `_low_digits(mant, width)` (the digits below relative position width),
     `_lead_code(mant)` (residue code of the leading digit),
     `_random_unit(rng)` and `_nonzero_json(a)`.
@@ -322,12 +324,6 @@ class _LocalBase:
 
     def is_zero(self, a: LocalElement) -> bool:
         return a.mant is None
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def valuation(self, a: LocalElement):
         return INFINITY if a.mant is None else a.v
@@ -343,14 +339,6 @@ class _LocalBase:
             return self.is_zero(self.sub(a, b))
         except PrecisionExhausted:
             return True
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        r = self.one
-        for _ in range(n):
-            r = self.mul(r, a)
-        return r
 
     def uniformizer_power(self, k: int) -> LocalElement:
         return self.one._replace(v=k)
@@ -541,10 +529,6 @@ class PadicField(_LocalBase):
         raise FrobeniusNotInvertible(
             "characteristic 0: p-th roots are not generally available")
 
-    def _digit_list(self, a: LocalElement) -> list[int]:
-        mant = a.mant % self.p ** a.digits
-        return [(mant // self.p ** i) % self.p for i in range(a.digits)]
-
     def format_element(self, a: LocalElement) -> str:
         if a.mant is None:
             return "0"
@@ -552,12 +536,13 @@ class PadicField(_LocalBase):
             if a.v == 0:
                 return str(a.mant)
             return f"{a.mant}*{self.p}^{a.v}"
-        digits = ",".join(map(str, self._digit_list(a)))
+        digits = ",".join(map(str, _digits(a.mant, self.p, a.digits)))
         return f"{self.p}^{a.v}*[{digits}] + O({self.p}^{a.v + a.digits})"
 
     def _nonzero_json(self, a: LocalElement):
         return {"valuation": a.v,
-                "digits": self._digit_list(a) if not a.exact else None,
+                "digits": (None if a.exact
+                           else _digits(a.mant, self.p, a.digits)),
                 "mantissa": a.mant if a.exact else None,
                 "exact": a.exact}
 

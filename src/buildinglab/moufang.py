@@ -526,7 +526,7 @@ def _additive_isos(field: FiniteField, group: Sequence[Perm],
     An iso is determined by independent images of the basis 1, w, ...,
     w^(m-1) of F_q over F_p; the table is filled by adding basis elements."""
     q, p, m = field.q, field.p, field.degree
-    basis = [field.pow(field.generator(), k) for k in range(m)]
+    basis = field.basis()
     nontrivial = [g for g in group if g != ident]
     for gens in itertools.permutations(nontrivial, m):
         table = {field.zero: ident}

@@ -27,6 +27,7 @@ product keeps the two routes honest against each other.
 
 from __future__ import annotations
 
+import random
 from typing import Iterable
 
 from .errors import InvalidSpec, PrecisionExhausted
@@ -153,10 +154,6 @@ def recover_multiplication(field: Field, x, y):
 
 # -- sampling and agreement reports ------------------------------------------
 
-def sample_point(field: Field, rng):
-    return field.random_element(rng, nonzero=False)
-
-
 def recovery_check(field: Field, pairs: int, seed: int) -> dict:
     """Compare the triple product and the recovered binary product against
     native multiplication on `pairs` sampled finite pairs, forcing the
@@ -164,23 +161,21 @@ def recovery_check(field: Field, pairs: int, seed: int) -> dict:
     which the truncated model runs out of digits is recorded as skipped,
     never as agreement.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     compared = skipped = 0
     failures = []
     drawn = 0
     max_draw = 3 * pairs + 30
     while compared < pairs and drawn < max_draw:
         drawn += 1
-        x = sample_point(field, rng)
+        x = field.random_element(rng, nonzero=False)
         mode = drawn % 10
         if mode == 7:
             y = field.zero                       # forces x*y = 0
         elif mode == 3 and not field.is_zero(x):
             y = field.neg(field.inv(x))          # forces x*y = -1
         else:
-            y = sample_point(field, rng)
+            y = field.random_element(rng, nonzero=False)
         try:
             hua = hua_triple_product(field, x, y)
             native_triple = field.mul(field.mul(x, y), x)

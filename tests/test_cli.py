@@ -109,6 +109,21 @@ def test_projline_recover(capsys):
     assert report["seed"] == 7
 
 
+def test_projline_recover_at_the_redraw_cap_names_its_draws(capsys):
+    # one p-adic digit: most sampled pairs cancel every known digit
+    code, report, _ = run(
+        ["projline", "recover", "--field", "Qp:p=2,prec=1", "--samples",
+         "50"], capsys)
+    assert code == 1
+    recovery = report["results"]["recovery"]
+    assert recovery["pairs_compared"] < 50
+    assert recovery["skipped"] > 0
+    assert recovery["failures"] == []
+    assert report["failures"][0]["witness"] == {
+        "pairs_compared": recovery["pairs_compared"],
+        "skipped": recovery["skipped"]}
+
+
 def test_building_verify_reports_three_axioms(capsys):
     code, report, _ = run(
         ["building", "verify", "--geometry", "PG2:q=2"], capsys)
@@ -357,9 +372,12 @@ def _report_under_hash_seed(argv, hash_seed):
     ["building", "coords", "--geometry", "W:q=2"],
     ["building", "cells", "--geometry", "Aflags:n=3,q=2"],
     ["bt", "boundary", "--field", "Laurent:q=4,prec=8", "--depth", "3"],
+    ["field", "eval", "--field", "Laurent:q=9,prec=5", "--expr", "t^-2+3*t"],
+    ["projline", "recover", "--field", "F8", "--samples", "200"],
 ], ids=["all-quick", "verify-PG2-3", "verify-W-3", "moufang-W-2",
         "moufang-PG2-4", "coords-W-2",
-        "cells-Aflags-3-2", "boundary-Laurent-4"])
+        "cells-Aflags-3-2", "boundary-Laurent-4", "eval-Laurent-9",
+        "recover-F8"])
 def test_report_independent_of_hash_seed(argv):
     assert (_report_under_hash_seed(argv, "0")
             == _report_under_hash_seed(argv, "1"))

@@ -92,6 +92,30 @@ def test_tables_match_coefficient_arithmetic(q):
                 assert F.mul(F.div(a, b), b) == a
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81])
+def test_larger_finite_fields_are_fields(q):
+    """Inverses, x^q = x, a generator of the multiplicative group, and an
+    F_p-basis: a reducible modulus breaks the first three, a wrong basis
+    the last."""
+    F = finite_field(q)
+    for a in F.elements():
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
+        assert F.pow(a, q) == a
+    orders = set()
+    for a in range(1, q):
+        x, n = a, 1
+        while x != 1:
+            x, n = F.mul(x, a), n + 1
+        orders.add(n)
+    assert q - 1 in orders
+    combos = {0}
+    for b in F.basis():
+        combos = {F.add(c, F.mul(F.from_integer(k), b))
+                  for c in combos for k in range(F.p)}
+    assert len(combos) == q
+
+
 def test_not_prime_power():
     with pytest.raises(InvalidSpec):
         finite_field(6)
