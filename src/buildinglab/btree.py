@@ -137,11 +137,8 @@ def hnf_lattice(field: Field, cols: Sequence[Sequence[LocalElement]]
     for k, (x, y) in enumerate(cols):
         if k == pi:
             continue
-        if field.is_zero(y):
-            t = field.mul(x, inv_py)
-        else:
-            t = field.sub(field.mul(x, inv_py),
-                          field.mul(field.mul(y, inv_py), top_piece))
+        t = field.sub(field.mul(x, inv_py),
+                      field.mul(field.mul(y, inv_py), top_piece))
         if not field.is_zero(t):
             tops.append(t)
     if not tops:
@@ -202,8 +199,7 @@ class TreeBall:
     def report(self) -> dict:
         q = self.q
         n = len(self.vertices)
-        expected = 1 if self.radius == 0 else (
-            1 + (q + 1) * (q ** self.radius - 1) // (q - 1))
+        expected = 1 + (q + 1) * (q ** self.radius - 1) // (q - 1)
         shells = self.counts_by_distance()
         expected_shells = [1] + [(q + 1) * q ** (d - 1)
                                  for d in range(1, self.radius + 1)]
@@ -225,7 +221,7 @@ class TreeBall:
             "acyclic_connected": len(self.edges) == n - 1,
             "counts_by_distance": shells,
             "expected_by_distance": expected_shells,
-            "base_degree": deg[0] if self.radius > 0 else 0,
+            "base_degree": deg[0],
             "interior_degrees_ok": interior_ok,
             "distance_oracle_ok": oracle_ok,
             "ok": ok,
@@ -252,12 +248,8 @@ def build_tree_ball(field: Field, radius: int) -> TreeBall:
 
 def normalize_end(field: Field, x: LocalElement, y: LocalElement
                   ) -> BoundaryPoint:
-    if field.is_zero(y):
-        if field.is_zero(x):
-            raise InvalidSpec("(0 : 0) is not a projective point")
-        return BoundaryPoint(field.one, ZERO)
-    if field.is_zero(x):
-        return BoundaryPoint(ZERO, field.one)
+    if field.is_zero(x) and field.is_zero(y):
+        raise InvalidSpec("(0 : 0) is not a projective point")
     if field.valuation(y) <= field.valuation(x):
         return BoundaryPoint(field.div(x, y), field.one)
     return BoundaryPoint(field.one, field.div(y, x))

@@ -335,11 +335,13 @@ def test_big_cell_and_opposition(pg2_2):
                 assert back == e
 
 
-def test_coordinates_roundtrip_all_words(pg2_2):
-    W = pg2_2.coxeter
+@pytest.mark.parametrize("spec", ["PG2:q=2", "W:q=2", "Aflags:n=3,q=2"])
+def test_coordinates_roundtrip_all_words(spec):
+    cx = build_flag_building(spec)
+    W = cx.coxeter
     for w in range(W.order):
         for direction in W.reduced_words(w):
-            coords = pg2_2.schubert_coordinates(0, w, direction)
+            coords = cx.schubert_coordinates(0, w, direction)
             result = coords.verify()
             assert result["bijective"], (w, direction, result)
             assert result["cell_size"] == 2 ** W.length[w]
@@ -378,3 +380,35 @@ def test_identity_cell_coordinates(pg2_2):
     assert coords.decode(()) == 5
     assert coords.encode(5) == ()
     assert coords.verify()["bijective"]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_coordinates_verify_flags_a_moved_anchor(pg2_2, level):
+    # puncturing a level panel at the wrong chamber breaks the round trip
+    coords = pg2_2.schubert_coordinates(0, pg2_2.coxeter.longest)
+    i, j, d = coords.levels[level]
+    moved = min(e for e in pg2_2.panel_members(pg2_2.panel_id(j, d))
+                if e != d)
+    coords.levels[level] = (i, j, moved)
+    result = coords.verify()
+    assert not result["bijective"]
+    assert result["domain_size"] < result["cell_size"]
+
+
+def test_coordinates_verify_flags_swapped_encoding(pg2_2):
+    coords = pg2_2.schubert_coordinates(0, pg2_2.coxeter.longest)
+    encode = coords.encode
+
+    def swapped(c):
+        x = encode(c)
+        return (x[1], x[0]) + x[2:]
+
+    coords.encode = swapped
+    assert not coords.verify()["bijective"]
+
+
+def test_decode_rejects_wrong_arity(pg2_2):
+    W = pg2_2.coxeter
+    for w, bad in ((0, (1,)), (W.longest, (1, 2))):
+        with pytest.raises(InvalidSpec):
+            pg2_2.schubert_coordinates(0, w).decode(bad)
