@@ -29,7 +29,12 @@ surfaces.  Apartments are produced constructively: extend d to a chamber
 opposite c by length-increasing panel steps, then collect the convex hull
 {e : delta(c,e) * delta(e,d') = w0 with lengths adding}, and check it is
 thin and W-isometric.  Projections to panels are gates: the unique chamber
-of the panel at minimal gallery distance.
+of the panel at minimal gallery distance.  Gallery distance is symmetric, so
+the gate of c on a panel P reads either c's BFS table or the tables of P's
+q + 1 members.  projection reads c's side; the Schubert coordinates read
+the side that stays fixed (c0's table, or a fixed anchor panel's), so
+checking every cell builds one table per anchor-panel member plus c0's,
+not one per chamber.
 
 Cells: C_w(c0) = {d : delta(c0, d) = w} partitions the chambers, with
 |C_w| = q^{l(w)} in the equal-parameter cases here.  Coordinates on a cell
@@ -200,41 +205,49 @@ class ChamberComplex:
         W = self.coxeter
         right = W.right
         length = W.length
+        types = [(i, self.panels[i], self.panel_of[i])
+                 for i in range(self.rank)]
         dist = [-1] * self.size
         delta = [-1] * self.size
         violations = []
         dist[c] = 0
         delta[c] = 0
         frontier = [c]
+        here = 0          # the frontier's distance from c
         while frontier:
             nxt = []
+            up = here + 1
             for d in frontier:
                 wd = delta[d]
-                for i in range(self.rank):
-                    ws = right[wd][i]
-                    for e in self.copanel_members(i, d):
+                right_d = right[wd]
+                longer = length[wd] + 1
+                for i, plist, pof in types:
+                    ws = right_d[i]
+                    for e in plist[pof[d]]:
                         if e == d:
                             continue
-                        if dist[e] == -1:
-                            dist[e] = dist[d] + 1
-                            if length[ws] != length[wd] + 1:
+                        de = dist[e]
+                        if de == -1:
+                            dist[e] = up
+                            if length[ws] != longer:
                                 violations.append(
                                     ("length-drop", c, d, e, i))
                             delta[e] = ws
                             nxt.append(e)
-                        elif dist[e] == dist[d] + 1:
+                        elif de == up:
                             if delta[e] != ws:
                                 violations.append(
                                     ("gallery-conflict", c, d, e, i))
-                        elif dist[e] == dist[d]:
-                            if delta[e] != delta[d]:
+                        elif de == here:
+                            if delta[e] != wd:
                                 violations.append(
                                     ("plateau-conflict", c, d, e, i))
-                        else:  # dist[e] == dist[d] - 1, e is the gate side
+                        else:  # de == here - 1, e is the gate side
                             if right[delta[e]][i] != wd:
                                 violations.append(
                                     ("gate-conflict", c, d, e, i))
             frontier = nxt
+            here = up
         for d in range(self.size):
             if dist[d] == -1:
                 violations.append(("disconnected", c, d, None, None))
@@ -254,10 +267,21 @@ class ChamberComplex:
 
     def projection(self, panel: PanelId, c: int) -> int:
         """The gate: unique chamber of the panel nearest to c."""
-        dist = self._delta_from(c)[0]
+        return self._gate(panel, c)
+
+    def _gate(self, panel: PanelId, c: int, from_panel: bool = False) -> int:
+        """The gate of c on the panel.  Gallery distance is symmetric, so
+        the distances are read from c's table or, with from_panel, from the
+        members' own tables: a fixed panel then answers every c from its
+        q + 1 cached tables."""
         members = self.panel_members(panel)
-        best = min(dist[e] for e in members)
-        gates = [e for e in members if dist[e] == best]
+        if from_panel:
+            dists = [self._delta_from(e)[0][c] for e in members]
+        else:
+            dist = self._delta_from(c)[0]
+            dists = [dist[e] for e in members]
+        best = min(dists)
+        gates = [e for e, x in zip(members, dists) if x == best]
         if len(gates) != 1:
             raise NotUnique(
                 f"panel {panel} has {len(gates)} chambers nearest to {c}")
@@ -323,10 +347,12 @@ class ChamberComplex:
         seen_w = set(from_base)
         if len(seen_w) != len(hull):
             bad.append(("not-free", len(seen_w)))
+        multiply = W.multiply
         for e, we in zip(hull, from_base):
             we_inv = W.inverse[we]
+            from_e = self._delta_from(e)[1]
             for f, wf in zip(hull, from_base):
-                if self.w_distance(e, f) != W.multiply(we_inv, wf):
+                if from_e[f] != multiply(we_inv, wf):
                     bad.append(("not-isometric", e, f))
         return bad
 
@@ -401,7 +427,8 @@ class SchubertCoordinates:
         cx = self.cx
         coords_rev = []
         for (i, j, d) in self.levels:
-            coords_rev.append(cx.projection(cx.panel_id(j, d), c))
+            # the anchor panel is the same for every c of the cell
+            coords_rev.append(cx._gate(cx.panel_id(j, d), c, from_panel=True))
             c = cx.projection(cx.panel_id(i, c), self.c0)
         return tuple(reversed(coords_rev))
 

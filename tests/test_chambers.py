@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,7 @@ from buildinglab.chambers import (
     subspace_leq,
     verify_building_axioms,
 )
+from buildinglab.coxeter import MATRIX_A2, MATRIX_B2
 from buildinglab.errors import (
     BoundExceeded,
     InvalidSpec,
@@ -174,6 +177,44 @@ def test_verify_axioms_w2(w2):
 def test_verify_axioms_pg2_3(pg2_3):
     report = verify_building_axioms(pg2_3)
     assert report["ok"], report
+
+
+def _violation_kinds(cx):
+    return Counter(v[0] for c in range(cx.size) for v in cx._delta_from(c)[2])
+
+
+def test_b2_flags_a_missing_chamber(pg2_2):
+    broken = ChamberComplex(pg2_2.chambers[1:], MATRIX_A2,
+                            geometry="broken", thickness=2)
+    assert _violation_kinds(broken) == {"length-drop": 8,
+                                        "length-mismatch": 8}
+    assert not verify_building_axioms(broken)["B2_w_consistency"]["ok"]
+
+
+def test_b2_flags_a_wrong_coxeter_type(pg2_2, w2):
+    # the plane read as a quadrangle and the quadrangle read as a plane
+    plane_as_b2 = ChamberComplex(pg2_2.chambers, MATRIX_B2,
+                                 geometry="PG2 as B2", thickness=2)
+    assert _violation_kinds(plane_as_b2) == {"gallery-conflict": 168,
+                                             "gate-conflict": 168}
+    quad_as_a2 = ChamberComplex(w2.chambers, MATRIX_A2,
+                                geometry="W as A2", thickness=2)
+    assert _violation_kinds(quad_as_a2) == {
+        "length-drop": 720, "gallery-conflict": 720, "gate-conflict": 720,
+        "length-mismatch": 720}
+    for cx in (plane_as_b2, quad_as_a2):
+        assert not verify_building_axioms(cx)["B2_w_consistency"]["ok"]
+
+
+def test_b2_flags_two_disjoint_copies(pg2_2):
+    # every component tagged with its copy, so no panel joins the two
+    two = ChamberComplex([tuple((tag, x) for x in ch) for tag in (0, 1)
+                          for ch in pg2_2.chambers], MATRIX_A2,
+                         geometry="two planes", thickness=2)
+    assert _violation_kinds(two) == {"disconnected": 42 * 21}
+    first = two._delta_from(0)[2]
+    assert first[0] == ("disconnected", 0, 21, None, None)
+    assert not verify_building_axioms(two)["B2_w_consistency"]["ok"]
 
 
 def _pair_problems(cx, c, d):
@@ -405,6 +446,51 @@ def test_coordinates_verify_flags_swapped_encoding(pg2_2):
 
     coords.encode = swapped
     assert not coords.verify()["bijective"]
+
+
+def _anchor_panels(cx, c0):
+    return {cx.panel_id(j, d) for w in range(cx.coxeter.order)
+            for _, j, d in cx.schubert_coordinates(c0, w).levels}
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=3", "W:q=2", "Aflags:n=3,q=2"])
+def test_anchor_side_gate_matches_projection(spec):
+    cx = build_flag_building(spec)
+    for panel in _anchor_panels(cx, 0):
+        for c in range(cx.size):
+            gate = cx.projection(panel, c)
+            assert cx._gate(panel, c, from_panel=True) == gate
+
+
+def test_anchor_side_gate_on_a_complex_missing_a_chamber(pg2_2):
+    broken = ChamberComplex(pg2_2.chambers[1:], MATRIX_A2,
+                            geometry="broken", thickness=2)
+    ties = 0
+    for panel in broken.all_panel_ids():
+        for c in range(broken.size):
+            try:
+                gate = broken.projection(panel, c)
+            except NotUnique as exc:
+                ties += 1
+                with pytest.raises(NotUnique, match=re.escape(str(exc))):
+                    broken._gate(panel, c, from_panel=True)
+            else:
+                assert broken._gate(panel, c, from_panel=True) == gate
+    assert ties
+
+
+@pytest.mark.parametrize("spec, c0, tables", [
+    ("Aflags:n=3,q=2", 291, 50), ("PG2:q=5", 34, 26), ("W:q=2", 1, 15)])
+def test_coordinates_read_only_the_anchor_tables(spec, c0, tables):
+    # one BFS table from c0 and one per anchor-panel member, not one per
+    # chamber of the complex
+    cx = build_flag_building(spec)
+    for w in range(cx.coxeter.order):
+        assert cx.schubert_coordinates(c0, w).verify()["bijective"]
+    assert len(cx._delta_cache) == tables < cx.size
+    anchors = {e for panel in _anchor_panels(cx, c0)
+               for e in cx.panel_members(panel)}
+    assert set(cx._delta_cache) == anchors | {c0}
 
 
 def test_decode_rejects_wrong_arity(pg2_2):
