@@ -167,6 +167,7 @@ class ChamberComplex:
                     lookup[c] = pidx
             self.panel_of.append(lookup)
         self._delta_cache: dict[int, tuple] = {}
+        self._mask_cache: dict[int, tuple[int, ...]] = {}
 
     # -- navigation ------------------------------------------------------
 
@@ -262,6 +263,18 @@ class ChamberComplex:
 
     def gallery_distance(self, c: int, d: int) -> int:
         return self._delta_from(c)[0][d]
+
+    def cell_masks(self, x: int) -> tuple[int, ...]:
+        """The cells of x as bitmasks: entry w has bit y set when
+        delta(x, y) = w.  One last entry holds the chambers x's BFS never
+        reaches (delta -1), so every delta value indexes the row."""
+        cached = self._mask_cache.get(x)
+        if cached is None:
+            rows = [0] * (self.coxeter.order + 1)
+            for y, w in enumerate(self._delta_from(x)[1]):
+                rows[w] |= 1 << y
+            cached = self._mask_cache[x] = tuple(rows)
+        return cached
 
     # -- gates -----------------------------------------------------------
 

@@ -2,9 +2,11 @@
 
 Every subcommand prints one JSON report on standard output and a short
 prose summary on standard error, and exits 0 when all checks passed,
-1 when a check failed, and 2 on usage errors.  A single --seed governs
-all randomness, so reports are reproducible byte for byte apart from the
-wall-time field.
+1 when a check failed, and 2 on usage errors.  A run stopped by
+PrecisionExhausted, SearchBudgetExceeded, BoundExceeded or NotFound
+prints a report with no checks and an error {class, message} instead,
+and exits 3.  A single --seed governs all randomness, so reports are
+reproducible byte for byte apart from the wall-time field.
 
     buildinglab coxeter --matrix FILE [--poincare]
     buildinglab field classify --field SPEC
@@ -39,7 +41,15 @@ from .chambers import (
     verify_building_axioms,
 )
 from .coxeter import CoxeterSystem, parse_coxeter_matrix
-from .errors import BuildinglabError, InvalidSpec, NotFound, NotUnique
+from .errors import (
+    BoundExceeded,
+    BuildinglabError,
+    InvalidSpec,
+    NotFound,
+    NotUnique,
+    PrecisionExhausted,
+    SearchBudgetExceeded,
+)
 from .localfield import (
     INFINITY,
     classify,
@@ -67,6 +77,11 @@ from .projline import (
 
 SCHEMA = "buildinglab-report/1"
 DEFAULT_SEED = 1
+
+# failures a well-formed command can meet while it runs: they get a report
+# and exit 3, where a usage error exits 2 with none
+RUN_ERRORS = (PrecisionExhausted, SearchBudgetExceeded, BoundExceeded,
+              NotFound)
 
 
 def _val_json(v):
@@ -530,13 +545,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    error = None
     try:
         _validate(args)
         results, checks = args.handler(args)
-    except BuildinglabError as exc:
+    except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        results, checks = {}, []
+        error = {"class": type(exc).__name__, "message": str(exc)}
+    except (BuildinglabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = [c for c in checks if not c["ok"]]
@@ -552,7 +569,11 @@ def main(argv=None) -> int:
         "results": results,
         "wall_time_seconds": round(time.perf_counter() - started, 6),
     }
+    if error is not None:
+        report["error"] = error
     print(json.dumps(report, indent=2, sort_keys=True, default=str))
+    if error is not None:
+        return 3
     if not args.json_only:
         status = "ok" if not failed else "FAILED"
         print(f"buildinglab {args.command}: "

@@ -14,9 +14,12 @@ commutators search it once; groups made by conjugation are not kept.
 Root groups are found by a forward-checking search over chamber bijections
 that preserve the W-valued distance (which characterizes type-preserving
 automorphisms): the identity constraints on the interior stars seed it,
-each assignment filters the images left to every other chamber, and by
-rigidity the search branches once, over the q images of one chamber, and
-otherwise only propagates.  The Moufang property is then checked head on:
+each open chamber keeps its possible images as a bitmask, each assignment
+ANDs the open masks with one cached cell row of its image, a chamber down
+to one image is queued and never filtered again, and a complete map is
+kept only if it preserves the distance on every pair.  By rigidity the
+search branches once, over the q images of one chamber, and otherwise
+only propagates.  The Moufang property is then checked head on:
 one simple-path walk on the graph lists the roots (the n-edge paths) and
 files each under its two ends; the apartments containing a root are its
 union with each other root between the same ends that misses its
@@ -49,6 +52,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .chambers import ChamberComplex, PanelId
@@ -114,6 +118,16 @@ def product_set(first: Iterable[Perm], *rest: Iterable[Perm]) -> set[Perm]:
 # ---------------------------------------------------------------------------
 # automorphism search
 
+def _preserves_delta(delta: Sequence[Sequence[int]],
+                     image: Sequence[int]) -> bool:
+    """Whether c -> image[c] preserves delta on every pair: row image[c]
+    read at the images must equal row c."""
+    if len(image) == 1:      # itemgetter of one index returns no tuple
+        return delta[image[0]][image[0]] == delta[0][0]
+    pick = itemgetter(*image)
+    return all(pick(delta[x]) == row for x, row in zip(image, delta))
+
+
 def find_automorphisms(cx: ChamberComplex,
                        forced: Optional[dict[int, int]] = None,
                        vertex_fixes: frozenset = frozenset()) -> list[Perm]:
@@ -121,75 +135,81 @@ def find_automorphisms(cx: ChamberComplex,
     images and setwise-fixed panels, in sorted order.
 
     Preserving delta on all pairs is equivalent to being a type-preserving
-    automorphism.  The search is forward checking: each open chamber keeps
-    the images x still consistent with every assignment made so far
-    (delta(c, e) = delta(x, y) for each assigned e -> y), starting from its
-    forced image or, if it lies on a setwise-fixed panel, from that panel.
-    The open chamber with the fewest images, lowest index first, is
-    assigned next and filters every other list; the search branches only
-    where two or more images are left.  Since delta(c, e) is the identity
-    only for e = c, the filter keeps the map injective.  By rigidity a root
-    group search branches once, q ways, and then only propagates.
+    automorphism.  Each open chamber c keeps the images still possible as
+    a bitmask, starting from its forced image or, if it lies on a
+    setwise-fixed panel, from that panel.  Assigning e -> y ANDs every
+    open mask with the cell of y that delta(e, c) names, from
+    cx.cell_masks.  A mask down to one image determines its chamber: it
+    leaves the open set for a queue, is assigned in turn and is never
+    filtered again.  With the queue empty the search branches on the
+    open chamber with the fewest images, lowest index first, over its
+    images in ascending order.  A complete map is kept only if it
+    preserves delta on every pair; that check settles what the queue left
+    unfiltered, and rejects any map that is not injective, since
+    delta(c, e) is the identity only for e = c.  By rigidity a root group
+    search branches once, q ways, and then only propagates.
     """
     if not forced and not vertex_fixes:
         raise InvalidSpec("automorphism search needs at least one constraint")
     N = cx.size
     delta = [cx._delta_from(c)[1] for c in range(N)]
+    cells = cx.cell_masks
     forced = forced or {}
-    open_images: dict[int, list[int]] = {}
+    image = [-1] * N
+    queue: list[int] = []
+    open_masks: dict[int, int] = {}
     for c in range(N):
-        cands = [forced[c]] if c in forced else range(N)
+        mask = 1 << forced[c] if c in forced else (1 << N) - 1
         for i in range(cx.rank):
             p = cx.panel_of[i][c]
             if (i, p) in vertex_fixes:
-                cands = [x for x in cands if cx.panel_of[i][x] == p]
-        if not cands:
+                mask &= sum(1 << x for x in cx.panels[i][p])
+        if not mask:
             return []
-        open_images[c] = list(cands)
+        if mask & (mask - 1):
+            open_masks[c] = mask
+        else:
+            image[c] = mask.bit_length() - 1
+            queue.append(c)
     solutions: list[Perm] = []
     nodes = 0
 
-    def assign(c: int, x: int,
-               images: dict[int, list[int]]) -> Optional[dict[int, list[int]]]:
-        """The open lists left after c -> x, or None if one empties."""
-        dc, dx = delta[c], delta[x]
-        out = {}
-        for e, ys in images.items():
-            if e == c:
-                continue
-            want = dc[e]
-            if len(ys) > 1 or dx[ys[0]] != want:
-                ys = [y for y in ys if dx[y] == want]
-                if not ys:
-                    return None
-            out[e] = ys
-        return out
-
-    def search(image: list[int], images: dict[int, list[int]]) -> None:
+    def search(image: list[int], queue: list[int],
+               masks: dict[int, int]) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > _SEARCH_BUDGET:
             raise SearchBudgetExceeded(
                 f"automorphism search passed {_SEARCH_BUDGET} nodes")
-        while images:
-            size, c = min(zip(map(len, images.values()), images))
-            if size > 1:
+        for e in queue:            # grows as assignments determine chambers
+            if not masks:
                 break
-            image[c] = images[c][0]
-            images = assign(c, image[c], images)
-            if images is None:
-                return
-        if not images:
-            solutions.append(tuple(image))
+            row, cell = delta[e], cells(image[e])
+            left = {}
+            for c, mask in masks.items():
+                mask &= cell[row[c]]
+                if mask & (mask - 1):
+                    left[c] = mask
+                elif mask:
+                    image[c] = mask.bit_length() - 1
+                    queue.append(c)
+                else:
+                    return
+            masks = left
+        if not masks:
+            if _preserves_delta(delta, image):
+                solutions.append(tuple(image))
             return
-        for x in images[c]:
-            rest = assign(c, x, images)
-            if rest is not None:
-                branch = list(image)
-                branch[c] = x
-                search(branch, rest)
+        _, c = min((mask.bit_count(), c) for c, mask in masks.items())
+        mask = masks.pop(c)
+        while mask:
+            low = mask & -mask
+            branch = list(image)
+            branch[c] = low.bit_length() - 1
+            search(branch, [c], masks)
+            mask ^= low
 
-    search([-1] * N, open_images)
+    search(image, queue, open_masks)
     return sorted(solutions)
 
 

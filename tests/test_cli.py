@@ -36,10 +36,12 @@ def test_coxeter_infinite_matrix_is_bound_exceeded(tmp_path, capsys):
     # affine A~2 passes the default element bound in about a second
     path = tmp_path / "affine_a2.txt"
     path.write_text("1 3 3\n3 1 3\n3 3 1\n")
-    assert cli.main(["coxeter", "--matrix", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "enumeration passed 100000 elements" in captured.err
+    code, report, err = run(["coxeter", "--matrix", str(path)], capsys)
+    assert code == 3
+    assert report["error"]["class"] == "BoundExceeded"
+    assert "enumeration passed 100000 elements" in report["error"]["message"]
+    assert report["checks"] == [] and report["checks_run"] == 0
+    assert "enumeration passed 100000 elements" in err
 
 
 def test_coxeter_broken_table_fails_relation_check(tmp_path, monkeypatch,
@@ -177,13 +179,16 @@ def test_building_base_out_of_range_is_usage_error(args, message, capsys):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("geometry, message", [
-    ("PG2:q=3,n=7", "takes each of q once"),
-    ("PG2:q=2,q=3", "takes each of q once"),
-    ("W:q=7", "flag count passed 2000"),
-])
-def test_bad_or_oversized_geometry_is_usage_error(geometry, message, capsys):
-    assert cli.main(["building", "cells", "--geometry", geometry]) == 2
+@pytest.mark.parametrize("geometry, message, code", [
+    pytest.param(geometry, message, code, id=f"{geometry}-{message}")
+    for geometry, message, code in [
+        ("PG2:q=3,n=7", "takes each of q once", 2),
+        ("PG2:q=2,q=3", "takes each of q once", 2),
+        ("W:q=7", "flag count passed 2000", 3)]])
+def test_bad_or_oversized_geometry_is_usage_error(geometry, message, code,
+                                                  capsys):
+    # a malformed spec is a usage error; one past the bound gets a report
+    assert cli.main(["building", "cells", "--geometry", geometry]) == code
     assert message in capsys.readouterr().err
 
 
@@ -315,8 +320,24 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_radius_beyond_precision_is_usage_error(capsys):
-    assert cli.main(["bt", "tree", "--field", "Q2", "--radius", "40"]) == 2
-    capsys.readouterr()
+    code, report, _ = run(["bt", "tree", "--field", "Q2", "--radius", "40"],
+                          capsys)
+    assert code == 3
+    assert report["error"]["class"] == "PrecisionExhausted"
+
+
+def test_exhausted_search_budget_gets_a_report(monkeypatch, capsys):
+    monkeypatch.setattr(moufang, "_SEARCH_BUDGET", 1)
+    code, report, err = run(
+        ["moufang", "check", "--geometry", "PG2:q=2", "--json-only"], capsys)
+    assert code == 3
+    assert report["error"] == {
+        "class": "SearchBudgetExceeded",
+        "message": "automorphism search passed 1 nodes"}
+    assert report["checks"] == report["failures"] == []
+    assert report["checks_run"] == report["checks_failed"] == 0
+    assert report["results"] == {}
+    assert err == "error: automorphism search passed 1 nodes\n"
 
 
 def test_failing_check_exits_one(monkeypatch, capsys):
@@ -369,13 +390,14 @@ def _report_under_hash_seed(argv, hash_seed):
     ["building", "verify", "--geometry", "W:q=3"],
     ["moufang", "check", "--geometry", "W:q=2", "--mu", "--commutators"],
     ["moufang", "check", "--geometry", "PG2:q=4"],
+    ["moufang", "check", "--geometry", "W:q=3", "--mu", "--commutators"],
     ["building", "coords", "--geometry", "W:q=2"],
     ["building", "cells", "--geometry", "Aflags:n=3,q=2"],
     ["bt", "boundary", "--field", "Laurent:q=4,prec=8", "--depth", "3"],
     ["field", "eval", "--field", "Laurent:q=9,prec=5", "--expr", "t^-2+3*t"],
     ["projline", "recover", "--field", "F8", "--samples", "200"],
 ], ids=["all-quick", "verify-PG2-3", "verify-W-3", "moufang-W-2",
-        "moufang-PG2-4", "coords-W-2",
+        "moufang-PG2-4", "moufang-W-3", "coords-W-2",
         "cells-Aflags-3-2", "boundary-Laurent-4", "eval-Laurent-9",
         "recover-F8"])
 def test_report_independent_of_hash_seed(argv):

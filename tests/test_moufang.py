@@ -5,6 +5,7 @@ from typing import Optional
 import pytest
 
 from buildinglab.chambers import ChamberComplex, build_flag_building
+from buildinglab.coxeter import MATRIX_A2
 from buildinglab.errors import InvalidSpec, NotFound, SearchBudgetExceeded
 from buildinglab import moufang
 from buildinglab.localfield import finite_field, parse_field_spec
@@ -133,6 +134,90 @@ def _reference_automorphisms(cx: ChamberComplex,
     return sorted(solutions)
 
 
+# The search as it stood before bitmask images, kept as the oracle for
+# find_automorphisms: each assignment rebuilds every open image list,
+# and a complete map needs no final delta check.
+def _forward_checking_automorphisms(cx: ChamberComplex,
+                                    forced: Optional[dict[int, int]] = None,
+                                    vertex_fixes: frozenset = frozenset(),
+                                    budget: int = 2_000_000) -> list[Perm]:
+    """All chamber bijections preserving the W-distance, subject to forced
+    images and setwise-fixed panels, in sorted order.
+
+    Preserving delta on all pairs is equivalent to being a type-preserving
+    automorphism.  The search is forward checking: each open chamber keeps
+    the images x still consistent with every assignment made so far
+    (delta(c, e) = delta(x, y) for each assigned e -> y), starting from its
+    forced image or, if it lies on a setwise-fixed panel, from that panel.
+    The open chamber with the fewest images, lowest index first, is
+    assigned next and filters every other list; the search branches only
+    where two or more images are left.  Since delta(c, e) is the identity
+    only for e = c, the filter keeps the map injective.  By rigidity a root
+    group search branches once, q ways, and then only propagates.
+    """
+    if not forced and not vertex_fixes:
+        raise InvalidSpec("automorphism search needs at least one constraint")
+    N = cx.size
+    delta = [cx._delta_from(c)[1] for c in range(N)]
+    forced = forced or {}
+    open_images: dict[int, list[int]] = {}
+    for c in range(N):
+        cands = [forced[c]] if c in forced else range(N)
+        for i in range(cx.rank):
+            p = cx.panel_of[i][c]
+            if (i, p) in vertex_fixes:
+                cands = [x for x in cands if cx.panel_of[i][x] == p]
+        if not cands:
+            return []
+        open_images[c] = list(cands)
+    solutions: list[Perm] = []
+    nodes = 0
+
+    def assign(c: int, x: int,
+               images: dict[int, list[int]]) -> Optional[dict[int, list[int]]]:
+        """The open lists left after c -> x, or None if one empties."""
+        dc, dx = delta[c], delta[x]
+        out = {}
+        for e, ys in images.items():
+            if e == c:
+                continue
+            want = dc[e]
+            if len(ys) > 1 or dx[ys[0]] != want:
+                ys = [y for y in ys if dx[y] == want]
+                if not ys:
+                    return None
+            out[e] = ys
+        return out
+
+    def search(image: list[int], images: dict[int, list[int]]) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(
+                f"automorphism search passed {budget} nodes")
+        while images:
+            size, c = min(zip(map(len, images.values()), images))
+            if size > 1:
+                break
+            image[c] = images[c][0]
+            images = assign(c, image[c], images)
+            if images is None:
+                return
+        if not images:
+            solutions.append(tuple(image))
+            return
+        for x in images[c]:
+            rest = assign(c, x, images)
+            if rest is not None:
+                branch = list(image)
+                branch[c] = x
+                search(branch, rest)
+
+    search([-1] * N, open_images)
+    return sorted(solutions)
+
+
+
 def _assert_delta_preserving(cx, perms):
     delta = [cx._delta_from(c)[1] for c in range(cx.size)]
     for g in perms:
@@ -219,6 +304,10 @@ def test_identity_forced_search(pg2_2):
     assert find_automorphisms(pg2_2, forced=swapped) == []
     with pytest.raises(InvalidSpec):
         find_automorphisms(pg2_2)
+    # one chamber: the final delta check reads a row at a single image
+    lone = ChamberComplex([((1,), (1,))], MATRIX_A2, geometry="lone",
+                          thickness=1)
+    assert find_automorphisms(lone, forced={0: 0}) == [(0,)]
 
 
 # roots 0, 3 and 5 of PG2:q=4 take seconds each in the reference search
@@ -249,6 +338,59 @@ def test_search_matches_reference_on_stabilizers(framew):
                                                    vertex_fixes=fixed)
             assert len(got) == 2 ** (j + 1)
             _assert_delta_preserving(framew.cx, got)
+
+
+# every base root of PG2:q=4, roots 0, 3 and 5 among them
+@pytest.mark.parametrize("spec", ["PG2:q=4", "PG2:q=5", "W:q=3"])
+def test_search_matches_forward_checking_on_base_roots(spec):
+    frame = MoufangFrame(build_flag_building(spec))
+    for i in range(2 * frame.n):
+        fixed = frame.star_fixing(frame.root_path(i)[1:-1])
+        got = find_automorphisms(frame.cx, forced=fixed)
+        assert got == _forward_checking_automorphisms(frame.cx, forced=fixed)
+        assert len(got) == frame.q
+
+
+def test_search_matches_forward_checking_on_stabilizers():
+    frame = MoufangFrame(build_flag_building("W:q=3"))
+    for j in (0, 1):
+        for i in range(1, frame.n - j + 1):
+            groups = [frame.root_group(k) for k in range(i, i + j + 1)]
+            fixed = fixed_vertices_of_set(frame.cx, product_set(*groups))
+            got = find_automorphisms(frame.cx, vertex_fixes=fixed)
+            assert got == _forward_checking_automorphisms(
+                frame.cx, vertex_fixes=fixed)
+            assert len(got) == 3 ** (j + 1)
+
+
+@pytest.mark.parametrize("name", ["minus-chamber-0", "two-copies",
+                                  "W-as-A2"])
+def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
+    # the complexes that fail B2 in test_chambers: chambers the queue
+    # leaves unfiltered may disagree, and only the final delta check
+    # rejects such a map
+    chambers, star_maps = {
+        "minus-chamber-0": (pg2_2.chambers[1:], 2),
+        "two-copies": ([tuple((tag, x) for x in ch) for tag in (0, 1)
+                        for ch in pg2_2.chambers], 2 * 168),
+        "W-as-A2": (w2.chambers, 4),
+    }[name]
+    cx = ChamberComplex(chambers, MATRIX_A2, geometry=name, thickness=2)
+    star = {e: e for i in range(cx.rank) for e in cx.copanel_members(i, 0)}
+    identity = dict(enumerate(range(cx.size)))
+    for forced, count in ((star, star_maps), (identity, 1)):
+        got = find_automorphisms(cx, forced=forced)
+        assert got == _forward_checking_automorphisms(cx, forced=forced)
+        assert len(got) == count
+
+
+def test_search_budget_is_counted_per_branch(monkeypatch):
+    # a base-root search on PG2:q=3 branches q ways, one node past one
+    frame = MoufangFrame(build_flag_building("PG2:q=3"))
+    fixed = frame.star_fixing(frame.root_path(0)[1:-1])
+    monkeypatch.setattr(moufang, "_SEARCH_BUDGET", 1)
+    with pytest.raises(SearchBudgetExceeded, match="passed 1 nodes"):
+        find_automorphisms(frame.cx, forced=fixed)
 
 
 def test_root_groups_pg2_5():
