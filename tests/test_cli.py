@@ -1,5 +1,6 @@
 """Exit codes, report schema, and determinism of the command line tool."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -320,10 +321,10 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_radius_beyond_precision_is_usage_error(capsys):
-    code, report, _ = run(["bt", "tree", "--field", "Q2", "--radius", "40"],
-                          capsys)
-    assert code == 3
-    assert report["error"]["class"] == "PrecisionExhausted"
+    assert cli.main(["bt", "tree", "--field", "Q2", "--radius", "40"]) == 2
+    assert "precision window" in capsys.readouterr().err
+    assert cli.main(["bt", "boundary", "--field", "Q2", "--depth", "40"]) == 2
+    assert "precision window" in capsys.readouterr().err
 
 
 def test_exhausted_search_budget_gets_a_report(monkeypatch, capsys):
@@ -403,3 +404,25 @@ def _report_under_hash_seed(argv, hash_seed):
 def test_report_independent_of_hash_seed(argv):
     assert (_report_under_hash_seed(argv, "0")
             == _report_under_hash_seed(argv, "1"))
+
+
+# sha256 of each report without wall_time_seconds, dumped with sorted keys;
+# a change that keeps every report keeps these
+REPORT_DIGESTS = {
+    "moufang check --geometry PG2:q=4 --mu --commutators":
+        "5097ed7c161983c0633da628ce2dac51270d3035bcbac254a73017e6773aa557",
+    "moufang check --geometry W:q=3 --mu --commutators":
+        "fb9b26bc791c4dda6b85401c797dc6e2b5b13d457001dc2745ad24ff18f2c693",
+    "all --profile full":
+        "ebeaaa5c37af8c30f84b90d63c36bd0c7313b78dd51958fa3ca6eff98b2590be",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(command, capsys):
+    code, report, _ = run(command.split() + ["--json-only"], capsys)
+    assert code == 0
+    report.pop("wall_time_seconds")
+    digest = hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[command]

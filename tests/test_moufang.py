@@ -482,7 +482,7 @@ def _reference_apartments(frame, path):
 def _assert_apartments_match_reference(frame, roots):
     for path in roots:
         for oriented in (path, path[::-1]):
-            assert (frame.apartments_containing(oriented)
+            assert (sorted(frame.apartments_containing(oriented), key=sorted)
                     == _reference_apartments(frame, oriented))
 
 
@@ -556,7 +556,7 @@ def test_conjugated_groups_match_search_on_every_root(spec):
     interiors = {frame.interior(path) for path in roots}
     base = {frame.interior(frame.root_path(i)) for i in range(2 * frame.n)}
     seen = []
-    for key, U, conjugated in frame.root_groups_by_conjugation(roots):
+    for key, U, conjugated in frame.root_groups_by_conjugation(interiors):
         seen.append(key)
         assert conjugated == (key not in base)
         assert len(U) == frame.q
@@ -569,7 +569,7 @@ def test_conjugated_groups_match_search_on_sampled_roots():
     frame = MoufangFrame(build_flag_building("W:q=3"))
     roots = random.Random(7).sample(frame.all_roots(), 24)
     interiors = {frame.interior(path) for path in roots}
-    got = {key: U for key, U, _ in frame.root_groups_by_conjugation(roots)}
+    got = {key: U for key, U, _ in frame.root_groups_by_conjugation(interiors)}
     assert set(got) == interiors
     for key, U in got.items():
         searched = find_automorphisms(frame.cx, forced=frame.star_fixing(key))
@@ -599,6 +599,21 @@ def test_transitivity_fails_on_base_group_missing_an_element():
     report = frame.transitivity_check()
     assert not report["ok"]
     assert 2 in report["group_orders"]
+
+
+def test_transitivity_fails_on_base_group_listing_an_element_twice():
+    # q listed elements, the identity among them, but only two distinct
+    # apartment images: the action is not injective
+    def doubled(frame, U):
+        u = next(g for g in U if g != frame.identity)
+        return [frame.identity, u, u]
+    frame = _broken_base_frame("PG2:q=3", 1, doubled)
+    report = frame.transitivity_check()
+    assert not report["ok"]
+    assert report["group_orders"] == [3]
+    assert any(f["elements_ok"] and f["agrees_with_search"]
+               and f["group_order"] == f["apartments"] == 3
+               for f in report["failures"])
 
 
 def _swap_off_the_apartments(frame, U):
@@ -704,6 +719,27 @@ def test_parametrization_formula_pg2(frame2, frame3):
             assert lhs == rhs
         labels = orbit_labeling_check(frame, x, 1)
         assert labels["ok"]
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=3", "PG2:q=4", "W:q=3"])
+def test_fit_rejects_mu_off_by_a_top_element(spec, monkeypatch):
+    # each mu is shifted by one nontrivial element of U_{i+n}: the tables
+    # still land in U_{i+n}, so only the product formula can reject them
+    frame = MoufangFrame(build_flag_building(spec))
+    v = next(g for g in frame.root_group(1 + frame.n)
+             if g != frame.identity)
+    true_mu = moufang.mu_element
+    monkeypatch.setattr(moufang, "mu_element",
+                        lambda f, u, i: compose(true_mu(f, u, i), v))
+    with pytest.raises(NotFound, match="mu product formula"):
+        fit_parametrization(frame, finite_field(frame.q), 1)
+
+
+def test_fit_names_a_missing_mu():
+    frame = MoufangFrame(build_flag_building("PG2:q=3"))
+    frame._root_cache[frame.base_interiors[1 + frame.n]] = [frame.identity]
+    with pytest.raises(NotFound, match="no mu element"):
+        fit_parametrization(frame, finite_field(3), 1)
 
 
 def test_product_groups_are_stabilizers_pg2(frame2, frame3):
