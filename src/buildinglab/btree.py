@@ -34,6 +34,7 @@ matrices with additive-generator entries, acting on vertex matrices.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidSpec, PrecisionExhausted
@@ -90,10 +91,11 @@ def vertex_label(field: Field, v: TreeVertex) -> str:
     return f"({v.a}, {field.format_element(v.b)})"
 
 
-def residue_lifts(field: Field) -> list[LocalElement]:
+@lru_cache(maxsize=8)  # bounded: each command builds its own field
+def residue_lifts(field: Field) -> tuple[LocalElement, ...]:
     """Exact lifts of the residue classes, zero first."""
     _require_local(field)
-    return [field.residue_lift(code) for code in range(field.residue_q)]
+    return tuple(field.residue_lift(code) for code in range(field.residue_q))
 
 
 def neighbors(field: Field, v: TreeVertex) -> list[TreeVertex]:

@@ -20,19 +20,21 @@ infinity, a residue map on integral elements, its exact section
 exact canonical representatives modulo pi^k (`mod_pi_power`), so callers
 never pick a representation by the kind of field.
 
-Precision model.  A nonzero element is (valuation, mantissa, digits, exact).
-Literals and other finite-support constructions are exact.  The rule for a
-result lives in one place per model, its `_make(v, mant, known)`, which
-every ring operation and normal form returns through: a result of exact
-operands stays exact while it fits inside the precision window, so an exact
-full cancellation really returns exact zero with valuation infinity; any
-truncation drops the exact flag; a result of inexact operands keeps the
-digits its operands determine (`_LocalBase._known_sum`, `_known_product`,
-`_known_inverse`: the least known precision of the inputs), capped at the
-window.  When every known digit of an inexact computation cancels, no claim
-about the result is possible and PrecisionExhausted is raised; nothing is
-ever silently rounded to zero.  Equality is decided on the common known
-window (subtract and classify).
+Precision model.  A nonzero element is (valuation, mantissa, digits, exact);
+the mantissa is one int in both models (a p-adic integer, or the F_q((t))
+coefficients packed one per lane, see `LaurentField`).  Literals and other
+finite-support constructions are exact.  The rule for a result lives in one
+place per model, its `_make(v, mant, known)`, which every ring operation and
+normal form returns through: a result of exact operands stays exact while
+it fits inside the precision window, so an exact full cancellation really
+returns exact zero with valuation infinity; any truncation drops the exact
+flag; a result of inexact operands keeps the digits its operands determine
+(`_LocalBase._known_sum`, `_known_product`, `_known_inverse`: the least
+known precision of the inputs), capped at the window.  When every known
+digit of an inexact computation cancels, no claim about the result is
+possible and PrecisionExhausted is raised; nothing is ever silently rounded
+to zero.  Equality is decided on the common known window (subtract and
+classify).
 
 The Frobenius map x -> x^p is additive in characteristic p and the models
 expose both it and its inverse; over F_q((t)) the decomposition
@@ -296,7 +298,8 @@ class LocalElement(NamedTuple):
     """Nonzero element: mantissa * pi^v.  `digits` is the known relative
     window; `exact` marks finite-support values known completely."""
     v: int
-    mant: object          # int (p-adic, signed when exact) or tuple (Laurent)
+    mant: Optional[int]   # p-adic: signed when exact; Laurent: residue codes
+                          # packed in lanes (see LaurentField); None for 0
     digits: int
     exact: bool
 
@@ -556,9 +559,23 @@ class PadicField(_LocalBase):
 class LaurentField(_LocalBase):
     """F_q((t)) truncated at `prec` relative digits.
 
-    Mantissas are tuples of residue-field codes with nonzero leading entry;
-    exact elements are honest Laurent polynomials (trailing zeros trimmed).
-    Coefficient arithmetic indexes the residue field's tables directly.
+    A mantissa is one packed int (Kronecker substitution): coefficient i of
+    the series sits in lane i, `_lane_bits` wide.  With q = p^m a lane
+    holds 2m - 1 digit slots of `_slot_bits` (whole bytes): the m base-p
+    digits of the coefficient's residue code in the low slots, and m - 1
+    zero slots above them for the w-degrees up to 2m - 2 of a product.  The
+    slot width depends on q alone, so every precision shares one canonical
+    form: the least number of bytes that holds m (p-1)^2 + p - 1.  A slot
+    then holds a reduced digit plus `_block` products of m (p-1)^2 each,
+    and a product splits its shorter factor into blocks of `_block` lanes
+    so that no slot overflows.  The lowest lane of a nonzero mantissa is
+    nonzero; an exact mantissa has `digits` lanes, an inexact one at most
+    `digits`.
+
+    `add`, `neg` and `mul` are a few int operations and a slot reduction
+    mod p (`_reduce`, one bytes.translate for one-byte slots); a product's
+    slots of w-degree m and more are folded back through w^(m+r) mod the
+    modulus (`_fold`).  `coefficients` decodes a mantissa to residue codes.
     """
 
     kind = "laurent"
@@ -567,70 +584,137 @@ class LaurentField(_LocalBase):
     def __init__(self, q: int, prec: int):
         if prec < 1:
             raise InvalidSpec("precision must be positive")
-        self.k = finite_field(q)
+        k = self.k = finite_field(q)
         self.q = q
-        self.p = self.k.p
+        self.p = p = k.p
         self.prec = prec
-        self.char = self.k.p
+        self.char = p
         self.residue_q = q
-        self.one = LocalElement(0, (1,), 1, True)
+        self.one = LocalElement(0, 1, 1, True)
+        m, top = k.degree, k.degree * (p - 1) ** 2
+        width = 8
+        while (1 << width) < top + p:
+            width += 8
+        self._slot_bits = width
+        self._block = ((1 << width) - p) // top
+        self._lane_bits = lane_bits = (2 * m - 1) * width
+        self._lane_bytes = lane_bits // 8
+        self._lane_mask = (1 << lane_bits) - 1
+        self._mod_p = bytes(b % p for b in range(256)) if width == 8 else None
+        # residue code -> lane value, and the code of the bytes of every
+        # lane of reduced slots (w-degree up to 2m - 2, taken mod the
+        # modulus)
+        self._lane = [sum(d << j * width
+                          for j, d in enumerate(_digits(c, p, m)))
+                      for c in range(q)]
+        w_powers = [k.pow(k.generator(), j) for j in range(2 * m - 1)]
+        code = {0: 0}
+        for j, wj in enumerate(w_powers):
+            code = {lane + (d << j * width): k.add(c, k.mul(d, wj))
+                    for lane, c in code.items() for d in range(p)}
+        self._code = {lane.to_bytes(self._lane_bytes, "little"): c
+                      for lane, c in code.items()}
+        # _fold: the lane images of w^m, ..., w^(2m-2), and the masks of
+        # slot 0 and of slots 0..m-1 in each lane of a product
+        self._wraps = [self._lane[c] for c in w_powers[m:]]
+        lanes = ((1 << 2 * prec * lane_bits) - 1) // self._lane_mask
+        self._unit_mask = lanes * ((1 << width) - 1)
+        self._low_mask = lanes * ((1 << m * width) - 1)
 
     @property
     def residue_field(self) -> FiniteField:
         return self.k
 
-    def _make(self, v: int, coeffs: Sequence[int], known: Optional[int]):
-        """Normalize sum coeffs[i] t^(v+i).  `known` is the relative width
-        actually known (None for exact): keep that many digits, strip
-        leading zeros, cap at `prec`, and raise PrecisionExhausted if no
-        digit survives.  An exact result is trimmed, or the inexact
-        `prec`-digit window when it is wider than `prec`."""
+    # -- the packed mantissa
+
+    def _pack(self, codes: Sequence[int]) -> int:
+        lane, bits = self._lane, self._lane_bits
+        return sum(lane[c] << i * bits for i, c in enumerate(codes))
+
+    def coefficients(self, a: LocalElement) -> list[int]:
+        """Residue codes of the `digits` known coefficients of a nonzero a,
+        lowest exponent first."""
+        size = self._lane_bytes
+        raw = a.mant.to_bytes(a.digits * size, "little")
+        return [self._code[raw[i:i + size]] for i in range(0, len(raw), size)]
+
+    def _reduce(self, x: int) -> int:
+        """Every digit slot of x taken mod p."""
+        if self._mod_p is not None:
+            raw = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+            return int.from_bytes(raw.translate(self._mod_p), "little")
+        width, p = self._slot_bits, self.p
+        mask = (1 << width) - 1
+        return sum((x >> s & mask) % p << s
+                   for s in range(0, x.bit_length(), width))
+
+    def _fold(self, x: int) -> int:
+        """Reduced slots of a product of at most 2 prec lanes, each lane
+        a polynomial in w of degree at most 2m - 2, brought below degree m:
+        slot m + r contributes its digit times w^(m+r) mod the modulus."""
+        if not self._wraps:
+            return x
+        width, mask = self._slot_bits, self._unit_mask
+        out = x & self._low_mask
+        for r, image in enumerate(self._wraps, self.k.degree):
+            out += (x >> r * width & mask) * image
+        return self._reduce(out)
+
+    def _make(self, v: int, mant: int, known: Optional[int]):
+        """Normalize mant * t^v, mant packed with reduced lanes.  `known` is
+        the relative width actually known (None for exact): keep that many
+        lanes, strip the zero lanes below the lowest digit, cap at `prec`,
+        and raise PrecisionExhausted if no digit survives.  An exact result
+        is trimmed, or the inexact `prec`-digit window when it is wider than
+        `prec`."""
+        bits = self._lane_bits
         if known is not None:
-            coeffs = coeffs[:known]
-        lead, end = 0, len(coeffs)
-        while lead < end and not coeffs[lead]:
-            lead += 1
-        if lead == end:
+            mant &= (1 << known * bits) - 1
+        if not mant:
             if known is None:
                 return ZERO
             raise PrecisionExhausted("every known digit cancelled")
+        lead = ((mant & -mant).bit_length() - 1) // bits
+        if lead:
+            mant >>= lead * bits
+            v += lead
+            if known is not None:
+                known -= lead
         if known is None:
-            while not coeffs[end - 1]:
-                end -= 1
-            known = end - lead
+            known = (mant.bit_length() + bits - 1) // bits
             if known <= self.prec:
-                return LocalElement(v + lead, tuple(coeffs[lead:end]), known,
-                                    True)
-        else:
-            known -= lead
-        known = min(known, self.prec)
-        kept = tuple(coeffs[lead:lead + known])
-        return LocalElement(v + lead, kept + (0,) * (known - len(kept)),
-                            known, False)
+                return LocalElement(v, mant, known, True)
+        if known > self.prec:
+            known = self.prec
+            mant &= (1 << known * bits) - 1
+        return LocalElement(v, mant, known, False)
 
-    def _low_digits(self, mant: tuple, width: int) -> tuple:
-        return mant[:width]
+    def _low_digits(self, mant: int, width: int) -> int:
+        return mant & ((1 << width * self._lane_bits) - 1)
 
-    def _lead_code(self, mant: tuple) -> int:
-        return mant[0]
+    def _lead_code(self, mant: int) -> int:
+        return self._code[(mant & self._lane_mask).to_bytes(
+            self._lane_bytes, "little")]
 
-    def _random_unit(self, rng) -> list[int]:
+    def _random_unit(self, rng) -> int:
         coeffs = [rng.randrange(1, self.q)]
         coeffs += [rng.randrange(self.q) for _ in range(self.prec - 1)]
-        return coeffs
+        return self._pack(coeffs)
 
     def from_integer(self, n: int) -> LocalElement:
-        return self._make(0, [self.k.from_integer(n)], None)
+        return self._make(0, self._lane[self.k.from_integer(n)], None)
 
     def from_coeffs(self, v: int, coeffs: Sequence[int]) -> LocalElement:
         """Exact element sum coeffs[i] * t^(v+i), coefficients as residue
         codes."""
-        return self._make(v, coeffs, None)
+        return self._make(v, self._pack(coeffs), None)
 
     def residue_lift(self, code: int) -> LocalElement:
         """Exact lift of the residue class with code 0 <= code < q: the
         constant series."""
-        return self._make(0, [code], None)
+        return self._make(0, self._lane[code], None)
+
+    # -- ring operations
 
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None:
@@ -639,58 +723,65 @@ class LaurentField(_LocalBase):
             return a
         if a.v > b.v:
             a, b = b, a
-        known = self._known_sum(a, b, a.v)
-        off = b.v - a.v
-        width = max(len(a.mant), off + len(b.mant))
-        if known is not None:
-            width = min(width, known)
-        out = list(a.mant[:width]) + [0] * (width - len(a.mant))
-        add, bm = self.k._add, b.mant
-        for i in range(off, min(width, off + len(bm))):
-            out[i] = add[out[i]][bm[i - off]]
-        return self._make(a.v, out, known)
+        total = a.mant + (b.mant << (b.v - a.v) * self._lane_bits)
+        return self._make(a.v, self._reduce(total), self._known_sum(a, b, a.v))
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
             return a
-        neg = self.k._neg
-        return LocalElement(a.v, tuple([neg[c] for c in a.mant]),
+        return LocalElement(a.v, self._reduce(a.mant * (self.p - 1)),
                             a.digits, a.exact)
 
     def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None or b.mant is None:
             return ZERO
-        known = self._known_product(a, b)
-        width = len(a.mant) + len(b.mant) - 1
-        if known is not None:
-            width = min(width, known)
-        out = [0] * width
-        add, mul = self.k._add, self.k._mul
-        for i, x in enumerate(a.mant[:width]):
-            if x:
-                row = mul[x]
-                for n, y in enumerate(b.mant[:width - i], i):
-                    if y:
-                        out[n] = add[out[n]][row[y]]
-        return self._make(a.v + b.v, out, known)
+        if a.digits > b.digits:
+            a, b = b, a
+        x, y = a.mant, b.mant
+        if a.digits <= self._block:
+            prod = self._reduce(x * y)
+        else:
+            # x in blocks of `_block` lanes, each product reduced as it is
+            # added, so that no slot sum overflows
+            step = self._block * self._lane_bits
+            low = (1 << step) - 1
+            prod = 0
+            for s in range(0, a.digits * self._lane_bits, step):
+                prod = self._reduce(prod + ((x >> s & low) * y << s))
+        return self._make(a.v + b.v, self._fold(prod),
+                          self._known_product(a, b))
 
     def inv(self, a: LocalElement) -> LocalElement:
+        """The recurrence out[n] = -c[0]^-1 sum_{j>=1} c[j] out[n-j]: the
+        sum is lane n of c * out over the lanes found so far, which `prod`
+        keeps shifted down to lane 0."""
         if a.mant is None:
             raise DivisionByZero("inverse of 0")
-        k = self.k
-        c = a.mant
-        if a.exact and len(c) == 1:
-            return LocalElement(-a.v, (k._inv[c[0]],), 1, True)
+        k, lane, code = self.k, self._lane, self._code
+        lead_inv = k._inv[self._lead_code(a.mant)]
+        if a.exact and a.digits == 1:
+            return LocalElement(-a.v, lane[lead_inv], 1, True)
         digits = self._known_inverse(a)
-        add, mul = k._add, k._mul
-        lead_inv = k._inv[c[0]]
-        scale = mul[k._neg[lead_inv]]
-        out = [lead_inv]
+        scale = k._mul[k._neg[lead_inv]]
+        bits, mask, size = self._lane_bits, self._lane_mask, self._lane_bytes
+        # `prod` is reduced every `_block` steps, so no slot overflows.  A
+        # lone slot (m = 1) is its code once taken mod p; other lanes are
+        # read through their bytes and the mod-p table, or, for slots wider
+        # than a byte, reduced at every step and read as they are
+        # (translate(None) copies the bytes)
+        p = self.p if k.degree == 1 else None
+        mod_p = self._mod_p
+        period = self._block if mod_p else 1
+        c, out = a.mant, lane[lead_inv]
+        term, prod = out, 0
         for n in range(1, digits):
-            acc = 0
-            for j in range(1, min(n, len(c) - 1) + 1):
-                acc = add[acc][mul[c[j]][out[n - j]]]
-            out.append(scale[acc])
+            prod = (prod + c * term) >> bits
+            if n % period == 0:
+                prod = self._reduce(prod)
+            acc = prod & mask
+            term = lane[scale[acc % p if p else code[
+                acc.to_bytes(size, "little").translate(mod_p)]]]
+            out |= term << n * bits
         return self._make(-a.v, out, digits)
 
     def frobenius(self, a: LocalElement) -> LocalElement:
@@ -698,15 +789,10 @@ class LaurentField(_LocalBase):
         if a.mant is None:
             return a
         p = self.p
-        known = None if a.exact else a.digits * p
-        width = (len(a.mant) - 1) * p + 1
-        if known is not None:
-            width = min(width, known)
-        out = [0] * width
-        for i, c in enumerate(a.mant):
-            if c and i * p < width:
-                out[i * p] = self.k.frobenius(c)
-        return self._make(a.v * p, out, known)
+        out = [0] * (a.digits * p)
+        out[::p] = map(self.k.frobenius, self.coefficients(a))
+        return self._make(a.v * p, self._pack(out),
+                          None if a.exact else a.digits * p)
 
     def frobenius_inv(self, a: LocalElement) -> LocalElement:
         """The p-th root when one exists at the visible digits."""
@@ -716,24 +802,20 @@ class LaurentField(_LocalBase):
         if a.v % p != 0:
             raise FrobeniusNotInvertible(
                 f"valuation {a.v} not divisible by {p}")
-        for i, c in enumerate(a.mant):
+        coeffs = self.coefficients(a)
+        for i, c in enumerate(coeffs):
             if c and (a.v + i) % p != 0:
                 raise FrobeniusNotInvertible(
                     f"nonzero digit at exponent {a.v + i} not divisible by {p}")
-        width = (len(a.mant) + p - 1) // p
-        out = [0] * width
-        for j in range(width):
-            idx = j * p
-            if idx < len(a.mant) and a.mant[idx]:
-                out[j] = self.k.frobenius_inv(a.mant[idx])
+        out = map(self.k.frobenius_inv, coeffs[::p])
         known = None if a.exact else (a.v + a.digits + p - 1) // p - a.v // p
-        return self._make(a.v // p, out, known)
+        return self._make(a.v // p, self._pack(out), known)
 
     def format_element(self, a: LocalElement) -> str:
         if a.mant is None:
             return "0"
         terms = []
-        for i, c in enumerate(a.mant):
+        for i, c in enumerate(self.coefficients(a)):
             if c == 0:
                 continue
             e = a.v + i
@@ -752,7 +834,8 @@ class LaurentField(_LocalBase):
         return f"{body} + O(t^{a.v + a.digits})"
 
     def _nonzero_json(self, a: LocalElement):
-        return {"valuation": a.v, "digits": list(a.mant), "exact": a.exact}
+        return {"valuation": a.v, "digits": self.coefficients(a),
+                "exact": a.exact}
 
     def describe(self) -> str:
         return f"F{self.q}((t)) (precision {self.prec})"
@@ -870,7 +953,7 @@ def frobenius_index_check(field: LaurentField, samples: Sequence[LocalElement]):
             parts = [ZERO] * p
         else:
             buckets: list[dict[int, int]] = [dict() for _ in range(p)]
-            for idx, c in enumerate(x.mant):
+            for idx, c in enumerate(field.coefficients(x)):
                 if c == 0:
                     continue
                 e = x.v + idx

@@ -575,10 +575,10 @@ def fit_parametrization(frame: MoufangFrame, field: FiniteField,
     """Fit x_i and x_{i+n} so the mu product formula holds for every t.
 
     mu(u) is computed once for each nontrivial u in U_i, and a mu that
-    fails raises NotFound naming why: every candidate covers U_i, so none
-    could fit.  x_{i+n}(t) is defined as x_i(t) conjugated by
-    m = mu(x_i(1)); the candidate x_i runs over the additive isomorphisms
-    onto U_i until x_{i+n} lands in U_{i+n} and
+    fails raises NotFound naming why, with the mu failure as its cause:
+    every candidate covers U_i, so none could fit.  x_{i+n}(t) is defined
+    as x_i(t) conjugated by m = mu(x_i(1)); the candidate x_i runs over the
+    additive isomorphisms onto U_i until x_{i+n} lands in U_{i+n} and
     mu(x_i(t)) = x_{i+n}(t^-1) x_i(t) x_{i+n}(t^-1) holds for all t != 0.
     """
     if field.q != frame.q:

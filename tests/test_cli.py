@@ -10,7 +10,7 @@ import pytest
 
 from buildinglab import btree, cli, moufang
 from buildinglab.coxeter import CoxeterSystem
-from buildinglab.errors import PrecisionExhausted
+from buildinglab.errors import NotFound, PrecisionExhausted
 
 
 def run(argv, capsys):
@@ -234,6 +234,32 @@ def test_moufang_check_searches_each_group_once(monkeypatch, capsys):
     assert len(searches) == len(set(searches)) == 13
 
 
+def test_moufang_check_computes_each_mu_once(monkeypatch, capsys):
+    calls = []
+    mu = moufang.mu_element
+
+    def counted(frame, u, i):
+        calls.append((u, i))
+        return mu(frame, u, i)
+    monkeypatch.setattr(moufang, "mu_element", counted)
+    code, report, _ = run(
+        ["moufang", "check", "--geometry", "PG2:q=4", "--mu"], capsys)
+    assert code == 0 and report["results"]["mu"]["mu_unique"]
+    assert len(calls) == len(set(calls)) == 3
+
+
+def test_moufang_check_names_a_failed_mu(monkeypatch, capsys):
+    def missing(frame, u, i):
+        raise NotFound(f"no mu element over root {i}")
+    monkeypatch.setattr(moufang, "mu_element", missing)
+    code, report, _ = run(
+        ["moufang", "check", "--geometry", "PG2:q=2", "--mu"], capsys)
+    assert code == 1
+    failed = {f["id"]: f["witness"] for f in report["failures"]}
+    assert failed["mu_unique:PG2:q=2"] == "no mu element over root 1"
+    assert not failed["mu_product_formula:PG2:q=2"]["mu_unique"]
+
+
 def test_full_profile_checks_larger_moufang_geometries(capsys):
     code, report, _ = run(["all", "--profile", "full"], capsys)
     assert code == 0
@@ -415,6 +441,17 @@ REPORT_DIGESTS = {
         "fb9b26bc791c4dda6b85401c797dc6e2b5b13d457001dc2745ad24ff18f2c693",
     "all --profile full":
         "ebeaaa5c37af8c30f84b90d63c36bd0c7313b78dd51958fa3ca6eff98b2590be",
+    "projline recover --field Laurent:q=4,prec=8 --samples 300 --seed 5":
+        "94e39f5d1f3b6975835e7aee52bb6b53a34a131d8aa675926c79e4105dd3a6c9",
+    "projline recover --field Laurent:q=9,prec=8 --samples 300 --seed 5":
+        "92b859cff9810840f824c1ef564c57c94ac6cad61f63e0afc9ce4b73a6ebb830",
+    # q = 7 splits products into blocks of six lanes
+    "projline recover --field Laurent:q=7,prec=8 --samples 300 --seed 5":
+        "67f5cd48f3c9f156003672dc94659f9d1c335f8f39abe6e11443ffef151f7884",
+    "bt iwasawa --field Laurent:q=3,prec=8 --samples 300 --seed 5":
+        "fde44a824cceb8c2abad63cf95ed13666739d5c623210586f7682cb01a224c92",
+    "bt boundary --field Laurent:q=4,prec=8 --depth 3":
+        "bfeb9cfe99fbdec072fe3d15370b92ed798ec7f3b90fff6b38bc20ee68d2bf2c",
 }
 
 

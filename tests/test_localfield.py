@@ -14,6 +14,7 @@ from buildinglab.localfield import (
     INFINITY,
     ZERO,
     LaurentField,
+    LocalElement,
     PadicField,
     classify,
     finite_field,
@@ -225,7 +226,7 @@ def test_laurent_inverse_series(f3t):
     y = f3t.inv(x)
     assert f3t.eq(f3t.mul(x, y), f3t.one)
     # geometric series 1 - t + t^2 - ... = 1 + 2t + t^2 + 2t^3 ... mod 3
-    assert y.mant[:4] == (1, 2, 1, 2)
+    assert f3t.element_json(y)["digits"][:4] == [1, 2, 1, 2]
 
 
 def test_laurent_precision_exhausted(f3t):
@@ -295,6 +296,203 @@ def test_frobenius_index_check_random():
     assert report["ok"]
     assert report["degree"] == 3
     assert report["checked"] == 41
+
+
+# ---------------------------------------------------------------------------
+# the packed Laurent kernels against schoolbook coefficient arithmetic: the
+# reference works on lists of residue codes through the residue field's
+# tables, one coefficient pair at a time
+
+def _ref_make(F, v, coeffs, known):
+    if known is not None:
+        coeffs = coeffs[:known]
+    lead, end = 0, len(coeffs)
+    while lead < end and not coeffs[lead]:
+        lead += 1
+    if lead == end:
+        if known is None:
+            return ZERO
+        raise PrecisionExhausted("every known digit cancelled")
+    if known is None:
+        while not coeffs[end - 1]:
+            end -= 1
+        known = end - lead
+        if known <= F.prec:
+            return (v + lead, tuple(coeffs[lead:end]), known, True)
+    else:
+        known -= lead
+    known = min(known, F.prec)
+    kept = tuple(coeffs[lead:lead + known])
+    return (v + lead, kept + (0,) * (known - len(kept)), known, False)
+
+
+def _ref(F, a):
+    """a as (v, codes, digits, exact), or ZERO."""
+    if F.is_zero(a):
+        return ZERO
+    return (a.v, tuple(F.coefficients(a)), a.digits, a.exact)
+
+
+def _ref_add(F, a, b):
+    if a.mant is None:
+        return _ref(F, b)
+    if b.mant is None:
+        return _ref(F, a)
+    if a.v > b.v:
+        a, b = b, a
+    known = F._known_sum(a, b, a.v)
+    am, bm = F.coefficients(a), F.coefficients(b)
+    off = b.v - a.v
+    width = max(len(am), off + len(bm))
+    if known is not None:
+        width = min(width, known)
+    out = list(am[:width]) + [0] * (width - len(am))
+    for i in range(off, min(width, off + len(bm))):
+        out[i] = F.k.add(out[i], bm[i - off])
+    return _ref_make(F, a.v, out, known)
+
+
+def _ref_mul(F, a, b):
+    if a.mant is None or b.mant is None:
+        return ZERO
+    known = F._known_product(a, b)
+    am, bm = F.coefficients(a), F.coefficients(b)
+    width = len(am) + len(bm) - 1
+    if known is not None:
+        width = min(width, known)
+    out = [0] * width
+    for i, x in enumerate(am[:width]):
+        for n, y in enumerate(bm[:width - i], i):
+            out[n] = F.k.add(out[n], F.k.mul(x, y))
+    return _ref_make(F, a.v + b.v, out, known)
+
+
+def _ref_inv(F, a):
+    if a.mant is None:
+        raise DivisionByZero("inverse of 0")
+    k, c = F.k, F.coefficients(a)
+    if a.exact and len(c) == 1:
+        return (-a.v, (k.inv(c[0]),), 1, True)
+    digits = F._known_inverse(a)
+    lead_inv = k.inv(c[0])
+    out = [lead_inv]
+    for n in range(1, digits):
+        acc = 0
+        for j in range(1, min(n, len(c) - 1) + 1):
+            acc = k.add(acc, k.mul(c[j], out[n - j]))
+        out.append(k.mul(k.neg(lead_inv), acc))
+    return _ref_make(F, -a.v, out, digits)
+
+
+def _ref_frobenius(F, a):
+    if a.mant is None:
+        return ZERO
+    p, c = F.p, F.coefficients(a)
+    known = None if a.exact else a.digits * p
+    width = (len(c) - 1) * p + 1
+    if known is not None:
+        width = min(width, known)
+    out = [0] * width
+    for i, x in enumerate(c):
+        if i * p < width:
+            out[i * p] = F.k.frobenius(x)
+    return _ref_make(F, a.v * p, out, known)
+
+
+def _ref_frobenius_inv(F, a):
+    if a.mant is None:
+        return ZERO
+    p, c = F.p, F.coefficients(a)
+    if a.v % p or any(x and (a.v + i) % p for i, x in enumerate(c)):
+        raise FrobeniusNotInvertible("not a p-th power")
+    out = [F.k.frobenius_inv(x) for x in c[::p]]
+    known = None if a.exact else (a.v + a.digits + p - 1) // p - a.v // p
+    return _ref_make(F, a.v // p, out, known)
+
+
+def _ref_neg(F, a):
+    if a.mant is None:
+        return ZERO
+    return (a.v, tuple(map(F.k.neg, F.coefficients(a))), a.digits, a.exact)
+
+
+def _outcome(F, fn, *args):
+    """The result as (v, codes, digits, exact), or the error class."""
+    try:
+        out = fn(*args)
+    except (PrecisionExhausted, DivisionByZero, FrobeniusNotInvertible) as exc:
+        return type(exc)
+    return _ref(F, out) if isinstance(out, LocalElement) else out
+
+
+def _kernel_operands(F, rng):
+    """Exact operands (full windows, short polynomials, powers of t) and
+    inexact ones (inverses, and windows cut short by a subtraction).  Times
+    `top` (every code the largest), `edge` fills a slot to the bound: its
+    first block of lanes leaves the reduced digit p - 1, then each of its
+    next `_block` lanes adds m (p-1)^2."""
+    top = F.from_coeffs(0, [F.q - 1] * F.prec)
+    edge = F.from_coeffs(0, [1] + [0] * (F._block - 1)
+                         + [F.q - 1] * (F.prec - F._block))
+    xs = [ZERO, F.one, F.uniformizer_power(-3), top, edge, F.inv(top),
+          F.inv(edge)]
+    xs += [F.random_element(rng, -3, 3) for _ in range(4)]
+    xs += [F.from_coeffs(rng.randint(-3, 3),
+                         [rng.randrange(1, F.q)] + [rng.randrange(F.q)
+                                                    for _ in range(2)])
+           for _ in range(2)]
+    for x in xs[3:6]:
+        y = F.inv(x)
+        xs.append(y)
+        try:
+            xs.append(F.sub(y, F.mod_pi_power(y, y.v + rng.randint(1, 3))))
+        except PrecisionExhausted:
+            pass
+    return xs
+
+
+@pytest.mark.parametrize("prec", [1, 4, 8, 80])
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17, 169])
+def test_packed_kernels_match_schoolbook(q, prec):
+    """Every field size: one-byte slots with one block (q = 2, 4, 8) or
+    with products split in blocks (q = 3, 9 and 16 at prec 80, q = 7), and
+    two-byte slots (q = 17, and q = 169 with two digits)."""
+    F = LaurentField(q, prec)
+    rng = random.Random(97 * q + prec)
+    xs = _kernel_operands(F, rng)
+    for a in xs:
+        assert _outcome(F, F.neg, a) == _outcome(F, _ref_neg, F, a)
+        assert _outcome(F, F.inv, a) == _outcome(F, _ref_inv, F, a)
+        assert _outcome(F, F.frobenius, a) == _outcome(
+            F, _ref_frobenius, F, a)
+        assert _outcome(F, F.frobenius_inv, a) == _outcome(
+            F, _ref_frobenius_inv, F, a)
+        if not F.is_zero(a):
+            fa = F.frobenius(a)
+            assert _outcome(F, F.frobenius_inv, fa) == _outcome(
+                F, _ref_frobenius_inv, F, fa)
+        for b in xs + [F.neg(a)]:
+            assert _outcome(F, F.add, a, b) == _outcome(F, _ref_add, F, a, b)
+            assert _outcome(F, F.mul, a, b) == _outcome(F, _ref_mul, F, a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17])
+def test_packed_form_is_the_same_at_every_precision(q):
+    """Exact values of at most 4 digits, built at precision 4 and 80."""
+    rng = random.Random(q)
+    low, high = LaurentField(q, 4), LaurentField(q, 80)
+    for _ in range(20):
+        v, w = rng.randint(-3, 3), rng.randint(-3, 3)
+        a = [rng.randrange(1, q), rng.randrange(q)]
+        b = [rng.randrange(1, q), rng.randrange(q), rng.randrange(1, q)]
+        x_low, x_high = low.from_coeffs(v, a), high.from_coeffs(v, a)
+        y_low, y_high = low.from_coeffs(w, b), high.from_coeffs(w, b)
+        z_low, z_high = low.from_coeffs(v + 1, b), high.from_coeffs(v + 1, b)
+        pairs = [(x_low, x_high), (low.neg(y_low), high.neg(y_high)),
+                 (low.mul(x_low, y_low), high.mul(x_high, y_high)),
+                 (low.add(x_low, z_low), high.add(x_high, z_high))]
+        for x, y in pairs:
+            assert x.exact and x == y
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +695,8 @@ def test_parse_element_literals(q5, f3t):
     assert q5.eq(x, q5.from_integer(7 * 25 - 1))
     assert q5.valuation(parse_element(q5, "pi^-3")) == -3
     y = parse_element(f3t, "2*t^2+1")
-    assert f3t.valuation(y) == 0 and y.mant == (1, 0, 2)
+    assert f3t.valuation(y) == 0
+    assert f3t.element_json(y)["digits"] == [1, 0, 2]
     assert parse_element(finite_field(7), "5") == 5
     with pytest.raises(InvalidSpec):
         parse_element(q5, "pi^^2")
