@@ -43,7 +43,6 @@ from .localfield import (
     LocalElement,
     ZERO,
     Field,
-    parse_element,
 )
 
 
@@ -261,13 +260,6 @@ def normalize_end(field: Field, x: LocalElement, y: LocalElement
     if field.valuation(y) <= field.valuation(x):
         return BoundaryPoint(field.div(x, y), field.one)
     return BoundaryPoint(field.one, field.div(y, x))
-
-
-def parse_end(field: Field, text: str) -> BoundaryPoint:
-    text = text.strip().lower()
-    if text in ("inf", "oo", "infinity"):
-        return BoundaryPoint(field.one, ZERO)
-    return normalize_end(field, parse_element(field, text), field.one)
 
 
 def end_label(field: Field, e: BoundaryPoint) -> str:

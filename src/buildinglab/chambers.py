@@ -78,27 +78,6 @@ PanelId = tuple[int, int]        # (type, panel index)
 # ---------------------------------------------------------------------------
 # linear algebra over F_q
 
-def rref(F: FiniteField, rows: Sequence[Vector]) -> Subspace:
-    """Canonical reduced-row-echelon basis of the span (by elimination; the
-    tests check `all_subspaces` and `subspace_leq` against it)."""
-    mat = [list(r) for r in rows]
-    n = len(mat[0]) if mat else 0
-    r = 0
-    for col in range(n):
-        pivot = next((k for k in range(r, len(mat)) if mat[k][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = F.inv(mat[r][col])
-        mat[r] = [F.mul(inv, x) for x in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][col] != 0:
-                c = mat[k][col]
-                mat[k] = [F.sub(x, F.mul(c, y)) for x, y in zip(mat[k], mat[r])]
-        r += 1
-    return tuple(tuple(row) for row in mat[:r])
-
-
 def subspace_leq(F: FiniteField, small: Sequence[Vector],
                  big: Subspace) -> bool:
     """Whether span(small) lies in big: every vector of small must equal
@@ -260,9 +239,6 @@ class ChamberComplex:
 
     def w_distance(self, c: int, d: int) -> int:
         return self._delta_from(c)[1][d]
-
-    def gallery_distance(self, c: int, d: int) -> int:
-        return self._delta_from(c)[0][d]
 
     def cell_masks(self, x: int) -> tuple[int, ...]:
         """The cells of x as bitmasks: entry w has bit y set when

@@ -216,19 +216,6 @@ class CoxeterSystem:
             a = right[a][s]
         return a
 
-    def reduce_word(self, word: Iterable[int]) -> Word:
-        """Canonical reduced word of the element the input word spells."""
-        return self.words[self.element_from_word(word)]
-
-    def reduced_words(self, a: int) -> list[Word]:
-        """All reduced words of a, sorted: for each descent s of a, the
-        reduced words of a s followed by s."""
-        if a == 0:
-            return [()]
-        return sorted(word + (s,) for s, b in enumerate(self.right[a])
-                      if self.length[b] < self.length[a]
-                      for word in self.reduced_words(b))
-
     def conjugate_generator_by_longest(self, i: int) -> int:
         """The index j with s_j = w0 s_i w0 (diagram symmetry of w0)."""
         w0 = self.longest
@@ -239,13 +226,8 @@ class CoxeterSystem:
 
 
 # Matrices for the rank-2 catalog and small flag geometries.
-MATRIX_A1xA1 = [[1, 2], [2, 1]]
 MATRIX_A2 = [[1, 3], [3, 1]]
 MATRIX_B2 = [[1, 4], [4, 1]]
-
-
-def dihedral_matrix(m: int) -> list[list[int]]:
-    return [[1, m], [m, 1]]
 
 
 def type_a_matrix(n: int) -> list[list[int]]:

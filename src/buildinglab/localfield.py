@@ -37,9 +37,8 @@ to zero.  Equality is decided on the common known window (subtract and
 classify).
 
 The Frobenius map x -> x^p is additive in characteristic p and the models
-expose both it and its inverse; over F_q((t)) the decomposition
-x = sum_i (a_i)^p t^i, 0 <= i < p, witnesses that 1, t, ..., t^(p-1) span
-the field over its subfield of p-th powers, so the index [F : F^p] is p.
+expose both it and its inverse; in characteristic 2 the recovered product
+on the projective line takes a square root through the inverse.
 """
 
 from __future__ import annotations
@@ -499,10 +498,15 @@ class PadicField(_LocalBase):
             return b
         if b.mant is None:
             return a
-        v = min(a.v, b.v)
-        p = self.p
-        return self._make(v, a.mant * p ** (a.v - v) + b.mant * p ** (b.v - v),
-                          self._known_sum(a, b, v))
+        if a.v > b.v:
+            a, b = b, a
+        gap = b.v - a.v
+        if gap > self.prec:
+            # no digit of b, nor a borrow from a signed exact b, reaches
+            # a's prec-digit window
+            return a if not a.exact else self._make(a.v, a.mant, self.prec)
+        return self._make(a.v, a.mant + b.mant * self.p ** gap,
+                          self._known_sum(a, b, a.v))
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
@@ -704,11 +708,6 @@ class LaurentField(_LocalBase):
     def from_integer(self, n: int) -> LocalElement:
         return self._make(0, self._lane[self.k.from_integer(n)], None)
 
-    def from_coeffs(self, v: int, coeffs: Sequence[int]) -> LocalElement:
-        """Exact element sum coeffs[i] * t^(v+i), coefficients as residue
-        codes."""
-        return self._make(v, self._pack(coeffs), None)
-
     def residue_lift(self, code: int) -> LocalElement:
         """Exact lift of the residue class with code 0 <= code < q: the
         constant series."""
@@ -723,7 +722,11 @@ class LaurentField(_LocalBase):
             return a
         if a.v > b.v:
             a, b = b, a
-        total = a.mant + (b.mant << (b.v - a.v) * self._lane_bits)
+        gap = b.v - a.v
+        if gap > self.prec:
+            # no digit of b reaches a's prec-digit window
+            return a if not a.exact else self._make(a.v, a.mant, self.prec)
+        total = a.mant + (b.mant << gap * self._lane_bits)
         return self._make(a.v, self._reduce(total), self._known_sum(a, b, a.v))
 
     def neg(self, a: LocalElement) -> LocalElement:
@@ -933,51 +936,3 @@ def parse_element(field: Field, text: str) -> Element:
         piece = field.mul(field.from_integer(coeff), field.uniformizer_power(exp))
         total = field.add(total, piece)
     return total
-
-
-def frobenius_index_check(field: LaurentField, samples: Sequence[LocalElement]):
-    """Decompose each sample as sum_{0<=i<p} (a_i)^p t^i and verify the
-    reconstruction; the p summands witness that 1, t, ..., t^(p-1) span the
-    field over its p-th powers, so the index [F : F^p] equals p = char.
-
-    Returns {"degree": p, "checked": n, "ok": bool, "witnesses": [...]}.
-    """
-    if not (field.local and field.char):
-        raise InvalidSpec("index check applies to a local field of "
-                          "characteristic p")
-    p = field.p
-    witnesses = []
-    ok = True
-    for x in samples:
-        if field.is_zero(x):
-            parts = [ZERO] * p
-        else:
-            buckets: list[dict[int, int]] = [dict() for _ in range(p)]
-            for idx, c in enumerate(field.coefficients(x)):
-                if c == 0:
-                    continue
-                e = x.v + idx
-                i = e % p
-                buckets[i][(e - i) // p] = field.k.frobenius_inv(c)
-            parts = []
-            for i in range(p):
-                if not buckets[i]:
-                    parts.append(ZERO)
-                    continue
-                lo = min(buckets[i])
-                hi = max(buckets[i])
-                coeffs = [buckets[i].get(j, 0) for j in range(lo, hi + 1)]
-                parts.append(field.from_coeffs(lo, coeffs))
-        recon = ZERO
-        for i, a in enumerate(parts):
-            term = field.mul(field.frobenius(a), field.uniformizer_power(i))
-            recon = field.add(recon, term)
-        good = field.eq(recon, x)
-        ok = ok and good
-        witnesses.append({
-            "element": field.format_element(x),
-            "parts": [field.format_element(a) for a in parts],
-            "ok": good,
-        })
-    return {"degree": p, "checked": len(samples), "ok": ok,
-            "witnesses": witnesses}

@@ -22,15 +22,18 @@ kept only if it preserves the distance on every pair.  By rigidity the
 search branches once, over the q images of one chamber, and otherwise
 only propagates.  The Moufang property is then checked head on:
 one simple-path walk on the graph lists the roots (the n-edge paths) and
-files each under its two ends; the apartments containing a root are its
-union with each other root between the same ends that misses its
-interior, and each root group must permute those simply transitively,
-with order equal to the panel parameter q: it holds the identity and maps
-one apartment, once under each element, onto q distinct apartments that
-are all of them.  Only the 2n base root groups are searched for that;
-every other root group is a conjugate g^-1 U_i g, g the product of the
-base root elements on the path to its interior in a breadth-first walk
-from the base interiors, checked element by element, and a seeded few are
+files each under its two ends.  The ends x0 and xn of a root are
+opposite, so an apartment through the root is determined by its edge at
+x0 off the root: the apartments through it correspond one to one with the
+q chambers of x0's star other than the root's own.  Each root group must
+permute those simply transitively, with order equal to the panel
+parameter q: it holds the identity and maps the least of those chambers,
+once under each element, onto all q of them; the apartments, counted
+apart as the roots between the same ends that miss the interior, must
+number q too.  Only the 2n base root groups are searched for that; every
+other root group is a conjugate g^-1 U_i g, g the product of the base root
+elements on the path to its interior in a breadth-first walk from the
+base interiors, checked element by element, and a seeded few are
 searched again as the independent route.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
@@ -335,20 +338,24 @@ class MoufangFrame:
                     (path[0], path[-1]), []).append(path)
         return self._roots
 
-    def apartments_containing(self,
-                              path: Sequence[PanelId]) -> list[frozenset]:
-        """Apartments (as chamber sets) whose circuit contains the root
-        path: its union with each root between the same ends that misses
-        its interior (each closes it to a 2n-circuit; the path itself meets
-        its own interior and is left out), in the order of the sorted root
-        list."""
+    def _apartment_count(self, path: Sequence[PanelId]) -> int:
+        """The apartments containing the root path, counted as the roots
+        between the same ends that miss its interior (each closes it to a
+        2n-circuit; the path itself meets its own interior)."""
         self.all_roots()
         ends = min((path[0], path[-1]), (path[-1], path[0]))
-        inner = set(path[1:-1])
-        return [frozenset(self.graph[a][b] for p in (path, other)
-                          for a, b in zip(p, p[1:]))
-                for other in self._roots_by_ends.get(ends, ())
-                if inner.isdisjoint(other[1:-1])]
+        inner = path[1:-1]
+        return sum(all(pid not in inner for pid in other[1:-1])
+                   for other in self._roots_by_ends.get(ends, ()))
+
+    def _regular_on_end_panel(self, path: Sequence[PanelId],
+                              U: Sequence[Perm]) -> bool:
+        """Whether U maps the least chamber of the star of path[0] off the
+        root, once under each element, onto every such chamber: those q
+        chambers stand for the q apartments containing the root."""
+        own = self.graph[path[0]][path[1]]
+        others = sorted(c for c in self.star(path[0]) if c != own)
+        return sorted(g[others[0]] for g in U) == others
 
     # the Moufang condition --------------------------------------------------
 
@@ -420,10 +427,12 @@ class MoufangFrame:
         The groups come from `root_groups_by_conjugation`, and every element
         is checked to be an automorphism fixing each chamber of the interior
         stars; by rigidity U_alpha acts freely on the q apartments containing
-        alpha, so q distinct such elements are the whole group.  A root
-        passes when U_alpha holds the identity and maps the first apartment
-        to q distinct images, which are the q apartments: the orbit is all
-        of them and only the identity fixes one.  As an
+        alpha, so q distinct such elements are the whole group.  Those
+        apartments correspond to the q chambers of the star of the root's
+        first vertex other than its own chamber.  A root passes when
+        U_alpha holds the identity, maps the least of those chambers onto
+        all q of them, one image per element, and the apartment count
+        read off the root list (`apartments_per_root`) is q.  As an
         independent route, the groups of CROSS_CHECK_GROUPS interiors off the
         base apartment, drawn with CROSS_CHECK_SEED, are searched directly
         and must come out the same sets."""
@@ -454,18 +463,15 @@ class MoufangFrame:
             for r in by_interior[key]:
                 routes[route] += 1
                 path = roots[r]
-                apartments = self.apartments_containing(path)
-                apartment_counts.add(len(apartments))
-                ok = group_ok and len(apartments) == q
-                if ok:
-                    images = {frozenset(g[c] for c in apartments[0])
-                              for g in U}
-                    ok = len(images) == q and images == set(apartments)
+                count = self._apartment_count(path)
+                apartment_counts.add(count)
+                ok = (group_ok and count == q
+                      and self._regular_on_end_panel(path, U))
                 if not (ok and agrees):
                     failures.append((r, {
                         "root": [list(map(int, pid)) for pid in path],
                         "group_order": len(U),
-                        "apartments": len(apartments),
+                        "apartments": count,
                         "route": route,
                         "elements_ok": elements_ok,
                         "agrees_with_search": agrees,

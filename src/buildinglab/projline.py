@@ -28,7 +28,6 @@ product keeps the two routes honest against each other.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from .errors import InvalidSpec, PrecisionExhausted
 from .localfield import Field, parse_element
@@ -84,31 +83,9 @@ def pl_sub(field: Field, x, y):
 
 # -- generators -------------------------------------------------------------
 
-def tau(field: Field, a, x):
-    """Translation by the finite constant a."""
-    if a is INF:
-        raise InvalidSpec("translation constant must be finite")
-    return pl_add(field, a, x)
-
-
 def iota(field: Field, x):
     """x -> -x^-1; an involution on the whole line."""
     return pl_neg(field, pl_inv(field, x))
-
-
-def pl_apply(field: Field, word: Iterable, x):
-    """Apply a word in the generators, given as pairs ("tau", a) and
-    ("iota", None), left factor first."""
-    for op in word:
-        name = op[0]
-        if name == "tau":
-            x = tau(field, op[1], x)
-        elif name == "iota":
-            x = iota(field, x)
-        else:
-            raise InvalidSpec(f"unknown generator {name!r}")
-    return x
-
 
 # -- recovered arithmetic ----------------------------------------------------
 

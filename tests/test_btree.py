@@ -21,7 +21,6 @@ from buildinglab.btree import (
     mat_mul,
     neighbors,
     normalize_end,
-    parse_end,
     ray_to_end,
     residue_lifts,
     sl2_sample,
@@ -29,7 +28,15 @@ from buildinglab.btree import (
     vertex_matrix,
 )
 from buildinglab.errors import InvalidSpec, PrecisionExhausted
-from buildinglab.localfield import ZERO, parse_field_spec
+from buildinglab.localfield import ZERO, parse_element, parse_field_spec
+
+
+def parse_end(field, text):
+    """The end named by a literal x, as (x : 1), or by "inf", as (1 : 0)."""
+    text = text.strip().lower()
+    if text in ("inf", "oo", "infinity"):
+        return BoundaryPoint(field.one, ZERO)
+    return normalize_end(field, parse_element(field, text), field.one)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from buildinglab.localfield import (
     PadicField,
     classify,
     finite_field,
-    frobenius_index_check,
     parse_element,
     parse_field_spec,
 )
@@ -272,27 +272,56 @@ def test_frobenius_not_invertible(f3t):
         f3t.frobenius_inv(parse_element(f3t, "1+t"))
 
 
+def _from_coeffs(field, v, coeffs):
+    """Exact element sum coeffs[i] * t^(v+i), coefficients as residue
+    codes."""
+    return field._make(v, field._pack(coeffs), None)
+
+
+# The index check [F : F^p] = p that stood in localfield, kept as a test of
+# the Laurent Frobenius against the residue field's inverse Frobenius.
+def _frobenius_index_check(field, samples):
+    """Decompose each sample as sum_{0<=i<p} (a_i)^p t^i and verify the
+    reconstruction; the p summands witness that 1, t, ..., t^(p-1) span the
+    field over its p-th powers, so the index [F : F^p] equals p = char."""
+    p = field.p
+    witnesses = []
+    for x in samples:
+        parts = [ZERO] * p
+        if not field.is_zero(x):
+            for idx, c in enumerate(field.coefficients(x)):
+                if c:
+                    e = x.v + idx
+                    root = field.residue_lift(field.k.frobenius_inv(c))
+                    parts[e % p] = field.add(parts[e % p], field.mul(
+                        root, field.uniformizer_power(e // p)))
+        recon = ZERO
+        for i, a in enumerate(parts):
+            term = field.mul(field.frobenius(a), field.uniformizer_power(i))
+            recon = field.add(recon, term)
+        witnesses.append({
+            "parts": [field.format_element(a) for a in parts],
+            "ok": field.eq(recon, x),
+        })
+    return {"degree": p, "checked": len(samples),
+            "ok": all(w["ok"] for w in witnesses), "witnesses": witnesses}
+
+
 def test_frobenius_index_check_f2():
     F = LaurentField(2, 10)
     x = parse_element(F, "t^3+t^2")
-    report = frobenius_index_check(F, [x])
+    report = _frobenius_index_check(F, [x])
     assert report["degree"] == 2
     assert report["ok"]
     # t^3 + t^2 = (t)^2 * t + (t)^2 * 1: parts are (a_0, a_1) = (t, t)
     assert report["witnesses"][0]["parts"] == ["t", "t"]
 
 
-def test_frobenius_index_check_needs_local_characteristic_p(q5):
-    for F in (q5, finite_field(4)):
-        with pytest.raises(InvalidSpec):
-            frobenius_index_check(F, [])
-
-
 def test_frobenius_index_check_random():
     F = LaurentField(9, 9)
     rng = random.Random(3)
     samples = [F.random_element(rng) for _ in range(40)] + [ZERO]
-    report = frobenius_index_check(F, samples)
+    report = _frobenius_index_check(F, samples)
     assert report["ok"]
     assert report["degree"] == 3
     assert report["checked"] == 41
@@ -431,13 +460,13 @@ def _kernel_operands(F, rng):
     `top` (every code the largest), `edge` fills a slot to the bound: its
     first block of lanes leaves the reduced digit p - 1, then each of its
     next `_block` lanes adds m (p-1)^2."""
-    top = F.from_coeffs(0, [F.q - 1] * F.prec)
-    edge = F.from_coeffs(0, [1] + [0] * (F._block - 1)
+    top = _from_coeffs(F, 0, [F.q - 1] * F.prec)
+    edge = _from_coeffs(F, 0, [1] + [0] * (F._block - 1)
                          + [F.q - 1] * (F.prec - F._block))
     xs = [ZERO, F.one, F.uniformizer_power(-3), top, edge, F.inv(top),
           F.inv(edge)]
     xs += [F.random_element(rng, -3, 3) for _ in range(4)]
-    xs += [F.from_coeffs(rng.randint(-3, 3),
+    xs += [_from_coeffs(F, rng.randint(-3, 3),
                          [rng.randrange(1, F.q)] + [rng.randrange(F.q)
                                                     for _ in range(2)])
            for _ in range(2)]
@@ -485,9 +514,9 @@ def test_packed_form_is_the_same_at_every_precision(q):
         v, w = rng.randint(-3, 3), rng.randint(-3, 3)
         a = [rng.randrange(1, q), rng.randrange(q)]
         b = [rng.randrange(1, q), rng.randrange(q), rng.randrange(1, q)]
-        x_low, x_high = low.from_coeffs(v, a), high.from_coeffs(v, a)
-        y_low, y_high = low.from_coeffs(w, b), high.from_coeffs(w, b)
-        z_low, z_high = low.from_coeffs(v + 1, b), high.from_coeffs(v + 1, b)
+        x_low, x_high = (_from_coeffs(F, v, a) for F in (low, high))
+        y_low, y_high = (_from_coeffs(F, w, b) for F in (low, high))
+        z_low, z_high = (_from_coeffs(F, v + 1, b) for F in (low, high))
         pairs = [(x_low, x_high), (low.neg(y_low), high.neg(y_high)),
                  (low.mul(x_low, y_low), high.mul(x_high, y_high)),
                  (low.add(x_low, z_low), high.add(x_high, z_high))]
@@ -581,6 +610,43 @@ def test_make_contract(F):
         F.mod_pi_power(y, F.prec + 1)
 
 
+
+def _unclamped_add(F, a, b):
+    """a + b with the far operand shifted into place whatever the gap."""
+    if a.v > b.v:
+        a, b = b, a
+    gap = b.v - a.v
+    if isinstance(F, PadicField):
+        total = a.mant + b.mant * F.p ** gap
+    else:
+        total = F._reduce(a.mant + (b.mant << gap * F._lane_bits))
+    return F._make(a.v, total, F._known_sum(a, b, a.v))
+
+
+@pytest.mark.parametrize("F", [PadicField(5, 8), LaurentField(3, 8)])
+def test_add_across_a_valuation_gap_beyond_the_window(F):
+    # a gap of 10^7 gives the sum at gap 2 prec, without building a
+    # 10^7-digit intermediate
+    start = time.perf_counter()
+    for x in (F.one, F.neg(F.one), F.inv(parse_element(F, "1+pi"))):
+        far = F.uniformizer_power(10 ** 7)
+        want = _unclamped_add(F, x, F.uniformizer_power(2 * F.prec))
+        assert F.add(x, far) == F.add(far, x) == want
+    assert time.perf_counter() - start < 0.1
+    # near the window's edge the sum equals the unclamped formula for
+    # exact, negative exact and inexact operands, in either order
+    rng = random.Random(5)
+    operands = [F.one, F.neg(F.one), F.from_integer(-7),
+                F.random_element(rng, 0, 0), F.inv(parse_element(F, "1+pi"))]
+    for gap in range(F.prec - 1, F.prec + 3):
+        shift = F.uniformizer_power(gap)
+        for x in operands:
+            for y in operands:
+                far = F.mul(y, shift)
+                want = _unclamped_add(F, x, far)
+                assert F.add(x, far) == F.add(far, x) == want
+
+
 # ---------------------------------------------------------------------------
 # differential precision: a low-precision run never claims a digit that a
 # high-precision run of the same program contradicts
@@ -597,7 +663,7 @@ def _exact_input(F, v, digits, negate):
     if F.char == 0:
         n = sum(c * F.p ** i for i, c in enumerate(digits))
         return F.mul(F.from_integer(-n if negate else n), F.uniformizer_power(v))
-    x = F.from_coeffs(v, [c % F.q for c in digits])
+    x = _from_coeffs(F, v, [c % F.q for c in digits])
     return F.neg(x) if negate else x
 
 

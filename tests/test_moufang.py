@@ -292,7 +292,7 @@ def test_identity_forced_search(pg2_2):
     # a neighbor of a fixed chamber cannot go to a chamber not adjacent to it
     i, nb = next(pg2_2.neighbors(0))
     far = next(d for d in range(pg2_2.size)
-               if pg2_2.gallery_distance(0, d) > 1)
+               if pg2_2._delta_from(0)[0][d] > 1)
     assert find_automorphisms(pg2_2, forced={0: 0, nb: far}) == []
     # a forced image off a setwise-fixed panel
     pinned = frozenset({pg2_2.panel_id(1 - i, 0)})
@@ -428,8 +428,8 @@ def test_root_enumeration_counts(frame2, framew):
 
 def test_apartments_containing_base_root(frame2):
     path = frame2.root_path(0)
-    apartments = frame2.apartments_containing(path)
-    assert len(apartments) == 2
+    apartments = _reference_apartments(frame2, path)
+    assert len(apartments) == frame2._apartment_count(path) == 2
     assert frame2.apartment in apartments
 
 
@@ -441,7 +441,7 @@ def test_completed_apartments_are_hulls(frame_name, request):
     cx = frame.cx
     w0 = cx.coxeter.longest
     for i in range(2 * frame.n):
-        apartments = frame.apartments_containing(frame.root_path(i))
+        apartments = _reference_apartments(frame, frame.root_path(i))
         assert len(apartments) == frame.q
         for apartment in apartments:
             c = min(apartment)
@@ -449,9 +449,10 @@ def test_completed_apartments_are_hulls(frame_name, request):
             assert frozenset(cx.apartment_hull(c, d)) == apartment
 
 
-# The apartment search as it stood before the ends lookup, kept as the
-# oracle for apartments_containing: close the root with a second n-edge
-# path from its end back to its start that misses its interior.
+# The apartment-image rule as it stood before the end-panel rule, kept as
+# its oracle: close the root with a second n-edge path from its end back
+# to its start that misses its interior, and map one such apartment under
+# the root group.
 def _reference_paths(frame, start, edges, avoid=frozenset()):
     """Simple paths of the given number of edges from start that miss
     the avoided panels."""
@@ -479,24 +480,50 @@ def _reference_apartments(frame, path):
     return sorted(out, key=sorted)
 
 
-def _assert_apartments_match_reference(frame, roots):
+def _reference_verdict(frame, path, U):
+    """The apartment-image rule: q apartments through the root, and U maps
+    the first onto q distinct images that are all of them."""
+    apartments = _reference_apartments(frame, path)
+    images = {frozenset(g[c] for c in apartments[0]) for g in U}
+    return (len(apartments) == frame.q and len(images) == frame.q
+            and images == set(apartments))
+
+
+def _panel_verdict(frame, path, U):
+    return (frame._apartment_count(path) == frame.q
+            and frame._regular_on_end_panel(path, U))
+
+
+def _assert_panel_rule_matches_reference(frame, roots):
+    # Both rules presume a group fixing the interior stars, which the
+    # element check settles first (a foreign group may pass either rule
+    # alone).  Each root, both ways round, gets its own group (both rules
+    # pass) and that group with the identity replaced by another element
+    # (both fail).
+    groups = {key: U for key, U, _ in frame.root_groups_by_conjugation(
+        {frame.interior(path) for path in roots})}
     for path in roots:
+        U = groups[frame.interior(path)]
+        u = next(g for g in U if g != frame.identity)
+        doubled = [g if g != frame.identity else u for g in U]
         for oriented in (path, path[::-1]):
-            assert (sorted(frame.apartments_containing(oriented), key=sorted)
-                    == _reference_apartments(frame, oriented))
+            assert _panel_verdict(frame, oriented, U)
+            assert _reference_verdict(frame, oriented, U)
+            assert not _panel_verdict(frame, oriented, doubled)
+            assert not _reference_verdict(frame, oriented, doubled)
 
 
 @pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "W:q=2"])
 def test_apartments_match_reference_on_every_root(spec):
     frame = MoufangFrame(build_flag_building(spec))
-    _assert_apartments_match_reference(frame, frame.all_roots())
+    _assert_panel_rule_matches_reference(frame, frame.all_roots())
 
 
 @pytest.mark.parametrize("spec", ["PG2:q=4", "W:q=3"])
 def test_apartments_match_reference_on_sampled_roots(spec):
     frame = MoufangFrame(build_flag_building(spec))
     roots = random.Random(7).sample(frame.all_roots(), 40)
-    _assert_apartments_match_reference(frame, roots)
+    _assert_panel_rule_matches_reference(frame, roots)
 
 
 def test_transitivity_fails_on_a_root_missing_from_the_list():
@@ -639,6 +666,57 @@ def test_transitivity_fails_on_base_group_with_a_non_automorphism():
     assert any(not f["elements_ok"] and f["agrees_with_search"]
                and f["group_order"] == f["apartments"] == 3
                for f in report["failures"])
+
+
+def _mutate_first_conjugated(frame, transform):
+    """Make the frame's walk hand back transform(U) in place of the first
+    group it makes by conjugation; returns the interiors mutated."""
+    walk, mutated = frame.root_groups_by_conjugation, []
+
+    def wrapped(interiors):
+        for key, U, conjugated in walk(interiors):
+            if conjugated and not mutated:
+                mutated.append(key)
+                U = transform(U)
+            yield key, U, conjugated
+    frame.root_groups_by_conjugation = wrapped
+    return mutated
+
+
+def test_transitivity_fails_on_a_conjugated_group_missing_an_element():
+    frame = MoufangFrame(build_flag_building("PG2:q=3"))
+    e = frame.identity
+    mutated = _mutate_first_conjugated(
+        frame, lambda U: [g for g in U if g != e][1:] + [e])
+    report = frame.transitivity_check()
+    assert not report["ok"]
+    assert report["group_orders"] == [2, 3]
+    assert report["failures"] and all(
+        f["route"] == "conjugated" and f["group_order"] == 2
+        and frame.interior([tuple(pid) for pid in f["root"]]) == mutated[0]
+        for f in report["failures"])
+
+
+def test_transitivity_fails_on_a_group_conjugated_by_a_wrong_word():
+    # one extra base generator at the end of the parent word: the group of
+    # another interior, whose elements move the mutated interior's stars
+    frame = MoufangFrame(build_flag_building("W:q=3"))
+    gens = [g for i in range(2 * frame.n) for g in frame.root_group(i)
+            if g != frame.identity]
+
+    def extra_generator(U):
+        for v in gens:
+            moved = [conjugate(g, v) for g in U]
+            if set(moved) != set(U):
+                return moved
+    mutated = _mutate_first_conjugated(frame, extra_generator)
+    report = frame.transitivity_check()
+    assert not report["ok"]
+    assert report["group_orders"] == [3]
+    assert report["failures"] and all(
+        f["route"] == "conjugated" and not f["elements_ok"]
+        and frame.interior([tuple(pid) for pid in f["root"]]) == mutated[0]
+        for f in report["failures"])
 
 
 def test_transitivity_fails_when_the_search_disagrees(monkeypatch):

@@ -15,13 +15,11 @@ from buildinglab.projline import (
     iota,
     parse_point,
     pl_add,
-    pl_apply,
     pl_inv,
     pl_neg,
     recover_multiplication,
     recover_square,
     recovery_check,
-    tau,
 )
 
 
@@ -46,12 +44,11 @@ def test_generators():
         assert iota(F, iota(F, x)) == x or iota(F, iota(F, x)) is x
         for a in F.elements():
             for b in F.elements():
-                assert tau(F, a, tau(F, b, x)) == tau(F, F.add(a, b), x)
-    word = [("tau", 3), ("iota", None), ("tau", 1)]
-    # tau_3 then iota then tau_1 applied to 2: -(1/5)+1 = 4+1 = 5
-    assert pl_apply(F, word, 2) == 5
-    with pytest.raises(InvalidSpec):
-        pl_apply(F, [("rho", None)], 2)
+                # translations compose additively
+                assert (pl_add(F, a, pl_add(F, b, x))
+                        == pl_add(F, F.add(a, b), x))
+    # x -> 1 + iota(3 + x) at 2: 1 - 1/5 = 1 + 4 = 5
+    assert pl_add(F, 1, iota(F, pl_add(F, 3, 2))) == 5
 
 
 def test_hua_exhaustive_f5():
