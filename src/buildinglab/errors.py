@@ -31,7 +31,7 @@ class PrecisionExhausted(BuildinglabError):
 
 class FrobeniusNotInvertible(BuildinglabError):
     """Frobenius preimage requested for an element that is visibly not a
-    p-th power (or the field has characteristic zero)."""
+    p-th power."""
 
 
 class NotReduced(BuildinglabError):

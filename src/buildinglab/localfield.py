@@ -21,24 +21,23 @@ exact canonical representatives modulo pi^k (`mod_pi_power`), so callers
 never pick a representation by the kind of field.
 
 Precision model.  A nonzero element is (valuation, mantissa, digits, exact);
-the mantissa is one int in both models (a p-adic integer, or the F_q((t))
-coefficients packed one per lane, see `LaurentField`).  Literals and other
-finite-support constructions are exact.  The rule for a result lives in one
-place per model, its `_make(v, mant, known)`, which every ring operation and
-normal form returns through: a result of exact operands stays exact while
-it fits inside the precision window, so an exact full cancellation really
-returns exact zero with valuation infinity; any truncation drops the exact
-flag; a result of inexact operands keeps the digits its operands determine
-(`_LocalBase._known_sum`, `_known_product`, `_known_inverse`: the least
-known precision of the inputs), capped at the window.  When every known
-digit of an inexact computation cancels, no claim about the result is
-possible and PrecisionExhausted is raised; nothing is ever silently rounded
-to zero.  Equality is decided on the common known window (subtract and
-classify).
+the mantissa is one int read in the model's base `_radix`: p, or
+2^`_lane_bits` with one coefficient per digit (see `LaurentField`).
+Literals and other finite-support constructions are exact.  The rule for a
+result is written once, `_LocalBase._make(v, mant, known)`, which every ring
+operation and normal form returns through: a result of exact operands stays
+exact while it fits inside the precision window, so an exact full
+cancellation really returns exact zero with valuation infinity; any
+truncation drops the exact flag; a result of inexact operands keeps the
+digits its operands determine (`_LocalBase._known_sum`, `_known_product`,
+`_known_inverse`: the least known precision of the inputs), capped at the
+window.  When every known digit of an inexact computation cancels, no claim
+about the result is possible and PrecisionExhausted is raised; nothing is
+ever silently rounded to zero.  Equality is decided on the common known
+window (subtract and classify).
 
-The Frobenius map x -> x^p is additive in characteristic p and the models
-expose both it and its inverse; in characteristic 2 the recovered product
-on the projective line takes a square root through the inverse.
+F_q and F_q((t)) answer `frobenius_inv`, the p-th root that the recovered
+product on the projective line takes in characteristic 2.
 """
 
 from __future__ import annotations
@@ -57,6 +56,11 @@ from .errors import (
 
 INFINITY = float("inf")
 
+# desk-scale bounds on q (or p) and the precision, checked before any
+# table is built: an F_q keeps q x q tables
+MAX_ORDER = 256
+MAX_PRECISION = 1024
+
 
 def _val_int(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer."""
@@ -68,7 +72,9 @@ def _val_int(n: int, p: int) -> int:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """q = p^m with p prime, else InvalidSpec."""
+    """q = p^m with p prime and q <= MAX_ORDER, else InvalidSpec."""
+    if q > MAX_ORDER:
+        raise InvalidSpec(f"field order {q} exceeds the bound {MAX_ORDER}")
     if q < 2:
         raise InvalidSpec(f"{q} is not a prime power")
     p = 2
@@ -159,15 +165,19 @@ class FiniteField(_FieldBase):
         self._add = [[self._encode([x + y for x, y in zip(ca, cb)])
                       for cb in coeffs] for ca in coeffs]
         self._neg = [self._encode([-x for x in ca]) for ca in coeffs]
-        self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
+        # a * b = a * b0 + w * (a * b1) for the code b = b0 + p b1: a row
+        # is filled from its earlier entries, and only x -> w x multiplies
+        times_w = [self._poly_mul(x, self.generator()) for x in range(q)]
+        self._mul = []
+        for a in range(q):
+            row = [0] * q
             for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-        self._frob = [self.pow(a, p) for a in range(q)]
-        self._frob_inv = [self._frob.index(a) for a in range(q)]
+                row[b] = (self._add[row[b - 1]][a] if b < p else
+                          self._add[row[b % p]][times_w[row[b // p]]])
+            self._mul.append(row)
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
+        # x -> x^p has order m, so its inverse is x -> x^(q/p)
+        self._frob_inv = [self.pow(a, q // p) for a in range(q)]
 
     def _decode(self, code: int) -> list[int]:
         return _digits(code, self.p, self.degree)
@@ -219,9 +229,6 @@ class FiniteField(_FieldBase):
     @property
     def residue_field(self) -> "FiniteField":
         return self
-
-    def frobenius(self, a: int) -> int:
-        return self._frob[a]
 
     def frobenius_inv(self, a: int) -> int:
         return self._frob_inv[a]
@@ -297,8 +304,9 @@ class LocalElement(NamedTuple):
     """Nonzero element: mantissa * pi^v.  `digits` is the known relative
     window; `exact` marks finite-support values known completely."""
     v: int
-    mant: Optional[int]   # p-adic: signed when exact; Laurent: residue codes
-                          # packed in lanes (see LaurentField); None for 0
+    mant: Optional[int]   # digits in base `_radix`, lowest nonzero (p-adic:
+                          # signed when exact; Laurent: one lane per residue
+                          # code, see LaurentField); None for 0
     digits: int
     exact: bool
 
@@ -311,18 +319,48 @@ Element = Union[int, LocalElement]
 class _LocalBase(_FieldBase):
     """Shared plumbing for the two truncated local models.
 
-    A model supplies the representation: `one`, `_make` (the precision
-    rule on a raw window, see the module docstring), the ring operations
-    `add`, `neg`, `mul`, `inv` (from which the base derives `sub`, `div`
-    and `pow`), and four mantissa hooks used below:
-    `_low_digits(mant, width)` (the digits below relative position width),
-    `_lead_code(mant)` (residue code of the leading digit),
-    `_random_unit(rng)` and `_nonzero_json(a)`.
+    A model supplies the representation: `one`, the base `_radix` of its
+    mantissas, the ring operations `add`, `neg`, `mul`, `inv` (from which
+    the base derives `sub`, `div` and `pow`), and the mantissa hooks
+    `_width(mant)` (number of digits), `_lead_code(mant)` (residue code of
+    the leading digit), `_random_unit(rng)` and `_nonzero_json(a)`.  The
+    precision rule, `_make`, is the base's.
     """
 
     local = True
 
     zero = ZERO
+
+    def __init__(self, prec: int):
+        if not 1 <= prec <= MAX_PRECISION:
+            raise InvalidSpec(f"precision {prec} outside 1..{MAX_PRECISION}")
+        self.prec = prec
+
+    def _make(self, v: int, mant: int, known: Optional[int]) -> LocalElement:
+        """Normalize mant * pi^v, mant read in base `_radix`: keep the
+        `known` low digits (None: exact), strip the zero digits at the low
+        end and cap at `prec`; PrecisionExhausted if no digit survives.  An
+        exact result wider than `prec` becomes the inexact window."""
+        radix = self._radix
+        if known is not None:
+            mant %= radix ** known
+        if not mant:
+            if known is None:
+                return ZERO
+            raise PrecisionExhausted("every known digit cancelled")
+        if not mant % radix:
+            j = _val_int(mant, radix)
+            v, mant = v + j, mant // radix ** j
+            if known is not None:
+                known -= j
+        if known is None:
+            known = self._width(mant)
+            if known <= self.prec:
+                return LocalElement(v, mant, known, True)
+        if known > self.prec:
+            known = self.prec
+            mant %= radix ** known
+        return LocalElement(v, mant, known, False)
 
     def is_zero(self, a: LocalElement) -> bool:
         return a.mant is None
@@ -393,7 +431,7 @@ class _LocalBase(_FieldBase):
             raise PrecisionExhausted(
                 f"digits up to {self.uniformizer_symbol}^{k} not known at "
                 f"this precision")
-        return self._make(a.v, self._low_digits(a.mant, width), None)
+        return self._make(a.v, a.mant % self._radix ** width, None)
 
     def residue(self, a: LocalElement) -> int:
         if a.mant is None:
@@ -432,49 +470,19 @@ class PadicField(_LocalBase):
         pp, m = _factor_prime_power(p)
         if m != 1:
             raise InvalidSpec(f"p-adic base {p} must be prime")
-        if prec < 1:
-            raise InvalidSpec("precision must be positive")
-        self.p = p
-        self.prec = prec
+        super().__init__(prec)
+        self.p = self._radix = p
         self.char = 0
         self.residue_q = p
         self.one = LocalElement(0, 1, 1, True)
-        # p^0 .. p^prec: a mantissa's digit count is its place among them
         self._powers = [p ** i for i in range(prec + 1)]
 
     @property
     def residue_field(self) -> FiniteField:
         return finite_field(self.p)
 
-    def _make(self, v: int, mant: int, known: Optional[int]) -> LocalElement:
-        """Normalize p^v * mant.  `known` is the relative width actually
-        known (None for exact): keep that many digits, strip the factors p,
-        cap at `prec`, and raise PrecisionExhausted if no digit survives.
-        An exact result is trimmed, or the inexact `prec`-digit window when
-        it is wider than `prec`."""
-        p = self.p
-        if known is not None:
-            mant %= p ** known
-        if not mant:
-            if known is None:
-                return ZERO
-            raise PrecisionExhausted("every known digit cancelled")
-        if not mant % p:
-            j = _val_int(mant, p)
-            v, mant = v + j, mant // p ** j
-            if known is not None:
-                known -= j
-        if known is None:
-            known = bisect_right(self._powers, abs(mant))
-            if known <= self.prec:
-                return LocalElement(v, mant, known, True)
-        if known > self.prec:
-            known = self.prec
-            mant %= self._powers[known]
-        return LocalElement(v, mant, known, False)
-
-    def _low_digits(self, mant: int, width: int) -> int:
-        return mant % self.p ** width
+    def _width(self, mant: int) -> int:
+        return bisect_right(self._powers, abs(mant))
 
     def _lead_code(self, mant: int) -> int:
         return mant % self.p
@@ -528,14 +536,6 @@ class PadicField(_LocalBase):
         mod = self.p ** digits
         return self._make(-a.v, pow(a.mant % mod, -1, mod), digits)
 
-    def frobenius(self, a: LocalElement) -> LocalElement:
-        # plain p-th power; additivity is a characteristic-p phenomenon
-        return self.pow(a, self.p)
-
-    def frobenius_inv(self, a: LocalElement) -> LocalElement:
-        raise FrobeniusNotInvertible(
-            "characteristic 0: p-th roots are not generally available")
-
     def format_element(self, a: LocalElement) -> str:
         if a.mant is None:
             return "0"
@@ -586,12 +586,10 @@ class LaurentField(_LocalBase):
     uniformizer_symbol = "t"
 
     def __init__(self, q: int, prec: int):
-        if prec < 1:
-            raise InvalidSpec("precision must be positive")
+        super().__init__(prec)
         k = self.k = finite_field(q)
         self.q = q
         self.p = p = k.p
-        self.prec = prec
         self.char = p
         self.residue_q = q
         self.one = LocalElement(0, 1, 1, True)
@@ -602,6 +600,7 @@ class LaurentField(_LocalBase):
         self._slot_bits = width
         self._block = ((1 << width) - p) // top
         self._lane_bits = lane_bits = (2 * m - 1) * width
+        self._radix = 1 << lane_bits
         self._lane_bytes = lane_bits // 8
         self._lane_mask = (1 << lane_bits) - 1
         self._mod_p = bytes(b % p for b in range(256)) if width == 8 else None
@@ -664,37 +663,8 @@ class LaurentField(_LocalBase):
             out += (x >> r * width & mask) * image
         return self._reduce(out)
 
-    def _make(self, v: int, mant: int, known: Optional[int]):
-        """Normalize mant * t^v, mant packed with reduced lanes.  `known` is
-        the relative width actually known (None for exact): keep that many
-        lanes, strip the zero lanes below the lowest digit, cap at `prec`,
-        and raise PrecisionExhausted if no digit survives.  An exact result
-        is trimmed, or the inexact `prec`-digit window when it is wider than
-        `prec`."""
-        bits = self._lane_bits
-        if known is not None:
-            mant &= (1 << known * bits) - 1
-        if not mant:
-            if known is None:
-                return ZERO
-            raise PrecisionExhausted("every known digit cancelled")
-        lead = ((mant & -mant).bit_length() - 1) // bits
-        if lead:
-            mant >>= lead * bits
-            v += lead
-            if known is not None:
-                known -= lead
-        if known is None:
-            known = (mant.bit_length() + bits - 1) // bits
-            if known <= self.prec:
-                return LocalElement(v, mant, known, True)
-        if known > self.prec:
-            known = self.prec
-            mant &= (1 << known * bits) - 1
-        return LocalElement(v, mant, known, False)
-
-    def _low_digits(self, mant: int, width: int) -> int:
-        return mant & ((1 << width * self._lane_bits) - 1)
+    def _width(self, mant: int) -> int:
+        return -(-mant.bit_length() // self._lane_bits)
 
     def _lead_code(self, mant: int) -> int:
         return self._code[(mant & self._lane_mask).to_bytes(
@@ -786,16 +756,6 @@ class LaurentField(_LocalBase):
                 acc.to_bytes(size, "little").translate(mod_p)]]]
             out |= term << n * bits
         return self._make(-a.v, out, digits)
-
-    def frobenius(self, a: LocalElement) -> LocalElement:
-        """x -> x^p; additive because the binomial coefficients vanish."""
-        if a.mant is None:
-            return a
-        p = self.p
-        out = [0] * (a.digits * p)
-        out[::p] = map(self.k.frobenius, self.coefficients(a))
-        return self._make(a.v * p, self._pack(out),
-                          None if a.exact else a.digits * p)
 
     def frobenius_inv(self, a: LocalElement) -> LocalElement:
         """The p-th root when one exists at the visible digits."""

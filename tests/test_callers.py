@@ -3,8 +3,9 @@
 Code that only the tests or the benchmark call belongs with them.  Calls
 are matched by name (receivers are untyped), so a method counts as called
 when any attribute of that name is read in `src/`.  A definition reading
-its own name in its body, bare or on `self`, is recursion and does not
-count.
+its own name in its body, bare or through an attribute chain rooted at
+`self` (`self.f`, or `self.k.f`, which delegates to the same-named method
+of another object), is recursion and does not count.
 """
 
 import ast
@@ -35,12 +36,19 @@ def _names_read(node):
             yield sub.attr
 
 
+def _rooted_at_self(expr):
+    while isinstance(expr, ast.Attribute):
+        expr = expr.value
+    return isinstance(expr, ast.Name) and expr.id == "self"
+
+
 def _recursive_reads(node):
-    """Reads of the definition's own name in its body: bare, or on self."""
+    """Reads of the definition's own name in its body: bare, or through an
+    attribute chain rooted at self."""
     return sum(
         isinstance(sub, ast.Name) and sub.id == node.name
         or isinstance(sub, ast.Attribute) and sub.attr == node.name
-        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+        and _rooted_at_self(sub.value)
         for sub in ast.walk(node))
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from buildinglab import btree, cli, moufang
+from buildinglab import btree, cli, localfield, moufang
 from buildinglab.coxeter import CoxeterSystem
 from buildinglab.errors import NotFound, PrecisionExhausted
 
@@ -77,6 +77,33 @@ def test_field_eval_requires_expr(capsys):
     code = cli.main(["field", "eval", "--field", "F7"])
     assert code == 2
     assert "expr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "classify", "--field", "F257"],
+    ["field", "classify", "--field", "Q257"],
+    ["field", "classify", "--field", "Laurent:q=257,prec=8"],
+    ["field", "classify", "--field", "Qp:p=5,prec=1025"],
+    ["field", "classify", "--field", "Laurent:q=3,prec=1025"],
+    ["building", "verify", "--geometry", "PG2:q=257"],
+])
+def test_field_sizes_past_the_bounds_are_usage_errors(argv, capsys):
+    # q (or p) at most 256 and precision at most 1024, refused before a
+    # table is built
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "256" in captured.err or "1024" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["F256", "Q251", "Qp:p=5,prec=1024",
+                                  "Laurent:q=256,prec=1024"])
+def test_fields_at_the_bounds_build_quickly(spec, capsys):
+    localfield.finite_field.cache_clear()
+    code, report, _ = run(["field", "classify", "--field", spec], capsys)
+    assert code == 0
+    assert report["wall_time_seconds"] < 1.0
 
 
 def test_projline_hua_matches_direct_product(capsys):
