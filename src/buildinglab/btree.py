@@ -7,11 +7,20 @@ lattice O^2.  A class moves to a neighbor by refining b modulo pi^(a+1)
 (q upward choices) or coarsening to modulo pi^(a-1) (one downward step),
 so every vertex has degree q+1 and balls grow by (q+1) q^(r-1) per shell.
 
+A ball of radius r keys each vertex by its digit code (a, n), where
+b = n pi^-r exactly and n is read in the digit base R of the field
+(`digit_code`): every b in the ball has valuation above -r.  A step is
+then plain int arithmetic, the same for Q_p and F_q((t)): refining adds
+c R^(a+r) for the code c of each residue lift, coarsening takes
+n mod R^(a-1+r).  No field operation runs in the search; a vertex is
+decoded to (a, b) (`TreeBall.vertex`) only where b itself is needed.
+
 Graph distance has an independent matrix oracle: for vertex matrices
 M, N the quotient C = M^-1 N has elementary divisors pi^r, pi^s and the
 distance is (r - s) in absolute value, read off as v(det C) minus twice
-the minimal entry valuation.  Ball construction cross-checks BFS depth
-against this oracle.
+the minimal entry valuation; from the base vertex it is
+a - 2 min(a, 0, v(b)).  The ball report checks every BFS depth against
+this formula, with v(b) read off the code as its zero low digits minus r.
 
 Ends of the tree form the projective line over the field, normalized as
 (x : 1) with v(x) >= 0 or (1 : y) with v(y) > 0.  The geodesic ray from
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidSpec, PrecisionExhausted
 from .localfield import (
@@ -78,10 +87,6 @@ def _require_window(field: Field, k: int, name: str) -> None:
 # ---------------------------------------------------------------------------
 # vertices
 
-def base_vertex(field: Field) -> TreeVertex:
-    return TreeVertex(0, ZERO)
-
-
 def make_vertex(field: Field, a: int, b: LocalElement) -> TreeVertex:
     return TreeVertex(a, field.mod_pi_power(b, a))
 
@@ -97,30 +102,9 @@ def residue_lifts(field: Field) -> tuple[LocalElement, ...]:
     return tuple(field.residue_lift(code) for code in range(field.residue_q))
 
 
-def neighbors(field: Field, v: TreeVertex) -> list[TreeVertex]:
-    """The q refinements of b modulo pi^(a+1), then the coarsening."""
-    step = field.uniformizer_power(v.a)
-    out = []
-    for lift in residue_lifts(field):
-        shifted = field.add(v.b, field.mul(lift, step))
-        out.append(make_vertex(field, v.a + 1, shifted))
-    out.append(make_vertex(field, v.a - 1, v.b))
-    return out
-
-
 def vertex_matrix(field: Field, v: TreeVertex) -> Mat:
     return ((field.uniformizer_power(v.a), v.b),
             (ZERO, field.one))
-
-
-def tree_distance(field: Field, v: TreeVertex, w: TreeVertex) -> int:
-    """|r - s| for the elementary divisors pi^r, pi^s of M_v^-1 M_w."""
-    det_val = w.a - v.a
-    vals = [det_val, 0]
-    diff = field.sub(w.b, v.b)
-    if not field.is_zero(diff):
-        vals.append(field.valuation(diff) - v.a)
-    return det_val - 2 * min(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -162,36 +146,77 @@ def hnf_lattice(field: Field, cols: Sequence[Sequence[LocalElement]]
 # ---------------------------------------------------------------------------
 # balls
 
+def _up_offsets(lifts: Sequence[int], radix: int, radius: int
+                ) -> list[list[int]]:
+    """Per level k = a + radius: what an upward step from a code (a, n)
+    adds to n, each lift code placed at the digit of exponent a."""
+    return [[c * radix ** k for c in lifts] for k in range(2 * radius + 1)]
+
+
+def _down_moduli(radix: int, radius: int) -> list[Optional[int]]:
+    """Per level k = a + radius: the modulus radix^(k-1) of the downward
+    step, which keeps the digits below exponent a - 1.  Level 0 (a equal
+    to -radius) is on the sphere and never steps."""
+    return [None] + [radix ** (k - 1) for k in range(1, 2 * radius + 1)]
+
+
+def _code_depth(a: int, n: int, radius: int, radix: int) -> int:
+    """Distance from the base vertex by the elementary divisors:
+    a - 2 min(a, 0, v(b)), with v(b) the zero low digits of n minus
+    radius (b = 0 when n = 0)."""
+    if not n:
+        return a - 2 * min(a, 0)
+    v = -radius
+    while not n % radix:
+        n //= radix
+        v += 1
+    return a - 2 * min(a, 0, v)
+
+
 class TreeBall:
-    """All vertices within graph distance `radius` of the base vertex."""
+    """All vertices within graph distance `radius` of the base vertex.
+
+    Vertex i is kept as its digit code `codes[i]` = (a, n), the vertex
+    (a, n pi^-radius) (see the module docstring); `vertex(i)` decodes
+    it."""
 
     def __init__(self, field: Field, radius: int):
         _require_window(field, radius, "radius")
         self.field = field
         self.radius = radius
         self.q = field.residue_q
-        self.vertices: list[TreeVertex] = [base_vertex(field)]
-        self.dist: list[int] = [0]
-        index = {self.vertices[0]: 0}
-        self.edges: set[tuple[int, int]] = set()
+        self.radix = radix = field.digit_code(field.uniformizer_power(1), 0)
+        lifts = [field.digit_code(c, 0) for c in residue_lifts(field)]
+        ups = _up_offsets(lifts, radix, radius)
+        downs = _down_moduli(radix, radius)
+        codes = self.codes = [(0, 0)]
+        dist = self.dist = [0]
+        index = self.index = {(0, 0): 0}
+        edges = self.edges = set()
         frontier = [0]
         for d in range(1, radius + 1):
             nxt = []
             for vi in frontier:
-                for w in neighbors(field, self.vertices[vi]):
+                a, n = codes[vi]
+                k = a + radius
+                steps = [(a + 1, n + off) for off in ups[k]]
+                steps.append((a - 1, n % downs[k]))
+                for w in steps:
                     wi = index.get(w)
                     if wi is None:
-                        wi = len(self.vertices)
-                        index[w] = wi
-                        self.vertices.append(w)
-                        self.dist.append(d)
+                        wi = index[w] = len(codes)
+                        codes.append(w)
+                        dist.append(d)
                         nxt.append(wi)
-                    self.edges.add((min(vi, wi), max(vi, wi)))
+                    edges.add((vi, wi) if vi < wi else (wi, vi))
             frontier = nxt
-        self.index = index
+
+    def vertex(self, i: int) -> TreeVertex:
+        a, n = self.codes[i]
+        return TreeVertex(a, self.field.from_digit_code(n, -self.radius))
 
     def degrees(self) -> list[int]:
-        deg = [0] * len(self.vertices)
+        deg = [0] * len(self.codes)
         for i, j in self.edges:
             deg[i] += 1
             deg[j] += 1
@@ -205,7 +230,7 @@ class TreeBall:
 
     def report(self) -> dict:
         q = self.q
-        n = len(self.vertices)
+        n = len(self.codes)
         expected = 1 + (q + 1) * (q ** self.radius - 1) // (q - 1)
         shells = self.counts_by_distance()
         expected_shells = [1] + [(q + 1) * q ** (d - 1)
@@ -214,8 +239,8 @@ class TreeBall:
         interior_ok = all(deg[i] == q + 1
                           for i in range(n) if self.dist[i] < self.radius)
         oracle_ok = all(
-            tree_distance(self.field, self.vertices[0], v) == self.dist[i]
-            for i, v in enumerate(self.vertices))
+            _code_depth(a, m, self.radius, self.radix) == d
+            for (a, m), d in zip(self.codes, self.dist))
         ok = (n == expected and len(self.edges) == n - 1
               and shells == expected_shells and interior_ok and oracle_ok)
         return {
@@ -237,8 +262,8 @@ class TreeBall:
     def dot(self) -> str:
         lines = ["graph tree_ball {",
                  "  node [shape=circle, fontsize=10];"]
-        for i, v in enumerate(self.vertices):
-            label = vertex_label(self.field, v)
+        for i in range(len(self.codes)):
+            label = vertex_label(self.field, self.vertex(i))
             lines.append(f'  n{i} [label="{label}"];')
         for i, j in sorted(self.edges):
             lines.append(f"  n{i} -- n{j};")
@@ -519,11 +544,11 @@ def boundary_transitivity_check(field: Field, depth: int) -> dict:
 
     A matrix g moves a vertex v to the class of the lattice spanned by the
     columns of g M_v; an image off the sphere is a failure."""
-    _require_local(field)
+    _require_window(field, depth, "depth")
     if depth < 1:
         raise InvalidSpec("depth must be at least 1")
     ball = TreeBall(field, depth)
-    sphere = [v for v, d in zip(ball.vertices, ball.dist) if d == depth]
+    sphere = [ball.vertex(i) for i, d in enumerate(ball.dist) if d == depth]
     points = set(sphere)
     q = field.residue_q
     expected = q ** (depth - 1) * (q + 1)

@@ -159,12 +159,6 @@ class ChamberComplex:
     def copanel_members(self, i: int, c: int) -> tuple[int, ...]:
         return self.panels[i][self.panel_of[i][c]]
 
-    def neighbors(self, c: int) -> Iterator[tuple[int, int]]:
-        for i in range(self.rank):
-            for e in self.copanel_members(i, c):
-                if e != c:
-                    yield i, e
-
     def all_panel_ids(self) -> Iterator[PanelId]:
         for i in range(self.rank):
             for pidx in range(len(self.panels[i])):

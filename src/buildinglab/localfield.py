@@ -34,7 +34,10 @@ digits its operands determine (`_LocalBase._known_sum`, `_known_product`,
 window.  When every known digit of an inexact computation cancels, no claim
 about the result is possible and PrecisionExhausted is raised; nothing is
 ever silently rounded to zero.  Equality is decided on the common known
-window (subtract and classify).
+window (subtract and classify).  `digit_code(a, low)` and
+`from_digit_code(n, low)` convert between an element and the int n with
+a = n * pi^low, so digit strings can be handled as plain ints (the tree
+balls of `btree` key their vertices this way).
 
 F_q and F_q((t)) answer `frobenius_inv`, the p-th root that the recovered
 product on the projective line takes in characteristic 2.
@@ -432,6 +435,23 @@ class _LocalBase(_FieldBase):
                 f"digits up to {self.uniformizer_symbol}^{k} not known at "
                 f"this precision")
         return self._make(a.v, a.mant % self._radix ** width, None)
+
+    def digit_code(self, a: LocalElement, low: int) -> int:
+        """The int n with a = n * pi^low, its digits read in base `_radix`
+        from exponent low up; a must be zero or of valuation at least low.
+        With a nonnegative mantissa (canonical representatives and residue
+        lifts have one) the code is a digit string, so codes of disjoint
+        digit ranges add without carries."""
+        if a.mant is None:
+            return 0
+        if a.v < low:
+            raise ValueError(f"valuation {a.v} below the code's base {low}")
+        return a.mant * self._radix ** (a.v - low)
+
+    def from_digit_code(self, n: int, low: int) -> LocalElement:
+        """The element n * pi^low, normalised by `_make` (exact while n
+        has at most `prec` digits): the inverse of `digit_code`."""
+        return self._make(low, n, None)
 
     def residue(self, a: LocalElement) -> int:
         if a.mant is None:

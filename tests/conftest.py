@@ -16,3 +16,16 @@ def _reduced_words(W, a):
 @pytest.fixture(scope="session")
 def reduced_words():
     return _reduced_words
+
+
+def _chamber_neighbors(cx, c):
+    """(i, e) for each chamber e i-adjacent to c, by type i."""
+    for i in range(cx.rank):
+        for e in cx.copanel_members(i, c):
+            if e != c:
+                yield i, e
+
+
+@pytest.fixture(scope="session")
+def chamber_neighbors():
+    return _chamber_neighbors

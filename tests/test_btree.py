@@ -7,7 +7,6 @@ from buildinglab import btree
 from buildinglab.btree import (
     BoundaryPoint,
     TreeVertex,
-    base_vertex,
     boundary_transitivity_check,
     build_tree_ball,
     cone_correspondence_report,
@@ -19,12 +18,10 @@ from buildinglab.btree import (
     make_vertex,
     mat_det,
     mat_mul,
-    neighbors,
     normalize_end,
     ray_to_end,
     residue_lifts,
     sl2_sample,
-    tree_distance,
     vertex_matrix,
 )
 from buildinglab.errors import InvalidSpec, PrecisionExhausted
@@ -37,6 +34,60 @@ def parse_end(field, text):
     if text in ("inf", "oo", "infinity"):
         return BoundaryPoint(field.one, ZERO)
     return normalize_end(field, parse_element(field, text), field.one)
+
+
+# The field-arithmetic route through the tree: the oracle for the digit
+# codes of TreeBall.
+
+def base_vertex(field):
+    return TreeVertex(0, ZERO)
+
+
+def neighbors(field, v):
+    """The q refinements of b modulo pi^(a+1), then the coarsening."""
+    step = field.uniformizer_power(v.a)
+    out = []
+    for lift in residue_lifts(field):
+        shifted = field.add(v.b, field.mul(lift, step))
+        out.append(make_vertex(field, v.a + 1, shifted))
+    out.append(make_vertex(field, v.a - 1, v.b))
+    return out
+
+
+def tree_distance(field, v, w):
+    """|r - s| for the elementary divisors pi^r, pi^s of M_v^-1 M_w."""
+    det_val = w.a - v.a
+    vals = [det_val, 0]
+    diff = field.sub(w.b, v.b)
+    if not field.is_zero(diff):
+        vals.append(field.valuation(diff) - v.a)
+    return det_val - 2 * min(vals)
+
+
+def field_route_ball(field, radius):
+    """(vertices, dist, edges) of the ball by breadth-first search over
+    `neighbors`, numbering vertices in order of discovery."""
+    vertices, dist = [base_vertex(field)], [0]
+    index = {vertices[0]: 0}
+    edges = set()
+    frontier = [0]
+    for d in range(1, radius + 1):
+        nxt = []
+        for vi in frontier:
+            for w in neighbors(field, vertices[vi]):
+                wi = index.get(w)
+                if wi is None:
+                    wi = index[w] = len(vertices)
+                    vertices.append(w)
+                    dist.append(d)
+                    nxt.append(wi)
+                edges.add((min(vi, wi), max(vi, wi)))
+        frontier = nxt
+    return vertices, dist, edges
+
+
+def decoded(ball):
+    return [ball.vertex(i) for i in range(len(ball.codes))]
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +106,69 @@ def l3():
 
 
 def test_ball_counts_match_formula(q2, l3):
-    assert len(build_tree_ball(q2, 0).vertices) == 1
-    assert len(build_tree_ball(q2, 2).vertices) == 10
-    assert len(build_tree_ball(l3, 1).vertices) == 5
+    assert len(build_tree_ball(q2, 0).codes) == 1
+    assert len(build_tree_ball(q2, 2).codes) == 10
+    assert len(build_tree_ball(l3, 1).codes) == 5
     report = build_tree_ball(q2, 4).report()
     assert report["ok"], report
     assert report["counts_by_distance"] == [1, 3, 6, 12, 24]
     assert report["acyclic_connected"]
     assert report["distance_oracle_ok"]
+
+
+@pytest.mark.parametrize("spec", [
+    "Qp:p=2,prec=8", "Qp:p=5,prec=8", "Laurent:q=3,prec=8",
+    "Laurent:q=4,prec=8", "Laurent:q=9,prec=8", "Laurent:q=4,prec=3"])
+def test_coded_ball_matches_field_route(spec):
+    field = parse_field_spec(spec)
+    for radius in range(min(field.prec, 4) + 1):
+        ball = build_tree_ball(field, radius)
+        vertices, dist, edges = field_route_ball(field, radius)
+        assert decoded(ball) == vertices
+        assert ball.dist == dist
+        assert ball.edges == edges
+        assert ball.report()["ok"]
+
+
+def _off_by_one_up(lifts, radix, radius):
+    return [[c * radix ** (k + 1) for c in lifts]
+            for k in range(2 * radius + 1)]
+
+
+def _off_by_one_down(radix, radius):
+    return [None] + [radix ** k for k in range(1, 2 * radius + 1)]
+
+
+def _duplicated_lift(field):
+    lifts = residue_lifts(field)
+    return lifts[:-1] + lifts[1:2]
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_up_offsets", _off_by_one_up),
+    ("_down_moduli", _off_by_one_down),
+    ("residue_lifts", _duplicated_lift)])
+@pytest.mark.parametrize("spec", ["Qp:p=3,prec=6", "Laurent:q=4,prec=5"])
+def test_ball_shape_check_catches_wrong_steps(monkeypatch, spec, name,
+                                              mutant):
+    field = parse_field_spec(spec)
+    assert build_tree_ball(field, 3).report()["ok"]
+    monkeypatch.setattr(btree, name, mutant)
+    assert not build_tree_ball(field, 3).report()["ok"]
+
+
+@pytest.mark.parametrize("spec, radius", [("Qp:p=3,prec=6", 6),
+                                          ("Laurent:q=4,prec=5", 5)])
+def test_ball_does_no_field_arithmetic(monkeypatch, spec, radius):
+    field = parse_field_spec(spec)
+    calls = []
+    for op in ("add", "mul", "inv", "mod_pi_power"):
+        def counted(*args, _op=getattr(field, op), _name=op):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(field, op, counted)
+    assert build_tree_ball(field, radius).report()["ok"]
+    assert calls == []
 
 
 def test_ball_rejects_radius_beyond_precision(q2):
@@ -93,7 +199,7 @@ def test_canonical_form_reduces_b(q2):
 def test_hnf_roundtrip_and_rank_errors(q2):
     rng = random.Random(3)
     ball = build_tree_ball(q2, 4)
-    for v in ball.vertices:
+    for v in decoded(ball):
         M = vertex_matrix(q2, v)
         cols = [(M[0][0], M[1][0]), (M[0][1], M[1][1])]
         assert hnf_lattice(q2, cols) == v
@@ -108,17 +214,19 @@ def test_hnf_roundtrip_and_rank_errors(q2):
 
 def test_distance_oracle_against_bfs(l3):
     ball = build_tree_ball(l3, 3)
-    base = ball.vertices[0]
-    for i, v in enumerate(ball.vertices):
+    vertices = decoded(ball)
+    base = vertices[0]
+    for i, v in enumerate(vertices):
         assert tree_distance(l3, base, v) == ball.dist[i]
-    # triangle inequality on a few pairs
+    # triangle inequality on a few pairs, found through their codes
     rng = random.Random(0)
     for _ in range(40):
-        v = ball.vertices[rng.randrange(len(ball.vertices))]
-        w = ball.vertices[rng.randrange(len(ball.vertices))]
+        cv, cw = (ball.codes[rng.randrange(len(ball.codes))]
+                  for _ in range(2))
+        v, w = (vertices[ball.index[c]] for c in (cv, cw))
         d = tree_distance(l3, v, w)
         assert d == tree_distance(l3, w, v) >= 0
-        assert d <= ball.dist[ball.index[v]] + ball.dist[ball.index[w]]
+        assert d <= ball.dist[ball.index[cv]] + ball.dist[ball.index[cw]]
 
 
 def test_ray_to_spine_ends(q2):
@@ -365,7 +473,7 @@ def test_reference_points_are_the_sphere(spec, depth):
             else BoundaryPoint(field.one, x) for tag, x in points]
     image = {ray_to_end(field, e, depth)[depth] for e in ends}
     ball = build_tree_ball(field, depth)
-    sphere = {v for v, d in zip(ball.vertices, ball.dist) if d == depth}
+    sphere = {v for v, d in zip(decoded(ball), ball.dist) if d == depth}
     assert len(image) == len(points)
     assert image == sphere
 
@@ -441,4 +549,4 @@ def test_dot_export(q2):
     text = ball.dot()
     assert text.startswith("graph tree_ball {")
     assert text.count(" -- ") == len(ball.edges)
-    assert text.count("label=") == len(ball.vertices)
+    assert text.count("label=") == len(ball.codes)

@@ -157,11 +157,11 @@ def test_largest_geometries_under_the_bound():
     assert build_flag_building("W:q=5").size == 936
 
 
-def test_w_distance_basics(pg2_2):
+def test_w_distance_basics(pg2_2, chamber_neighbors):
     W = pg2_2.coxeter
     c = 0
     assert pg2_2.w_distance(c, c) == 0
-    for i, e in pg2_2.neighbors(c):
+    for i, e in chamber_neighbors(pg2_2, c):
         assert pg2_2.w_distance(c, e) == W.generator(i)
     # symmetry through inverse
     for d in range(0, pg2_2.size, 5):

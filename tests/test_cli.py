@@ -380,6 +380,14 @@ def test_radius_beyond_precision_is_usage_error(capsys):
     assert "precision window" in capsys.readouterr().err
 
 
+def test_boundary_depth_beyond_precision_names_the_depth(capsys):
+    argv = ["bt", "boundary", "--field", "Qp:p=3,prec=5", "--depth", "6"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "depth 6 exceeds the precision window 5" in err
+    assert "radius" not in err
+
+
 def test_exhausted_search_budget_gets_a_report(monkeypatch, capsys):
     monkeypatch.setattr(moufang, "_SEARCH_BUDGET", 1)
     code, report, err = run(
@@ -479,6 +487,11 @@ REPORT_DIGESTS = {
         "fde44a824cceb8c2abad63cf95ed13666739d5c623210586f7682cb01a224c92",
     "bt boundary --field Laurent:q=4,prec=8 --depth 3":
         "bfeb9cfe99fbdec072fe3d15370b92ed798ec7f3b90fff6b38bc20ee68d2bf2c",
+    "bt tree --field Qp:p=3,prec=10 --radius 9":
+        "82594633250f1e132b94e171668efce9ccf22599ef9fd72b499769e7809c4dab",
+    # q = 4 = 2^2: each coefficient lane holds several digit slots
+    "bt tree --field Laurent:q=4,prec=6 --radius 5":
+        "e893bd803e519dc532142679ce39a9ed01e89bfee46a0a6d8e4d3d6284d44e83",
 }
 
 
@@ -490,3 +503,12 @@ def test_report_bytes_are_pinned(command, capsys):
     digest = hashlib.sha256(
         json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == REPORT_DIGESTS[command]
+
+
+def test_dot_file_bytes_are_pinned(tmp_path, capsys):
+    dot = tmp_path / "ball.dot"
+    code, _, _ = run(["bt", "tree", "--field", "Laurent:q=3,prec=4",
+                      "--radius", "3", "--dot", str(dot)], capsys)
+    assert code == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
+        "77b2309712c847ae06e35d55b1a07e2e35046428ae9fdfb3ec8a850fc9dd11f4")

@@ -608,6 +608,28 @@ def test_residue_lift_is_an_exact_section(F):
         assert F.is_zero(lift) == (code == 0)
 
 
+@pytest.mark.parametrize("F", [PadicField(5, 8), LaurentField(4, 8)])
+def test_digit_codes_are_digit_strings(F):
+    # canonical representatives modulo pi^3 coded from exponent -2: the
+    # code of b + c pi^k, c a residue lift, is code(b) + code(c) R^(k+2)
+    radix = F.digit_code(F.uniformizer_power(1), 0)
+    lifts = [F.residue_lift(c) for c in range(F.residue_q)]
+    rng = random.Random(5)
+    for _ in range(50):
+        b = F.mod_pi_power(F.random_element(rng, min_val=-1, max_val=2), 3)
+        n = F.digit_code(b, -2)
+        assert F.from_digit_code(n, -2) == b
+        k = rng.randrange(3, 5)
+        c = rng.choice(lifts)
+        step = F.add(b, F.mul(c, F.uniformizer_power(k)))
+        shifted = F.digit_code(c, 0) * radix ** (k + 2)
+        assert F.digit_code(step, -2) == n + shifted
+        assert F.digit_code(F.mod_pi_power(step, 3), -2) == n % radix ** 5
+    assert F.digit_code(ZERO, 7) == 0 and F.from_digit_code(0, 7) == ZERO
+    with pytest.raises(ValueError):
+        F.digit_code(F.uniformizer_power(-3), -2)
+
+
 # The two per-model precision rules that the shared `_LocalBase._make`
 # replaced, kept as its oracles: the p-adic digit count reads a table of
 # the powers p^0..p^prec, the Laurent rule works on lane masks and shifts.
