@@ -451,11 +451,13 @@ def iwasawa_decompose(field: Field, g: Mat) -> dict:
     u1 = field.mul(c1, scale)
     u2 = field.mul(c2, scale)
     if not field.is_zero(u1) and field.valuation(u1) == 0:
-        k: Mat = ((u1, ZERO), (u2, field.inv(u1)))
-        kinv: Mat = ((field.inv(u1), ZERO), (field.neg(u2), u1))
+        u1_inv = field.inv(u1)
+        k: Mat = ((u1, ZERO), (u2, u1_inv))
+        kinv: Mat = ((u1_inv, ZERO), (field.neg(u2), u1))
     else:
-        k = ((u1, field.neg(field.inv(u2))), (u2, ZERO))
-        kinv = ((ZERO, field.inv(u2)), (field.neg(u2), u1))
+        u2_inv = field.inv(u2)
+        k = ((u1, field.neg(u2_inv)), (u2, ZERO))
+        kinv = ((ZERO, u2_inv), (field.neg(u2), u1))
 
     def entry(i: int, j: int):
         return field.add(field.mul(kinv[i][0], g[0][j]),

@@ -70,6 +70,8 @@ from .projline import (
     hua_triple_product,
     is_inf,
     parse_point,
+    pl_eq,
+    pl_inv,
     recovery_check,
 )
 
@@ -171,7 +173,14 @@ def cmd_projline(args):
             agree = (not is_inf(value)) and field.eq(value, direct)
             _check(checks, "identity_matches_product", agree, results)
         else:
-            _check(checks, "computed", True)
+            # Hua's inversion identity (x y x)^-1 = x^-1 y^-1 x^-1, which
+            # the conventions at inf must respect
+            inverse = pl_inv(field, value)
+            inverted = hua_triple_product(field, pl_inv(field, x),
+                                          pl_inv(field, y))
+            _check(checks, "computed", pl_eq(field, inverse, inverted),
+                   {"inverse_of_product": format_point(field, inverse),
+                    "product_of_inverses": format_point(field, inverted)})
         return results, checks
     report = recovery_check(field, args.samples, args.seed)
     results = {

@@ -34,7 +34,9 @@ digits its operands determine (`_LocalBase._known_sum`, `_known_product`,
 window.  When every known digit of an inexact computation cancels, no claim
 about the result is possible and PrecisionExhausted is raised; nothing is
 ever silently rounded to zero.  Equality is decided on the common known
-window (subtract and classify).  `digit_code(a, low)` and
+window of a - b (`_LocalBase.eq`, through each model's un-normalised sum
+`_sum`), so it never raises.  A product by an exact 1 or pi^k only shifts
+the other factor's valuation.  `digit_code(a, low)` and
 `from_digit_code(n, low)` convert between an element and the int n with
 a = n * pi^low, so digit strings can be handled as plain ints (the tree
 balls of `btree` key their vertices this way).
@@ -316,6 +318,11 @@ class LocalElement(NamedTuple):
 
 ZERO = LocalElement(0, None, 0, True)  # unique exact zero, valuation infinity
 
+# `_new(LocalElement, (v, mant, digits, exact))` builds an element without
+# the named tuple's Python-level __new__, which every ring operation would
+# otherwise pay
+_new = tuple.__new__
+
 Element = Union[int, LocalElement]
 
 
@@ -324,7 +331,8 @@ class _LocalBase(_FieldBase):
 
     A model supplies the representation: `one`, the base `_radix` of its
     mantissas, the ring operations `add`, `neg`, `mul`, `inv` (from which
-    the base derives `sub`, `div` and `pow`), and the mantissa hooks
+    the base derives `sub`, `div` and `pow`), the un-normalised sum `_sum`
+    that `add` and `eq` share, and the mantissa hooks
     `_width(mant)` (number of digits), `_lead_code(mant)` (residue code of
     the leading digit), `_random_unit(rng)` and `_nonzero_json(a)`.  The
     precision rule, `_make`, is the base's.
@@ -359,11 +367,11 @@ class _LocalBase(_FieldBase):
         if known is None:
             known = self._width(mant)
             if known <= self.prec:
-                return LocalElement(v, mant, known, True)
+                return _new(LocalElement, (v, mant, known, True))
         if known > self.prec:
             known = self.prec
             mant %= radix ** known
-        return LocalElement(v, mant, known, False)
+        return _new(LocalElement, (v, mant, known, False))
 
     def is_zero(self, a: LocalElement) -> bool:
         return a.mant is None
@@ -372,19 +380,25 @@ class _LocalBase(_FieldBase):
         return INFINITY if a.mant is None else a.v
 
     def eq(self, a: LocalElement, b: LocalElement) -> bool:
-        """Equality on the common known window.
+        """Equality on the common known window, which never raises.
 
-        Exact equal values subtract to exact zero; inexact equal values
-        cancel every known digit, which the subtraction reports as
-        PrecisionExhausted; any surviving digit is a genuine difference.
+        Zero equals only zero.  Nonzero values of different valuations
+        differ: the lowest digit of each is known and nonzero, so it
+        survives in a - b.  At equal valuations the un-normalised a - b of
+        `_sum` decides: exact operands are equal when its mantissa is 0,
+        and with an inexact operand when every digit it determines (its
+        `known` low digits) is 0, where `sub` would raise
+        PrecisionExhausted.
         """
-        try:
-            return self.is_zero(self.sub(a, b))
-        except PrecisionExhausted:
-            return True
+        if a.mant is None or b.mant is None:
+            return a.mant is None and b.mant is None
+        if a.v != b.v:
+            return False
+        _, mant, known = self._sum(a, self.neg(b))
+        return not (mant if known is None else mant % self._radix ** known)
 
     def uniformizer_power(self, k: int) -> LocalElement:
-        return self.one._replace(v=k)
+        return _new(LocalElement, (k, 1, 1, True))
 
     @property
     def uniformizer(self) -> LocalElement:
@@ -521,29 +535,42 @@ class PadicField(_LocalBase):
         """Exact lift of the residue class with code 0 <= code < p."""
         return self._make(0, code, None)
 
+    def _sum(self, a: LocalElement, b: LocalElement):
+        """(v, mant, known) of a + b before `_make`, for nonzero a, b whose
+        valuations differ by at most `prec`."""
+        if a.v > b.v:
+            a, b = b, a
+        return (a.v, a.mant + b.mant * self.p ** (b.v - a.v),
+                self._known_sum(a, b, a.v))
+
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None:
             return b
         if b.mant is None:
             return a
-        if a.v > b.v:
-            a, b = b, a
-        gap = b.v - a.v
-        if gap > self.prec:
-            # no digit of b, nor a borrow from a signed exact b, reaches
-            # a's prec-digit window
-            return a if not a.exact else self._make(a.v, a.mant, self.prec)
-        return self._make(a.v, a.mant + b.mant * self.p ** gap,
-                          self._known_sum(a, b, a.v))
+        if abs(a.v - b.v) <= self.prec:
+            return self._make(*self._sum(a, b))
+        # no digit of the far operand, nor a borrow from a signed exact one,
+        # reaches the near one's prec-digit window
+        a = a if a.v < b.v else b
+        return a if not a.exact else self._make(a.v, a.mant, self.prec)
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
             return a
-        return self._make(a.v, -a.mant, None if a.exact else a.digits)
+        if a.exact:
+            return _new(LocalElement, (a.v, -a.mant, a.digits, True))
+        return _new(LocalElement,
+                    (a.v, -a.mant % self.p ** a.digits, a.digits, False))
 
     def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None or b.mant is None:
             return ZERO
+        # a factor 1 or p^k (exact, mantissa 1) shifts the other one
+        if a.mant == 1 and a.exact:
+            return _new(LocalElement, (a.v + b.v, b.mant, b.digits, b.exact))
+        if b.mant == 1 and b.exact:
+            return _new(LocalElement, (a.v + b.v, a.mant, a.digits, a.exact))
         return self._make(a.v + b.v, a.mant * b.mant,
                           self._known_product(a, b))
 
@@ -551,7 +578,7 @@ class PadicField(_LocalBase):
         if a.mant is None:
             raise DivisionByZero("inverse of 0")
         if a.exact and a.mant in (1, -1):
-            return LocalElement(-a.v, a.mant, 1, True)
+            return _new(LocalElement, (-a.v, a.mant, 1, True))
         digits = self._known_inverse(a)
         mod = self.p ** digits
         return self._make(-a.v, pow(a.mant % mod, -1, mod), digits)
@@ -705,29 +732,41 @@ class LaurentField(_LocalBase):
 
     # -- ring operations
 
+    def _sum(self, a: LocalElement, b: LocalElement):
+        """(v, mant, known) of a + b before `_make`, for nonzero a, b whose
+        valuations differ by at most `prec`."""
+        if a.v > b.v:
+            a, b = b, a
+        total = a.mant + (b.mant << (b.v - a.v) * self._lane_bits)
+        return a.v, self._reduce(total), self._known_sum(a, b, a.v)
+
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None:
             return b
         if b.mant is None:
             return a
-        if a.v > b.v:
-            a, b = b, a
-        gap = b.v - a.v
-        if gap > self.prec:
-            # no digit of b reaches a's prec-digit window
-            return a if not a.exact else self._make(a.v, a.mant, self.prec)
-        total = a.mant + (b.mant << gap * self._lane_bits)
-        return self._make(a.v, self._reduce(total), self._known_sum(a, b, a.v))
+        if abs(a.v - b.v) <= self.prec:
+            return self._make(*self._sum(a, b))
+        # no digit of the far operand reaches the near one's prec-digit
+        # window
+        a = a if a.v < b.v else b
+        return a if not a.exact else self._make(a.v, a.mant, self.prec)
 
     def neg(self, a: LocalElement) -> LocalElement:
-        if a.mant is None:
+        if a.mant is None or self.p == 2:  # -a = a in characteristic 2
             return a
-        return LocalElement(a.v, self._reduce(a.mant * (self.p - 1)),
-                            a.digits, a.exact)
+        return _new(LocalElement, (a.v, self._reduce(a.mant * (self.p - 1)),
+                                   a.digits, a.exact))
 
     def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None or b.mant is None:
             return ZERO
+        # a factor 1 or t^k (exact, lane value 1: the code of 1) shifts the
+        # other one
+        if a.mant == 1 and a.exact:
+            return _new(LocalElement, (a.v + b.v, b.mant, b.digits, b.exact))
+        if b.mant == 1 and b.exact:
+            return _new(LocalElement, (a.v + b.v, a.mant, a.digits, a.exact))
         if a.digits > b.digits:
             a, b = b, a
         x, y = a.mant, b.mant
@@ -753,7 +792,7 @@ class LaurentField(_LocalBase):
         k, lane, code = self.k, self._lane, self._code
         lead_inv = k._inv[self._lead_code(a.mant)]
         if a.exact and a.digits == 1:
-            return LocalElement(-a.v, lane[lead_inv], 1, True)
+            return _new(LocalElement, (-a.v, lane[lead_inv], 1, True))
         digits = self._known_inverse(a)
         scale = k._mul[k._neg[lead_inv]]
         bits, mask, size = self._lane_bits, self._lane_mask, self._lane_bytes

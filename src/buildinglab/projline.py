@@ -28,6 +28,7 @@ product keeps the two routes honest against each other.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .errors import InvalidSpec, PrecisionExhausted
 from .localfield import Field, parse_element
@@ -81,6 +82,13 @@ def pl_sub(field: Field, x, y):
     return pl_add(field, x, pl_neg(field, y))
 
 
+def pl_eq(field: Field, x, y) -> bool:
+    """Extended equality: inf equals only inf."""
+    if x is INF or y is INF:
+        return x is y
+    return field.eq(x, y)
+
+
 # -- generators -------------------------------------------------------------
 
 def iota(field: Field, x):
@@ -105,10 +113,12 @@ def recover_square(field: Field, x):
     return hua_triple_product(field, x, field.one)
 
 
-def _halve(field: Field, w):
-    # inverse of the additive doubling map z -> z + z (char != 2)
-    two = field.add(field.one, field.one)
-    return field.mul(w, field.inv(two))
+@lru_cache(maxsize=16)
+def _half(field: Field):
+    """1/2 (char != 2), computed once per field.  Cached here and not as
+    an attribute set on the field later: an attribute added after
+    __init__ slows every attribute read of that field object."""
+    return field.inv(field.add(field.one, field.one))
 
 
 def recover_multiplication(field: Field, x, y):
@@ -126,7 +136,8 @@ def recover_multiplication(field: Field, x, y):
     s_x = recover_square(field, x)
     s_y = recover_square(field, y)
     w = pl_sub(field, pl_sub(field, s_xy, s_x), s_y)  # 2xy
-    return _halve(field, w)
+    # the inverse of the doubling map z -> z + z
+    return field.mul(w, _half(field))
 
 
 # -- sampling and agreement reports ------------------------------------------

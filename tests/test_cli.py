@@ -129,6 +129,44 @@ def test_projline_hua_with_infinity(capsys):
     assert report["results"]["x"] == "inf"
 
 
+def _hua_checks_at_infinity(field, capsys):
+    """(x, y, check) of `projline hua` on every pair of F_q + {inf} with a
+    point at infinity."""
+    points = ["inf"] + [str(c) for c in range(int(field[1:]))]
+    out = []
+    for x in points:
+        for y in points:
+            if "inf" in (x, y):
+                _, report, _ = run(["projline", "hua", "--field", field,
+                                    "--x", x, "--y", y], capsys)
+                out.append((x, y, report["checks"][0]))
+    return out
+
+
+@pytest.mark.parametrize("field", ["F4", "F5", "F9"])
+def test_projline_hua_at_infinity_checks_the_inversion_identity(field,
+                                                                 capsys):
+    # the check keeps its id, and holds on every pair
+    for _, _, check in _hua_checks_at_infinity(field, capsys):
+        assert check == {"id": "computed", "ok": True}
+
+
+def test_hua_inversion_check_catches_a_wrong_convention(monkeypatch,
+                                                        capsys):
+    from buildinglab import projline
+
+    original = projline.pl_inv
+
+    def inf_to_one(field, x):
+        return field.one if projline.is_inf(x) else original(field, x)
+
+    monkeypatch.setattr(projline, "pl_inv", inf_to_one)
+    monkeypatch.setattr(cli, "pl_inv", inf_to_one)
+    failed = [(x, y) for x, y, check in _hua_checks_at_infinity("F5", capsys)
+              if not check["ok"]]
+    assert failed and all("inf" in pair for pair in failed)
+
+
 def test_projline_recover(capsys):
     code, report, _ = run(
         ["projline", "recover", "--field", "F9", "--samples", "40",
@@ -492,6 +530,11 @@ REPORT_DIGESTS = {
     # q = 4 = 2^2: each coefficient lane holds several digit slots
     "bt tree --field Laurent:q=4,prec=6 --radius 5":
         "e893bd803e519dc532142679ce39a9ed01e89bfee46a0a6d8e4d3d6284d44e83",
+    # Q_p equality, halving and products by p^k
+    "projline recover --field Qp:p=5,prec=12 --samples 300 --seed 5":
+        "36312cdf84be89da355b1764e982c0d21700de94bd48d5ffa5042ba4b3ce94e9",
+    "bt iwasawa --field Qp:p=5,prec=8 --samples 300 --seed 5":
+        "fa21028d8709553cd7a6cf325f874cc7c6329604e4491b6623ae97822d7babc4",
 }
 
 

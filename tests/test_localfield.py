@@ -809,6 +809,116 @@ def test_add_across_a_valuation_gap_beyond_the_window(F):
 
 
 # ---------------------------------------------------------------------------
+# equality on the known window and products by pi^k, against the routes
+# they replaced: subtract and catch, and `_make` of the product
+
+_EQ_FIELDS = [PadicField(2, 6), PadicField(5, 8), LaurentField(3, 8),
+              LaurentField(4, 6), LaurentField(9, 5)]
+_EQ_IDS = ["Q2", "Q5", "F3((t))", "F4((t))", "F9((t))"]
+
+
+def _subtract_eq(F, a, b):
+    """Equality by subtraction: equal inexact values cancel every known
+    digit, which `sub` reports as PrecisionExhausted."""
+    try:
+        return F.is_zero(F.sub(a, b))
+    except PrecisionExhausted:
+        return True
+
+
+def _eq_operands(F, rng):
+    """Zero, exact operands (negative p-adic mantissas among them) and
+    inexact ones; for each nonzero x and width k, its first k digits as an
+    inexact window `cut` and as an exact representative, the
+    representative with a digit added just beyond the window (equal to
+    `cut` on it), and for k > 1 `cut` with its last known digit changed."""
+    pi = F.uniformizer_power
+    exact = [F.one, F.neg(F.one), F.from_integer(-7),
+             parse_element(F, "1+pi^3"), F.neg(parse_element(F, "pi^-1+2")),
+             F.random_element(rng, -2, 2), F.random_element(rng, -2, 2)]
+    inexact = [F.inv(parse_element(F, "1+pi")), F.inv(exact[-1]),
+               F.mul(exact[-2], exact[-2])]
+    y = F.inv(exact[-2])
+    try:  # a window cut short, unless its digits above y.v + 2 are all 0
+        inexact.append(F.sub(y, F.mod_pi_power(y, y.v + 2)))
+    except PrecisionExhausted:
+        pass
+    xs = [ZERO] + exact + inexact
+    for x in exact + inexact:
+        for k in sorted({1, 2, max(1, x.digits - 1)}):
+            cut = F._make(x.v, x.mant, k)
+            rep = F.mod_pi_power(x, x.v + k)
+            xs += [cut, rep, F.add(rep, pi(x.v + k))]
+            if k > 1:
+                xs.append(F.add(cut, pi(x.v + k - 1)))
+    return xs
+
+
+@pytest.mark.parametrize("F", _EQ_FIELDS, ids=_EQ_IDS)
+def test_eq_matches_subtraction(F):
+    rng = random.Random(F._radix + F.prec)
+    xs = _eq_operands(F, rng)
+    pairs = [(a, b) for a in xs for b in xs]
+    # valuation gaps prec - 1 .. prec + 2
+    for a in xs[1:12]:
+        for b in xs[1:12]:
+            for gap in range(F.prec - 1, F.prec + 3):
+                pairs.append((a, F.mul(b, F.uniformizer_power(
+                    a.v + gap - b.v))))
+    verdicts = Counter()
+    for a, b in pairs:
+        want = _subtract_eq(F, a, b)
+        assert F.eq(a, b) == F.eq(b, a) == want, (a, b)
+        verdicts[want, a.exact and b.exact, a == b] += 1
+    # distinct values equal on an inexact window, and differences of
+    # exact and of inexact operands, all occur
+    assert verdicts[True, False, False]
+    assert verdicts[False, False, False] and verdicts[False, True, False]
+
+
+@pytest.mark.parametrize("F", _EQ_FIELDS, ids=_EQ_IDS)
+def test_eq_on_equal_inexact_values_raises_nothing(F, monkeypatch):
+    y = F.inv(parse_element(F, "1+pi"))
+    pairs = [(y, y), (y, F.mod_pi_power(y, F.prec)),
+             (F._make(y.v, y.mant, 2), y)]
+    raised = Counter()
+    make = type(F)._make
+
+    def counting_make(self, v, mant, known):
+        try:
+            return make(self, v, mant, known)
+        except PrecisionExhausted:
+            raised["make"] += 1
+            raise
+
+    monkeypatch.setattr(type(F), "_make", counting_make)
+    assert all(F.eq(a, b) for a, b in pairs)
+    assert not raised
+    # the subtraction route raises once on each pair
+    assert all(_subtract_eq(F, a, b) for a, b in pairs)
+    assert raised["make"] == len(pairs)
+
+
+@pytest.mark.parametrize("F", _EQ_FIELDS, ids=_EQ_IDS)
+def test_products_by_pi_powers_are_shifts(F):
+    rng = random.Random(F.prec)
+    for k in (-3, 0, 1, F.prec + 1):
+        shift = F.uniformizer_power(k)
+        assert shift == F._make(k, 1, None)
+        for b in _eq_operands(F, rng):
+            if F.is_zero(b):
+                assert F.mul(shift, b) == F.mul(b, shift) == ZERO
+                continue
+            want = F._make(k + b.v, b.mant, F._known_product(shift, b))
+            assert F.mul(shift, b) == F.mul(b, shift) == want
+            if F.char == 0:
+                assert F.neg(b) == F._make(b.v, -b.mant,
+                                           None if b.exact else b.digits)
+            elif F.char == 2:
+                assert F.neg(b) is b
+
+
+# ---------------------------------------------------------------------------
 # differential precision: a low-precision run never claims a digit that a
 # high-precision run of the same program contradicts
 

@@ -11,6 +11,7 @@ from buildinglab.localfield import (
 )
 from buildinglab.projline import (
     INF,
+    _half,
     hua_triple_product,
     iota,
     parse_point,
@@ -108,6 +109,17 @@ def test_recover_multiplication_f4_char2():
     for x in F.elements():
         for y in F.elements():
             assert recover_multiplication(F, x, y) == F.mul(x, y)
+
+
+@pytest.mark.parametrize("F", [finite_field(9), PadicField(2, 8),
+                               PadicField(5, 8), LaurentField(3, 8)])
+def test_half_is_computed_once_per_field(F):
+    attributes = set(vars(F))
+    assert F.eq(recover_multiplication(F, F.one, F.one), F.one)
+    assert _half(F) is _half(F)
+    assert F.eq(F.add(_half(F), _half(F)), F.one)
+    # nothing is stored on the field object after __init__
+    assert set(vars(F)) == attributes
 
 
 def test_recover_multiplication_rejects_inf():
