@@ -25,16 +25,18 @@ The W-valued distance delta(c, d) is computed by breadth-first search over
 minimal galleries, folding the gallery type into the Coxeter system as the
 search goes; well-definedness of that assignment across all minimal
 galleries is exactly the consistency property that the verification report
-surfaces.  Apartments are produced constructively: extend d to a chamber
-opposite c by length-increasing panel steps, then collect the convex hull
-{e : delta(c,e) * delta(e,d') = w0 with lengths adding}, and check it is
-thin and W-isometric.  Projections to panels are gates: the unique chamber
-of the panel at minimal gallery distance.  Gallery distance is symmetric, so
-the gate of c on a panel P reads either c's BFS table or the tables of P's
-q + 1 members.  projection reads c's side; the Schubert coordinates read
-the side that stays fixed (c0's table, or a fixed anchor panel's), so
-checking every cell builds one table per anchor-panel member plus c0's,
-not one per chamber.
+surfaces.  The search scans each panel once, from its gate; a recording
+walk that scans it from every member runs only for a base chamber where
+that pass finds a violation, and lists them.  Apartments are produced
+constructively: extend d to a chamber opposite c by length-increasing panel
+steps, then collect the convex hull {e : delta(c,e) * delta(e,d') = w0 with
+lengths adding}, and check it is thin and W-isometric.  Projections to
+panels are gates: the unique chamber of the panel at minimal gallery
+distance.  Gallery distance is symmetric, so the gate of c on a panel P
+reads either c's BFS table or the tables of P's q + 1 members.  projection
+reads c's side; the Schubert coordinates read the side that stays fixed
+(c0's table, or a fixed anchor panel's), so checking every cell builds one
+table per anchor-panel member plus c0's, not one per chamber.
 
 Cells: C_w(c0) = {d : delta(c0, d) = w} partitions the chambers, with
 |C_w| = q^{l(w)} in the equal-parameter cases here.  Coordinates on a cell
@@ -167,15 +169,71 @@ class ChamberComplex:
     # -- W-distance ------------------------------------------------------
 
     def _delta_from(self, c: int):
-        """BFS table from c: (dist, delta index, violations).
+        """BFS table from c: (dist, delta index, violations), cached.
 
-        delta is assigned along minimal galleries; any conflict between two
-        galleries, any plateau mismatch, and any gap between gallery length
-        and Coxeter length is recorded instead of papered over.
+        A panel-once pass (_delta_pass) builds the row first.  Only when it
+        declines does the recording walk (_delta_walk) run, to build the
+        row again and list its violations.  The pass declines exactly where
+        the walk records one, and discovers chambers in the walk's order
+        when it does not, so both routes give the same row.
         """
         cached = self._delta_cache.get(c)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._delta_pass(c) or self._delta_walk(c)
+            self._delta_cache[c] = cached
+        return cached
+
+    def _delta_pass(self, c: int):
+        """The row from c with no violations, or None.
+
+        Each panel is scanned once, from its first-reached member (its
+        gate); every other member lies one step further, at delta(gate) *
+        s_i.  A member already holding another delta, an assignment whose
+        Coxeter length is not its gallery distance, or a chamber never
+        reached declines the row.  Lengths equal distances throughout, so
+        delta alone tells a member's distance and dist is read off at the
+        end.
+        """
+        right = self.coxeter.right
+        length = self.coxeter.length
+        types = [(i, self.panels[i], self.panel_of[i],
+                  bytearray(len(self.panels[i]))) for i in range(self.rank)]
+        delta = [-1] * self.size
+        delta[c] = 0
+        frontier = [c]
+        up = 1            # the distance of the chambers found next
+        while frontier:
+            nxt = []
+            for d in frontier:
+                right_d = right[delta[d]]
+                for i, plist, pof, seen in types:
+                    p = pof[d]
+                    if seen[p]:
+                        continue
+                    seen[p] = 1
+                    ws = right_d[i]
+                    for e in plist[p]:
+                        de = delta[e]
+                        if de == ws or e == d:
+                            continue
+                        if de != -1 or length[ws] != up:
+                            return None
+                        delta[e] = ws
+                        nxt.append(e)
+            frontier = nxt
+            up += 1
+        if -1 in delta:
+            return None
+        return tuple(map(length.__getitem__, delta)), tuple(delta), ()
+
+    def _delta_walk(self, c: int):
+        """The recording walk: (dist, delta index, violations) from c.
+
+        delta is assigned along minimal galleries; any conflict between two
+        galleries, any plateau mismatch, any panel with no gate (two members
+        at one distance and none closer) and any gap between gallery length
+        and Coxeter length is recorded instead of papered over.
+        """
         W = self.coxeter
         right = W.right
         length = W.length
@@ -197,7 +255,8 @@ class ChamberComplex:
                 longer = length[wd] + 1
                 for i, plist, pof in types:
                     ws = right_d[i]
-                    for e in plist[pof[d]]:
+                    members = plist[pof[d]]
+                    for e in members:
                         if e == d:
                             continue
                         de = dist[e]
@@ -216,6 +275,9 @@ class ChamberComplex:
                             if delta[e] != wd:
                                 violations.append(
                                     ("plateau-conflict", c, d, e, i))
+                            if all(dist[x] != here - 1 for x in members):
+                                violations.append(
+                                    ("no-gate", c, d, e, i))
                         else:  # de == here - 1, e is the gate side
                             if right[delta[e]][i] != wd:
                                 violations.append(
@@ -227,9 +289,7 @@ class ChamberComplex:
                 violations.append(("disconnected", c, d, None, None))
             elif length[delta[d]] != dist[d]:
                 violations.append(("length-mismatch", c, d, None, None))
-        out = (tuple(dist), tuple(delta), tuple(violations))
-        self._delta_cache[c] = out
-        return out
+        return tuple(dist), tuple(delta), tuple(violations)
 
     def w_distance(self, c: int, d: int) -> int:
         return self._delta_from(c)[1][d]
@@ -531,7 +591,9 @@ def verify_building_axioms(cx: ChamberComplex) -> dict:
 
     (B3) every panel has at least 3 chambers (thickness); (B2) surfaces as
     single-valuedness of the BFS W-distance over all minimal galleries from
-    every base chamber; (B1) puts each listed chamber pair in an apartment.
+    every base chamber, with the gate condition that every panel has one
+    member strictly nearest the base; (B1) puts each listed chamber pair in
+    an apartment.
     Pairs are exhaustive up to PAIR_BUDGET, sampled deterministically beyond
     it.  A pair already inside an apartment that passed check_apartment (size,
     thinness, W-isometry) is covered; any other pair gets its own hull, and a

@@ -210,9 +210,81 @@ def _violation_kinds(cx):
 def test_b2_flags_a_missing_chamber(pg2_2):
     broken = ChamberComplex(pg2_2.chambers[1:], MATRIX_A2,
                             geometry="broken", thickness=2)
-    assert _violation_kinds(broken) == {"length-drop": 8,
+    # galleries around the missing flag get longer: from 12 of the 20 bases
+    # some panel has two members at one distance and none closer
+    assert _violation_kinds(broken) == {"no-gate": 40, "length-drop": 8,
                                         "length-mismatch": 8}
     assert not verify_building_axioms(broken)["B2_w_consistency"]["ok"]
+
+
+def test_b2_flags_a_panel_with_no_gate():
+    # an ordinary octagon (four points, four lines: an apartment of the
+    # quadrangle) and one more line on point 0.  From that line's flag the
+    # two flags of point 2 lie at distance 4 along the two halves of the
+    # octagon, both at delta w0, and no flag of point 2 is closer; every
+    # delta is single-valued, so only the gate condition catches it
+    flags = ([(k, k) for k in range(4)] + [((k + 1) % 4, k) for k in range(4)]
+             + [(0, 4)])
+    cx = ChamberComplex(flags, MATRIX_B2, geometry="octagon with a tail",
+                        thickness=2)
+    base, far = cx.chambers.index((0, 4)), cx.chambers.index((2, 1))
+    assert _violation_kinds(cx) == {"no-gate": 2}
+    assert cx._delta_pass(base) is None
+    assert cx._delta_from(base)[1][far] == cx.coxeter.longest
+    with pytest.raises(NotUnique):
+        cx.projection(cx.panel_id(1, far), base)
+    report = verify_building_axioms(cx)["B2_w_consistency"]
+    assert not report["ok"]
+    assert report["violations"][0][0] == "no-gate"
+
+
+def _random_incidence(rng):
+    """The flags of a random incidence structure: 2..7 points, 2..7 lines,
+    each point-line pair incident with one density per structure."""
+    points, lines = rng.randint(2, 7), rng.randint(2, 7)
+    density = rng.choice((0.3, 0.45, 0.6))
+    return [(x, y) for x in range(points) for y in range(lines)
+            if rng.random() < density]
+
+
+def _pass_against_walk(cx, outcomes):
+    """Each row of cx by both routes: the pass gives the walk's row, with no
+    violation, or declines where the walk records one."""
+    for c in range(cx.size):
+        row, walk = cx._delta_pass(c), cx._delta_walk(c)
+        if row is None:
+            assert walk[2], (cx.chambers, c)
+            outcomes[frozenset(v[0] for v in walk[2])] += 1
+        else:
+            assert row == walk, (cx.chambers, c)
+            outcomes["accepted"] += 1
+
+
+@pytest.mark.parametrize("matrix, seed", [
+    (MATRIX_A2, 1), (MATRIX_B2, 2), ([[1, 6], [6, 1]], 3),
+    ([[1, 2], [2, 1]], 4)], ids=["A2", "B2", "G2", "A1xA1"])
+def test_pass_matches_walk_on_random_structures(matrix, seed):
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for _ in range(120):
+        flags = _random_incidence(rng)
+        if flags:
+            _pass_against_walk(ChamberComplex(flags, matrix, geometry="random",
+                                              thickness=2), outcomes)
+    accepted = outcomes["accepted"]
+    assert accepted and sum(outcomes.values()) > accepted
+    # rows whose only fault is a panel with no gate: every delta there is
+    # single-valued, and still the pass must decline them
+    assert outcomes[frozenset({"no-gate"})]
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "PG2:q=4", "W:q=2",
+                                  "W:q=3", "Aflags:n=3,q=2"])
+def test_pass_matches_walk_on_every_base(spec):
+    cx = build_flag_building(spec)
+    outcomes = Counter()
+    _pass_against_walk(cx, outcomes)
+    assert outcomes == {"accepted": cx.size}
 
 
 def test_b2_flags_a_wrong_coxeter_type(pg2_2, w2):

@@ -535,6 +535,14 @@ REPORT_DIGESTS = {
         "36312cdf84be89da355b1764e982c0d21700de94bd48d5ffa5042ba4b3ce94e9",
     "bt iwasawa --field Qp:p=5,prec=8 --samples 300 --seed 5":
         "fa21028d8709553cd7a6cf325f874cc7c6329604e4491b6623ae97822d7babc4",
+    # W-distance rows: the axioms over every base, and coordinates on a
+    # rank-3 complex
+    "building verify --geometry PG2:q=4":
+        "1d6c5853a4e354cdeedb3029fd28b2189f824c7d97dea8de1ee86b3daccc9457",
+    "building verify --geometry W:q=3":
+        "590191bef3fa2538179add89ec6e97f8892a3831de09c08ad900b5843af0c40d",
+    "building coords --geometry Aflags:n=3,q=2 --base 99":
+        "5e1eb34f7d1e19be2861451203424e098b83da82602dca486f34e9ef52932ee6",
 }
 
 
