@@ -6,7 +6,9 @@ prose summary on standard error, and exits 0 when all checks passed,
 PrecisionExhausted, SearchBudgetExceeded, BoundExceeded or NotFound
 prints a report with no checks and an error {class, message} instead,
 and exits 3.  A single --seed governs all randomness, so reports are
-reproducible byte for byte apart from the wall-time field.
+reproducible byte for byte apart from the wall-time field.  Each handler
+imports the layers it runs: compiling the others would be a large share
+of a short command's cold start.
 
     buildinglab coxeter --matrix FILE [--poincare]
     buildinglab field classify --field SPEC
@@ -29,18 +31,6 @@ import json
 import sys
 import time
 
-from .btree import (
-    boundary_transitivity_check,
-    build_tree_ball,
-    cone_correspondence_report,
-    iwasawa_report,
-)
-from .chambers import (
-    build_flag_building,
-    cell_decomposition_report,
-    verify_building_axioms,
-)
-from .coxeter import CoxeterSystem, parse_coxeter_matrix
 from .errors import (
     BoundExceeded,
     BuildinglabError,
@@ -48,31 +38,6 @@ from .errors import (
     NotFound,
     PrecisionExhausted,
     SearchBudgetExceeded,
-)
-from .localfield import (
-    INFINITY,
-    classify,
-    finite_field,
-    parse_element,
-    parse_field_spec,
-)
-from .moufang import (
-    MoufangFrame,
-    commutator_containment_check,
-    filtration_indices,
-    fit_parametrization,
-    orbit_labeling_check,
-    product_stabilizer_check,
-    quadrangle_identity_check,
-)
-from .projline import (
-    format_point,
-    hua_triple_product,
-    is_inf,
-    parse_point,
-    pl_eq,
-    pl_inv,
-    recovery_check,
 )
 
 SCHEMA = "buildinglab-report/1"
@@ -82,10 +47,6 @@ DEFAULT_SEED = 1
 # and exit 3, where a usage error exits 2 with none
 RUN_ERRORS = (PrecisionExhausted, SearchBudgetExceeded, BoundExceeded,
               NotFound)
-
-
-def _val_json(v):
-    return "inf" if v == INFINITY else int(v)
 
 
 def _check(checks: list, cid: str, ok: bool, witness=None) -> bool:
@@ -111,6 +72,8 @@ def _sampled_witness(report: dict, counts: tuple, failures):
 # subcommand handlers: each returns (results, checks)
 
 def cmd_coxeter(args):
+    from .coxeter import CoxeterSystem, parse_coxeter_matrix
+
     with open(args.matrix) as fh:
         matrix = parse_coxeter_matrix(fh.read())
     system = CoxeterSystem(matrix)
@@ -136,6 +99,8 @@ def cmd_coxeter(args):
 
 
 def cmd_field(args):
+    from .localfield import INFINITY, classify, parse_element, parse_field_spec
+
     field = parse_field_spec(args.field)
     checks = []
     if args.action == "classify":
@@ -143,24 +108,29 @@ def cmd_field(args):
         _check(checks, "classified", True)
         return results, checks
     element = parse_element(field, args.expr)
+    valuation = field.valuation(element)
     results = {
         "field": field.describe(),
         "expr": args.expr,
         "element": field.element_json(element),
         "formatted": field.format_element(element),
-        "valuation": _val_json(field.valuation(element)),
+        "valuation": "inf" if valuation == INFINITY else int(valuation),
     }
     _check(checks, "parsed", True)
     return results, checks
 
 
 def cmd_projline(args):
+    from .localfield import parse_field_spec
+    from .projline import (format_point, is_inf, parse_point, pl_eq, pl_inv,
+                           recovery_check, triple_product)
+
     field = parse_field_spec(args.field)
     checks = []
     if args.action == "hua":
         x = parse_point(field, args.x)
         y = parse_point(field, args.y)
-        value = hua_triple_product(field, x, y)
+        value, held = triple_product(field, x, y)
         results = {
             "field": field.describe(),
             "x": format_point(field, x),
@@ -170,17 +140,21 @@ def cmd_projline(args):
         if not is_inf(x) and not is_inf(y):
             direct = field.mul(field.mul(x, y), x)
             results["direct_product"] = format_point(field, direct)
-            agree = (not is_inf(value)) and field.eq(value, direct)
-            _check(checks, "identity_matches_product", agree, results)
+            agree = held and not is_inf(value) and field.eq(value, direct)
+            _check(checks, "identity_matches_product", agree,
+                   {**results, "identity_held": held})
         else:
             # Hua's inversion identity (x y x)^-1 = x^-1 y^-1 x^-1, which
             # the conventions at inf must respect
             inverse = pl_inv(field, value)
-            inverted = hua_triple_product(field, pl_inv(field, x),
-                                          pl_inv(field, y))
-            _check(checks, "computed", pl_eq(field, inverse, inverted),
+            inverted, held_inverted = triple_product(
+                field, pl_inv(field, x), pl_inv(field, y))
+            held = held and held_inverted
+            _check(checks, "computed",
+                   held and pl_eq(field, inverse, inverted),
                    {"inverse_of_product": format_point(field, inverse),
-                    "product_of_inverses": format_point(field, inverted)})
+                    "product_of_inverses": format_point(field, inverted),
+                    "identity_held": held})
         return results, checks
     report = recovery_check(field, args.samples, args.seed)
     results = {
@@ -195,6 +169,9 @@ def cmd_projline(args):
 
 
 def cmd_building(args):
+    from .chambers import (build_flag_building, cell_decomposition_report,
+                           verify_building_axioms)
+
     cx = build_flag_building(args.geometry)
     if not 0 <= args.base < cx.size:
         raise InvalidSpec(
@@ -251,6 +228,9 @@ def _moufang_mu_block(frame, checks, label):
     """mu uniqueness and the product formula from one fit, which computes
     mu once for each nontrivial u in U_1; a mu that fails is the cause of
     the fit's NotFound."""
+    from .localfield import finite_field
+    from .moufang import fit_parametrization, orbit_labeling_check
+
     unique = True
     witness = None
     try:
@@ -271,6 +251,10 @@ def _moufang_mu_block(frame, checks, label):
 
 
 def _moufang_commutator_block(frame, checks, label):
+    from .localfield import finite_field
+    from .moufang import (commutator_containment_check,
+                          product_stabilizer_check, quadrangle_identity_check)
+
     n = frame.n
     stab_rows = []
     stabs_ok = True
@@ -295,6 +279,9 @@ def _moufang_commutator_block(frame, checks, label):
 def _moufang_block(spec, checks, transitivity_id, mu, commutators):
     """Transitivity and the optional mu and commutator blocks on one frame,
     so each root group is searched once."""
+    from .chambers import build_flag_building
+    from .moufang import MoufangFrame
+
     frame = MoufangFrame(build_flag_building(spec))
     trans = frame.transitivity_check()
     _check(checks, transitivity_id, trans["ok"], trans["failures"])
@@ -307,6 +294,9 @@ def _moufang_block(spec, checks, transitivity_id, mu, commutators):
 
 
 def cmd_moufang(args):
+    from .localfield import parse_field_spec
+    from .moufang import filtration_indices
+
     checks = []
     if args.action == "filtration":
         field = parse_field_spec(args.field)
@@ -328,6 +318,10 @@ def cmd_moufang(args):
 
 
 def cmd_bt(args):
+    from .btree import (boundary_transitivity_check, build_tree_ball,
+                        iwasawa_report)
+    from .localfield import parse_field_spec
+
     field = parse_field_spec(args.field)
     checks = []
     if args.action == "tree":
@@ -356,6 +350,13 @@ def cmd_bt(args):
 # the acceptance bundle
 
 def run_all(profile: str, seed: int):
+    from .btree import (boundary_transitivity_check, build_tree_ball,
+                        cone_correspondence_report, iwasawa_report)
+    from .chambers import build_flag_building, cell_decomposition_report
+    from .localfield import parse_field_spec
+    from .moufang import filtration_indices
+    from .projline import recovery_check
+
     samples = 100 if profile == "quick" else 1000
     checks: list = []
     results: dict = {"profile": profile, "sample_cap": samples}

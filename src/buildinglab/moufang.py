@@ -341,8 +341,8 @@ class MoufangFrame:
     def _apartment_count(self, path: Sequence[PanelId]) -> int:
         """The apartments containing the root path, counted as the roots
         between the same ends that miss its interior (each closes it to a
-        2n-circuit; the path itself meets its own interior)."""
-        self.all_roots()
+        2n-circuit; the path itself meets its own interior).  Reads the
+        index that all_roots() files, so that must have run."""
         ends = min((path[0], path[-1]), (path[-1], path[0]))
         inner = path[1:-1]
         return sum(all(pid not in inner for pid in other[1:-1])

@@ -104,6 +104,27 @@ def hua_triple_product(field: Field, x, y):
     return pl_sub(field, pl_inv(field, pl_sub(field, t1, t2)), x)
 
 
+def triple_product(field: Field, x, y):
+    """(x*y*x, held): the triple product on the whole line, and whether
+    Hua's identity held where it was not carried to its end.
+
+    For finite nonzero x and y in {0, inf} the identity reaches its value
+    through a difference of two terms equal in the field: the outer
+    (x^-1 - 0)^-1 - x = 0 at y = 0, and the inner x^-1 - (x + 0)^-1 = 0,
+    inverted to inf, at y = inf.  In a truncated local field x^-1 is
+    inexact, and so the difference cancels every known digit: the value
+    is the defining one (0, resp. inf), and `held` compares the two terms
+    by pl_eq.  Elsewhere the value is the identity's, and `held` is
+    True."""
+    if x is INF or field.is_zero(x) or not (y is INF or field.is_zero(y)):
+        return hua_triple_product(field, x, y), True
+    t1 = pl_inv(field, x)
+    t2 = pl_inv(field, pl_add(field, x, pl_inv(field, y)))
+    if y is INF:
+        return INF, pl_eq(field, t1, t2)
+    return field.zero, pl_eq(field, pl_inv(field, pl_sub(field, t1, t2)), x)
+
+
 def recover_square(field: Field, x):
     """x^2 through the triple product (y = 1); at infinity through the
     inversion chart, where x^2 = -iota(iota(x)^2)."""

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,7 +53,7 @@ def test_coxeter_broken_table_fails_relation_check(tmp_path, monkeypatch,
             super().__init__(matrix)
             row = self.right[3]
             row[0], row[1] = row[1], row[0]
-    monkeypatch.setattr(cli, "CoxeterSystem", Broken)
+    monkeypatch.setattr("buildinglab.coxeter.CoxeterSystem", Broken)
     path = tmp_path / "b2.txt"
     path.write_text("1 4\n4 1\n")
     code, report, _ = run(["coxeter", "--matrix", str(path)], capsys)
@@ -129,6 +130,42 @@ def test_projline_hua_with_infinity(capsys):
     assert report["results"]["x"] == "inf"
 
 
+@pytest.mark.parametrize("field, x", [("Qp:p=5,prec=6", "2"),
+                                      ("Qp:p=5,prec=6", "-3"),
+                                      ("Laurent:q=3,prec=5", "t^2+t^-1")])
+@pytest.mark.parametrize("y, product, check_id", [
+    ("0", "0", "identity_matches_product"), ("inf", "inf", "computed")])
+def test_projline_hua_at_exact_zero_and_infinity(field, x, y, product,
+                                                 check_id, capsys):
+    # the identity cancels every known digit here; the product is the
+    # defining one, checked by the identity's terms
+    code, report, _ = run(["projline", "hua", "--field", field, "--x", x,
+                           "--y", y], capsys)
+    assert code == 0
+    assert report["results"]["triple_product"] == product
+    assert report["checks"] == [{"id": check_id, "ok": True}]
+
+
+def test_projline_hua_at_exact_zero_fails_with_its_terms(monkeypatch,
+                                                         capsys):
+    # 0^-1 moved to 1: the defining value 0 still equals the direct
+    # product, and the identity's terms catch it
+    from buildinglab import projline
+
+    original = projline.pl_inv
+
+    def zero_to_one(field, x):
+        return (field.one if not projline.is_inf(x) and field.is_zero(x)
+                else original(field, x))
+    monkeypatch.setattr(projline, "pl_inv", zero_to_one)
+    code, report, _ = run(["projline", "hua", "--field", "Qp:p=5,prec=6",
+                           "--x", "2", "--y", "0"], capsys)
+    assert code == 1
+    witness = report["failures"][0]["witness"]
+    assert witness["triple_product"] == witness["direct_product"] == "0"
+    assert witness["identity_held"] is False
+
+
 def _hua_checks_at_infinity(field, capsys):
     """(x, y, check) of `projline hua` on every pair of F_q + {inf} with a
     point at infinity."""
@@ -161,7 +198,6 @@ def test_hua_inversion_check_catches_a_wrong_convention(monkeypatch,
         return field.one if projline.is_inf(x) else original(field, x)
 
     monkeypatch.setattr(projline, "pl_inv", inf_to_one)
-    monkeypatch.setattr(cli, "pl_inv", inf_to_one)
     failed = [(x, y) for x, y, check in _hua_checks_at_infinity("F5", capsys)
               if not check["ok"]]
     assert failed and all("inf" in pair for pair in failed)
@@ -444,7 +480,7 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     def broken(field, pairs, seed):
         return {"field": "X", "pairs_compared": 0, "skipped": 0,
                 "failures": [{"x": "0"}], "ok": False}
-    monkeypatch.setattr(cli, "recovery_check", broken)
+    monkeypatch.setattr("buildinglab.projline.recovery_check", broken)
     code, report, err = run(
         ["projline", "recover", "--field", "F7", "--samples", "5"], capsys)
     assert code == 1
@@ -471,6 +507,45 @@ def test_all_quick_profile_deterministic(capsys):
     report1.pop("wall_time_seconds")
     report2.pop("wall_time_seconds")
     assert report1 == report2
+
+
+def _modules_in_fresh_interpreter(argv=None):
+    """The buildinglab modules a fresh interpreter holds after importing
+    the CLI and, given argv, running that command (which must exit 0)."""
+    script = "import sys\nfrom buildinglab import cli\n"
+    if argv is not None:
+        script += f"assert cli.main({argv!r}) == 0\n"
+    script += ("print(*sorted(m for m in sys.modules\n"
+               "             if m.startswith('buildinglab')))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_no_layer():
+    assert _modules_in_fresh_interpreter() == {
+        "buildinglab", "buildinglab.errors", "buildinglab.cli"}
+
+
+def test_coxeter_loads_no_other_layer(tmp_path):
+    path = tmp_path / "b2.txt"
+    path.write_text("1 4\n4 1\n")
+    loaded = _modules_in_fresh_interpreter(
+        ["coxeter", "--matrix", str(path), "--json-only"])
+    assert "buildinglab.coxeter" in loaded
+    assert not loaded & {"buildinglab.localfield", "buildinglab.moufang",
+                         "buildinglab.btree", "buildinglab.projline"}
+
+
+def test_field_classify_loads_no_building_layer():
+    loaded = _modules_in_fresh_interpreter(
+        ["field", "classify", "--field", "Qp:p=5,prec=8", "--json-only"])
+    assert "buildinglab.localfield" in loaded
+    assert not loaded & {"buildinglab.chambers", "buildinglab.moufang",
+                         "buildinglab.btree"}
 
 
 def _report_under_hash_seed(argv, hash_seed):

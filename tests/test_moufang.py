@@ -429,6 +429,7 @@ def test_root_enumeration_counts(frame2, framew):
 def test_apartments_containing_base_root(frame2):
     path = frame2.root_path(0)
     apartments = _reference_apartments(frame2, path)
+    frame2.all_roots()
     assert len(apartments) == frame2._apartment_count(path) == 2
     assert frame2.apartment in apartments
 

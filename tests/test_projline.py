@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from buildinglab import projline
 from buildinglab.errors import InvalidSpec
 from buildinglab.localfield import (
     LaurentField,
@@ -16,11 +17,13 @@ from buildinglab.projline import (
     iota,
     parse_point,
     pl_add,
+    pl_eq,
     pl_inv,
     pl_neg,
     recover_multiplication,
     recover_square,
     recovery_check,
+    triple_product,
 )
 
 
@@ -77,6 +80,47 @@ def test_hua_exhaustive_small_fields(q):
     for x in F.elements():
         for y in F.elements():
             assert hua_triple_product(F, x, y) == F.mul(F.mul(x, y), x)
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_triple_product_is_the_identity_on_finite_fields(q):
+    # exact arithmetic: the defining values at y in {0, inf} are the
+    # identity's, and its terms agree there
+    F = finite_field(q)
+    for x in all_points(F):
+        for y in all_points(F):
+            value, held = triple_product(F, x, y)
+            assert held
+            assert pl_eq(F, value, hua_triple_product(F, x, y))
+
+
+LOCAL_X = ([(PadicField(5, 6), text) for text in ("2", "-3", "7*pi^2", "5")]
+           + [(LaurentField(3, 5), text) for text in ("t^2+t^-1", "2*t", "1")])
+
+
+@pytest.mark.parametrize("F, text", LOCAL_X)
+def test_triple_product_at_exact_zero_and_infinity(F, text):
+    x = parse_element(F, text)
+    value, held = triple_product(F, x, F.zero)
+    assert held and value is F.zero
+    assert pl_eq(F, value, F.mul(F.mul(x, F.zero), x))
+    assert triple_product(F, x, INF) == (INF, True)
+
+
+@pytest.mark.parametrize("at_inf", [False, True], ids=["zero", "inf"])
+@pytest.mark.parametrize("F, text", LOCAL_X)
+def test_triple_product_terms_catch_a_wrong_convention(F, text, at_inf,
+                                                       monkeypatch):
+    # send y to 1 under inversion: the defining value stays, the identity's
+    # terms at y no longer agree
+    y = INF if at_inf else F.zero
+    original = pl_inv
+
+    def y_to_one(field, x):
+        return field.one if pl_eq(field, x, y) else original(field, x)
+    monkeypatch.setattr(projline, "pl_inv", y_to_one)
+    _, held = triple_product(F, parse_element(F, text), y)
+    assert not held
 
 
 def test_square_two_routes():
