@@ -30,7 +30,11 @@ walk that scans it from every member runs only for a base chamber where
 that pass finds a violation, and lists them.  Apartments are produced
 constructively: extend d to a chamber opposite c by length-increasing panel
 steps, then collect the convex hull {e : delta(c,e) * delta(e,d') = w0 with
-lengths adding}, and check it is thin and W-isometric.  Projections to
+lengths adding}, and check it is thin and W-isometric.  Chamber sets on
+that path are int bitmasks, bit c for chamber c: the hull is an OR of
+cell-mask intersections, thinness counts the hull's bits in each panel
+mask, and W-isometry compares one picked delta row per hull chamber
+against a row of the Coxeter product table.  Projections to
 panels are gates: the unique chamber of the panel at minimal gallery
 distance.  Gallery distance is symmetric, so the gate of c on a panel P
 reads either c's BFS table or the tables of P's q + 1 members.  projection
@@ -54,7 +58,8 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .coxeter import (
     MATRIX_A2,
@@ -118,6 +123,25 @@ def all_subspaces(F: FiniteField, n: int, dim: int) -> list[Subspace]:
 
 
 # ---------------------------------------------------------------------------
+# chamber sets as bitmasks
+
+def _mask_of(chambers: Iterable[int]) -> int:
+    """The chambers as a bitmask: bit c set for each c."""
+    mask = 0
+    for c in chambers:
+        mask |= 1 << c
+    return mask
+
+
+def _picker(indices: Sequence[int]):
+    """itemgetter over indices, giving a tuple even for one index."""
+    if len(indices) == 1:
+        k = indices[0]
+        return lambda row: (row[k],)
+    return itemgetter(*indices)
+
+
+# ---------------------------------------------------------------------------
 # the chamber complex
 
 class ChamberComplex:
@@ -135,6 +159,7 @@ class ChamberComplex:
         self.thickness = thickness  # the equal panel parameter q
         self.panels: list[list[tuple[int, ...]]] = []
         self.panel_of: list[list[int]] = []
+        self._panel_masks: list[list[int]] = []    # per type, as bitmasks
         for i in range(self.rank):
             groups: dict[tuple, list[int]] = {}
             for k, ch in enumerate(self.chambers):
@@ -142,6 +167,7 @@ class ChamberComplex:
                 groups.setdefault(key, []).append(k)
             plist = sorted(tuple(sorted(g)) for g in groups.values())
             self.panels.append(plist)
+            self._panel_masks.append([_mask_of(g) for g in plist])
             lookup = [0] * self.size
             for pidx, members in enumerate(plist):
                 for c in members:
@@ -352,17 +378,28 @@ class ChamberComplex:
 
     def apartment_hull(self, c: int, d_opp: int) -> list[int]:
         """Convex hull of an opposite pair: the chambers where the two
-        distances compose to w0 with lengths adding."""
+        distances compose to w0 with lengths adding, ascending.
+
+        The chambers e with delta(c, e) = w0 delta(d_opp, e) are the OR
+        over u in W of the cell masks of c at u and of d_opp at w0 u; the
+        length test then reads only those bits."""
         W = self.coxeter
         w0 = W.longest
-        dist_c, delta_c, _ = self._delta_from(c)
-        dist_d, delta_d, _ = self._delta_from(d_opp)
+        top = W.length[w0]
+        w0_times = W._product_row(w0)
+        from_c, from_d = self.cell_masks(c), self.cell_masks(d_opp)
+        candidates = 0
+        for u in range(W.order):
+            candidates |= from_c[u] & from_d[w0_times[u]]
+        dist_c = self._delta_from(c)[0]
+        dist_d = self._delta_from(d_opp)[0]
         out = []
-        for e in range(self.size):
-            if dist_c[e] + dist_d[e] != W.length[w0]:
-                continue
-            if W.multiply(delta_c[e], W.inverse[delta_d[e]]) == w0:
+        while candidates:
+            low = candidates & -candidates
+            e = low.bit_length() - 1
+            if dist_c[e] + dist_d[e] == top:
                 out.append(e)
+            candidates ^= low
         return out
 
     def apartment_containing(self, c: int, d: int) -> list[int]:
@@ -374,28 +411,38 @@ class ChamberComplex:
         return hull
 
     def check_apartment(self, hull: Sequence[int]) -> list[tuple]:
-        """Violations of thinness and W-isometry for a candidate apartment."""
+        """Violations of thinness and W-isometry for a candidate apartment.
+
+        Thinness counts the bits of the hull mask in each panel mask.
+        W-isometry compares, for each e, the row delta(e, .) picked at the
+        hull against the product row of delta(base, e)^-1 picked at the
+        distances from the base; only a row that differs is read entry by
+        entry."""
         W = self.coxeter
         bad = []
         if len(hull) != W.order:
             bad.append(("size", len(hull), W.order))
-        hull_set = set(hull)
+        inside = _mask_of(hull)
+        types = list(enumerate(zip(self._panel_masks, self.panel_of)))
         for e in hull:
-            for i in range(self.rank):
-                inside = [x for x in self.copanel_members(i, e) if x in hull_set]
-                if len(inside) != 2:
-                    bad.append(("not-thin", e, i, len(inside)))
-        base = hull[0]
-        from_base = [self.w_distance(base, e) for e in hull]
+            for i, (masks, pof) in types:
+                count = (inside & masks[pof[e]]).bit_count()
+                if count != 2:
+                    bad.append(("not-thin", e, i, count))
+        delta_base = self._delta_from(hull[0])[1]
+        at_hull = _picker(hull)
+        from_base = at_hull(delta_base)
         seen_w = set(from_base)
         if len(seen_w) != len(hull):
             bad.append(("not-free", len(seen_w)))
-        multiply = W.multiply
+        at_base = _picker(from_base)
         for e, we in zip(hull, from_base):
-            we_inv = W.inverse[we]
             from_e = self._delta_from(e)[1]
+            products = W._product_row(W.inverse[we])
+            if at_hull(from_e) == at_base(products):
+                continue
             for f, wf in zip(hull, from_base):
-                if from_e[f] != multiply(we_inv, wf):
+                if from_e[f] != products[wf]:
                     bad.append(("not-isometric", e, f))
         return bad
 
@@ -599,6 +646,10 @@ def verify_building_axioms(cx: ChamberComplex) -> dict:
     thinness, W-isometry) is covered; any other pair gets its own hull, and a
     hull that passes marks all of its ordered pairs covered.  A failing hull
     marks nothing, so a listed failure fails without the cover too.
+    The cover is one bitmask per chamber c, bit d for the pair (c, d); a
+    passing hull ORs its mask into the row of each member.  Neither walk
+    lists its pairs: the exhaustive one jumps to the next uncovered bit of
+    row c, and the sampled one draws its pairs one at a time.
     """
     report: dict = {"geometry": cx.geometry, "chambers": cx.size,
                     "rank": cx.rank,
@@ -622,21 +673,17 @@ def verify_building_axioms(cx: ChamberComplex) -> dict:
         "violations": [list(map(str, v)) for v in b2_violations[:10]],
     }
 
-    total_pairs = cx.size * cx.size
-    if total_pairs <= PAIR_BUDGET:
-        pairs = [(c, d) for c in range(cx.size) for d in range(cx.size)]
-        mode = "exhaustive"
+    covered = [0] * cx.size    # bit d of covered[c]: (c, d) is covered
+    if cx.size * cx.size <= PAIR_BUDGET:
+        listed, mode = cx.size * cx.size, "exhaustive"
+        pairs = _uncovered_pairs(cx.size, covered)
     else:
-        rng = random.Random(PAIR_SEED)
-        pairs = [(rng.randrange(cx.size), rng.randrange(cx.size))
-                 for _ in range(PAIR_BUDGET)]
-        mode = "sampled"
-    covered = [bytearray(cx.size) for _ in range(cx.size)]
+        listed, mode = PAIR_BUDGET, "sampled"
+        pairs = _sampled_pairs(cx.size, covered)
     b1_failures = []
     hulls = 0
-    for walked, (c, d) in enumerate(pairs, 1):
-        if covered[c][d]:
-            continue
+    walked = listed
+    for at, c, d in pairs:
         hulls += 1
         try:
             hull = cx.apartment_containing(c, d)
@@ -646,11 +693,12 @@ def verify_building_axioms(cx: ChamberComplex) -> dict:
         if bad:
             b1_failures.append({"pair": [c, d], "problems": bad[:4]})
             if len(b1_failures) >= 10:
+                walked = at
                 break
             continue
+        mask = _mask_of(hull)
         for e in hull:
-            for f in hull:
-                covered[e][f] = 1
+            covered[e] |= mask
     report["B1_apartments"] = {
         "ok": not b1_failures,
         "pairs_checked": walked,
@@ -663,6 +711,29 @@ def verify_building_axioms(cx: ChamberComplex) -> dict:
                     and report["B2_w_consistency"]["ok"]
                     and report["B1_apartments"]["ok"])
     return report
+
+
+def _uncovered_pairs(n: int, covered: list[int]) -> Iterator[tuple]:
+    """(position, c, d) for each pair of the c-major listing of all n^2
+    pairs that is uncovered when the walk reaches it; the position counts
+    every listed pair from 1.  covered is read as it grows."""
+    full = (1 << n) - 1
+    for c in range(n):
+        rest = full & ~covered[c]
+        while rest:
+            d = (rest & -rest).bit_length() - 1
+            yield c * n + d + 1, c, d
+            rest = full & ~covered[c] & (-1 << (d + 1))
+
+
+def _sampled_pairs(n: int, covered: list[int]) -> Iterator[tuple]:
+    """(position, c, d) for each uncovered pair of PAIR_BUDGET pairs drawn
+    from a Random(PAIR_SEED) stream, drawn one at a time."""
+    rng = random.Random(PAIR_SEED)
+    for at in range(1, PAIR_BUDGET + 1):
+        c, d = rng.randrange(n), rng.randrange(n)
+        if not covered[c] >> d & 1:
+            yield at, c, d
 
 
 def cell_decomposition_report(cx: ChamberComplex, c0: int = 0) -> dict:

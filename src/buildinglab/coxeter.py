@@ -92,6 +92,7 @@ class CoxeterSystem:
         self.longest = longest[0]
         self.inverse = [self.element_from_word(reversed(w))
                         for w in self.words]
+        self._product_rows: dict[int, tuple[int, ...]] = {}
 
     def _enumerate(self) -> None:
         """Breadth-first fill of the tables (see the module docstring).
@@ -215,6 +216,20 @@ class CoxeterSystem:
         for s in self.words[b]:
             a = right[a][s]
         return a
+
+    def _product_row(self, a: int) -> tuple[int, ...]:
+        """Row a of the product table, built on first use: entry b is a b.
+        With s the last letter of b's word, b s comes earlier in shortlex
+        order, and a b is its entry times s."""
+        row = self._product_rows.get(a)
+        if row is None:
+            right, words = self.right, self.words
+            out = [a]
+            for b in range(1, self.order):
+                s = words[b][-1]
+                out.append(right[out[right[b][s]]][s])
+            row = self._product_rows[a] = tuple(out)
+        return row
 
     def conjugate_generator_by_longest(self, i: int) -> int:
         """The index j with s_j = w0 s_i w0 (diagram symmetry of w0)."""

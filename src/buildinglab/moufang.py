@@ -94,7 +94,9 @@ def identity_perm(n: int) -> Perm:
 
 def compose(g: Perm, h: Perm) -> Perm:
     """Apply g first, then h."""
-    return tuple(h[x] for x in g)
+    if len(g) < 2:           # itemgetter of one index returns no tuple
+        return tuple(h[x] for x in g)
+    return itemgetter(*g)(h)
 
 
 def inverse_perm(g: Perm) -> Perm:

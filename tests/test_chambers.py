@@ -436,6 +436,193 @@ def test_apartments_are_thin_and_isometric(pg2_2):
     assert 0 in hull and 17 in hull
 
 
+def test_exhaustive_walk_is_lazy_and_builds_each_apartment_once(monkeypatch):
+    # 425^2 = 180 625 pairs, walked without listing them
+    cx = build_flag_building("W:q=4")
+    monkeypatch.setattr(chambers, "PAIR_BUDGET", 200_000)
+    report = verify_building_axioms(cx)
+    assert report["ok"], report
+    b1 = report["B1_apartments"]
+    assert b1["mode"] == "exhaustive"
+    assert b1["pairs_checked"] == 425 * 425
+    assert b1["apartments_checked"] == _apartment_count(cx) == 13_600
+
+
+# The hull by a scan of every chamber and the apartment check by |W|^2
+# products, as they stood before chamber bitsets: the oracles of
+# apartment_hull and check_apartment.
+def _hull_by_scan(cx, c, d_opp):
+    W = cx.coxeter
+    w0 = W.longest
+    dist_c, delta_c, _ = cx._delta_from(c)
+    dist_d, delta_d, _ = cx._delta_from(d_opp)
+    out = []
+    for e in range(cx.size):
+        if dist_c[e] + dist_d[e] != W.length[w0]:
+            continue
+        if W.multiply(delta_c[e], W.inverse[delta_d[e]]) == w0:
+            out.append(e)
+    return out
+
+
+def _check_by_products(cx, hull):
+    W = cx.coxeter
+    bad = []
+    if len(hull) != W.order:
+        bad.append(("size", len(hull), W.order))
+    hull_set = set(hull)
+    for e in hull:
+        for i in range(cx.rank):
+            inside = [x for x in cx.copanel_members(i, e) if x in hull_set]
+            if len(inside) != 2:
+                bad.append(("not-thin", e, i, len(inside)))
+    base = hull[0]
+    from_base = [cx.w_distance(base, e) for e in hull]
+    seen_w = set(from_base)
+    if len(seen_w) != len(hull):
+        bad.append(("not-free", len(seen_w)))
+    for e, we in zip(hull, from_base):
+        we_inv = W.inverse[we]
+        from_e = cx._delta_from(e)[1]
+        for f, wf in zip(hull, from_base):
+            if from_e[f] != W.multiply(we_inv, wf):
+                bad.append(("not-isometric", e, f))
+    return bad
+
+
+def _hulls_against_oracles(cx, seed, pairs):
+    """Seeded pairs (c, d): the hull of c with d and with an extension of
+    d opposite c by both routes, and each nonempty hull checked by both.
+    Returns the number of hulls whose check found violations."""
+    rng = random.Random(seed)
+    failing = 0
+    for _ in range(pairs):
+        c, d = rng.randrange(cx.size), rng.randrange(cx.size)
+        ends = [d]
+        try:
+            ends.append(cx.extend_to_opposite(c, d))
+        except NotFound:
+            pass
+        for end in ends:
+            hull = cx.apartment_hull(c, end)
+            assert hull == _hull_by_scan(cx, c, end), (c, end)
+            if hull:
+                bad = cx.check_apartment(hull)
+                assert bad == _check_by_products(cx, hull), (c, end)
+                failing += bool(bad)
+    return failing
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "PG2:q=4", "W:q=2",
+                                  "W:q=3", "Aflags:n=2,q=2",
+                                  "Aflags:n=3,q=2"])
+def test_hulls_and_checks_match_the_oracles(spec):
+    # in a building the hull of a pair is empty unless the pair is
+    # opposite, and then it is an apartment
+    assert _hulls_against_oracles(build_flag_building(spec), 7, 80) == 0
+
+
+def _broken_complexes(pg2_2, w2):
+    """A chamber missing, two disjoint copies, the plane read as a
+    quadrangle and the quadrangle read as a plane."""
+    return [
+        ChamberComplex(pg2_2.chambers[1:], MATRIX_A2, geometry="broken",
+                       thickness=2),
+        ChamberComplex([tuple((tag, x) for x in ch) for tag in (0, 1)
+                        for ch in pg2_2.chambers], MATRIX_A2,
+                       geometry="two planes", thickness=2),
+        ChamberComplex(pg2_2.chambers, MATRIX_B2, geometry="PG2 as B2",
+                       thickness=2),
+        ChamberComplex(w2.chambers, MATRIX_A2, geometry="W as A2",
+                       thickness=2),
+    ]
+
+
+def test_hulls_and_checks_match_the_oracles_on_broken_complexes(pg2_2, w2):
+    failing = {cx.geometry: _hulls_against_oracles(cx, 5, 80)
+               for cx in _broken_complexes(pg2_2, w2)}
+    # a hull of the two planes lies in one copy, an apartment there
+    assert failing == {"broken": 29, "two planes": 0, "PG2 as B2": 59,
+                       "W as A2": 112}
+
+
+# The B1 walk as it stood before chamber bitsets: every pair listed up
+# front, the cover one bytearray per chamber.  The oracle of the lazy walk
+# and its bitset cover.
+def _b1_listed_cover(cx):
+    if cx.size * cx.size <= chambers.PAIR_BUDGET:
+        pairs = [(c, d) for c in range(cx.size) for d in range(cx.size)]
+        mode = "exhaustive"
+    else:
+        rng = random.Random(chambers.PAIR_SEED)
+        pairs = [(rng.randrange(cx.size), rng.randrange(cx.size))
+                 for _ in range(chambers.PAIR_BUDGET)]
+        mode = "sampled"
+    covered = [bytearray(cx.size) for _ in range(cx.size)]
+    failures = []
+    hulls = 0
+    for walked, (c, d) in enumerate(pairs, 1):
+        if covered[c][d]:
+            continue
+        hulls += 1
+        bad = _pair_problems(cx, c, d)
+        if bad:
+            failures.append({"pair": [c, d], "problems": bad[:4]})
+            if len(failures) >= 10:
+                break
+            continue
+        hull = cx.apartment_containing(c, d)
+        for e in hull:
+            for f in hull:
+                covered[e][f] = 1
+    return {"ok": not failures, "pairs_checked": walked, "mode": mode,
+            "apartments_checked": hulls, "failures": failures}
+
+
+def test_lazy_walk_matches_the_listed_walk(pg2_2, pg2_3, w2, monkeypatch):
+    for cx in [pg2_2, pg2_3, w2] + _broken_complexes(pg2_2, w2):
+        assert verify_building_axioms(cx)["B1_apartments"] == \
+            _b1_listed_cover(cx), cx.geometry
+    # the sampled walk, drawing its pairs one at a time
+    monkeypatch.setattr(chambers, "PAIR_BUDGET", 300)
+    for cx in [pg2_3, w2] + _broken_complexes(pg2_2, w2):
+        b1 = verify_building_axioms(cx)["B1_apartments"]
+        assert b1["mode"] == "sampled"
+        assert b1 == _b1_listed_cover(cx), cx.geometry
+
+
+def test_a_hull_with_a_panel_mate_fails_both_routes(pg2_3):
+    hull = pg2_3.apartment_containing(3, 40)
+    out = hull[2]
+    mate = min(x for x in pg2_3.copanel_members(1, out) if x not in hull)
+    swapped = sorted(hull[:2] + [mate] + hull[3:])
+    bad = pg2_3.check_apartment(swapped)
+    assert ("not-thin", mate, 0, 1) in bad
+    assert any(v[0] == "not-isometric" for v in bad)
+    assert bad == _check_by_products(pg2_3, swapped)
+    # kept beside the chamber it would replace, the mate makes a panel of
+    # three
+    grown = sorted(hull + [mate])
+    bad = pg2_3.check_apartment(grown)
+    assert bad[0] == ("size", 7, 6)
+    assert ("not-thin", out, 1, 3) in bad
+    assert bad == _check_by_products(pg2_3, grown)
+
+
+def test_one_altered_delta_entry_fails_both_routes():
+    cx = build_flag_building("W:q=2")
+    hull = cx.apartment_containing(0, 30)
+    assert cx.check_apartment(hull) == []
+    e, f = hull[3], hull[5]
+    dist, delta, violations = cx._delta_from(e)
+    altered = list(delta)
+    altered[f] = cx.coxeter.right[delta[f]][0]
+    cx._delta_cache[e] = (dist, tuple(altered), violations)
+    bad = cx.check_apartment(hull)
+    assert bad == [("not-isometric", e, f)]
+    assert bad == _check_by_products(cx, hull)
+
+
 def test_cell_sizes_law(pg2_2, pg2_3, w2):
     for cx in (pg2_2, pg2_3, w2):
         rep = cell_decomposition_report(cx, 0)

@@ -618,6 +618,12 @@ REPORT_DIGESTS = {
         "590191bef3fa2538179add89ec6e97f8892a3831de09c08ad900b5843af0c40d",
     "building coords --geometry Aflags:n=3,q=2 --base 99":
         "5e1eb34f7d1e19be2861451203424e098b83da82602dca486f34e9ef52932ee6",
+    # B1 on chamber bitsets: the one rank-3 exhaustive walk, and a sampled
+    # walk of 6 446 hulls
+    "building verify --geometry Aflags:n=3,q=2":
+        "0dcc96d13b8e625470a3852096f2ee696603284274ad2e52bd27781fa7a5bb3b",
+    "building verify --geometry W:q=4":
+        "bab1ef085ee8ad331ca9482c977af44bae3b562653e95fe6a412d0a7d5c6898b",
 }
 
 

@@ -270,6 +270,29 @@ def test_perm_algebra_right_action():
     assert product_set([g, h], [identity_perm(4)]) == {g, h}
 
 
+def _compose_by_generator(g, h):
+    """compose as it stood before itemgetter: the oracle."""
+    return tuple(h[x] for x in g)
+
+
+def test_compose_matches_the_generator_form():
+    rng = random.Random(13)
+    for n in (0, 1, 2, 5, 45, 936):
+        ident = identity_perm(n)
+        perms = [ident]
+        for _ in range(4):
+            p = list(ident)
+            rng.shuffle(p)
+            perms.append(tuple(p))
+        for g in perms:
+            for h in perms:
+                gh = compose(g, h)
+                assert type(gh) is tuple
+                assert gh == _compose_by_generator(g, h)
+        assert compose(ident, perms[-1]) == perms[-1]
+        assert compose(perms[-1], ident) == perms[-1]
+
+
 def test_circuit_shape(frame2):
     n = frame2.n
     assert n == 3
