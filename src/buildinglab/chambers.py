@@ -134,18 +134,19 @@ def _mask_of(chambers: Iterable[int]) -> int:
 
 
 def _picker(indices: Sequence[int]):
-    """itemgetter over indices, giving a tuple even for one index."""
-    if len(indices) == 1:
-        k = indices[0]
-        return lambda row: (row[k],)
-    return itemgetter(*indices)
+    """itemgetter over indices, giving a tuple for any number of them."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple(row[k] for k in indices)
 
 
 # ---------------------------------------------------------------------------
 # the chamber complex
 
 class ChamberComplex:
-    """Chambers plus i-panel partitions, with an attached Coxeter system."""
+    """Chambers plus i-panel partitions, with an attached Coxeter system.
+    Only this module reads the panel tables panels and panel_of; others ask
+    the panel methods, panel_masks and the automorphism test."""
 
     def __init__(self, chambers: Sequence[Chamber], matrix,
                  geometry: str, thickness: int):
@@ -159,7 +160,7 @@ class ChamberComplex:
         self.thickness = thickness  # the equal panel parameter q
         self.panels: list[list[tuple[int, ...]]] = []
         self.panel_of: list[list[int]] = []
-        self._panel_masks: list[list[int]] = []    # per type, as bitmasks
+        self.panel_masks: list[list[int]] = []     # per type, as bitmasks
         for i in range(self.rank):
             groups: dict[tuple, list[int]] = {}
             for k, ch in enumerate(self.chambers):
@@ -167,12 +168,15 @@ class ChamberComplex:
                 groups.setdefault(key, []).append(k)
             plist = sorted(tuple(sorted(g)) for g in groups.values())
             self.panels.append(plist)
-            self._panel_masks.append([_mask_of(g) for g in plist])
+            self.panel_masks.append([_mask_of(g) for g in plist])
             lookup = [0] * self.size
             for pidx, members in enumerate(plist):
                 for c in members:
                     lookup[c] = pidx
             self.panel_of.append(lookup)
+        # per type: pick each panel's first member, each chamber's panel
+        self._heads = [_picker([m[0] for m in p]) for p in self.panels]
+        self._by_panel = [_picker(lookup) for lookup in self.panel_of]
         self._delta_cache: dict[int, tuple] = {}
         self._mask_cache: dict[int, tuple[int, ...]] = {}
 
@@ -191,6 +195,22 @@ class ChamberComplex:
         for i in range(self.rank):
             for pidx in range(len(self.panels[i])):
                 yield (i, pidx)
+
+    def panel_images(self, g: Sequence[int]) -> list[tuple[int, ...]]:
+        """Per type, each panel's image under g, read at its first member."""
+        return [_picker(heads(g))(pof)
+                for heads, pof in zip(self._heads, self.panel_of)]
+
+    def is_automorphism(self, g: Sequence[int]) -> bool:
+        """Whether g is a type-preserving automorphism: a bijection mapping
+        each panel into its image (per type, panel_of picked at g equals the
+        images picked at panel_of); being onto, it leaves no image shared."""
+        n = self.size
+        if len(g) != n or len(set(g)) != n or min(g) != 0 or max(g) != n - 1:
+            return False
+        through_g = _picker(g)
+        return all(through_g(pof) == by_panel(images) for pof, by_panel, images
+                   in zip(self.panel_of, self._by_panel, self.panel_images(g)))
 
     # -- W-distance ------------------------------------------------------
 
@@ -363,6 +383,8 @@ class ChamberComplex:
         built by length-increasing panel steps (lex-least choices)."""
         W = self.coxeter
         v = self.w_distance(c, d)
+        if v == -1:
+            raise NotFound(f"chambers {c} and {d} are not connected")
         rest = W.words[W.multiply(W.inverse[v], W.longest)]
         delta = self._delta_from(c)[1]
         cur = d
@@ -417,13 +439,14 @@ class ChamberComplex:
         W-isometry compares, for each e, the row delta(e, .) picked at the
         hull against the product row of delta(base, e)^-1 picked at the
         distances from the base; only a row that differs is read entry by
-        entry."""
+        entry.  If the base's row misses a hull chamber, those chambers are
+        listed as unreached instead, since delta -1 names no element of W."""
         W = self.coxeter
         bad = []
         if len(hull) != W.order:
             bad.append(("size", len(hull), W.order))
         inside = _mask_of(hull)
-        types = list(enumerate(zip(self._panel_masks, self.panel_of)))
+        types = list(enumerate(zip(self.panel_masks, self.panel_of)))
         for e in hull:
             for i, (masks, pof) in types:
                 count = (inside & masks[pof[e]]).bit_count()
@@ -435,6 +458,9 @@ class ChamberComplex:
         seen_w = set(from_base)
         if len(seen_w) != len(hull):
             bad.append(("not-free", len(seen_w)))
+        if -1 in seen_w:
+            return bad + [("unreached", hull[0], e)
+                          for e, we in zip(hull, from_base) if we == -1]
         at_base = _picker(from_base)
         for e, we in zip(hull, from_base):
             from_e = self._delta_from(e)[1]

@@ -3,14 +3,15 @@
 A rank-2 chamber complex of gonality n is viewed through its incidence
 graph: vertices are the panels of both types, and each chamber is an edge
 joining its two panels.  A MoufangFrame builds that graph once and is the
-one rank-2 view every check below runs on.  An apartment is a circuit of
-length 2n, labeled here by residues modulo 2n; the root alpha_i is the
-half-circuit path (i, i+1, ..., i+n), and its root group U_i consists of
-the type-preserving automorphisms fixing, chamber by chamber, the star of
-every interior vertex i+1, ..., i+n-1.  The frame lists the 2n base
-interiors once and caches each searched root group by its interior, so
-transitivity, mu, stabilizers and commutators search it once; groups made
-by conjugation are not kept.
+one rank-2 view every check below runs on; the panels, their images and
+the automorphism test belong to the ChamberComplex.  An apartment is a
+circuit of length 2n, labeled here by residues modulo 2n; the root alpha_i
+is the half-circuit path (i, i+1, ..., i+n), and its root group U_i
+consists of the type-preserving automorphisms fixing, chamber by chamber,
+the star of every interior vertex i+1, ..., i+n-1.  The frame lists the 2n
+base interiors once and caches each searched root group by its interior,
+so transitivity, mu, stabilizers and commutators search it once; groups
+made by conjugation are not kept.
 
 Root groups are found by a forward-checking search over chamber bijections
 that preserve the W-valued distance (which characterizes type-preserving
@@ -59,10 +60,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .chambers import ChamberComplex, PanelId
+from .chambers import ChamberComplex, PanelId, _picker
 from .errors import (
     InvalidSpec,
     NotFound,
@@ -94,9 +94,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(g: Perm, h: Perm) -> Perm:
     """Apply g first, then h."""
-    if len(g) < 2:           # itemgetter of one index returns no tuple
-        return tuple(h[x] for x in g)
-    return itemgetter(*g)(h)
+    return _picker(g)(h)
 
 
 def inverse_perm(g: Perm) -> Perm:
@@ -131,9 +129,7 @@ def _preserves_delta(delta: Sequence[Sequence[int]],
                      image: Sequence[int]) -> bool:
     """Whether c -> image[c] preserves delta on every pair: row image[c]
     read at the images must equal row c."""
-    if len(image) == 1:      # itemgetter of one index returns no tuple
-        return delta[image[0]][image[0]] == delta[0][0]
-    pick = itemgetter(*image)
+    pick = _picker(image)
     return all(pick(delta[x]) == row for x, row in zip(image, delta))
 
 
@@ -170,9 +166,9 @@ def find_automorphisms(cx: ChamberComplex,
     for c in range(N):
         mask = 1 << forced[c] if c in forced else (1 << N) - 1
         for i in range(cx.rank):
-            p = cx.panel_of[i][c]
-            if (i, p) in vertex_fixes:
-                mask &= sum(1 << x for x in cx.panels[i][p])
+            pid = cx.panel_id(i, c)
+            if pid in vertex_fixes:
+                mask &= cx.panel_masks[i][pid[1]]
         if not mask:
             return []
         if mask & (mask - 1):
@@ -368,15 +364,6 @@ class MoufangFrame:
         inner = tuple(path[1:-1])
         return min(inner, inner[::-1])
 
-    def is_automorphism(self, g: Perm) -> bool:
-        """Is g a panel-preserving bijection of the chambers, that is, a
-        type-preserving automorphism: per type, the pairs (panel of c,
-        panel of g(c)) are exactly as many as the panels."""
-        if sorted(g) != list(self.identity):
-            return False
-        return all(len(set(zip(po, [po[x] for x in g]))) == len(plist)
-                   for po, plist in zip(self.cx.panel_of, self.cx.panels))
-
     def root_groups_by_conjugation(
             self, interiors: Iterable[tuple]) -> Iterator[tuple]:
         """(interior, group, conjugated) once for each of the given root
@@ -393,8 +380,8 @@ class MoufangFrame:
         wanted = set(interiors)
         base = {key: self._root_group(key) for key in self.base_interiors}
         gens = [g for U in base.values() for g in U
-                if g != self.identity and self.is_automorphism(g)]
-        panel_maps = [_panel_images(self.cx, g) for g in gens]
+                if g != self.identity and self.cx.is_automorphism(g)]
+        panel_maps = [self.cx.panel_images(g) for g in gens]
         parent: dict[tuple, Optional[tuple]] = dict.fromkeys(base)
         missing = wanted - parent.keys()
         frontier = list(base)
@@ -455,7 +442,7 @@ class MoufangFrame:
         for key, U, conjugated in self.root_groups_by_conjugation(
                 by_interior.keys()):
             fixed = self.star_fixing(key)
-            elements_ok = all(self.is_automorphism(g)
+            elements_ok = all(self.cx.is_automorphism(g)
                               and all(g[c] == c for c in fixed) for g in U)
             agrees = key not in sample or set(U) == set(
                 find_automorphisms(self.cx, forced=fixed))
@@ -500,9 +487,7 @@ class MoufangFrame:
         image leaves the circuit."""
         out = []
         for pid in self.circuit:
-            t, _ = pid
-            member = self.star(pid)[0]
-            img = (t, self.cx.panel_of[t][g[member]])
+            img = self.cx.panel_id(pid[0], g[self.star(pid)[0]])
             if img not in self.circuit_index:
                 return None
             out.append(self.circuit_index[img])
@@ -629,14 +614,8 @@ def orbit_labeling_check(frame: MoufangFrame, x_table: dict[int, Perm],
 # ---------------------------------------------------------------------------
 # product groups, stabilizers, commutators
 
-def _panel_images(cx: ChamberComplex, g: Perm) -> list[list[int]]:
-    """Per type, the index of the image of each panel under g."""
-    return [[po[g[members[0]]] for members in plist]
-            for po, plist in zip(cx.panel_of, cx.panels)]
-
-
 def fixed_vertices_of_set(cx: ChamberComplex, perms: Iterable[Perm]) -> frozenset:
-    maps = [_panel_images(cx, g) for g in perms]
+    maps = [cx.panel_images(g) for g in perms]
     return frozenset((t, p) for t, p in cx.all_panel_ids()
                      if all(images[t][p] == p for images in maps))
 

@@ -481,6 +481,11 @@ def _check_by_products(cx, hull):
     seen_w = set(from_base)
     if len(seen_w) != len(hull):
         bad.append(("not-free", len(seen_w)))
+    # delta -1 (a chamber the base never reaches) names no element of W
+    unreached = [("unreached", base, e)
+                 for e, we in zip(hull, from_base) if we == -1]
+    if unreached:
+        return bad + unreached
     for e, we in zip(hull, from_base):
         we_inv = W.inverse[we]
         from_e = cx._delta_from(e)[1]
@@ -544,6 +549,24 @@ def test_hulls_and_checks_match_the_oracles_on_broken_complexes(pg2_2, w2):
     # a hull of the two planes lies in one copy, an apartment there
     assert failing == {"broken": 29, "two planes": 0, "PG2 as B2": 59,
                        "W as A2": 112}
+
+
+def test_a_pair_in_disjoint_copies_is_named_not_connected(pg2_2, w2):
+    two_planes = _broken_complexes(pg2_2, w2)[1]
+    # chamber 21 opens the second copy: its delta from 0 is -1, not w0
+    assert two_planes.w_distance(0, 21) == -1
+    message = "chambers 0 and 21 are not connected"
+    with pytest.raises(NotFound, match=message):
+        two_planes.extend_to_opposite(0, 21)
+    b1 = verify_building_axioms(two_planes)["B1_apartments"]
+    assert b1["failures"][0] == {"pair": [0, 21],
+                                 "problems": [("error", message)]}
+    # an apartment with its last chamber moved to the other copy
+    hull = two_planes.apartment_containing(0, 0)
+    crossed = hull[:-1] + [hull[-1] + 21]
+    bad = two_planes.check_apartment(crossed)
+    assert ("unreached", 0, hull[-1] + 21) in bad
+    assert bad == _check_by_products(two_planes, crossed)
 
 
 # The B1 walk as it stood before chamber bitsets: every pair listed up

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -682,7 +683,8 @@ def _swap_off_the_apartments(frame, U):
 
 def test_transitivity_fails_on_base_group_with_a_non_automorphism():
     frame = _broken_base_frame("W:q=3", 1, _swap_off_the_apartments)
-    assert not all(frame.is_automorphism(g) for g in frame.root_group(1))
+    assert not all(frame.cx.is_automorphism(g)
+                   for g in frame.root_group(1))
     report = frame.transitivity_check()
     assert not report["ok"]
     # the explicit element check alone catches it: orbits and the search
@@ -775,13 +777,100 @@ def test_interiors_the_walk_misses_are_searched():
 
 
 def test_is_automorphism(frame2):
+    cx = frame2.cx
     U = frame2.root_group(1)
-    assert all(frame2.is_automorphism(g) for g in U)
+    assert all(cx.is_automorphism(g) for g in U)
     g = list(frame2.identity)
     g[0], g[1] = g[1], g[0]
-    assert not frame2.is_automorphism(tuple(g))
-    assert not frame2.is_automorphism(frame2.identity[:-1])
-    assert not frame2.is_automorphism((0,) * frame2.N)
+    assert not cx.is_automorphism(tuple(g))
+    assert not cx.is_automorphism(frame2.identity[:-1])
+    assert not cx.is_automorphism((0,) * frame2.N)
+    # the retraction from chamber 0 onto an apartment through the first and
+    # the last chamber maps each panel into a panel and reaches both ends,
+    # but is no bijection
+    last = cx.size - 1
+    at = {cx.w_distance(0, e): e for e in cx.apartment_containing(0, last)}
+    retraction = tuple(at[cx.w_distance(0, d)] for d in range(cx.size))
+    assert min(retraction) == 0 and max(retraction) == last
+    assert not cx.is_automorphism(retraction)
+    assert not _is_automorphism_by_pairs(cx, retraction)
+
+
+def test_automorphism_test_on_one_panel_is_the_bijection_test():
+    # every map sends the one panel into a panel, so only the bijection
+    # test decides; -1 would read the last chamber
+    cx = ChamberComplex([(x,) for x in range(3)], [[1]], geometry="panel",
+                        thickness=2)
+    for n in (2, 3, 4):
+        for g in itertools.product(range(-3, 4), repeat=n):
+            assert cx.is_automorphism(g) == _is_automorphism_by_pairs(cx, g)
+
+
+# The automorphism test and the panel images as they stood in moufang.py
+# before the complex owned its panels: the oracles of
+# ChamberComplex.is_automorphism and ChamberComplex.panel_images.
+def _is_automorphism_by_pairs(cx, g):
+    """Per type, the pairs (panel of c, panel of g(c)) are exactly as many
+    as the panels, and g is a bijection."""
+    if sorted(g) != list(range(cx.size)):
+        return False
+    return all(len(set(zip(po, [po[x] for x in g]))) == len(plist)
+               for po, plist in zip(cx.panel_of, cx.panels))
+
+
+def _panel_images_by_first_member(cx, g):
+    return [[po[g[members[0]]] for members in plist]
+            for po, plist in zip(cx.panel_of, cx.panels)]
+
+
+PERTURBATIONS = ("none", "swap", "panel-swap", "non-bijection")
+
+
+def _perturbed_elements(frame, count, seed):
+    """(perturbation, g) for count seeded products of up to four
+    nontrivial base root elements, perturbed in turn: not at all, by a swap
+    of two chambers, by a swap of two chambers of one panel, and by giving
+    one chamber the image of another."""
+    cx = frame.cx
+    rng = random.Random(seed)
+    gens = [g for i in range(2 * frame.n) for g in frame.root_group(i)
+            if g != frame.identity]
+    for k in range(count):
+        g = frame.identity
+        for _ in range(rng.randrange(5)):
+            g = compose(g, rng.choice(gens))
+        g = list(g)
+        kind = PERTURBATIONS[k % len(PERTURBATIONS)]
+        a = rng.randrange(cx.size)
+        if kind == "panel-swap":
+            i = rng.randrange(cx.rank)
+            b = rng.choice([x for x in cx.copanel_members(i, a) if x != a])
+        else:
+            b = rng.choice([x for x in range(cx.size) if x != a])
+        if kind == "non-bijection":
+            g[a] = g[b]
+        elif kind != "none":
+            g[a], g[b] = g[b], g[a]
+        yield kind, tuple(g)
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=4", "W:q=3"])
+def test_automorphism_test_matches_the_pair_count(spec):
+    # the swaps are bijections that only the panel rows reject
+    frame = MoufangFrame(build_flag_building(spec))
+    cx = frame.cx
+    verdicts = Counter()
+    for kind, g in _perturbed_elements(frame, 3000, 28):
+        ok = cx.is_automorphism(g)
+        assert ok == _is_automorphism_by_pairs(cx, g), (kind, g)
+        images = cx.panel_images(g)
+        assert list(map(list, images)) == _panel_images_by_first_member(cx, g)
+        if ok:
+            assert all(len(set(row)) == len(row) for row in images)
+        verdicts[kind, ok] += 1
+    assert verdicts == {("none", True): 750, ("swap", False): 750,
+                        ("panel-swap", False): 750,
+                        ("non-bijection", False): 750}
 
 
 def test_mu_exists_unique_and_reflects(frame2, frame3):
