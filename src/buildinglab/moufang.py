@@ -19,9 +19,10 @@ automorphisms): the identity constraints on the interior stars seed it,
 each open chamber keeps its possible images as a bitmask, each assignment
 ANDs the open masks with one cached cell row of its image, a chamber down
 to one image is queued and never filtered again, and a complete map is
-kept only if it preserves the distance on every pair.  By rigidity the
-search branches once, over the q images of one chamber, and otherwise
-only propagates.  The Moufang property is then checked head on:
+kept only if it preserves the distance on every pair: on a complex whose
+distance rows record no violation, only if it is an automorphism.  By
+rigidity the search branches once, over the q images of one chamber, and
+otherwise only propagates.  The Moufang property is then checked head on:
 one simple-path walk on the graph lists the roots (the n-edge paths) and
 files each under its two ends.  The ends x0 and xn of a root are
 opposite, so an apartment through the root is determined by its edge at
@@ -149,17 +150,27 @@ def find_automorphisms(cx: ChamberComplex,
     filtered again.  With the queue empty the search branches on the
     open chamber with the fewest images, lowest index first, over its
     images in ascending order.  A complete map is kept only if it
-    preserves delta on every pair; that check settles what the queue left
-    unfiltered, and rejects any map that is not injective, since
-    delta(c, e) is the identity only for e = c.  By rigidity a root group
-    search branches once, q ways, and then only propagates.
+    preserves delta on every pair, which settles what the queue left
+    unfiltered.  With no violation in any delta row, that is being a
+    type-preserving automorphism, decided by cx.is_automorphism in
+    O(N rank) with its bijection test rejecting non-injective maps; else
+    every pair is compared.  Constraints naming chambers or panels outside
+    the complex raise InvalidSpec.  By rigidity a root group search
+    branches once, q ways, and then only propagates.
     """
     if not forced and not vertex_fixes:
         raise InvalidSpec("automorphism search needs at least one constraint")
     N = cx.size
-    delta = [cx._delta_from(c)[1] for c in range(N)]
-    cells = cx.cell_masks
     forced = forced or {}
+    if not all(c in range(N) and x in range(N) for c, x in forced.items()):
+        raise InvalidSpec(f"forced images must map chambers of 0..{N - 1}")
+    if not vertex_fixes <= set(cx.all_panel_ids()):
+        raise InvalidSpec("setwise-fixed panels must be panels of the complex")
+    rows = [cx._delta_from(c) for c in range(N)]
+    delta = [row[1] for row in rows]
+    keep = (cx.is_automorphism if not any(row[2] for row in rows)
+            else lambda image: _preserves_delta(delta, image))
+    cells = cx.cell_masks
     image = [-1] * N
     queue: list[int] = []
     open_masks: dict[int, int] = {}
@@ -202,7 +213,7 @@ def find_automorphisms(cx: ChamberComplex,
                     return
             masks = left
         if not masks:
-            if _preserves_delta(delta, image):
+            if keep(image):
                 solutions.append(tuple(image))
             return
         _, c = min((mask.bit_count(), c) for c, mask in masks.items())
@@ -302,12 +313,10 @@ class MoufangFrame:
         return {c: c for pid in vertices for c in self.star(pid)}
 
     def _root_group(self, interior: tuple[PanelId, ...]) -> list[Perm]:
-        cached = self._root_cache.get(interior)
-        if cached is None:
-            cached = find_automorphisms(self.cx,
-                                        forced=self.star_fixing(interior))
-            self._root_cache[interior] = cached
-        return cached
+        if interior not in self._root_cache:
+            self._root_cache[interior] = find_automorphisms(
+                self.cx, forced=self.star_fixing(interior))
+        return self._root_cache[interior]
 
     def root_group(self, i: int) -> list[Perm]:
         return self._root_group(self.base_interiors[i % (2 * self.n)])
@@ -342,8 +351,8 @@ class MoufangFrame:
         2n-circuit; the path itself meets its own interior).  Reads the
         index that all_roots() files, so that must have run."""
         ends = min((path[0], path[-1]), (path[-1], path[0]))
-        inner = path[1:-1]
-        return sum(all(pid not in inner for pid in other[1:-1])
+        inner = set(path[1:-1])
+        return sum(inner.isdisjoint(other[1:-1])
                    for other in self._roots_by_ends.get(ends, ()))
 
     def _regular_on_end_panel(self, path: Sequence[PanelId],
@@ -652,14 +661,10 @@ def commutator_containment_check(frame: MoufangFrame) -> dict:
                 continue
             between = [U[k] for k in range(i + 1, j)]
             target = product_set(*between) if between else {frame.identity}
-            bad = []
-            for a in U[i]:
-                for b in U[j]:
-                    c = commutator(a, b)
-                    if c not in target:
-                        bad.append((a, b))
+            bad = sum(commutator(a, b) not in target
+                      for a in U[i] for b in U[j])
             rows.append({"i": i, "j": j, "target_order": len(target),
-                         "violations": len(bad)})
+                         "violations": bad})
             ok = ok and not bad
     return {"pairs": rows, "ok": ok}
 
@@ -679,10 +684,8 @@ def quadrangle_identity_check(frame: MoufangFrame, field: FiniteField) -> dict:
         raise InvalidSpec("quadrangle identity needs gonality 4")
     fit1 = fit_parametrization(frame, field, 1)
     fit4 = fit_parametrization(frame, field, 4)
-    x1 = fit1["x"]
-    x4 = fit4["x"]
-    m = fit1["m"]
-    r = fit4["m"]
+    x1, m = fit1["x"], fit1["m"]
+    x4, r = fit4["x"], fit4["m"]
     U2 = set(frame.root_group(2))
     U3 = set(frame.root_group(3))
     x2 = {u: conjugate(x4[u], m) for u in range(field.q)}
@@ -690,24 +693,20 @@ def quadrangle_identity_check(frame: MoufangFrame, field: FiniteField) -> dict:
     if not (set(x2.values()) == U2 and set(x3.values()) == U3):
         return {"ok": False, "reason": "derived tables do not fill U_2, U_3"}
     table = {}
-    ok = True
     for u in range(field.q):
         lhs = commutator(x1[1], inverse_perm(x4[u]))
         matches = [(s, t) for s in range(field.q) for t in range(field.q)
                    if compose(x2[s], x3[t]) == lhs]
-        if len(matches) != 1:
-            ok = False
-            table[u] = None
-            continue
-        table[u] = matches[0]
-    sigma = {u: st[0] for u, st in table.items() if st is not None}
-    qmap = {u: st[1] for u, st in table.items() if st is not None}
+        if len(matches) == 1:
+            table[u] = matches[0]
+    sigma = {u: s for u, (s, _) in table.items()}
+    qmap = {u: t for u, (_, t) in table.items()}
     sigma_additive = (len(sigma) == field.q
                       and len(set(sigma.values())) == field.q
                       and all(sigma[field.add(a, b)]
                               == field.add(sigma[a], sigma[b])
                               for a in sigma for b in sigma))
-    ok = ok and sigma_additive and qmap.get(0) == 0
+    ok = sigma_additive and qmap.get(0) == 0
     return {
         "ok": ok,
         "sigma": {u: sigma.get(u) for u in range(field.q)},

@@ -587,6 +587,10 @@ REPORT_DIGESTS = {
         "5097ed7c161983c0633da628ce2dac51270d3035bcbac254a73017e6773aa557",
     "moufang check --geometry W:q=3 --mu --commutators":
         "fb9b26bc791c4dda6b85401c797dc6e2b5b13d457001dc2745ad24ff18f2c693",
+    # q >= 5: the base, stabilizer and mu searches keep their complete maps
+    # by the panel test
+    "moufang check --geometry PG2:q=5 --mu --commutators":
+        "2856bb0cbf218a4411b0b7ce7a77fba5410ccc5bca690632903a9126e5b89638",
     "all --profile full":
         "ebeaaa5c37af8c30f84b90d63c36bd0c7313b78dd51958fa3ca6eff98b2590be",
     "projline recover --field Laurent:q=4,prec=8 --samples 300 --seed 5":

@@ -219,12 +219,15 @@ def _forward_checking_automorphisms(cx: ChamberComplex,
 
 
 
-def _assert_delta_preserving(cx, perms):
+def _preserves_delta_by_pairs(cx, g):
     delta = [cx._delta_from(c)[1] for c in range(cx.size)]
+    return all(delta[c][e] == delta[g[c]][g[e]]
+               for c in range(cx.size) for e in range(cx.size))
+
+
+def _assert_delta_preserving(cx, perms):
     for g in perms:
-        for c in range(cx.size):
-            dc, dg = delta[c], delta[g[c]]
-            assert all(dc[e] == dg[g[e]] for e in range(cx.size))
+        assert _preserves_delta_by_pairs(cx, g)
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +337,21 @@ def test_identity_forced_search(pg2_2, chamber_neighbors):
     assert find_automorphisms(lone, forced={0: 0}) == [(0,)]
 
 
+@pytest.mark.parametrize("forced, vertex_fixes", [
+    ({500: 0, 1: 1}, frozenset()),
+    ({-1: 0, 1: 1}, frozenset()),
+    ({0: 500}, frozenset()),
+    ({0: -1}, frozenset()),
+    ({0: 0}, frozenset({(0, 500)})),
+    (None, frozenset({(2, 0)})),
+], ids=["key-past-the-end", "negative-key", "image-past-the-end",
+        "negative-image", "panel-past-the-end", "type-past-the-rank"])
+def test_search_rejects_constraints_outside_the_complex(pg2_2, forced,
+                                                        vertex_fixes):
+    with pytest.raises(InvalidSpec):
+        find_automorphisms(pg2_2, forced=forced, vertex_fixes=vertex_fixes)
+
+
 # roots 0, 3 and 5 of PG2:q=4 take seconds each in the reference search
 @pytest.mark.parametrize("spec, roots", [
     ("PG2:q=2", range(6)),
@@ -387,12 +405,12 @@ def test_search_matches_forward_checking_on_stabilizers():
             assert len(got) == 3 ** (j + 1)
 
 
-@pytest.mark.parametrize("name", ["minus-chamber-0", "two-copies",
-                                  "W-as-A2"])
-def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
-    # the complexes that fail B2 in test_chambers: chambers the queue
-    # leaves unfiltered may disagree, and only the final delta check
-    # rejects such a map
+OFF_BUILDINGS = ["minus-chamber-0", "two-copies", "W-as-A2"]
+
+
+def _off_building(name, pg2_2, w2):
+    """(complex, automorphisms fixing the star of chamber 0) for one of
+    the complexes that fail B2 in test_chambers."""
     chambers, star_maps = {
         "minus-chamber-0": (pg2_2.chambers[1:], 2),
         "two-copies": ([tuple((tag, x) for x in ch) for tag in (0, 1)
@@ -400,12 +418,76 @@ def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
         "W-as-A2": (w2.chambers, 4),
     }[name]
     cx = ChamberComplex(chambers, MATRIX_A2, geometry=name, thickness=2)
-    star = {e: e for i in range(cx.rank) for e in cx.copanel_members(i, 0)}
+    return cx, star_maps
+
+
+def _star_of_chamber_0(cx):
+    return {e: e for i in range(cx.rank) for e in cx.copanel_members(i, 0)}
+
+
+@pytest.mark.parametrize("name", OFF_BUILDINGS)
+def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
+    # chambers the queue leaves unfiltered may disagree, and only the
+    # final delta check rejects such a map
+    cx, star_maps = _off_building(name, pg2_2, w2)
+    star = _star_of_chamber_0(cx)
     identity = dict(enumerate(range(cx.size)))
     for forced, count in ((star, star_maps), (identity, 1)):
         got = find_automorphisms(cx, forced=forced)
         assert got == _forward_checking_automorphisms(cx, forced=forced)
         assert len(got) == count
+
+
+def test_pairwise_delta_check_runs_only_off_buildings(monkeypatch, pg2_2,
+                                                      w2):
+    # every delta row of a building passes B2, so its complete maps go to
+    # the panel test; a complex with a recorded violation keeps the
+    # pairwise check
+    calls = Counter()
+    pairwise = moufang._preserves_delta
+
+    def counted(delta, image):
+        calls["pairwise"] += 1
+        return pairwise(delta, image)
+
+    monkeypatch.setattr(moufang, "_preserves_delta", counted)
+    frame = MoufangFrame(build_flag_building("PG2:q=3"))
+    fixed = frame.star_fixing(frame.root_path(0)[1:-1])
+    assert len(find_automorphisms(frame.cx, forced=fixed)) == frame.q
+    assert calls["pairwise"] == 0
+    for name in OFF_BUILDINGS:
+        cx, star_maps = _off_building(name, pg2_2, w2)
+        calls.clear()
+        got = find_automorphisms(cx, forced=_star_of_chamber_0(cx))
+        assert len(got) == star_maps
+        assert calls["pairwise"] >= 1, name
+
+
+def _flag_automorphisms(cx):
+    """Search results of a building of any rank: the automorphisms fixing
+    chamber 0, and those fixing a chamber farthest from it."""
+    dist = cx._delta_from(0)[0]
+    far = max(range(cx.size), key=dist.__getitem__)
+    return [g for c in (0, far) for g in find_automorphisms(cx, forced={c: c})
+            if g != identity_perm(cx.size)]
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=3", "W:q=2", "Aflags:n=3,q=2"])
+def test_panel_test_matches_the_pairwise_delta_check(spec):
+    # on a complex whose delta rows pass B2 the search keeps a complete map
+    # by the panel test; it must agree with delta on every pair
+    cx = build_flag_building(spec)
+    assert not any(cx._delta_from(c)[2] for c in range(cx.size))
+    delta = [cx._delta_from(c)[1] for c in range(cx.size)]
+    verdicts = Counter()
+    for kind, g in _perturbed_elements(cx, _flag_automorphisms(cx), 200, 29):
+        ok = cx.is_automorphism(g)
+        assert ok == _preserves_delta_by_pairs(cx, g), (kind, g)
+        assert ok == moufang._preserves_delta(delta, g), (kind, g)
+        verdicts[kind, ok] += 1
+    assert verdicts == {("none", True): 50, ("swap", False): 50,
+                        ("panel-swap", False): 50,
+                        ("non-bijection", False): 50}
 
 
 def test_search_budget_is_counted_per_branch(monkeypatch):
@@ -826,17 +908,19 @@ def _panel_images_by_first_member(cx, g):
 PERTURBATIONS = ("none", "swap", "panel-swap", "non-bijection")
 
 
-def _perturbed_elements(frame, count, seed):
-    """(perturbation, g) for count seeded products of up to four
-    nontrivial base root elements, perturbed in turn: not at all, by a swap
-    of two chambers, by a swap of two chambers of one panel, and by giving
-    one chamber the image of another."""
-    cx = frame.cx
-    rng = random.Random(seed)
-    gens = [g for i in range(2 * frame.n) for g in frame.root_group(i)
+def _base_root_elements(frame):
+    return [g for i in range(2 * frame.n) for g in frame.root_group(i)
             if g != frame.identity]
+
+
+def _perturbed_elements(cx, gens, count, seed):
+    """(perturbation, g) for count seeded products of up to four of the
+    generators, perturbed in turn: not at all, by a swap of two chambers,
+    by a swap of two chambers of one panel, and by giving one chamber the
+    image of another."""
+    rng = random.Random(seed)
     for k in range(count):
-        g = frame.identity
+        g = identity_perm(cx.size)
         for _ in range(rng.randrange(5)):
             g = compose(g, rng.choice(gens))
         g = list(g)
@@ -860,7 +944,8 @@ def test_automorphism_test_matches_the_pair_count(spec):
     frame = MoufangFrame(build_flag_building(spec))
     cx = frame.cx
     verdicts = Counter()
-    for kind, g in _perturbed_elements(frame, 3000, 28):
+    for kind, g in _perturbed_elements(cx, _base_root_elements(frame), 3000,
+                                       28):
         ok = cx.is_automorphism(g)
         assert ok == _is_automorphism_by_pairs(cx, g), (kind, g)
         images = cx.panel_images(g)
