@@ -4,7 +4,7 @@ Three models share one interface: the finite field F_q (q = p^m, polynomial
 basis over F_p modulo the lexicographically least monic irreducible), the
 field Q_p of p-adic numbers truncated at a fixed relative precision, and the
 Laurent-series field F_q((t)) truncated the same way.  One private base,
-`_FieldBase`, derives `sub`, `div` and `pow` from each model's own `add`,
+`_FieldBase`, derives `div` and `pow` from each model's own `add`, `sub`,
 `neg`, `mul` and `inv`.
 
 F_q works on integer codes through addition, negation, multiplication and
@@ -23,23 +23,27 @@ never pick a representation by the kind of field.
 Precision model.  A nonzero element is (valuation, mantissa, digits, exact);
 the mantissa is one int read in the model's base `_radix`: p, or
 2^`_lane_bits` with one coefficient per digit (see `LaurentField`).
-Literals and other finite-support constructions are exact.  The rule for a
-result is written once, `_LocalBase._make(v, mant, known)`, which every ring
-operation and normal form returns through: a result of exact operands stays
-exact while it fits inside the precision window, so an exact full
-cancellation really returns exact zero with valuation infinity; any
-truncation drops the exact flag; a result of inexact operands keeps the
-digits its operands determine (`_LocalBase._known_sum`, `_known_product`,
-`_known_inverse`: the least known precision of the inputs), capped at the
-window.  When every known digit of an inexact computation cancels, no claim
-about the result is possible and PrecisionExhausted is raised; nothing is
-ever silently rounded to zero.  Equality is decided on the common known
-window of a - b (`_LocalBase.eq`, through each model's un-normalised sum
-`_sum`), so it never raises.  A product by an exact 1 or pi^k only shifts
-the other factor's valuation.  `digit_code(a, low)` and
-`from_digit_code(n, low)` convert between an element and the int n with
-a = n * pi^low, so digit strings can be handled as plain ints (the tree
-balls of `btree` key their vertices this way).
+Literals and other finite-support constructions are exact.  Each model
+writes the rule for a result once, in its own normal form
+`_make(v, mant, known)`, which every ring operation returns through (an
+inverse, already in normal form, skips it): Q_p cuts windows with a table
+of powers of p, F_q((t)) with lane masks and shifts.  A result of exact
+operands stays exact while it fits inside the precision window, so an
+exact full cancellation really returns exact zero with valuation infinity;
+any truncation drops the exact flag; a result of inexact operands keeps
+the digits its operands determine, capped at the window: for a sum or
+difference every digit below the lowest unknown digit of an operand,
+worked out inline in `add` and `sub`, for a product or an inverse the least
+known precision of the inputs (`_LocalBase._known_product`).  When every
+known digit of an inexact computation cancels, no claim about the result
+is possible and PrecisionExhausted is raised; nothing is ever silently
+rounded to zero.  `sub` forms a - b in one pass, never -b.  Equality is
+decided on the common known window of a - b (`_LocalBase.eq`, through
+each model's `_cut`), so it never raises.  A product by an exact 1 or pi^k
+only shifts the other factor's valuation.
+`digit_code(a, low)` and `from_digit_code(n, low)` convert between an
+element and the int n with a = n * pi^low, so digit strings can be handled
+as plain ints (the tree balls of `btree` key their vertices this way).
 
 F_q and F_q((t)) answer `frobenius_inv`, the p-th root that the recovered
 product on the projective line takes in characteristic 2.
@@ -121,13 +125,10 @@ def _poly_rem(coeffs: Sequence[int], monic: Sequence[int],
 
 
 class _FieldBase:
-    """The operations every model derives from its own `one`, `add`,
-    `neg`, `mul` and `inv`."""
+    """The operations every model derives from its own `one`, `mul` and
+    `inv`."""
 
     local = False
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -147,10 +148,11 @@ class _FieldBase:
 
 class FiniteField(_FieldBase):
     """F_q with elements encoded as integers 0..q-1 (base-p coefficient
-    vectors in the polynomial basis).  `add`, `neg`, `mul` and `inv` are
-    lookups in tables built once by coefficient-wise arithmetic (`_decode`,
-    `_encode`, `_poly_mul`), which stays available as the reference the
-    tables are tested against; `sub`, `div` and `pow` come from the base.
+    vectors in the polynomial basis).  `add`, `neg`, `sub`, `mul` and `inv`
+    are lookups in tables built once by coefficient-wise arithmetic
+    (`_decode`, `_encode`, `_poly_mul`), which stays available as the
+    reference the tables are tested against; `div` and `pow` come from the
+    base.
     `basis()` is the F_p-basis 1, w, ..., w^(m-1) behind the codes."""
 
     kind = "finite"
@@ -216,6 +218,9 @@ class FiniteField(_FieldBase):
 
     def neg(self, a: int) -> int:
         return self._neg[a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
@@ -330,12 +335,12 @@ class _LocalBase(_FieldBase):
     """Shared plumbing for the two truncated local models.
 
     A model supplies the representation: `one`, the base `_radix` of its
-    mantissas, the ring operations `add`, `neg`, `mul`, `inv` (from which
-    the base derives `sub`, `div` and `pow`), the un-normalised sum `_sum`
-    that `add` and `eq` share, and the mantissa hooks
-    `_width(mant)` (number of digits), `_lead_code(mant)` (residue code of
-    the leading digit), `_random_unit(rng)` and `_nonzero_json(a)`.  The
-    precision rule, `_make`, is the base's.
+    mantissas, its normal form `_make(v, mant, known)` (the precision
+    rule), the ring operations `add`, `sub`, `neg`, `mul` and `inv` (from
+    which the base derives `div` and `pow`), and the mantissa hooks
+    `_cut(mant, known)` (mant modulo radix^known, which `eq` tests),
+    `_lead_code(mant)` (residue code of the leading digit),
+    `_random_unit(rng)` and `_nonzero_json(a)`.
     """
 
     local = True
@@ -346,32 +351,6 @@ class _LocalBase(_FieldBase):
         if not 1 <= prec <= MAX_PRECISION:
             raise InvalidSpec(f"precision {prec} outside 1..{MAX_PRECISION}")
         self.prec = prec
-
-    def _make(self, v: int, mant: int, known: Optional[int]) -> LocalElement:
-        """Normalize mant * pi^v, mant read in base `_radix`: keep the
-        `known` low digits (None: exact), strip the zero digits at the low
-        end and cap at `prec`; PrecisionExhausted if no digit survives.  An
-        exact result wider than `prec` becomes the inexact window."""
-        radix = self._radix
-        if known is not None:
-            mant %= radix ** known
-        if not mant:
-            if known is None:
-                return ZERO
-            raise PrecisionExhausted("every known digit cancelled")
-        if not mant % radix:
-            j = _val_int(mant, radix)
-            v, mant = v + j, mant // radix ** j
-            if known is not None:
-                known -= j
-        if known is None:
-            known = self._width(mant)
-            if known <= self.prec:
-                return _new(LocalElement, (v, mant, known, True))
-        if known > self.prec:
-            known = self.prec
-            mant %= radix ** known
-        return _new(LocalElement, (v, mant, known, False))
 
     def is_zero(self, a: LocalElement) -> bool:
         return a.mant is None
@@ -384,18 +363,20 @@ class _LocalBase(_FieldBase):
 
         Zero equals only zero.  Nonzero values of different valuations
         differ: the lowest digit of each is known and nonzero, so it
-        survives in a - b.  At equal valuations the un-normalised a - b of
-        `_sum` decides: exact operands are equal when its mantissa is 0,
-        and with an inexact operand when every digit it determines (its
-        `known` low digits) is 0, where `sub` would raise
-        PrecisionExhausted.
+        survives in a - b.  At equal valuations exact operands are equal
+        when their (normal) mantissas are, and with an inexact operand
+        when the mantissas agree on every digit a - b determines, where
+        `sub` would raise PrecisionExhausted.
         """
         if a.mant is None or b.mant is None:
             return a.mant is None and b.mant is None
         if a.v != b.v:
             return False
-        _, mant, known = self._sum(a, self.neg(b))
-        return not (mant if known is None else mant % self._radix ** known)
+        if a.exact and b.exact:
+            return a.mant == b.mant
+        known = (b.digits if a.exact else a.digits if b.exact
+                 else min(a.digits, b.digits))
+        return not self._cut(a.mant - b.mant, known)
 
     def uniformizer_power(self, k: int) -> LocalElement:
         return _new(LocalElement, (k, 1, 1, True))
@@ -411,27 +392,11 @@ class _LocalBase(_FieldBase):
     #    None means every operand is exact
 
     @staticmethod
-    def _known_sum(a: LocalElement, b: LocalElement, v: int):
-        """Relative width, from exponent v, that a + b determines: every
-        digit below the lowest unknown digit of an inexact operand."""
-        if a.exact:
-            return None if b.exact else b.v + b.digits - v
-        if b.exact:
-            return a.v + a.digits - v
-        return min(a.v + a.digits, b.v + b.digits) - v
-
-    @staticmethod
     def _known_product(a: LocalElement, b: LocalElement):
         """Relative width that a * b determines: the least inexact window."""
         if a.exact:
             return None if b.exact else b.digits
         return a.digits if b.exact else min(a.digits, b.digits)
-
-    def _known_inverse(self, a: LocalElement) -> int:
-        """Relative width of 1/a when it has no finite expansion: the
-        inverse of an exact a is then an infinite series, cut at the
-        window."""
-        return self.prec if a.exact else a.digits
 
     # -- normal forms and sampling, in terms of the mantissa hooks
 
@@ -509,20 +474,47 @@ class PadicField(_LocalBase):
         self.char = 0
         self.residue_q = p
         self.one = LocalElement(0, 1, 1, True)
-        self._powers = [p ** i for i in range(prec + 1)]
+        # p^0 .. p^(2 prec): every window a ring operation cuts, the widest
+        # an exact operand plus an inexact one at gap prec
+        self._powers = [p ** i for i in range(2 * prec + 1)]
 
     @property
     def residue_field(self) -> FiniteField:
         return finite_field(self.p)
 
-    def _width(self, mant: int) -> int:
-        return bisect_right(self._powers, abs(mant))
+    def _make(self, v: int, mant: int, known: Optional[int]) -> LocalElement:
+        """The precision rule on mant * p^v (`known` low digits kept, None:
+        exact).  Windows are cut by the table of powers, one past it by its
+        own power; an exact digit count is |mant|'s place in the table."""
+        p, powers, prec = self.p, self._powers, self.prec
+        if known is not None:
+            try:
+                mant %= powers[known]
+            except IndexError:
+                mant %= p ** known
+        if not mant:
+            if known is None:
+                return ZERO
+            raise PrecisionExhausted("every known digit cancelled")
+        if not mant % p:
+            j = _val_int(mant, p)
+            v, mant = v + j, mant // p ** j
+            if known is not None:
+                known -= j
+        if known is None:
+            known = bisect_right(powers, abs(mant))
+            if known <= prec:
+                return _new(LocalElement, (v, mant, known, True))
+        if known > prec:
+            known = prec
+            mant %= powers[prec]
+        return _new(LocalElement, (v, mant, known, False))
 
     def _lead_code(self, mant: int) -> int:
         return mant % self.p
 
     def _random_unit(self, rng) -> int:
-        top = self._powers[-1]
+        top = self._powers[self.prec]
         mant = rng.randrange(1, top)
         while mant % self.p == 0:
             mant = rng.randrange(1, top)
@@ -535,25 +527,45 @@ class PadicField(_LocalBase):
         """Exact lift of the residue class with code 0 <= code < p."""
         return self._make(0, code, None)
 
-    def _sum(self, a: LocalElement, b: LocalElement):
-        """(v, mant, known) of a + b before `_make`, for nonzero a, b whose
-        valuations differ by at most `prec`."""
-        if a.v > b.v:
-            a, b = b, a
-        return (a.v, a.mant + b.mant * self.p ** (b.v - a.v),
-                self._known_sum(a, b, a.v))
-
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None:
             return b
         if b.mant is None:
             return a
-        if abs(a.v - b.v) <= self.prec:
-            return self._make(*self._sum(a, b))
-        # no digit of the far operand, nor a borrow from a signed exact one,
-        # reaches the near one's prec-digit window
-        a = a if a.v < b.v else b
-        return a if not a.exact else self._make(a.v, a.mant, self.prec)
+        if a.v > b.v:
+            a, b = b, a
+        gap = b.v - a.v
+        if gap > self.prec:
+            # no digit of the far operand, nor a borrow from a signed exact
+            # one, reaches the near one's prec-digit window
+            return a if not a.exact else self._make(a.v, a.mant, self.prec)
+        known = a.digits
+        if a.exact:
+            known = None if b.exact else gap + b.digits
+        elif not b.exact and gap + b.digits < known:
+            known = gap + b.digits
+        return self._make(a.v, a.mant + b.mant * self._powers[gap], known)
+
+    def sub(self, a: LocalElement, b: LocalElement) -> LocalElement:
+        """a - b on the window of `add`, with no -b built."""
+        gap = b.v - a.v
+        if a.mant is None or b.mant is None or abs(gap) > self.prec:
+            return self.add(a, self.neg(b))  # one operand alone
+        if gap >= 0:
+            low, high, mant = a, b, a.mant - b.mant * self._powers[gap]
+        else:
+            gap = -gap
+            low, high, mant = b, a, a.mant * self._powers[gap] - b.mant
+        known = low.digits
+        if low.exact:
+            known = None if high.exact else gap + high.digits
+        elif not high.exact and gap + high.digits < known:
+            known = gap + high.digits
+        return self._make(low.v, mant, known)
+
+    def _cut(self, mant: int, known: int) -> int:
+        """mant modulo p^known, for known <= prec."""
+        return mant % self._powers[known]
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
@@ -561,7 +573,7 @@ class PadicField(_LocalBase):
         if a.exact:
             return _new(LocalElement, (a.v, -a.mant, a.digits, True))
         return _new(LocalElement,
-                    (a.v, -a.mant % self.p ** a.digits, a.digits, False))
+                    (a.v, -a.mant % self._powers[a.digits], a.digits, False))
 
     def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None or b.mant is None:
@@ -579,9 +591,11 @@ class PadicField(_LocalBase):
             raise DivisionByZero("inverse of 0")
         if a.exact and a.mant in (1, -1):
             return _new(LocalElement, (-a.v, a.mant, 1, True))
-        digits = self._known_inverse(a)
-        mod = self.p ** digits
-        return self._make(-a.v, pow(a.mant % mod, -1, mod), digits)
+        digits = self.prec if a.exact else a.digits
+        mod = self._powers[digits]
+        # a unit below p^digits: the normal form as it stands
+        return _new(LocalElement,
+                    (-a.v, pow(a.mant % mod, -1, mod), digits, False))
 
     def format_element(self, a: LocalElement) -> str:
         if a.mant is None:
@@ -623,10 +637,13 @@ class LaurentField(_LocalBase):
     nonzero; an exact mantissa has `digits` lanes, an inexact one at most
     `digits`.
 
-    `add`, `neg` and `mul` are a few int operations and a slot reduction
-    mod p (`_reduce`, one bytes.translate for one-byte slots); a product's
-    slots of w-degree m and more are folded back through w^(m+r) mod the
-    modulus (`_fold`).  `coefficients` decodes a mantissa to residue codes.
+    `add`, `sub`, `neg` and `mul` are a few int operations and one slot
+    reduction mod p (`_reduce`, one bytes.translate for one-byte slots);
+    `sub` adds (p - 1) b, so a slot holds at most p (p - 1) before it.  A
+    product's slots of w-degree m and more are folded back through w^(m+r)
+    mod the modulus (`_fold`).  The radix is 2^`_lane_bits`, so the normal
+    form `_make` and the window `_cut` are masks and shifts.
+    `coefficients` decodes a mantissa to residue codes.
     """
 
     kind = "laurent"
@@ -710,8 +727,33 @@ class LaurentField(_LocalBase):
             out += (x >> r * width & mask) * image
         return self._reduce(out)
 
-    def _width(self, mant: int) -> int:
-        return -(-mant.bit_length() // self._lane_bits)
+    def _make(self, v: int, mant: int, known: Optional[int]) -> LocalElement:
+        """The precision rule on mant * t^v (`known` low lanes kept, None:
+        exact), mant with reduced slots, by lane masks and shifts.  A
+        reduced slot is below p < 2^(`_slot_bits` - 1), so the bit length
+        of the lowest set bit, over the lane width, counts the zero lanes
+        below it."""
+        bits = self._lane_bits
+        if known is not None:
+            mant &= (1 << known * bits) - 1
+        if not mant:
+            if known is None:
+                return ZERO
+            raise PrecisionExhausted("every known digit cancelled")
+        lead = (mant & -mant).bit_length() // bits
+        if lead:
+            mant >>= lead * bits
+            v += lead
+            if known is not None:
+                known -= lead
+        if known is None:
+            known = -(-mant.bit_length() // bits)
+            if known <= self.prec:
+                return _new(LocalElement, (v, mant, known, True))
+        if known > self.prec:
+            known = self.prec
+            mant &= (1 << known * bits) - 1
+        return _new(LocalElement, (v, mant, known, False))
 
     def _lead_code(self, mant: int) -> int:
         return self._code[(mant & self._lane_mask).to_bytes(
@@ -732,25 +774,48 @@ class LaurentField(_LocalBase):
 
     # -- ring operations
 
-    def _sum(self, a: LocalElement, b: LocalElement):
-        """(v, mant, known) of a + b before `_make`, for nonzero a, b whose
-        valuations differ by at most `prec`."""
-        if a.v > b.v:
-            a, b = b, a
-        total = a.mant + (b.mant << (b.v - a.v) * self._lane_bits)
-        return a.v, self._reduce(total), self._known_sum(a, b, a.v)
-
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None:
             return b
         if b.mant is None:
             return a
-        if abs(a.v - b.v) <= self.prec:
-            return self._make(*self._sum(a, b))
-        # no digit of the far operand reaches the near one's prec-digit
-        # window
-        a = a if a.v < b.v else b
-        return a if not a.exact else self._make(a.v, a.mant, self.prec)
+        if a.v > b.v:
+            a, b = b, a
+        gap = b.v - a.v
+        if gap > self.prec:
+            # no digit of the far operand reaches the near one's prec-digit
+            # window
+            return a if not a.exact else self._make(a.v, a.mant, self.prec)
+        known = a.digits
+        if a.exact:
+            known = None if b.exact else gap + b.digits
+        elif not b.exact and gap + b.digits < known:
+            known = gap + b.digits
+        return self._make(a.v, self._reduce(
+            a.mant + (b.mant << gap * self._lane_bits)), known)
+
+    def sub(self, a: LocalElement, b: LocalElement) -> LocalElement:
+        """a - b = a + (p - 1) b, reduced once (a slot holds at most
+        p (p - 1) before), on the window of `add`."""
+        gap = b.v - a.v
+        if a.mant is None or b.mant is None or abs(gap) > self.prec:
+            return self.add(a, self.neg(b))  # one operand alone
+        if gap >= 0:
+            low, high = a, b
+            mant = a.mant + (b.mant * (self.p - 1) << gap * self._lane_bits)
+        else:
+            low, high, gap = b, a, -gap
+            mant = (a.mant << gap * self._lane_bits) + b.mant * (self.p - 1)
+        known = low.digits
+        if low.exact:
+            known = None if high.exact else gap + high.digits
+        elif not high.exact and gap + high.digits < known:
+            known = gap + high.digits
+        return self._make(low.v, self._reduce(mant), known)
+
+    def _cut(self, mant: int, known: int) -> int:
+        """The `known` low lanes of mant."""
+        return mant & ((1 << known * self._lane_bits) - 1)
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None or self.p == 2:  # -a = a in characteristic 2
@@ -790,12 +855,15 @@ class LaurentField(_LocalBase):
         if a.mant is None:
             raise DivisionByZero("inverse of 0")
         k, lane, code = self.k, self._lane, self._code
-        lead_inv = k._inv[self._lead_code(a.mant)]
+        bits, mask, size = self._lane_bits, self._lane_mask, self._lane_bytes
+        c = a.mant
+        lead_inv = k._inv[code[(c & mask).to_bytes(size, "little")]]
         if a.exact and a.digits == 1:
             return _new(LocalElement, (-a.v, lane[lead_inv], 1, True))
-        digits = self._known_inverse(a)
+        # the inverse of an exact a has no finite expansion here, so it is
+        # cut at the window
+        digits = self.prec if a.exact else a.digits
         scale = k._mul[k._neg[lead_inv]]
-        bits, mask, size = self._lane_bits, self._lane_mask, self._lane_bytes
         # `prod` is reduced every `_block` steps, so no slot overflows.  A
         # lone slot (m = 1) is its code once taken mod p; other lanes are
         # read through their bytes and the mod-p table, or, for slots wider
@@ -804,8 +872,8 @@ class LaurentField(_LocalBase):
         p = self.p if k.degree == 1 else None
         mod_p = self._mod_p
         period = self._block if mod_p else 1
-        c, out = a.mant, lane[lead_inv]
-        term, prod = out, 0
+        out = term = lane[lead_inv]
+        prod = 0
         for n in range(1, digits):
             prod = (prod + c * term) >> bits
             if n % period == 0:
@@ -814,7 +882,9 @@ class LaurentField(_LocalBase):
             term = lane[scale[acc % p if p else code[
                 acc.to_bytes(size, "little").translate(mod_p)]]]
             out |= term << n * bits
-        return self._make(-a.v, out, digits)
+        # lane 0 is nonzero and `digits` lanes fit the window: the normal
+        # form as it stands
+        return _new(LocalElement, (-a.v, out, digits, False))
 
     def frobenius_inv(self, a: LocalElement) -> LocalElement:
         """The p-th root when one exists at the visible digits."""

@@ -155,14 +155,16 @@ def find_automorphisms(cx: ChamberComplex,
     type-preserving automorphism, decided by cx.is_automorphism in
     O(N rank) with its bijection test rejecting non-injective maps; else
     every pair is compared.  Constraints naming chambers or panels outside
-    the complex raise InvalidSpec.  By rigidity a root group search
-    branches once, q ways, and then only propagates.
+    the complex, or chambers by anything but ints, raise InvalidSpec.  By
+    rigidity a root group search branches once, q ways, and then only
+    propagates.
     """
     if not forced and not vertex_fixes:
         raise InvalidSpec("automorphism search needs at least one constraint")
     N = cx.size
     forced = forced or {}
-    if not all(c in range(N) and x in range(N) for c, x in forced.items()):
+    if not all(isinstance(c, int) and isinstance(x, int) and c in range(N)
+               and x in range(N) for c, x in forced.items()):
         raise InvalidSpec(f"forced images must map chambers of 0..{N - 1}")
     if not vertex_fixes <= set(cx.all_panel_ids()):
         raise InvalidSpec("setwise-fixed panels must be panels of the complex")

@@ -79,7 +79,10 @@ def pl_add(field: Field, x, y):
 
 
 def pl_sub(field: Field, x, y):
-    return pl_add(field, x, pl_neg(field, y))
+    """Extended subtraction: a - inf = inf - a = inf."""
+    if x is INF or y is INF:
+        return INF
+    return field.sub(x, y)
 
 
 def pl_eq(field: Field, x, y) -> bool:

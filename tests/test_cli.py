@@ -632,6 +632,22 @@ REPORT_DIGESTS = {
     # passes the automorphism test
     "moufang check --geometry W:q=4":
         "152ec2a1ff902dba1ec911b236b3bd3b12bc1acfd868a51de61ab051dafab85e",
+    # the local ring operations on each model's own radix: q = 3 is the
+    # heaviest fields op; q = 2 and q = 8 are characteristic 2 (q = 8 with
+    # a fold), q = 17 has two-byte slots and no translate table, and Q2
+    # reduces mod powers of 2
+    "projline recover --field Laurent:q=3,prec=8 --samples 300 --seed 5":
+        "d1f1cc62f4a7d208221b8b92344bb68c156bf54db2c88126431fd56ca5d4328c",
+    "projline recover --field Laurent:q=2,prec=8 --samples 300 --seed 5":
+        "da96c51b00d7d369528ca990193ff2ba164f340b1a1201735dc74cc19ae11a30",
+    "projline recover --field Laurent:q=8,prec=8 --samples 300 --seed 5":
+        "6f84b108588f2f26c513f4d3f78b2a0ac3f21662208d3b7d982283b3fd87bc81",
+    "projline recover --field Laurent:q=17,prec=8 --samples 300 --seed 5":
+        "a091f54d3a42eadc43d08def9a607300823af5f693c5d0a862050839dadb5b6b",
+    "projline recover --field Qp:p=2,prec=12 --samples 300 --seed 5":
+        "0551071ac729c2d2552d63d6c3bf830e96b05d1fc83701dcad86f470b460e6b8",
+    "moufang filtration --field Laurent:q=3,prec=8 --from 0 --to 6 --seed 5":
+        "4525ab54de98b14b155788c7d275ee86a533a8bfd81eabd6e362a46dc6e834e5",
 }
 
 

@@ -96,6 +96,7 @@ def test_tables_match_coefficient_arithmetic(q):
         for b in F.elements():
             cb = F._decode(b)
             assert F.add(a, b) == F._encode([x + y for x, y in zip(ca, cb)])
+            assert F.sub(a, b) == F._encode([x - y for x, y in zip(ca, cb)])
             assert F.mul(a, b) == F._poly_mul(a, b)
             if b:
                 assert F.mul(F.div(a, b), b) == a
@@ -365,15 +366,30 @@ def _ref(F, a):
     return (a.v, tuple(F.coefficients(a)), a.digits, a.exact)
 
 
-def _ref_add(F, a, b):
-    if a.mant is None:
-        return _ref(F, b)
+def _known_sum(a, b, v):
+    """Relative width, from exponent v, that a + b determines: every digit
+    below the lowest unknown digit of an inexact operand (None: both
+    exact)."""
+    if a.exact:
+        return None if b.exact else b.v + b.digits - v
+    if b.exact:
+        return a.v + a.digits - v
+    return min(a.v + a.digits, b.v + b.digits) - v
+
+
+def _ref_add(F, a, b, negate=False):
+    """a + b, or a - b with `negate`, coefficient by coefficient."""
     if b.mant is None:
         return _ref(F, a)
+    if a.mant is None:
+        return _ref_neg(F, b) if negate else _ref(F, b)
+    bm = F.coefficients(b)
+    if negate:
+        bm = [F.k.neg(c) for c in bm]
+    am = F.coefficients(a)
     if a.v > b.v:
-        a, b = b, a
-    known = F._known_sum(a, b, a.v)
-    am, bm = F.coefficients(a), F.coefficients(b)
+        a, b, am, bm = b, a, bm, am
+    known = _known_sum(a, b, a.v)
     off = b.v - a.v
     width = max(len(am), off + len(bm))
     if known is not None:
@@ -405,7 +421,7 @@ def _ref_inv(F, a):
     k, c = F.k, F.coefficients(a)
     if a.exact and len(c) == 1:
         return (-a.v, (k.inv(c[0]),), 1, True)
-    digits = F._known_inverse(a)
+    digits = F.prec if a.exact else a.digits
     lead_inv = k.inv(c[0])
     out = [lead_inv]
     for n in range(1, digits):
@@ -630,9 +646,40 @@ def test_digit_codes_are_digit_strings(F):
         F.digit_code(F.uniformizer_power(-3), -2)
 
 
-# The two per-model precision rules that the shared `_LocalBase._make`
-# replaced, kept as its oracles: the p-adic digit count reads a table of
-# the powers p^0..p^prec, the Laurent rule works on lane masks and shifts.
+# Three routes to the precision rule, kept as oracles of each model's own
+# `_make`: the generic rule once for both models in the base `_radix`, and
+# two earlier per-model rules, whose p-adic digit count reads a table of the
+# powers p^0..p^prec and whose Laurent rule works on lane masks and shifts.
+
+def _generic_make(F, v, mant, known):
+    """Normalize mant * pi^v, mant read in base `_radix`: keep the `known`
+    low digits (None: exact), strip the zero digits at the low end and cap
+    at `prec`; PrecisionExhausted if no digit survives.  An exact result
+    wider than `prec` becomes the inexact window."""
+    radix = F._radix
+    if known is not None:
+        mant %= radix ** known
+    if not mant:
+        if known is None:
+            return ZERO
+        raise PrecisionExhausted("every known digit cancelled")
+    j = 0
+    while not mant % radix ** (j + 1):
+        j += 1
+    v, mant = v + j, mant // radix ** j
+    if known is not None:
+        known -= j
+    if known is None:
+        known = 1
+        while radix ** known <= abs(mant):
+            known += 1
+        if known <= F.prec:
+            return LocalElement(v, mant, known, True)
+    if known > F.prec:
+        known = F.prec
+        mant %= radix ** known
+    return LocalElement(v, mant, known, False)
+
 
 def _padic_make(F, v, mant, known):
     p = F.p
@@ -686,16 +733,17 @@ def _laurent_make(F, v, mant, known):
 
 def _make_grid(F, rng):
     """(v, mant, known) around the window's edges: mantissas of 1 to
-    2 prec + 1 digits with 0 to 3 zero digits at the low end (so that
+    3 prec digits with 0 to prec + 2 zero digits at the low end (so that
     every known digit can cancel), a single top digit, and, for Q_p,
     their negatives; `known` from exact through prec + 1 to 2 prec, the
-    width of an exact operand plus an inexact one at gap prec."""
+    width of an exact operand plus an inexact one at gap prec, and
+    2 prec + 2, past the p-adic table of powers."""
     prec, radix = F.prec, F._radix
     digits = range(F.p) if F.char == 0 else F._lane
     mants = [0]
     for width in sorted({1, 2, prec - 1, prec, prec + 1, 2 * prec,
-                         2 * prec + 1}):
-        for low in (0, 1, 3):
+                         2 * prec + 1, 3 * prec}):
+        for low in (0, 1, 3, prec + 2):
             if 0 < width - low:
                 body = [rng.choice(digits) for _ in range(width - low - 1)]
                 top = rng.choice(digits[1:])
@@ -705,7 +753,8 @@ def _make_grid(F, rng):
     if F.char == 0:
         mants += [-m for m in mants]
     for mant in mants:
-        for known in (None, 1, prec - 1, prec, prec + 1, 2 * prec):
+        for known in (None, 1, prec - 1, prec, prec + 1, 2 * prec,
+                      2 * prec + 2):
             if known != 0:
                 yield rng.randint(-3, 3), mant, known
 
@@ -740,14 +789,16 @@ def test_make_contract(F):
     assert F.mod_pi_power(y, F.prec).exact
     with pytest.raises(PrecisionExhausted):
         F.mod_pi_power(y, F.prec + 1)
-    # the shared rule agrees with the per-model rule it replaced; q = 17
-    # and 169 have two-byte slots, so radices 2^16 and 2^48
+    # the model's rule agrees with the generic rule and with the earlier
+    # per-model one; q = 17 and 169 have two-byte slots, so radices 2^16
+    # and 2^48
     oracle = _padic_make if F.char == 0 else _laurent_make
     rng = random.Random(F._radix)
     checked = Counter()
     for v, mant, known in _make_grid(F, rng):
         want = _make_outcome(oracle, F, v, mant, known)
         assert _make_outcome(type(F)._make, F, v, mant, known) == want
+        assert _make_outcome(_generic_make, F, v, mant, known) == want
         checked[want if want in (ZERO, PrecisionExhausted)
                 else ("exact" if want.exact else "inexact", want.digits)] += 1
     # every kind of outcome occurs, exact ones of exactly prec digits too
@@ -781,7 +832,7 @@ def _unclamped_add(F, a, b):
         total = a.mant + b.mant * F.p ** gap
     else:
         total = F._reduce(a.mant + (b.mant << gap * F._lane_bits))
-    return F._make(a.v, total, F._known_sum(a, b, a.v))
+    return F._make(a.v, total, _known_sum(a, b, a.v))
 
 
 @pytest.mark.parametrize("F", [PadicField(5, 8), LaurentField(3, 8)])
@@ -806,6 +857,141 @@ def test_add_across_a_valuation_gap_beyond_the_window(F):
                 far = F.mul(y, shift)
                 want = _unclamped_add(F, x, far)
                 assert F.add(x, far) == F.add(far, x) == want
+
+
+# ---------------------------------------------------------------------------
+# sums, differences and equality against plain references: the schoolbook
+# coefficient lists above for F_q((t)), plain integers for Q_p
+
+def _padic_ref_sum(F, a, b, negate=False):
+    """a + b, or a - b with `negate`, as (v, mant, digits, exact) or ZERO:
+    the integer sum of the operands at the lower valuation, whatever the
+    gap, read modulo p^(digits known), or PrecisionExhausted raised."""
+    p, prec = F.p, F.prec
+    terms = [(x, sign) for x, sign in ((a, 1), (b, -1 if negate else 1))
+             if x.mant is not None]
+    if not terms:
+        return ZERO
+    v = min(x.v for x, _ in terms)
+    total = sum(sign * x.mant * p ** (x.v - v) for x, sign in terms)
+    ends = [x.v + x.digits for x, _ in terms if not x.exact]
+    if ends:
+        total %= p ** (min(ends) - v)
+    if not total:
+        if ends:
+            raise PrecisionExhausted("every known digit cancelled")
+        return ZERO
+    while not total % p:
+        total //= p
+        v += 1
+    if ends:
+        known = min(ends) - v
+    else:
+        known, rest = 0, abs(total)
+        while rest:
+            known, rest = known + 1, rest // p
+        if known <= prec:
+            return (v, total, known, True)
+    known = min(known, prec)
+    return (v, total % p ** known, known, False)
+
+
+def _ref_sum_outcome(F, a, b, negate=False):
+    """The reference a + b (a - b with `negate`) in the form of
+    `_sum_outcome`."""
+    try:
+        if F.char == 0:
+            return _padic_ref_sum(F, a, b, negate)
+        return _ref_add(F, a, b, negate)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+def _sum_outcome(F, fn, a, b):
+    """A package result as (v, mant, digits, exact) for Q_p and as
+    (v, codes, digits, exact) for F_q((t)), ZERO, or the error class."""
+    try:
+        out = fn(a, b)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+    return tuple(out) if F.char == 0 and out != ZERO else _ref(F, out)
+
+
+def _sum_operands(F, rng):
+    """Zero, exact operands (among them negative p-adic mantissas and full
+    windows) and inexact ones: windows of prec, prec/2 and 1 digits cut
+    from exact values, and, at low precision, an inverse."""
+    exact = [F.one, F.neg(F.one), F.from_integer(-7),
+             parse_element(F, "1+pi^3"), F.random_element(rng, -2, 2),
+             F.neg(F.random_element(rng, -2, 2))]
+    inexact = [F._make(x.v, x.mant, k) for x, k in
+               ((exact[4], F.prec), (exact[5], max(1, F.prec // 2)),
+                (exact[4], 1))]
+    if F.prec <= 8:
+        inexact.append(F.inv(parse_element(F, "1+pi")))
+    return [ZERO] + [x for x in exact if x != ZERO] + inexact
+
+
+_SUM_FIELDS = {
+    "Q2": lambda prec: PadicField(2, prec),
+    "Q5": lambda prec: PadicField(5, prec),
+    "F2((t))": lambda prec: LaurentField(2, prec),
+    "F3((t))": lambda prec: LaurentField(3, prec),
+    "F4((t))": lambda prec: LaurentField(4, prec),
+    "F8((t))": lambda prec: LaurentField(8, prec),
+    "F17((t))": lambda prec: LaurentField(17, prec),
+}
+
+
+@pytest.mark.parametrize("prec", [1, 8, MAX_PRECISION])
+@pytest.mark.parametrize("name", sorted(_SUM_FIELDS))
+def test_sums_and_equality_match_the_references(name, prec):
+    """add, sub and eq in both operand orders at valuation gaps 0 to
+    prec + 1 (at MAX_PRECISION the gaps 0, 1, prec and prec + 1); eq
+    against the reference difference, which is 0 or cancels every known
+    digit exactly when the operands are equal."""
+    F = _SUM_FIELDS[name](prec)
+    rng = random.Random(f"{name}/{prec}")
+    xs = _sum_operands(F, rng)
+    gaps = range(prec + 2) if prec <= 8 else (0, 1, prec, prec + 1)
+    seen = Counter()
+    for a in xs:
+        for b in xs:
+            for gap in gaps:
+                if a.mant is None or b.mant is None:
+                    if gap:
+                        continue
+                    c = b
+                else:
+                    c = F.mul(b, F.uniformizer_power(a.v + gap - b.v))
+                for x, y in ((a, c), (c, a)):
+                    want = _ref_sum_outcome(F, x, y)
+                    assert _sum_outcome(F, F.add, x, y) == want, (x, y)
+                    diff = _ref_sum_outcome(F, x, y, negate=True)
+                    assert _sum_outcome(F, F.sub, x, y) == diff, (x, y)
+                    equal = diff in (ZERO, PrecisionExhausted)
+                    assert F.eq(x, y) == equal, (x, y)
+                    seen[diff if equal else diff[3]] += 1
+                    seen["equal, not identical"] += equal and x != y
+    # exact and inexact differences, exact and inexact full cancellation,
+    # and values equal on a window only, all occur
+    assert seen[True] and seen[False] and seen[ZERO]
+    assert seen[PrecisionExhausted] and seen["equal, not identical"]
+
+
+@pytest.mark.parametrize("prec", [1, 8, MAX_PRECISION])
+@pytest.mark.parametrize("p", [2, 5])
+def test_padic_inverse_is_the_normal_form_of_the_unit_inverse(p, prec):
+    """1/x is the inverse of x's unit modulo p^k, k the known window
+    (prec for an exact x other than +-1), normalised by the generic rule."""
+    F = PadicField(p, prec)
+    for x in _sum_operands(F, random.Random(p * prec))[1:]:
+        if x.exact and x.mant in (1, -1):
+            assert F.inv(x) == (-x.v, x.mant, 1, True)
+            continue
+        k = prec if x.exact else x.digits
+        want = _generic_make(F, -x.v, pow(x.mant, -1, p ** k), k)
+        assert F.inv(x) == want and want.digits == k
 
 
 # ---------------------------------------------------------------------------

@@ -342,10 +342,13 @@ def test_identity_forced_search(pg2_2, chamber_neighbors):
     ({-1: 0, 1: 1}, frozenset()),
     ({0: 500}, frozenset()),
     ({0: -1}, frozenset()),
+    ({0: 1.0}, frozenset()),
+    ({0.0: 0}, frozenset()),
     ({0: 0}, frozenset({(0, 500)})),
     (None, frozenset({(2, 0)})),
 ], ids=["key-past-the-end", "negative-key", "image-past-the-end",
-        "negative-image", "panel-past-the-end", "type-past-the-rank"])
+        "negative-image", "float-image", "float-key", "panel-past-the-end",
+        "type-past-the-rank"])
 def test_search_rejects_constraints_outside_the_complex(pg2_2, forced,
                                                         vertex_fixes):
     with pytest.raises(InvalidSpec):
