@@ -37,13 +37,15 @@ mask, and W-isometry compares one picked delta row per hull chamber
 against a row of the Coxeter product table.  Projections to
 panels are gates: the unique chamber of the panel at minimal gallery
 distance.  Gallery distance is symmetric, so the gate of c on a panel P
-reads either c's BFS table or the tables of P's q + 1 members.  projection
+reads either c's BFS table or the tables of P's members.  projection
 reads c's side; the Schubert coordinates read the side that stays fixed
 (c0's table, or a fixed anchor panel's), so checking every cell builds one
 table per anchor-panel member plus c0's, not one per chamber.
 
-Cells: C_w(c0) = {d : delta(c0, d) = w} partitions the chambers, with
-|C_w| = q^{l(w)} in the equal-parameter cases here.  Coordinates on a cell
+Cells: C_w(c0) = {d : delta(c0, d) = w} partitions the chambers.  The
+complex measures its panel parameters, q_i = the size of an i-panel minus
+one per type i, and in a building |C_w| is the product of q_s over the
+letters s of a reduced word of w.  Coordinates on a cell
 peel every letter of a reduced word of w from the right, one level each:
 for the current element v = v' * s_i, with j the conjugate of i by w0 and
 d a fixed chamber at delta(c0, d) = v * w0, the maps (a, b) ->
@@ -56,6 +58,7 @@ product for w = e.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from operator import itemgetter
@@ -145,11 +148,13 @@ def _picker(indices: Sequence[int]):
 
 class ChamberComplex:
     """Chambers plus i-panel partitions, with an attached Coxeter system.
-    Only this module reads the panel tables panels and panel_of; others ask
-    the panel methods, panel_masks and the automorphism test."""
+    Only this module reads the panel tables panels and panel_of, and the
+    delta rows as _delta_from builds them; others ask the panel methods,
+    panel_masks, the delta readers and the automorphism test.  thickness[i]
+    is the measured parameter of type i: the size of its panels minus one,
+    or None where they differ in size."""
 
-    def __init__(self, chambers: Sequence[Chamber], matrix,
-                 geometry: str, thickness: int):
+    def __init__(self, chambers: Sequence[Chamber], matrix, geometry: str):
         if not chambers:
             raise InvalidSpec("empty chamber set")
         self.geometry = geometry
@@ -157,7 +162,6 @@ class ChamberComplex:
         self.size = len(self.chambers)
         self.rank = len(self.chambers[0])
         self.coxeter = CoxeterSystem(matrix)
-        self.thickness = thickness  # the equal panel parameter q
         self.panels: list[list[tuple[int, ...]]] = []
         self.panel_of: list[list[int]] = []
         self.panel_masks: list[list[int]] = []     # per type, as bitmasks
@@ -174,6 +178,9 @@ class ChamberComplex:
                 for c in members:
                     lookup[c] = pidx
             self.panel_of.append(lookup)
+        self.thickness: tuple[Optional[int], ...] = tuple(
+            len(plist[0]) - 1 if len({len(m) for m in plist}) == 1 else None
+            for plist in self.panels)
         # per type: pick each panel's first member, each chamber's panel
         self._heads = [_picker([m[0] for m in p]) for p in self.panels]
         self._by_panel = [_picker(lookup) for lookup in self.panel_of]
@@ -337,8 +344,18 @@ class ChamberComplex:
                 violations.append(("length-mismatch", c, d, None, None))
         return tuple(dist), tuple(delta), tuple(violations)
 
+    def delta_row(self, c: int) -> tuple[int, ...]:
+        """delta(c, d) for every chamber d, as element indices; -1 marks a
+        chamber that c's search never reaches."""
+        return self._delta_from(c)[1]
+
+    def row_violations(self, c: int) -> tuple[tuple, ...]:
+        """The violations the recording walk lists from c; none when the
+        panel-once pass accepts c's row."""
+        return self._delta_from(c)[2]
+
     def w_distance(self, c: int, d: int) -> int:
-        return self._delta_from(c)[1][d]
+        return self.delta_row(c)[d]
 
     def cell_masks(self, x: int) -> tuple[int, ...]:
         """The cells of x as bitmasks: entry w has bit y set when
@@ -347,7 +364,7 @@ class ChamberComplex:
         cached = self._mask_cache.get(x)
         if cached is None:
             rows = [0] * (self.coxeter.order + 1)
-            for y, w in enumerate(self._delta_from(x)[1]):
+            for y, w in enumerate(self.delta_row(x)):
                 rows[w] |= 1 << y
             cached = self._mask_cache[x] = tuple(rows)
         return cached
@@ -362,7 +379,7 @@ class ChamberComplex:
         """The gate of c on the panel.  Gallery distance is symmetric, so
         the distances are read from c's table or, with from_panel, from the
         members' own tables: a fixed panel then answers every c from its
-        q + 1 cached tables."""
+        members' cached tables."""
         members = self.panel_members(panel)
         if from_panel:
             dists = [self._delta_from(e)[0][c] for e in members]
@@ -386,7 +403,7 @@ class ChamberComplex:
         if v == -1:
             raise NotFound(f"chambers {c} and {d} are not connected")
         rest = W.words[W.multiply(W.inverse[v], W.longest)]
-        delta = self._delta_from(c)[1]
+        delta = self.delta_row(c)
         cur = d
         for s in rest:
             target = W.right[delta[cur]][s]
@@ -408,7 +425,7 @@ class ChamberComplex:
         W = self.coxeter
         w0 = W.longest
         top = W.length[w0]
-        w0_times = W._product_row(w0)
+        w0_times = W.product_row(w0)
         from_c, from_d = self.cell_masks(c), self.cell_masks(d_opp)
         candidates = 0
         for u in range(W.order):
@@ -452,7 +469,7 @@ class ChamberComplex:
                 count = (inside & masks[pof[e]]).bit_count()
                 if count != 2:
                     bad.append(("not-thin", e, i, count))
-        delta_base = self._delta_from(hull[0])[1]
+        delta_base = self.delta_row(hull[0])
         at_hull = _picker(hull)
         from_base = at_hull(delta_base)
         seen_w = set(from_base)
@@ -463,8 +480,8 @@ class ChamberComplex:
                           for e, we in zip(hull, from_base) if we == -1]
         at_base = _picker(from_base)
         for e, we in zip(hull, from_base):
-            from_e = self._delta_from(e)[1]
-            products = W._product_row(W.inverse[we])
+            from_e = self.delta_row(e)
+            products = W.product_row(W.inverse[we])
             if at_hull(from_e) == at_base(products):
                 continue
             for f, wf in zip(hull, from_base):
@@ -475,12 +492,18 @@ class ChamberComplex:
     # -- cells -------------------------------------------------------------
 
     def schubert_cell(self, c0: int, w: int) -> list[int]:
-        _, delta, _ = self._delta_from(c0)
+        delta = self.delta_row(c0)
         return [d for d in range(self.size) if delta[d] == w]
 
     def cell_sizes(self, c0: int) -> dict[int, int]:
         """Cell size per W-element index."""
-        return Counter(self._delta_from(c0)[1])
+        return Counter(self.delta_row(c0))
+
+    def parameter_product(self, types: Iterable[int]) -> Optional[int]:
+        """The product of the panel parameters of the given types (1 for
+        none), or None if one of those types has panels of unequal size."""
+        params = [self.thickness[i] for i in types]
+        return None if None in params else math.prod(params)
 
     def schubert_coordinates(self, c0: int, w: int,
                              direction: Optional[Sequence[int]] = None
@@ -638,7 +661,7 @@ def build_flag_building(spec: str) -> ChamberComplex:
                 raise BoundExceeded(
                     f"flag count passed {CHAMBER_BOUND} for {spec}")
         flags = grown
-    return ChamberComplex(flags, matrix, geometry=spec, thickness=q)
+    return ChamberComplex(flags, matrix, geometry=spec)
 
 
 def _totally_isotropic(F: FiniteField, space: Subspace) -> bool:
@@ -692,7 +715,7 @@ def verify_building_axioms(cx: ChamberComplex) -> dict:
 
     b2_violations = []
     for c in range(cx.size):
-        b2_violations.extend(cx._delta_from(c)[2])
+        b2_violations.extend(cx.row_violations(c))
     report["B2_w_consistency"] = {
         "ok": not b2_violations,
         "bases_checked": cx.size,
@@ -763,14 +786,16 @@ def _sampled_pairs(n: int, covered: list[int]) -> Iterator[tuple]:
 
 
 def cell_decomposition_report(cx: ChamberComplex, c0: int = 0) -> dict:
-    """Cell sizes from c0 with the q^l(w) law and the partition total."""
+    """Cell sizes from c0 with the partition total and the size law: C_w
+    holds the product of the panel parameters over the letters of w's
+    reduced word; a letter whose panels differ in size fails it."""
     W = cx.coxeter
     sizes = cx.cell_sizes(c0)
     rows = []
     law_ok = True
     for w, size in sorted(sizes.items()):
         length = W.length[w]
-        expected = cx.thickness ** length
+        expected = cx.parameter_product(W.words[w])
         if expected != size:
             law_ok = False
         rows.append({"word": list(W.words[w]), "length": length,

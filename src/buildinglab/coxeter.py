@@ -73,7 +73,8 @@ class CoxeterSystem:
     Element k is the k-th element in shortlex order, so 0 is the identity.
     The tables are the whole group API: `words[k]` (canonical reduced
     word), `length[k]`, `right[k][s]` (index of k s), `inverse[k]`,
-    `longest` (index of w0) and `order`.
+    `longest` (index of w0), `order`, and `product_row(a)` (row a of the
+    product table, built on first use).
     """
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
@@ -217,7 +218,7 @@ class CoxeterSystem:
             a = right[a][s]
         return a
 
-    def _product_row(self, a: int) -> tuple[int, ...]:
+    def product_row(self, a: int) -> tuple[int, ...]:
         """Row a of the product table, built on first use: entry b is a b.
         With s the last letter of b's word, b s comes earlier in shortlex
         order, and a b is its entry times s."""

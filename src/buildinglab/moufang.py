@@ -21,18 +21,20 @@ ANDs the open masks with one cached cell row of its image, a chamber down
 to one image is queued and never filtered again, and a complete map is
 kept only if it preserves the distance on every pair: on a complex whose
 distance rows record no violation, only if it is an automorphism.  By
-rigidity the search branches once, over the q images of one chamber, and
+rigidity the search branches once, over the images of one chamber, and
 otherwise only propagates.  The Moufang property is then checked head on:
 one simple-path walk on the graph lists the roots (the n-edge paths) and
 files each under its two ends.  The ends x0 and xn of a root are
 opposite, so an apartment through the root is determined by its edge at
 x0 off the root: the apartments through it correspond one to one with the
-q chambers of x0's star other than the root's own.  Each root group must
-permute those simply transitively, with order equal to the panel
-parameter q: it holds the identity and maps the least of those chambers,
-once under each element, onto all q of them; the apartments, counted
-apart as the roots between the same ends that miss the interior, must
-number q too.  Only the 2n base root groups are searched for that; every
+chambers of x0's star other than the root's own, as many as the measured
+parameter of x0's panel type.  Each root group must permute those simply
+transitively, with order equal to that parameter: it holds the identity
+and maps the least of those chambers, once under each element, onto all
+of them; the apartments, counted apart as the roots between the same
+ends that miss the interior, must number as many.  The two types may
+have different parameters, as in the elliptic quadric quadrangle of order
+(q, q^2).  Only the 2n base root groups are searched for that; every
 other root group is a conjugate g^-1 U_i g, g the product of the base root
 elements on the path to its interior in a breadth-first walk from the
 base interiors, checked element by element, and a seeded few are
@@ -156,7 +158,7 @@ def find_automorphisms(cx: ChamberComplex,
     O(N rank) with its bijection test rejecting non-injective maps; else
     every pair is compared.  Constraints naming chambers or panels outside
     the complex, or chambers by anything but ints, raise InvalidSpec.  By
-    rigidity a root group search branches once, q ways, and then only
+    rigidity a root group search branches once, |U| ways, and then only
     propagates.
     """
     if not forced and not vertex_fixes:
@@ -168,9 +170,9 @@ def find_automorphisms(cx: ChamberComplex,
         raise InvalidSpec(f"forced images must map chambers of 0..{N - 1}")
     if not vertex_fixes <= set(cx.all_panel_ids()):
         raise InvalidSpec("setwise-fixed panels must be panels of the complex")
-    rows = [cx._delta_from(c) for c in range(N)]
-    delta = [row[1] for row in rows]
-    keep = (cx.is_automorphism if not any(row[2] for row in rows)
+    delta = [cx.delta_row(c) for c in range(N)]
+    keep = (cx.is_automorphism
+            if not any(cx.row_violations(c) for c in range(N))
             else lambda image: _preserves_delta(delta, image))
     cells = cx.cell_masks
     image = [-1] * N
@@ -236,14 +238,15 @@ def find_automorphisms(cx: ChamberComplex,
 
 class MoufangFrame:
     """The rank-2 view of a complex: its incidence graph, a labeled base
-    apartment circuit, and one root-group cache."""
+    apartment circuit, and one root-group cache.  q is the panel parameter
+    the two types share, or None when their measured parameters differ."""
 
     def __init__(self, cx: ChamberComplex):
         if cx.rank != 2:
             raise InvalidSpec("root-group machinery expects a rank-2 complex")
         self.cx = cx
         self.n = cx.coxeter.matrix[0][1]
-        self.q = cx.thickness
+        self.q = cx.thickness[0] if len(set(cx.thickness)) == 1 else None
         self.N = cx.size
         self.identity = identity_perm(self.N)
         # panel -> {neighbor panel: the chamber joining them}, sorted
@@ -360,8 +363,8 @@ class MoufangFrame:
     def _regular_on_end_panel(self, path: Sequence[PanelId],
                               U: Sequence[Perm]) -> bool:
         """Whether U maps the least chamber of the star of path[0] off the
-        root, once under each element, onto every such chamber: those q
-        chambers stand for the q apartments containing the root."""
+        root, once under each element, onto every such chamber: those
+        chambers stand for the apartments containing the root."""
         own = self.graph[path[0]][path[1]]
         others = sorted(c for c in self.star(path[0]) if c != own)
         return sorted(g[others[0]] for g in U) == others
@@ -420,23 +423,25 @@ class MoufangFrame:
             yield key, U, top != key
 
     def transitivity_check(self, root_limit: Optional[int] = None) -> dict:
-        """For each root (the first `root_limit` if given): |U_alpha| = q
-        and the action on the apartments containing the root is simply
-        transitive.
+        """For each root (the first `root_limit` if given): |U_alpha| equals
+        the parameter q_t of the type t of the root's first vertex, and the
+        action on the apartments containing the root is simply transitive.
 
         The groups come from `root_groups_by_conjugation`, and every element
         is checked to be an automorphism fixing each chamber of the interior
-        stars; by rigidity U_alpha acts freely on the q apartments containing
-        alpha, so q distinct such elements are the whole group.  Those
-        apartments correspond to the q chambers of the star of the root's
-        first vertex other than its own chamber.  A root passes when
+        stars; by rigidity U_alpha acts freely on the q_t apartments
+        containing alpha, so q_t distinct such elements are the whole group.
+        Those apartments correspond to the q_t chambers of the star of the
+        root's first vertex other than its own chamber.  A root passes when
         U_alpha holds the identity, maps the least of those chambers onto
-        all q of them, one image per element, and the apartment count
-        read off the root list (`apartments_per_root`) is q.  As an
-        independent route, the groups of CROSS_CHECK_GROUPS interiors off the
-        base apartment, drawn with CROSS_CHECK_SEED, are searched directly
-        and must come out the same sets."""
-        n, q = self.n, self.q
+        all of them, one image per element, and the apartment count read
+        off the root list (`apartments_per_root`) is q_t.  q_t is the
+        measured `cx.thickness[t]`; a type whose panels differ in size has
+        None there, and its roots fail.  As an independent route, the groups
+        of CROSS_CHECK_GROUPS interiors off the base apartment, drawn with
+        CROSS_CHECK_SEED, are searched directly and must come out the same
+        sets."""
+        thickness = self.cx.thickness
         roots = self.all_roots()
         if root_limit is not None:
             roots = roots[:root_limit]
@@ -457,15 +462,16 @@ class MoufangFrame:
                               and all(g[c] == c for c in fixed) for g in U)
             agrees = key not in sample or set(U) == set(
                 find_automorphisms(self.cx, forced=fixed))
-            group_ok = elements_ok and len(U) == q and self.identity in U
+            group_ok = elements_ok and self.identity in U
             route = "conjugated" if conjugated else "searched"
             orders.add(len(U))
             for r in by_interior[key]:
                 routes[route] += 1
                 path = roots[r]
+                q = thickness[path[0][0]]
                 count = self._apartment_count(path)
                 apartment_counts.add(count)
-                ok = (group_ok and count == q
+                ok = (group_ok and len(U) == q and count == q
                       and self._regular_on_end_panel(path, U))
                 if not (ok and agrees):
                     failures.append((r, {
@@ -478,8 +484,8 @@ class MoufangFrame:
                     }))
         return {
             "geometry": self.cx.geometry,
-            "gonality": n,
-            "q": q,
+            "gonality": self.n,
+            "q": self.q,
             "roots_checked": len(roots),
             "mode": "exhaustive",
             "roots_conjugated": routes["conjugated"],
@@ -488,7 +494,7 @@ class MoufangFrame:
             "group_orders": sorted(orders),
             "apartments_per_root": sorted(apartment_counts),
             "failures": [entry for _, entry in sorted(failures)[:10]],
-            "ok": not failures and orders == {q} and apartment_counts == {q},
+            "ok": bool(roots) and not failures,
         }
 
     # the apartment action ---------------------------------------------------
@@ -633,20 +639,23 @@ def fixed_vertices_of_set(cx: ChamberComplex, perms: Iterable[Perm]) -> frozense
 
 def product_stabilizer_check(frame: MoufangFrame, i: int, j: int) -> dict:
     """U_i U_{i+1} ... U_{i+j} against the pointwise stabilizer of its own
-    fixed vertex set."""
+    fixed vertex set; its order must be the product of the parameters of
+    the roots' first vertices i, ..., i+j."""
     cx = frame.cx
     groups = [frame.root_group(k) for k in range(i, i + j + 1)]
     prod = product_set(*groups)
     fixed = fixed_vertices_of_set(cx, prod)
     stab = set(find_automorphisms(cx, vertex_fixes=fixed))
+    expected = cx.parameter_product(frame.vertex(k)[0]
+                                    for k in range(i, i + j + 1))
     return {
         "i": i, "j": j,
         "product_order": len(prod),
-        "expected_order": frame.q ** (j + 1),
+        "expected_order": expected,
         "stabilizer_order": len(stab),
         "fixed_vertices": len(fixed),
         "equal": prod == stab,
-        "ok": prod == stab and len(prod) == frame.q ** (j + 1),
+        "ok": prod == stab and len(prod) == expected,
     }
 
 

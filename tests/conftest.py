@@ -1,6 +1,12 @@
 """Reference routines shared by several test modules, as fixtures."""
 
+import itertools
+
 import pytest
+
+from buildinglab.chambers import ChamberComplex, all_subspaces, subspace_leq
+from buildinglab.coxeter import MATRIX_B2
+from buildinglab.localfield import finite_field
 
 
 def _reduced_words(W, a):
@@ -29,3 +35,26 @@ def _chamber_neighbors(cx, c):
 @pytest.fixture(scope="session")
 def chamber_neighbors():
     return _chamber_neighbors
+
+
+def _singular(space):
+    """Whether x0x1 + x2x3 + x4^2 + x4x5 + x5^2 vanishes on the span over
+    F_2; its last three terms are anisotropic, so the quadric is elliptic."""
+    for coeffs in itertools.product(range(2), repeat=len(space)):
+        x = [sum(c * v[k] for c, v in zip(coeffs, space)) % 2
+             for k in range(6)]
+        if (x[0] * x[1] + x[2] * x[3] + x[4] + x[4] * x[5] + x[5]) % 2:
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def elliptic_quadrangle_2():
+    """The point-line flags of the elliptic quadric Q-(5, 2): 27 singular
+    points, 45 singular lines, 135 chambers.  A Moufang quadrangle of
+    order (2, 4): a line has 3 points, a point lies on 5 lines."""
+    F = finite_field(2)
+    points = [sp for sp in all_subspaces(F, 6, 1) if _singular(sp)]
+    lines = [sp for sp in all_subspaces(F, 6, 2) if _singular(sp)]
+    flags = [(p, l) for p in points for l in lines if subspace_leq(F, p, l)]
+    return ChamberComplex(flags, MATRIX_B2, geometry="Q-(5,2)")

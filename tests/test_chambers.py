@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -105,9 +106,21 @@ def test_subspace_leq_matches_rank(q, n):
             assert subspace_leq(F, small, big) == by_rank, (small, big)
 
 
-def test_counts_match_poincare(pg2_2, pg2_3, w2):
-    for cx in (pg2_2, pg2_3, w2):
-        q = cx.thickness
+def _cell_size(cx, w):
+    """The product of the panel parameters over a reduced word of w."""
+    return math.prod(cx.thickness[s] for s in cx.coxeter.words[w])
+
+
+def test_counts_match_poincare(pg2_2, pg2_3, w2, elliptic_quadrangle_2):
+    # the chambers number the sum over W of the cell sizes: the Poincare
+    # polynomial at q when both types have parameter q
+    cases = ((pg2_2, (2, 2)), (pg2_3, (3, 3)), (w2, (2, 2)),
+             (elliptic_quadrangle_2, (2, 4)))
+    for cx, thickness in cases:
+        assert cx.thickness == thickness
+        W = cx.coxeter
+        assert cx.size == sum(_cell_size(cx, w) for w in range(W.order))
+    for cx, (q, _) in cases[:3]:
         coeffs = cx.coxeter.poincare_polynomial()
         assert cx.size == sum(c * q ** k for k, c in enumerate(coeffs))
 
@@ -204,12 +217,12 @@ def test_verify_axioms_pg2_3(pg2_3):
 
 
 def _violation_kinds(cx):
-    return Counter(v[0] for c in range(cx.size) for v in cx._delta_from(c)[2])
+    return Counter(v[0] for c in range(cx.size) for v in cx.row_violations(c))
 
 
 def test_b2_flags_a_missing_chamber(pg2_2):
     broken = ChamberComplex(pg2_2.chambers[1:], MATRIX_A2,
-                            geometry="broken", thickness=2)
+                            geometry="broken")
     # galleries around the missing flag get longer: from 12 of the 20 bases
     # some panel has two members at one distance and none closer
     assert _violation_kinds(broken) == {"no-gate": 40, "length-drop": 8,
@@ -225,12 +238,11 @@ def test_b2_flags_a_panel_with_no_gate():
     # delta is single-valued, so only the gate condition catches it
     flags = ([(k, k) for k in range(4)] + [((k + 1) % 4, k) for k in range(4)]
              + [(0, 4)])
-    cx = ChamberComplex(flags, MATRIX_B2, geometry="octagon with a tail",
-                        thickness=2)
+    cx = ChamberComplex(flags, MATRIX_B2, geometry="octagon with a tail")
     base, far = cx.chambers.index((0, 4)), cx.chambers.index((2, 1))
     assert _violation_kinds(cx) == {"no-gate": 2}
     assert cx._delta_pass(base) is None
-    assert cx._delta_from(base)[1][far] == cx.coxeter.longest
+    assert cx.delta_row(base)[far] == cx.coxeter.longest
     with pytest.raises(NotUnique):
         cx.projection(cx.panel_id(1, far), base)
     report = verify_building_axioms(cx)["B2_w_consistency"]
@@ -269,8 +281,8 @@ def test_pass_matches_walk_on_random_structures(matrix, seed):
     for _ in range(120):
         flags = _random_incidence(rng)
         if flags:
-            _pass_against_walk(ChamberComplex(flags, matrix, geometry="random",
-                                              thickness=2), outcomes)
+            _pass_against_walk(ChamberComplex(flags, matrix,
+                                              geometry="random"), outcomes)
     accepted = outcomes["accepted"]
     assert accepted and sum(outcomes.values()) > accepted
     # rows whose only fault is a panel with no gate: every delta there is
@@ -290,11 +302,11 @@ def test_pass_matches_walk_on_every_base(spec):
 def test_b2_flags_a_wrong_coxeter_type(pg2_2, w2):
     # the plane read as a quadrangle and the quadrangle read as a plane
     plane_as_b2 = ChamberComplex(pg2_2.chambers, MATRIX_B2,
-                                 geometry="PG2 as B2", thickness=2)
+                                 geometry="PG2 as B2")
     assert _violation_kinds(plane_as_b2) == {"gallery-conflict": 168,
                                              "gate-conflict": 168}
     quad_as_a2 = ChamberComplex(w2.chambers, MATRIX_A2,
-                                geometry="W as A2", thickness=2)
+                                geometry="W as A2")
     assert _violation_kinds(quad_as_a2) == {
         "length-drop": 720, "gallery-conflict": 720, "gate-conflict": 720,
         "length-mismatch": 720}
@@ -306,9 +318,9 @@ def test_b2_flags_two_disjoint_copies(pg2_2):
     # every component tagged with its copy, so no panel joins the two
     two = ChamberComplex([tuple((tag, x) for x in ch) for tag in (0, 1)
                           for ch in pg2_2.chambers], MATRIX_A2,
-                         geometry="two planes", thickness=2)
+                         geometry="two planes")
     assert _violation_kinds(two) == {"disconnected": 42 * 21}
-    first = two._delta_from(0)[2]
+    first = two.row_violations(0)
     assert first[0] == ("disconnected", 0, 21, None, None)
     assert not verify_building_axioms(two)["B2_w_consistency"]["ok"]
 
@@ -349,8 +361,10 @@ def _covered_b1(cx):
 
 
 def _apartment_count(cx):
+    """Opposite pairs over the pairs one apartment holds: each chamber has
+    |C_w0| opposites, and an apartment holds |W| opposite pairs."""
     W = cx.coxeter
-    return cx.size * cx.thickness ** W.length[W.longest] // W.order
+    return cx.size * _cell_size(cx, W.longest) // W.order
 
 
 @pytest.mark.parametrize("name", ["pg2_2", "pg2_3", "w2"])
@@ -388,9 +402,29 @@ def test_apartments_checked_within_the_apartment_count(spec, hulls,
     assert report["B1_apartments"]["apartments_checked"] == hulls
 
 
+def test_elliptic_quadrangle_is_a_building_with_its_cell_law(
+        elliptic_quadrangle_2):
+    # order (2, 4): the cells are products of the two parameters, not
+    # powers of one
+    cx = elliptic_quadrangle_2
+    assert cx.size == 135 and [len(p) for p in cx.panels] == [45, 27]
+    report = verify_building_axioms(cx)
+    assert report["ok"], report
+    assert report["B1_apartments"]["mode"] == "sampled"
+    assert (report["B1_apartments"]["apartments_checked"] <= 1080
+            == _apartment_count(cx))
+    cells = cell_decomposition_report(cx, 0)
+    assert cells["size_law_ok"] and cells["every_w_nonempty"]
+    assert [row["size"] for row in cells["cells"]] == [1, 2, 4, 8, 8, 16,
+                                                       32, 64]
+    W = cx.coxeter
+    assert [row["expected"] for row in cells["cells"]] == [
+        _cell_size(cx, w) for w in range(W.order)]
+
+
 def test_b1_fails_on_a_complex_missing_a_chamber(pg2_2):
     broken = ChamberComplex(pg2_2.chambers[1:], pg2_2.coxeter.matrix,
-                            geometry="broken", thickness=2)
+                            geometry="broken")
     _, b1 = _covered_b1(broken)
     per_pair = _b1_per_pair(broken)
     assert not b1["ok"]
@@ -488,7 +522,7 @@ def _check_by_products(cx, hull):
         return bad + unreached
     for e, we in zip(hull, from_base):
         we_inv = W.inverse[we]
-        from_e = cx._delta_from(e)[1]
+        from_e = cx.delta_row(e)
         for f, wf in zip(hull, from_base):
             if from_e[f] != W.multiply(we_inv, wf):
                 bad.append(("not-isometric", e, f))
@@ -531,15 +565,12 @@ def _broken_complexes(pg2_2, w2):
     """A chamber missing, two disjoint copies, the plane read as a
     quadrangle and the quadrangle read as a plane."""
     return [
-        ChamberComplex(pg2_2.chambers[1:], MATRIX_A2, geometry="broken",
-                       thickness=2),
+        ChamberComplex(pg2_2.chambers[1:], MATRIX_A2, geometry="broken"),
         ChamberComplex([tuple((tag, x) for x in ch) for tag in (0, 1)
                         for ch in pg2_2.chambers], MATRIX_A2,
-                       geometry="two planes", thickness=2),
-        ChamberComplex(pg2_2.chambers, MATRIX_B2, geometry="PG2 as B2",
-                       thickness=2),
-        ChamberComplex(w2.chambers, MATRIX_A2, geometry="W as A2",
-                       thickness=2),
+                       geometry="two planes"),
+        ChamberComplex(pg2_2.chambers, MATRIX_B2, geometry="PG2 as B2"),
+        ChamberComplex(w2.chambers, MATRIX_A2, geometry="W as A2"),
     ]
 
 
@@ -770,7 +801,7 @@ def test_anchor_side_gate_matches_projection(spec):
 
 def test_anchor_side_gate_on_a_complex_missing_a_chamber(pg2_2):
     broken = ChamberComplex(pg2_2.chambers[1:], MATRIX_A2,
-                            geometry="broken", thickness=2)
+                            geometry="broken")
     ties = 0
     for panel in broken.all_panel_ids():
         for c in range(broken.size):

@@ -648,6 +648,12 @@ REPORT_DIGESTS = {
         "0551071ac729c2d2552d63d6c3bf830e96b05d1fc83701dcad86f470b460e6b8",
     "moufang filtration --field Laurent:q=3,prec=8 --from 0 --to 6 --seed 5":
         "4525ab54de98b14b155788c7d275ee86a533a8bfd81eabd6e362a46dc6e834e5",
+    # the cell law on the measured panel parameters: a rank-3 complex, and
+    # a quadrangle from a base chamber other than 0
+    "building cells --geometry Aflags:n=3,q=2":
+        "6ffc688181edcc66fc468d6427429ac3f46551afd490b9da2768f7663e9c98ad",
+    "building cells --geometry W:q=3 --base 7":
+        "64b78709cfd2e1bf3b02a01534887954d563c625058fecf8127411d4c4b21be5",
 }
 
 

@@ -5,7 +5,11 @@ from typing import Optional
 
 import pytest
 
-from buildinglab.chambers import ChamberComplex, build_flag_building
+from buildinglab.chambers import (
+    ChamberComplex,
+    build_flag_building,
+    cell_decomposition_report,
+)
 from buildinglab.coxeter import MATRIX_A2
 from buildinglab.errors import InvalidSpec, NotFound, SearchBudgetExceeded
 from buildinglab import moufang
@@ -48,7 +52,7 @@ def _reference_automorphisms(cx: ChamberComplex,
     seeds so each new chamber is confined to a single image panel.
     """
     N = cx.size
-    delta = [cx._delta_from(c)[1] for c in range(N)]
+    delta = [cx.delta_row(c) for c in range(N)]
     forced = dict(forced or {})
 
     # chambers whose panels are all setwise fixed can only map to themselves
@@ -159,7 +163,7 @@ def _forward_checking_automorphisms(cx: ChamberComplex,
     if not forced and not vertex_fixes:
         raise InvalidSpec("automorphism search needs at least one constraint")
     N = cx.size
-    delta = [cx._delta_from(c)[1] for c in range(N)]
+    delta = [cx.delta_row(c) for c in range(N)]
     forced = forced or {}
     open_images: dict[int, list[int]] = {}
     for c in range(N):
@@ -220,7 +224,7 @@ def _forward_checking_automorphisms(cx: ChamberComplex,
 
 
 def _preserves_delta_by_pairs(cx, g):
-    delta = [cx._delta_from(c)[1] for c in range(cx.size)]
+    delta = [cx.delta_row(c) for c in range(cx.size)]
     return all(delta[c][e] == delta[g[c]][g[e]]
                for c in range(cx.size) for e in range(cx.size))
 
@@ -253,6 +257,11 @@ def frame2(pg2_2):
 @pytest.fixture(scope="module")
 def frame3(pg2_3):
     return MoufangFrame(pg2_3)
+
+
+@pytest.fixture(scope="module")
+def frame_elliptic(elliptic_quadrangle_2):
+    return MoufangFrame(elliptic_quadrangle_2)
 
 
 @pytest.fixture(scope="module")
@@ -332,8 +341,7 @@ def test_identity_forced_search(pg2_2, chamber_neighbors):
     with pytest.raises(InvalidSpec):
         find_automorphisms(pg2_2)
     # one chamber: the final delta check reads a row at a single image
-    lone = ChamberComplex([((1,), (1,))], MATRIX_A2, geometry="lone",
-                          thickness=1)
+    lone = ChamberComplex([((1,), (1,))], MATRIX_A2, geometry="lone")
     assert find_automorphisms(lone, forced={0: 0}) == [(0,)]
 
 
@@ -420,7 +428,7 @@ def _off_building(name, pg2_2, w2):
                         for ch in pg2_2.chambers], 2 * 168),
         "W-as-A2": (w2.chambers, 4),
     }[name]
-    cx = ChamberComplex(chambers, MATRIX_A2, geometry=name, thickness=2)
+    cx = ChamberComplex(chambers, MATRIX_A2, geometry=name)
     return cx, star_maps
 
 
@@ -480,8 +488,8 @@ def test_panel_test_matches_the_pairwise_delta_check(spec):
     # on a complex whose delta rows pass B2 the search keeps a complete map
     # by the panel test; it must agree with delta on every pair
     cx = build_flag_building(spec)
-    assert not any(cx._delta_from(c)[2] for c in range(cx.size))
-    delta = [cx._delta_from(c)[1] for c in range(cx.size)]
+    assert not any(cx.row_violations(c) for c in range(cx.size))
+    delta = [cx.delta_row(c) for c in range(cx.size)]
     verdicts = Counter()
     for kind, g in _perturbed_elements(cx, _flag_automorphisms(cx), 200, 29):
         ok = cx.is_automorphism(g)
@@ -590,17 +598,24 @@ def _reference_apartments(frame, path):
     return sorted(out, key=sorted)
 
 
+def _root_parameter(frame, path):
+    """The measured parameter of the type of the root's first vertex."""
+    return frame.cx.thickness[path[0][0]]
+
+
 def _reference_verdict(frame, path, U):
-    """The apartment-image rule: q apartments through the root, and U maps
-    the first onto q distinct images that are all of them."""
+    """The apartment-image rule: as many apartments through the root as
+    its parameter, and U maps the first onto that many distinct images
+    that are all of them."""
     apartments = _reference_apartments(frame, path)
     images = {frozenset(g[c] for c in apartments[0]) for g in U}
-    return (len(apartments) == frame.q and len(images) == frame.q
+    q = _root_parameter(frame, path)
+    return (len(apartments) == q and len(images) == q
             and images == set(apartments))
 
 
 def _panel_verdict(frame, path, U):
-    return (frame._apartment_count(path) == frame.q
+    return (frame._apartment_count(path) == _root_parameter(frame, path)
             and frame._regular_on_end_panel(path, U))
 
 
@@ -634,6 +649,15 @@ def test_apartments_match_reference_on_sampled_roots(spec):
     frame = MoufangFrame(build_flag_building(spec))
     roots = random.Random(7).sample(frame.all_roots(), 40)
     _assert_panel_rule_matches_reference(frame, roots)
+
+
+def test_apartments_match_reference_on_the_elliptic_quadrangle(
+        frame_elliptic):
+    # both parameters: roots from a line of 3 points and from a point on
+    # 5 lines
+    roots = random.Random(7).sample(frame_elliptic.all_roots(), 40)
+    assert {path[0][0] for path in roots} == {0, 1}
+    _assert_panel_rule_matches_reference(frame_elliptic, roots)
 
 
 def test_transitivity_fails_on_a_root_missing_from_the_list():
@@ -674,6 +698,39 @@ def test_moufang_transitivity_quadrangle(w2):
     assert report["ok"]
     assert report["roots_checked"] == 360
     assert report["group_orders"] == [2]
+
+
+def test_moufang_transitivity_elliptic_quadrangle(frame_elliptic):
+    # order (2, 4): each root group has the order of its first vertex's
+    # type, and no single q is assumed
+    report = frame_elliptic.transitivity_check()
+    assert report["ok"], report["failures"]
+    assert report["roots_checked"] == 3240
+    assert report["group_orders"] == [2, 4]
+    assert report["apartments_per_root"] == [2, 4]
+    assert report["q"] is None and frame_elliptic.q is None
+
+
+@pytest.mark.parametrize("forced", [(2, 2), (2, None)])
+def test_a_forced_parameter_fails_the_law_and_transitivity(
+        forced, frame_elliptic, monkeypatch):
+    # one parameter for both types, or none for the lines through a point:
+    # the cells of the second type and its root groups no longer match
+    cx = frame_elliptic.cx
+    monkeypatch.setattr(cx, "thickness", forced)
+    assert not cell_decomposition_report(cx, 0)["size_law_ok"]
+    report = frame_elliptic.transitivity_check()
+    assert not report["ok"]
+    assert {entry["group_order"] for entry in report["failures"]} == {4}
+
+
+def test_cell_law_fails_where_a_type_has_unequal_panels(pg2_2, w2):
+    # a missing chamber leaves panels of 2 and 3 chambers in both types
+    cx, _ = _off_building("minus-chamber-0", pg2_2, w2)
+    assert cx.thickness == (None, None)
+    report = cell_decomposition_report(cx, 0)
+    assert not report["size_law_ok"]
+    assert [row["expected"] for row in report["cells"]][:2] == [1, None]
 
 
 def test_transitivity_check_is_exhaustive_only(pg2_2):
@@ -884,8 +941,7 @@ def test_is_automorphism(frame2):
 def test_automorphism_test_on_one_panel_is_the_bijection_test():
     # every map sends the one panel into a panel, so only the bijection
     # test decides; -1 would read the last chamber
-    cx = ChamberComplex([(x,) for x in range(3)], [[1]], geometry="panel",
-                        thickness=2)
+    cx = ChamberComplex([(x,) for x in range(3)], [[1]], geometry="panel")
     for n in (2, 3, 4):
         for g in itertools.product(range(-3, 4), repeat=n):
             assert cx.is_automorphism(g) == _is_automorphism_by_pairs(cx, g)
@@ -1034,6 +1090,21 @@ def test_product_groups_are_stabilizers_quadrangle(framew):
             report = product_stabilizer_check(framew, i, j)
             assert report["ok"], report
             assert report["product_order"] == 2 ** (j + 1)
+
+
+def test_product_groups_and_commutators_elliptic_quadrangle(frame_elliptic):
+    # |U_i| alternates 4, 2 with the type of vertex i; two adjacent roots
+    # give 2 * 4
+    orders = {}
+    for j in (0, 1):
+        for i in range(1, frame_elliptic.n - j + 1):
+            report = product_stabilizer_check(frame_elliptic, i, j)
+            assert report["ok"], report
+            orders[i, j] = report["product_order"]
+    assert orders == {(1, 0): 4, (2, 0): 2, (3, 0): 4, (4, 0): 2,
+                      (1, 1): 8, (2, 1): 8, (3, 1): 8}
+    report = commutator_containment_check(frame_elliptic)
+    assert report["ok"], report["pairs"]
 
 
 def test_commutator_containments(frame2, framew):

@@ -1,8 +1,10 @@
-"""Only chambers.py reads the panel tables or picks with itemgetter.
+"""Only chambers.py reads the panel tables or the delta-row triples, or
+picks with itemgetter.
 
-ChamberComplex owns its panels: other modules ask it for panel ids,
-members, masks and images and for its automorphism test, and pick entries
-through chambers._picker, the one place that handles one index and none.
+ChamberComplex owns its panels and its delta rows: other modules ask it
+for panel ids, members, masks and images, for a chamber's delta row and
+its violations, and for its automorphism test, and pick entries through
+chambers._picker, the one place that handles one index and none.
 """
 
 import ast
@@ -11,12 +13,12 @@ from pathlib import Path
 import buildinglab
 
 SOURCES = sorted(Path(buildinglab.__file__).parent.rglob("*.py"))
-OWNED = {"panel_of", "panels", "itemgetter"}
+OWNED = {"panel_of", "panels", "_delta_from", "itemgetter"}
 
 
 def _owned_names_used(tree):
-    """Each read of .panel_of, .panels or .itemgetter, and each itemgetter
-    imported by name."""
+    """Each read of .panel_of, .panels, ._delta_from or .itemgetter, and
+    each itemgetter imported by name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in OWNED:
             yield node.attr
