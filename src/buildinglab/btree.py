@@ -292,8 +292,7 @@ def end_label(field: Field, e: BoundaryPoint) -> str:
 
 
 def ends_equal(field: Field, e1: BoundaryPoint, e2: BoundaryPoint) -> bool:
-    cross = field.sub(field.mul(e1.x, e2.y), field.mul(e1.y, e2.x))
-    return field.is_zero(cross)
+    return field.is_zero(mat_det(field, ((e1.x, e1.y), (e2.x, e2.y))))
 
 
 def ray_to_end(field: Field, end: BoundaryPoint, depth: int
@@ -314,7 +313,7 @@ def cone_vs_ultrametric(field: Field, x: BoundaryPoint, y: BoundaryPoint,
     """(agreement, valuation_distance, consistent): the rays from the base
     toward two distinct ends share a prefix of length exactly the valuation
     of the normalized minor (clamped by the inspected depth)."""
-    cross = field.sub(field.mul(x.x, y.y), field.mul(x.y, y.x))
+    cross = mat_det(field, ((x.x, x.y), (y.x, y.y)))
     if field.is_zero(cross):
         raise InvalidSpec("ends coincide")
     vd = int(field.valuation(cross))
@@ -375,15 +374,16 @@ def cone_correspondence_report(field: Field, depth: int, pairs: int,
 # ---------------------------------------------------------------------------
 # matrices and the Iwasawa decomposition
 
+def _mat_entry(field: Field, A: Mat, B: Mat, i: int, j: int
+               ) -> LocalElement:
+    """Entry (i, j) of AB: row i of A times column j of B."""
+    return field.add(field.mul(A[i][0], B[0][j]),
+                     field.mul(A[i][1], B[1][j]))
+
+
 def mat_mul(field: Field, A: Mat, B: Mat) -> Mat:
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            row.append(field.add(field.mul(A[i][0], B[0][j]),
-                                 field.mul(A[i][1], B[1][j])))
-        out.append(tuple(row))
-    return tuple(out)
+    return ((_mat_entry(field, A, B, 0, 0), _mat_entry(field, A, B, 0, 1)),
+            (_mat_entry(field, A, B, 1, 0), _mat_entry(field, A, B, 1, 1)))
 
 
 def mat_det(field: Field, A: Mat) -> LocalElement:
@@ -459,18 +459,16 @@ def iwasawa_decompose(field: Field, g: Mat) -> dict:
         k = ((u1, field.neg(u2_inv)), (u2, ZERO))
         kinv = ((ZERO, u2_inv), (field.neg(u2), u1))
 
-    def entry(i: int, j: int):
-        return field.add(field.mul(kinv[i][0], g[0][j]),
-                         field.mul(kinv[i][1], g[1][j]))
-
     # b21 is zero exactly, or zero to the working precision when every
     # known digit cancels; a surviving digit is a genuine failure
     cancelled = False
     try:
-        upper_triangular = field.is_zero(entry(1, 0))
+        upper_triangular = field.is_zero(_mat_entry(field, kinv, g, 1, 0))
     except PrecisionExhausted:
         upper_triangular = cancelled = True
-    b: Mat = ((entry(0, 0), entry(0, 1)), (ZERO, entry(1, 1)))
+    b: Mat = ((_mat_entry(field, kinv, g, 0, 0),
+               _mat_entry(field, kinv, g, 0, 1)),
+              (ZERO, _mat_entry(field, kinv, g, 1, 1)))
 
     back = mat_mul(field, k, b)
     multiply_back = all(field.eq(back[i][j], g[i][j])

@@ -788,9 +788,11 @@ def _sampled_pairs(n: int, covered: list[int]) -> Iterator[tuple]:
 def cell_decomposition_report(cx: ChamberComplex, c0: int = 0) -> dict:
     """Cell sizes from c0 with the partition total and the size law: C_w
     holds the product of the panel parameters over the letters of w's
-    reduced word; a letter whose panels differ in size fails it."""
+    reduced word; a letter whose panels differ in size fails it.  Chambers
+    c0 never reaches (delta -1) lie in no cell and leave the total short."""
     W = cx.coxeter
     sizes = cx.cell_sizes(c0)
+    sizes.pop(-1, None)
     rows = []
     law_ok = True
     for w, size in sorted(sizes.items()):

@@ -13,32 +13,31 @@ base interiors once and caches each searched root group by its interior,
 so transitivity, mu, stabilizers and commutators search it once; groups
 made by conjugation are not kept.
 
-Root groups are found by a forward-checking search over chamber bijections
-that preserve the W-valued distance (which characterizes type-preserving
-automorphisms): the identity constraints on the interior stars seed it,
-each open chamber keeps its possible images as a bitmask, each assignment
-ANDs the open masks with one cached cell row of its image, a chamber down
-to one image is queued and never filtered again, and a complete map is
-kept only if it preserves the distance on every pair: on a complex whose
-distance rows record no violation, only if it is an automorphism.  By
-rigidity the search branches once, over the images of one chamber, and
-otherwise only propagates.  The Moufang property is then checked head on:
-one simple-path walk on the graph lists the roots (the n-edge paths) and
-files each under its two ends.  The ends x0 and xn of a root are
-opposite, so an apartment through the root is determined by its edge at
-x0 off the root: the apartments through it correspond one to one with the
+Root groups are found by a forward-checking search for type-preserving
+automorphisms, pruned by the W-valued distance, which every automorphism
+preserves: the identity constraints on the interior stars seed it, each
+open chamber keeps its possible images as a bitmask, each assignment ANDs
+the open masks with one cached cell row of its image, a chamber down to
+one image is queued and never filtered again, and a complete map is kept
+exactly when the complex's automorphism test passes it.  By rigidity the
+search branches once, over the images of one chamber, and otherwise only
+propagates.  The Moufang property is then checked head on: one simple-path
+walk on the graph lists each root (an n-edge path) once, from its smaller
+end, and files it under its two ends.  The ends x0 and xn of a root are
+opposite, so an apartment through the root is determined by its edge at x0
+off the root: the apartments through it correspond one to one with the
 chambers of x0's star other than the root's own, as many as the measured
 parameter of x0's panel type.  Each root group must permute those simply
 transitively, with order equal to that parameter: it holds the identity
-and maps the least of those chambers, once under each element, onto all
-of them; the apartments, counted apart as the roots between the same
-ends that miss the interior, must number as many.  The two types may
-have different parameters, as in the elliptic quadric quadrangle of order
-(q, q^2).  Only the 2n base root groups are searched for that; every
-other root group is a conjugate g^-1 U_i g, g the product of the base root
-elements on the path to its interior in a breadth-first walk from the
-base interiors, checked element by element, and a seeded few are
-searched again as the independent route.
+and maps the least of those chambers, once under each element, onto all of
+them; the apartments, counted apart as the roots between the same ends
+that miss the interior, must number as many.  The two types may have
+different parameters, as in the elliptic quadric quadrangle of order
+(q, q^2).  Only the 2n base root groups are searched for that; every other
+root group is a conjugate g^-1 U_i g, g the product of the base root
+elements on the path to its interior in a breadth-first walk from the base
+interiors, checked element by element, and a seeded few are searched again
+as the independent route.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
@@ -128,38 +127,32 @@ def product_set(first: Iterable[Perm], *rest: Iterable[Perm]) -> set[Perm]:
 # ---------------------------------------------------------------------------
 # automorphism search
 
-def _preserves_delta(delta: Sequence[Sequence[int]],
-                     image: Sequence[int]) -> bool:
-    """Whether c -> image[c] preserves delta on every pair: row image[c]
-    read at the images must equal row c."""
-    pick = _picker(image)
-    return all(pick(delta[x]) == row for x, row in zip(image, delta))
-
-
 def find_automorphisms(cx: ChamberComplex,
                        forced: Optional[dict[int, int]] = None,
                        vertex_fixes: frozenset = frozenset()) -> list[Perm]:
-    """All chamber bijections preserving the W-distance, subject to forced
-    images and setwise-fixed panels, in sorted order.
+    """All type-preserving automorphisms, subject to forced images and
+    setwise-fixed panels, in sorted order.
 
-    Preserving delta on all pairs is equivalent to being a type-preserving
-    automorphism.  Each open chamber c keeps the images still possible as
-    a bitmask, starting from its forced image or, if it lies on a
-    setwise-fixed panel, from that panel.  Assigning e -> y ANDs every
-    open mask with the cell of y that delta(e, c) names, from
-    cx.cell_masks.  A mask down to one image determines its chamber: it
-    leaves the open set for a queue, is assigned in turn and is never
-    filtered again.  With the queue empty the search branches on the
-    open chamber with the fewest images, lowest index first, over its
-    images in ascending order.  A complete map is kept only if it
-    preserves delta on every pair, which settles what the queue left
-    unfiltered.  With no violation in any delta row, that is being a
-    type-preserving automorphism, decided by cx.is_automorphism in
-    O(N rank) with its bijection test rejecting non-injective maps; else
-    every pair is compared.  Constraints naming chambers or panels outside
-    the complex, or chambers by anything but ints, raise InvalidSpec.  By
-    rigidity a root group search branches once, |U| ways, and then only
-    propagates.
+    Each open chamber c keeps the images still possible as a bitmask,
+    starting from its forced image or, if it lies on a setwise-fixed
+    panel, from that panel.  Assigning e -> y ANDs every open mask with
+    the cell of y that delta(e, c) names, from cx.cell_masks.  A mask down
+    to one image determines its chamber: it leaves the open set for a
+    queue, is assigned in turn and is never filtered again.  With the
+    queue empty the search branches on the open chamber with the fewest
+    images, lowest index first, over its images in ascending order.  A
+    complete map is kept exactly when cx.is_automorphism passes it, in
+    O(N rank), which settles what the queue left unfiltered and rejects
+    non-injective maps.  delta only prunes, and loses no automorphism:
+    the walk that builds a row reaches each chamber first along the
+    lexicographically least type word of a minimal gallery, so every
+    automorphism maps each cached row, walk rows included, onto its
+    image's row.  That holds on every rank-2 complex, where the frontier
+    chambers of one word step on only by the type their word does not end
+    in, and in any rank where the walk records no gallery conflict.
+    Constraints naming chambers or panels outside the complex, or chambers
+    by anything but ints, raise InvalidSpec.  By rigidity a root group
+    search branches once, |U| ways, and then only propagates.
     """
     if not forced and not vertex_fixes:
         raise InvalidSpec("automorphism search needs at least one constraint")
@@ -171,9 +164,6 @@ def find_automorphisms(cx: ChamberComplex,
     if not vertex_fixes <= set(cx.all_panel_ids()):
         raise InvalidSpec("setwise-fixed panels must be panels of the complex")
     delta = [cx.delta_row(c) for c in range(N)]
-    keep = (cx.is_automorphism
-            if not any(cx.row_violations(c) for c in range(N))
-            else lambda image: _preserves_delta(delta, image))
     cells = cx.cell_masks
     image = [-1] * N
     queue: list[int] = []
@@ -217,7 +207,7 @@ def find_automorphisms(cx: ChamberComplex,
                     return
             masks = left
         if not masks:
-            if keep(image):
+            if cx.is_automorphism(image):
                 solutions.append(tuple(image))
             return
         _, c = min((mask.bit_count(), c) for c, mask in masks.items())
@@ -330,24 +320,23 @@ class MoufangFrame:
 
     def all_roots(self) -> list[tuple[PanelId, ...]]:
         """All n-edge paths in the incidence graph, up to reversal; these
-        are exactly the roots (half-apartments) of the polygon.  One walk
-        per frame lists them, each filed under its ends (first < last)."""
+        are exactly the roots (half-apartments) of the polygon.  One
+        depth-first walk per frame, over the sorted graph in sorted order,
+        lists each from its smaller end (first < last), so in sorted order,
+        and files it under its ends."""
         if self._roots is None:
-            found = set()
-            for start in self.graph:
-                stack = [(start,)]
-                while stack:
-                    path = stack.pop()
-                    if len(path) == self.n + 1:
-                        found.add(min(path, path[::-1]))
-                        continue
-                    for nxt in self.graph[path[-1]]:
-                        if nxt not in path:
-                            stack.append(path + (nxt,))
-            self._roots = sorted(found)
-            for path in self._roots:
-                self._roots_by_ends.setdefault(
-                    (path[0], path[-1]), []).append(path)
+            self._roots = []
+            stack = [(start,) for start in reversed(self.graph)]
+            while stack:
+                path = stack.pop()
+                if len(path) <= self.n:
+                    stack.extend(path + (nxt,)
+                                 for nxt in reversed(self.graph[path[-1]])
+                                 if nxt not in path)
+                elif path[0] < path[-1]:
+                    self._roots.append(path)
+                    self._roots_by_ends.setdefault(
+                        (path[0], path[-1]), []).append(path)
         return self._roots
 
     def _apartment_count(self, path: Sequence[PanelId]) -> int:
@@ -393,8 +382,7 @@ class MoufangFrame:
         misses are searched (conjugated False)."""
         wanted = set(interiors)
         base = {key: self._root_group(key) for key in self.base_interiors}
-        gens = [g for U in base.values() for g in U
-                if g != self.identity and self.cx.is_automorphism(g)]
+        gens = [g for U in base.values() for g in U if g != self.identity]
         panel_maps = [self.cx.panel_images(g) for g in gens]
         parent: dict[tuple, Optional[tuple]] = dict.fromkeys(base)
         missing = wanted - parent.keys()
@@ -502,9 +490,10 @@ class MoufangFrame:
     def induced_vertex_map(self, g: Perm) -> Optional[list[int]]:
         """Labels of the images of the circuit vertices, or None if the
         image leaves the circuit."""
+        images = self.cx.panel_images(g)
         out = []
-        for pid in self.circuit:
-            img = self.cx.panel_id(pid[0], g[self.star(pid)[0]])
+        for t, p in self.circuit:
+            img = (t, images[t][p])
             if img not in self.circuit_index:
                 return None
             out.append(self.circuit_index[img])

@@ -314,11 +314,17 @@ def test_b2_flags_a_wrong_coxeter_type(pg2_2, w2):
         assert not verify_building_axioms(cx)["B2_w_consistency"]["ok"]
 
 
+def _two_copies(pg2_2):
+    """Two disjoint copies of PG(2,2), chambers 0..20 the first in its own
+    order; every component is tagged with its copy, so no panel joins the
+    two."""
+    return ChamberComplex([tuple((tag, x) for x in ch) for tag in (0, 1)
+                           for ch in pg2_2.chambers], MATRIX_A2,
+                          geometry="two planes")
+
+
 def test_b2_flags_two_disjoint_copies(pg2_2):
-    # every component tagged with its copy, so no panel joins the two
-    two = ChamberComplex([tuple((tag, x) for x in ch) for tag in (0, 1)
-                          for ch in pg2_2.chambers], MATRIX_A2,
-                         geometry="two planes")
+    two = _two_copies(pg2_2)
     assert _violation_kinds(two) == {"disconnected": 42 * 21}
     first = two.row_violations(0)
     assert first[0] == ("disconnected", 0, 21, None, None)
@@ -684,6 +690,15 @@ def test_cell_sizes_law(pg2_2, pg2_3, w2):
         assert rep["every_w_nonempty"]
         assert rep["size_law_ok"]
         assert rep["total"] == cx.size
+
+
+def test_cell_report_leaves_unreached_chambers_out(pg2_2):
+    # from chamber 0 the second plane is never reached: it lies in no cell
+    rep = cell_decomposition_report(_two_copies(pg2_2), 0)
+    assert rep["cells"] == cell_decomposition_report(pg2_2, 0)["cells"]
+    assert (rep["nonempty_cells"], rep["total"]) == (6, 21)
+    assert not rep["covers_all_chambers"]
+    assert rep["every_w_nonempty"]
 
 
 def test_cell_sizes_independent_of_base(pg2_2, w2):

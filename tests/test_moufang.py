@@ -439,7 +439,7 @@ def _star_of_chamber_0(cx):
 @pytest.mark.parametrize("name", OFF_BUILDINGS)
 def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
     # chambers the queue leaves unfiltered may disagree, and only the
-    # final delta check rejects such a map
+    # final automorphism test rejects such a map
     cx, star_maps = _off_building(name, pg2_2, w2)
     star = _star_of_chamber_0(cx)
     identity = dict(enumerate(range(cx.size)))
@@ -449,29 +449,79 @@ def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
         assert len(got) == count
 
 
-def test_pairwise_delta_check_runs_only_off_buildings(monkeypatch, pg2_2,
-                                                      w2):
-    # every delta row of a building passes B2, so its complete maps go to
-    # the panel test; a complex with a recorded violation keeps the
-    # pairwise check
-    calls = Counter()
-    pairwise = moufang._preserves_delta
+# The automorphisms as the panels alone define them, kept as the oracle
+# for the pruning by delta in find_automorphisms: no delta row is read.
+def _panel_automorphisms(cx: ChamberComplex,
+                         forced: dict[int, int]) -> list[Perm]:
+    """All chamber bijections extending `forced` that map each panel onto
+    a panel of the same type, in sorted order.
 
-    def counted(delta, image):
-        calls["pairwise"] += 1
-        return pairwise(delta, image)
+    Chambers are placed breadth-first from the forced ones, each further
+    component of the chamber graph entered at its least chamber.  A
+    chamber goes into the image of one of its panels that already has
+    one, else anywhere; a placement must keep the panel map one to one.
+    Being a bijection that maps distinct panels into distinct panels of
+    the same type, a complete map maps each panel onto one.
+    """
+    N = cx.size
+    order, seen = [], set()
+    for seeds in [sorted(forced)] + [[c] for c in range(N)]:
+        new = [c for c in seeds if c not in seen]
+        seen.update(new)
+        while new:
+            order += new
+            nxt = []
+            for c in new:
+                for i in range(cx.rank):
+                    for e in cx.copanel_members(i, c):
+                        if e not in seen:
+                            seen.add(e)
+                            nxt.append(e)
+            new = nxt
+    image = [-1] * N
+    used: set[int] = set()
+    panel_map: dict = {}        # panel -> image panel
+    solutions: list[Perm] = []
 
-    monkeypatch.setattr(moufang, "_preserves_delta", counted)
-    frame = MoufangFrame(build_flag_building("PG2:q=3"))
-    fixed = frame.star_fixing(frame.root_path(0)[1:-1])
-    assert len(find_automorphisms(frame.cx, forced=fixed)) == frame.q
-    assert calls["pairwise"] == 0
-    for name in OFF_BUILDINGS:
-        cx, star_maps = _off_building(name, pg2_2, w2)
-        calls.clear()
-        got = find_automorphisms(cx, forced=_star_of_chamber_0(cx))
-        assert len(got) == star_maps
-        assert calls["pairwise"] >= 1, name
+    def place(k: int) -> None:
+        if k == N:
+            solutions.append(tuple(image))
+            return
+        c = order[k]
+        panels = [cx.panel_id(i, c) for i in range(cx.rank)]
+        mapped = [panel_map[pid] for pid in panels if pid in panel_map]
+        cands = ([forced[c]] if c in forced
+                 else cx.panel_members(mapped[0]) if mapped else range(N))
+        taken = set(panel_map.values())
+        for x in cands:
+            pairs = [(pid, cx.panel_id(pid[0], x)) for pid in panels]
+            fresh = [(pid, img) for pid, img in pairs if pid not in panel_map]
+            if x in used or any(panel_map.get(pid, img) != img
+                                for pid, img in pairs) or any(
+                    img in taken for _, img in fresh):
+                continue
+            panel_map.update(fresh)
+            image[c] = x
+            used.add(x)
+            place(k + 1)
+            used.discard(x)
+            for pid, _ in fresh:
+                del panel_map[pid]
+
+    place(0)
+    return sorted(solutions)
+
+
+@pytest.mark.parametrize("name", ["PG2:q=2"] + OFF_BUILDINGS)
+def test_search_matches_the_panel_oracle(name, pg2_2, w2):
+    # delta only prunes: on and off buildings the search keeps exactly the
+    # maps the panels define, with the star of chamber 0 fixed
+    cx, star_maps = ((pg2_2, 2) if name == "PG2:q=2"
+                     else _off_building(name, pg2_2, w2))
+    star = _star_of_chamber_0(cx)
+    got = find_automorphisms(cx, forced=star)
+    assert got == _panel_automorphisms(cx, star)
+    assert len(got) == star_maps
 
 
 def _flag_automorphisms(cx):
@@ -485,16 +535,14 @@ def _flag_automorphisms(cx):
 
 @pytest.mark.parametrize("spec", ["PG2:q=3", "W:q=2", "Aflags:n=3,q=2"])
 def test_panel_test_matches_the_pairwise_delta_check(spec):
-    # on a complex whose delta rows pass B2 the search keeps a complete map
-    # by the panel test; it must agree with delta on every pair
+    # the search keeps a complete map by the panel test; on a complex whose
+    # delta rows pass B2 it must agree with delta on every pair
     cx = build_flag_building(spec)
     assert not any(cx.row_violations(c) for c in range(cx.size))
-    delta = [cx.delta_row(c) for c in range(cx.size)]
     verdicts = Counter()
     for kind, g in _perturbed_elements(cx, _flag_automorphisms(cx), 200, 29):
         ok = cx.is_automorphism(g)
         assert ok == _preserves_delta_by_pairs(cx, g), (kind, g)
-        assert ok == moufang._preserves_delta(delta, g), (kind, g)
         verdicts[kind, ok] += 1
     assert verdicts == {("none", True): 50, ("swap", False): 50,
                         ("panel-swap", False): 50,
@@ -541,6 +589,39 @@ def test_root_enumeration_counts(frame2, framew):
     assert len(frame2.all_roots()) == 84
     # W(2): 30 panels of degree 3, paths of 4 edges: 30*3*2*2*2/2
     assert len(framew.all_roots()) == 360
+
+
+def _reference_roots(frame):
+    """all_roots as it stood before the one-sided walk, kept as its oracle:
+    every n-edge path from every start, each reduced to the smaller of it
+    and its reversal in a set, then sorted."""
+    found = set()
+    for start in frame.graph:
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            if len(path) == frame.n + 1:
+                found.add(min(path, path[::-1]))
+                continue
+            for nxt in frame.graph[path[-1]]:
+                if nxt not in path:
+                    stack.append(path + (nxt,))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "PG2:q=4", "W:q=2",
+                                  "W:q=3", "Q-(5,2)"])
+def test_root_walk_matches_the_reference(spec, request):
+    frame = (request.getfixturevalue("frame_elliptic") if spec == "Q-(5,2)"
+             else MoufangFrame(build_flag_building(spec)))
+    reference = _reference_roots(frame)
+    by_ends = {}
+    for path in reference:
+        by_ends.setdefault((path[0], path[-1]), []).append(path)
+    roots = frame.all_roots()
+    assert roots == reference
+    assert all(path[0] < path[-1] for path in roots)
+    assert frame._roots_by_ends == by_ends
 
 
 def test_apartments_containing_base_root(frame2):

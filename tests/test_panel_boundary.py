@@ -1,10 +1,11 @@
-"""Only chambers.py reads the panel tables or the delta-row triples, or
-picks with itemgetter.
+"""Only chambers.py reads the panel tables or the delta-row triples,
+branches on the violations a delta row records, or picks with itemgetter.
 
 ChamberComplex owns its panels and its delta rows: other modules ask it
 for panel ids, members, masks and images, for a chamber's delta row and
-its violations, and for its automorphism test, and pick entries through
-chambers._picker, the one place that handles one index and none.
+for its automorphism test, and pick entries through chambers._picker, the
+one place that handles one index and none.  The B2 verdict, read from
+row_violations, is given by chambers.py alone.
 """
 
 import ast
@@ -13,12 +14,13 @@ from pathlib import Path
 import buildinglab
 
 SOURCES = sorted(Path(buildinglab.__file__).parent.rglob("*.py"))
-OWNED = {"panel_of", "panels", "_delta_from", "itemgetter"}
+OWNED = {"panel_of", "panels", "_delta_from", "row_violations",
+         "itemgetter"}
 
 
 def _owned_names_used(tree):
-    """Each read of .panel_of, .panels, ._delta_from or .itemgetter, and
-    each itemgetter imported by name."""
+    """Each read of .panel_of, .panels, ._delta_from, .row_violations or
+    .itemgetter, and each itemgetter imported by name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in OWNED:
             yield node.attr
