@@ -4,8 +4,8 @@ Three models share one interface: the finite field F_q (q = p^m, polynomial
 basis over F_p modulo the lexicographically least monic irreducible), the
 field Q_p of p-adic numbers truncated at a fixed relative precision, and the
 Laurent-series field F_q((t)) truncated the same way.  One private base,
-`_FieldBase`, derives `div` and `pow` from each model's own `add`, `sub`,
-`neg`, `mul` and `inv`.
+`_FieldBase`, derives `div` and `pow` from each model's `one`, `mul` and
+`inv`.
 
 F_q works on integer codes through addition, negation, multiplication and
 inversion tables built once from coefficient-wise polynomial arithmetic.
@@ -27,20 +27,24 @@ Literals and other finite-support constructions are exact.  Each model
 writes the rule for a result once, in its own normal form
 `_make(v, mant, known)`, which every ring operation returns through (an
 inverse, already in normal form, skips it): Q_p cuts windows with a table
-of powers of p, F_q((t)) with lane masks and shifts.  A result of exact
-operands stays exact while it fits inside the precision window, so an
-exact full cancellation really returns exact zero with valuation infinity;
-any truncation drops the exact flag; a result of inexact operands keeps
-the digits its operands determine, capped at the window: for a sum or
-difference every digit below the lowest unknown digit of an operand,
-worked out inline in `add` and `sub`, for a product or an inverse the least
-known precision of the inputs (`_LocalBase._known_product`).  When every
-known digit of an inexact computation cancels, no claim about the result
-is possible and PrecisionExhausted is raised; nothing is ever silently
-rounded to zero.  `sub` forms a - b in one pass, never -b.  Equality is
-decided on the common known window of a - b (`_LocalBase.eq`, through
-each model's `_cut`), so it never raises.  A product by an exact 1 or pi^k
-only shifts the other factor's valuation.
+of powers of p, F_q((t)) with lane masks and shifts, and reduces its
+digit slots mod p there.  A result of exact operands stays exact while it
+fits inside the precision window, so an exact full cancellation really
+returns exact zero with valuation infinity; any truncation drops the exact
+flag; a result of inexact operands keeps the digits its operands
+determine, capped at the window: for a sum or difference every digit below
+the lowest unknown digit of an operand (`_LocalBase._known_sum`), for a
+product or an inverse the least known precision of the inputs
+(`_LocalBase._known_product`).  When every known digit of an inexact
+computation cancels, no claim about the result is possible and
+PrecisionExhausted is raised; nothing is ever silently rounded to zero.
+`add` and `sub` are written once for both models (`_LocalBase`): the
+higher operand is shifted by the model's own int operator (a product by
+p^k, a left shift by k lanes), and `sub` negates it by one factor as it
+goes, never building -b.  Equality is decided on the common known window
+of a - b (`_LocalBase.eq`: its low `known` digits, by remainder or by
+mask), so it never raises.  A product by an exact 1 or pi^k only shifts
+the other factor's valuation.
 `digit_code(a, low)` and `from_digit_code(n, low)` convert between an
 element and the int n with a = n * pi^low, so digit strings can be handled
 as plain ints (the tree balls of `btree` key their vertices this way).
@@ -51,6 +55,7 @@ product on the projective line takes in characteristic 2.
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_right
 from functools import lru_cache
@@ -334,18 +339,22 @@ Element = Union[int, LocalElement]
 class _LocalBase(_FieldBase):
     """Shared plumbing for the two truncated local models.
 
-    A model supplies the representation: `one`, the base `_radix` of its
-    mantissas, its normal form `_make(v, mant, known)` (the precision
-    rule), the ring operations `add`, `sub`, `neg`, `mul` and `inv` (from
-    which the base derives `div` and `pow`), and the mantissa hooks
-    `_cut(mant, known)` (mant modulo radix^known, which `eq` tests),
-    `_lead_code(mant)` (residue code of the leading digit),
+    The base writes `one`, `eq`, `add` and `sub` once for both models.  A
+    model supplies the representation: the base `_radix` of its
+    mantissas; the shift `_up(mant, _shift[k])` = mant * radix^k and the
+    window `_low(x, _window[k])`, zero exactly when radix^k divides x, each
+    an int operator with its table (k up to prec), and `_neg_unit`, the
+    factor that negates a mantissa; its normal form `_make(v, mant,
+    known)` (the precision rule), which takes a mantissa of such a sum as
+    it stands; the ring operations `neg`, `mul` and `inv`; and the
+    mantissa hooks `_lead_code(mant)` (residue code of the leading digit),
     `_random_unit(rng)` and `_nonzero_json(a)`.
     """
 
     local = True
 
     zero = ZERO
+    one = LocalElement(0, 1, 1, True)  # mantissa 1 in both models
 
     def __init__(self, prec: int):
         if not 1 <= prec <= MAX_PRECISION:
@@ -376,7 +385,37 @@ class _LocalBase(_FieldBase):
             return a.mant == b.mant
         known = (b.digits if a.exact else a.digits if b.exact
                  else min(a.digits, b.digits))
-        return not self._cut(a.mant - b.mant, known)
+        return not self._low(a.mant - b.mant, self._window[known])
+
+    def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
+        if a.mant is None:
+            return b
+        if b.mant is None:
+            return a
+        if a.v > b.v:
+            a, b = b, a
+        gap = b.v - a.v
+        if gap > self.prec:
+            # no digit of the far operand, nor a borrow from a signed exact
+            # p-adic one, reaches the near one's prec-digit window
+            return a if not a.exact else self._make(a.v, a.mant, self.prec)
+        return self._make(a.v, a.mant + self._up(b.mant, self._shift[gap]),
+                          self._known_sum(a, b, gap))
+
+    def sub(self, a: LocalElement, b: LocalElement) -> LocalElement:
+        """a - b on the window of `add`, with no -b built: b's mantissa
+        is negated by the factor `_neg_unit` as it is shifted."""
+        gap = b.v - a.v
+        if a.mant is None or b.mant is None or abs(gap) > self.prec:
+            return self.add(a, self.neg(b))  # one operand alone
+        if gap >= 0:
+            low, high = a, b
+            mant = a.mant + self._up(b.mant * self._neg_unit, self._shift[gap])
+        else:
+            gap = -gap
+            low, high = b, a
+            mant = self._up(a.mant, self._shift[gap]) + b.mant * self._neg_unit
+        return self._make(low.v, mant, self._known_sum(low, high, gap))
 
     def uniformizer_power(self, k: int) -> LocalElement:
         return _new(LocalElement, (k, 1, 1, True))
@@ -390,6 +429,16 @@ class _LocalBase(_FieldBase):
 
     # -- the known window of a result (the `known` argument of `_make`);
     #    None means every operand is exact
+
+    @staticmethod
+    def _known_sum(low: LocalElement, high: LocalElement, gap: int):
+        """Relative width that a sum determines, `high` gap digits above
+        `low`: every digit below the lowest unknown digit of an operand."""
+        if low.exact:
+            return None if high.exact else gap + high.digits
+        if high.exact or low.digits < gap + high.digits:
+            return low.digits
+        return gap + high.digits
 
     @staticmethod
     def _known_product(a: LocalElement, b: LocalElement):
@@ -473,10 +522,10 @@ class PadicField(_LocalBase):
         self.p = self._radix = p
         self.char = 0
         self.residue_q = p
-        self.one = LocalElement(0, 1, 1, True)
         # p^0 .. p^(2 prec): every window a ring operation cuts, the widest
-        # an exact operand plus an inexact one at gap prec
-        self._powers = [p ** i for i in range(2 * prec + 1)]
+        # an exact operand plus an inexact one at gap prec; a sum shifts and
+        # cuts by the same powers
+        self._shift = self._window = [p ** i for i in range(2 * prec + 1)]
 
     @property
     def residue_field(self) -> FiniteField:
@@ -484,9 +533,10 @@ class PadicField(_LocalBase):
 
     def _make(self, v: int, mant: int, known: Optional[int]) -> LocalElement:
         """The precision rule on mant * p^v (`known` low digits kept, None:
-        exact).  Windows are cut by the table of powers, one past it by its
-        own power; an exact digit count is |mant|'s place in the table."""
-        p, powers, prec = self.p, self._powers, self.prec
+        exact).  Windows are cut by the table of powers `_shift`, one past
+        it by its own power; an exact digit count is |mant|'s place in the
+        table."""
+        p, powers, prec = self.p, self._shift, self.prec
         if known is not None:
             try:
                 mant %= powers[known]
@@ -514,7 +564,7 @@ class PadicField(_LocalBase):
         return mant % self.p
 
     def _random_unit(self, rng) -> int:
-        top = self._powers[self.prec]
+        top = self._shift[self.prec]
         mant = rng.randrange(1, top)
         while mant % self.p == 0:
             mant = rng.randrange(1, top)
@@ -527,45 +577,8 @@ class PadicField(_LocalBase):
         """Exact lift of the residue class with code 0 <= code < p."""
         return self._make(0, code, None)
 
-    def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
-        if a.mant is None:
-            return b
-        if b.mant is None:
-            return a
-        if a.v > b.v:
-            a, b = b, a
-        gap = b.v - a.v
-        if gap > self.prec:
-            # no digit of the far operand, nor a borrow from a signed exact
-            # one, reaches the near one's prec-digit window
-            return a if not a.exact else self._make(a.v, a.mant, self.prec)
-        known = a.digits
-        if a.exact:
-            known = None if b.exact else gap + b.digits
-        elif not b.exact and gap + b.digits < known:
-            known = gap + b.digits
-        return self._make(a.v, a.mant + b.mant * self._powers[gap], known)
-
-    def sub(self, a: LocalElement, b: LocalElement) -> LocalElement:
-        """a - b on the window of `add`, with no -b built."""
-        gap = b.v - a.v
-        if a.mant is None or b.mant is None or abs(gap) > self.prec:
-            return self.add(a, self.neg(b))  # one operand alone
-        if gap >= 0:
-            low, high, mant = a, b, a.mant - b.mant * self._powers[gap]
-        else:
-            gap = -gap
-            low, high, mant = b, a, a.mant * self._powers[gap] - b.mant
-        known = low.digits
-        if low.exact:
-            known = None if high.exact else gap + high.digits
-        elif not high.exact and gap + high.digits < known:
-            known = gap + high.digits
-        return self._make(low.v, mant, known)
-
-    def _cut(self, mant: int, known: int) -> int:
-        """mant modulo p^known, for known <= prec."""
-        return mant % self._powers[known]
+    _up, _low, _neg_unit = operator.mul, operator.mod, -1
+    add, sub = _LocalBase.add, _LocalBase.sub
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
@@ -573,7 +586,7 @@ class PadicField(_LocalBase):
         if a.exact:
             return _new(LocalElement, (a.v, -a.mant, a.digits, True))
         return _new(LocalElement,
-                    (a.v, -a.mant % self._powers[a.digits], a.digits, False))
+                    (a.v, -a.mant % self._shift[a.digits], a.digits, False))
 
     def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
         if a.mant is None or b.mant is None:
@@ -592,7 +605,7 @@ class PadicField(_LocalBase):
         if a.exact and a.mant in (1, -1):
             return _new(LocalElement, (-a.v, a.mant, 1, True))
         digits = self.prec if a.exact else a.digits
-        mod = self._powers[digits]
+        mod = self._shift[digits]
         # a unit below p^digits: the normal form as it stands
         return _new(LocalElement,
                     (-a.v, pow(a.mant % mod, -1, mod), digits, False))
@@ -638,12 +651,15 @@ class LaurentField(_LocalBase):
     `digits`.
 
     `add`, `sub`, `neg` and `mul` are a few int operations and one slot
-    reduction mod p (`_reduce`, one bytes.translate for one-byte slots);
-    `sub` adds (p - 1) b, so a slot holds at most p (p - 1) before it.  A
+    reduction mod p (`_reduce`, one bytes.translate for one-byte slots).
+    The normal form `_make` owns that reduction: a sum, a difference or a
+    folded product reaches it with unreduced slots.  `sub` adds (p - 1) b
+    (`_neg_unit`), so a slot holds at most p (p - 1) before it.  A
     product's slots of w-degree m and more are folded back through w^(m+r)
-    mod the modulus (`_fold`).  The radix is 2^`_lane_bits`, so the normal
-    form `_make` and the window `_cut` are masks and shifts.
-    `coefficients` decodes a mantissa to residue codes.
+    mod the modulus (`_fold`).  The radix is 2^`_lane_bits`, so `_make`,
+    `add`, `sub` and `eq` work by masks and shifts, in time linear in the
+    mantissa at any precision.  `coefficients` decodes a mantissa to
+    residue codes.
     """
 
     kind = "laurent"
@@ -656,7 +672,6 @@ class LaurentField(_LocalBase):
         self.p = p = k.p
         self.char = p
         self.residue_q = q
-        self.one = LocalElement(0, 1, 1, True)
         m, top = k.degree, k.degree * (p - 1) ** 2
         width = 8
         while (1 << width) < top + p:
@@ -687,6 +702,10 @@ class LaurentField(_LocalBase):
         lanes = ((1 << 2 * prec * lane_bits) - 1) // self._lane_mask
         self._unit_mask = lanes * ((1 << width) - 1)
         self._low_mask = lanes * ((1 << m * width) - 1)
+        # a sum's shifts and windows: k lanes, by bits and by mask
+        self._shift = [k * lane_bits for k in range(prec + 1)]
+        self._window = [(1 << k * lane_bits) - 1 for k in range(prec + 1)]
+        self._neg_unit = p - 1  # -1 in every slot
 
     @property
     def residue_field(self) -> FiniteField:
@@ -716,26 +735,30 @@ class LaurentField(_LocalBase):
                    for s in range(0, x.bit_length(), width))
 
     def _fold(self, x: int) -> int:
-        """Reduced slots of a product of at most 2 prec lanes, each lane
-        a polynomial in w of degree at most 2m - 2, brought below degree m:
-        slot m + r contributes its digit times w^(m+r) mod the modulus."""
+        """A product of at most 2 prec lanes, each lane a polynomial in w of
+        degree at most 2m - 2, brought below degree m: its slots reduced,
+        slot m + r contributes its digit times w^(m+r) mod the modulus.
+        The result's slots are left for `_make` to reduce."""
         if not self._wraps:
             return x
+        x = self._reduce(x)
         width, mask = self._slot_bits, self._unit_mask
         out = x & self._low_mask
         for r, image in enumerate(self._wraps, self.k.degree):
             out += (x >> r * width & mask) * image
-        return self._reduce(out)
+        return out
 
     def _make(self, v: int, mant: int, known: Optional[int]) -> LocalElement:
         """The precision rule on mant * t^v (`known` low lanes kept, None:
-        exact), mant with reduced slots, by lane masks and shifts.  A
-        reduced slot is below p < 2^(`_slot_bits` - 1), so the bit length
-        of the lowest set bit, over the lane width, counts the zero lanes
-        below it."""
+        exact), by lane masks and shifts.  The slots of mant are reduced
+        mod p here, so a sum, a difference or a folded product comes as it
+        stands.  A reduced slot is below p < 2^(`_slot_bits` - 1), so the
+        bit length of the lowest set bit, over the lane width, counts the
+        zero lanes below it."""
         bits = self._lane_bits
         if known is not None:
             mant &= (1 << known * bits) - 1
+        mant = self._reduce(mant)
         if not mant:
             if known is None:
                 return ZERO
@@ -774,48 +797,8 @@ class LaurentField(_LocalBase):
 
     # -- ring operations
 
-    def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
-        if a.mant is None:
-            return b
-        if b.mant is None:
-            return a
-        if a.v > b.v:
-            a, b = b, a
-        gap = b.v - a.v
-        if gap > self.prec:
-            # no digit of the far operand reaches the near one's prec-digit
-            # window
-            return a if not a.exact else self._make(a.v, a.mant, self.prec)
-        known = a.digits
-        if a.exact:
-            known = None if b.exact else gap + b.digits
-        elif not b.exact and gap + b.digits < known:
-            known = gap + b.digits
-        return self._make(a.v, self._reduce(
-            a.mant + (b.mant << gap * self._lane_bits)), known)
-
-    def sub(self, a: LocalElement, b: LocalElement) -> LocalElement:
-        """a - b = a + (p - 1) b, reduced once (a slot holds at most
-        p (p - 1) before), on the window of `add`."""
-        gap = b.v - a.v
-        if a.mant is None or b.mant is None or abs(gap) > self.prec:
-            return self.add(a, self.neg(b))  # one operand alone
-        if gap >= 0:
-            low, high = a, b
-            mant = a.mant + (b.mant * (self.p - 1) << gap * self._lane_bits)
-        else:
-            low, high, gap = b, a, -gap
-            mant = (a.mant << gap * self._lane_bits) + b.mant * (self.p - 1)
-        known = low.digits
-        if low.exact:
-            known = None if high.exact else gap + high.digits
-        elif not high.exact and gap + high.digits < known:
-            known = gap + high.digits
-        return self._make(low.v, self._reduce(mant), known)
-
-    def _cut(self, mant: int, known: int) -> int:
-        """The `known` low lanes of mant."""
-        return mant & ((1 << known * self._lane_bits) - 1)
+    _up, _low = operator.lshift, operator.and_
+    add, sub = _LocalBase.add, _LocalBase.sub
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None or self.p == 2:  # -a = a in characteristic 2
@@ -836,15 +819,15 @@ class LaurentField(_LocalBase):
             a, b = b, a
         x, y = a.mant, b.mant
         if a.digits <= self._block:
-            prod = self._reduce(x * y)
+            prod = x * y
         else:
-            # x in blocks of `_block` lanes, each product reduced as it is
-            # added, so that no slot sum overflows
+            # x in blocks of `_block` lanes, the sum reduced before each
+            # block is added, so that no slot overflows
             step = self._block * self._lane_bits
             low = (1 << step) - 1
             prod = 0
             for s in range(0, a.digits * self._lane_bits, step):
-                prod = self._reduce(prod + ((x >> s & low) * y << s))
+                prod = self._reduce(prod) + ((x >> s & low) * y << s)
         return self._make(a.v + b.v, self._fold(prod),
                           self._known_product(a, b))
 

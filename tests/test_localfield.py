@@ -1,7 +1,9 @@
+import ast
 import random
 import time
 from bisect import bisect_right
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from buildinglab.errors import (
     InvalidSpec,
     PrecisionExhausted,
 )
+from buildinglab import localfield
 from buildinglab.localfield import (
     INFINITY,
     MAX_PRECISION,
@@ -21,6 +24,7 @@ from buildinglab.localfield import (
     LaurentField,
     LocalElement,
     PadicField,
+    _LocalBase,
     classify,
     finite_field,
     parse_element,
@@ -555,12 +559,56 @@ def test_packed_form_is_the_same_at_every_precision(q):
 # ---------------------------------------------------------------------------
 # shared semantics across local models
 
+def _tracing_constants() -> dict:
+    """The module-level tuples of bench/tracing.py, read without importing
+    it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench"
+                      / "tracing.py").read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Tuple)}
+
+
+_TRACED = _tracing_constants()
+
+
 # bench/tracing.py counts the calls of each model's ring operations by
-# patching vars(cls)[op] on the three field classes, so an operation moved
-# to a base class would break the traced benchmark run
-@pytest.mark.parametrize("cls", [FiniteField, PadicField, LaurentField])
-def test_ring_operations_stay_in_each_field_class(cls):
-    assert {"add", "mul", "inv", "neg"} <= vars(cls).keys()
+# patching vars(cls)[op] on the field classes it names, so an operation
+# only inherited from a base class would break the traced benchmark run;
+# `sub` is bound too, so that the tracer can count it with no src/ change
+@pytest.mark.parametrize("name", _TRACED["FIELD_CLASSES"])
+def test_ring_operations_stay_in_each_field_class(name):
+    cls = getattr(localfield, name)
+    assert {*_TRACED["FIELD_OPS"], "sub"} <= vars(cls).keys()
+
+
+@pytest.mark.parametrize("cls", [PadicField, LaurentField])
+def test_sums_and_equality_are_written_once(cls):
+    # the local models bind the base's own add and sub, and inherit eq
+    for op in ("add", "sub", "eq"):
+        assert getattr(cls, op) is vars(_LocalBase)[op]
+
+
+@pytest.mark.parametrize("F", [PadicField(3, 6), PadicField(251, 3),
+                               LaurentField(4, 6), LaurentField(17, 3)])
+def test_sum_hooks_shift_and_window_by_radix_powers(F):
+    # the shared add, sub and eq rest on these: _up shifts a mantissa k
+    # digits up, _low is zero exactly on multiples of radix^k, and
+    # _neg_unit negates a mantissa (up to the slot reduction of _make)
+    rng = random.Random(7)
+    for _ in range(20):
+        mant = F._random_unit(rng)
+        for k in range(F.prec + 1):
+            power = F._radix ** k
+            assert F._up(mant, F._shift[k]) == mant * power
+            for sign in (1, -1):  # a difference of mantissas may be < 0
+                assert not F._low(sign * mant * power, F._window[k])
+                if k:
+                    off = sign * (mant * power + F._radix ** (k - 1))
+                    assert F._low(off, F._window[k])
+        a = F._make(0, mant, None)
+        assert F._make(0, mant * F._neg_unit, None) == F.neg(a)
 
 
 @pytest.mark.parametrize("make", [
@@ -804,6 +852,41 @@ def test_make_contract(F):
     # every kind of outcome occurs, exact ones of exactly prec digits too
     assert checked[ZERO] and checked[PrecisionExhausted]
     assert checked["exact", F.prec] and checked["inexact", F.prec]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 17])
+def test_make_contract_reduces_laurent_slots(q):
+    """The Laurent `_make` takes a mantissa as a sum, a difference or a
+    folded product leaves it, its digit slots up to p (p - 1), to the
+    normal form of the slots reduced mod p: also when whole low lanes,
+    or every lane, reduce to zero."""
+    F = LaurentField(q, 4)
+    p, prec, top = F.p, F.prec, F.p * (F.p - 1)
+    rng = random.Random(q)
+    checked = Counter()
+    for lanes in (1, 2, prec, prec + 1, 2 * prec):
+        for zero_low in sorted({0, 1, lanes}):
+            for _ in range(6):
+                # the low m slots of each lane carry digits, as in a sum;
+                # the lowest `zero_low` lanes hold multiples of p
+                slots = [[rng.choice(range(0, top + 1, p)) if i < zero_low
+                          else rng.randint(0, top)
+                          for _ in range(F.k.degree)] for i in range(lanes)]
+                slots[-1][0] = top
+                raw = red = 0
+                for i, lane in enumerate(slots):
+                    for j, s in enumerate(lane):
+                        shift = i * F._lane_bits + j * F._slot_bits
+                        raw += s << shift
+                        red += s % p << shift
+                for known in (None, 1, prec - 1, prec, prec + 1, 2 * prec):
+                    want = _make_outcome(type(F)._make, F, 0, red, known)
+                    assert _make_outcome(type(F)._make, F, 0, raw,
+                                         known) == want
+                    checked[want if want in (ZERO, PrecisionExhausted)
+                            else want.exact] += 1
+    assert checked[ZERO] and checked[PrecisionExhausted]
+    assert checked[True] and checked[False]
 
 
 @pytest.mark.parametrize("F", [

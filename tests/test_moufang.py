@@ -438,8 +438,8 @@ def _star_of_chamber_0(cx):
 
 @pytest.mark.parametrize("name", OFF_BUILDINGS)
 def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
-    # chambers the queue leaves unfiltered may disagree, and only the
-    # final automorphism test rejects such a map
+    # on these complexes propagation leaves no complete map that the final
+    # automorphism test rejects; TWELVE_FLAGS below is one where it does
     cx, star_maps = _off_building(name, pg2_2, w2)
     star = _star_of_chamber_0(cx)
     identity = dict(enumerate(range(cx.size)))
@@ -447,6 +447,29 @@ def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
         got = find_automorphisms(cx, forced=forced)
         assert got == _forward_checking_automorphisms(cx, forced=forced)
         assert len(got) == count
+
+
+# Twelve flags (point, line) of an A2 complex that is no building.  With
+# chamber 2 fixed, propagation alone completes a second map, which sends
+# chambers 5 and 8 both to 5; only the final automorphism test of
+# find_automorphisms rejects it.
+TWELVE_FLAGS = [(0, 0), (0, 3), (0, 4), (1, 2), (3, 0), (3, 1), (3, 3),
+                (4, 0), (4, 1), (5, 3), (6, 0), (6, 3)]
+
+
+def test_the_final_automorphism_test_rejects_a_complete_map(monkeypatch):
+    cx = ChamberComplex(TWELVE_FLAGS, MATRIX_A2, geometry="twelve-flags")
+    verdicts = []
+    test = cx.is_automorphism
+
+    def recorded(image):
+        verdicts.append(test(image))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cx, "is_automorphism", recorded)
+    got = find_automorphisms(cx, forced={2: 2})
+    assert got == _panel_automorphisms(cx, {2: 2}) == [tuple(range(12))]
+    assert False in verdicts
 
 
 # The automorphisms as the panels alone define them, kept as the oracle
