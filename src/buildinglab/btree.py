@@ -331,6 +331,8 @@ def cone_vs_ultrametric(field: Field, x: BoundaryPoint, y: BoundaryPoint,
 def cone_correspondence_report(field: Field, depth: int, pairs: int,
                                seed: int = 0) -> dict:
     """Sampled end pairs: agreement always matches the minor valuation."""
+    if pairs < 1:
+        raise InvalidSpec("--samples must be at least 1")
     rng = random.Random(seed)
     checked = 0
     failures = []
@@ -406,33 +408,29 @@ def sl2_sample(field: Field, rng: random.Random) -> Mat:
     along the first column, and a diagonal pi^j twist.
 
     The shift can cancel every known digit of an inexact entry; that draw
-    is discarded and the sampler draws again.  Nothing about the matrix
-    has been checked at that point, so no check passes by construction."""
+    raises PrecisionExhausted.  Nothing about the matrix has been checked
+    at that point, so no check passes by construction."""
     _require_local(field)
-    while True:
-        if rng.random() < 0.5:
-            u1 = field.random_element(rng, min_val=0, max_val=0)
-            u2 = (ZERO if rng.random() < 0.15
-                  else field.random_element(rng, min_val=0, max_val=3))
-        else:
-            u2 = field.random_element(rng, min_val=0, max_val=0)
-            u1 = (ZERO if rng.random() < 0.15
-                  else field.random_element(rng, min_val=1, max_val=3))
-        if not field.is_zero(u1) and field.valuation(u1) == 0:
-            v1, v2 = ZERO, field.inv(u1)
-        else:
-            v1, v2 = field.neg(field.inv(u2)), ZERO
-        t = field.random_element(rng, min_val=-1, max_val=2, nonzero=False)
-        try:
-            w1 = field.add(v1, field.mul(t, u1))
-            w2 = field.add(v2, field.mul(t, u2))
-        except PrecisionExhausted:
-            continue
-        j = rng.randint(-2, 2)
-        pj = field.uniformizer_power(j)
-        pmj = field.uniformizer_power(-j)
-        return ((field.mul(u1, pj), field.mul(w1, pmj)),
-                (field.mul(u2, pj), field.mul(w2, pmj)))
+    if rng.random() < 0.5:
+        u1 = field.random_element(rng, min_val=0, max_val=0)
+        u2 = (ZERO if rng.random() < 0.15
+              else field.random_element(rng, min_val=0, max_val=3))
+    else:
+        u2 = field.random_element(rng, min_val=0, max_val=0)
+        u1 = (ZERO if rng.random() < 0.15
+              else field.random_element(rng, min_val=1, max_val=3))
+    if not field.is_zero(u1) and field.valuation(u1) == 0:
+        v1, v2 = ZERO, field.inv(u1)
+    else:
+        v1, v2 = field.neg(field.inv(u2)), ZERO
+    t = field.random_element(rng, min_val=-1, max_val=2, nonzero=False)
+    w1 = field.add(v1, field.mul(t, u1))
+    w2 = field.add(v2, field.mul(t, u2))
+    j = rng.randint(-2, 2)
+    pj = field.uniformizer_power(j)
+    pmj = field.uniformizer_power(-j)
+    return ((field.mul(u1, pj), field.mul(w1, pmj)),
+            (field.mul(u2, pj), field.mul(w2, pmj)))
 
 
 def iwasawa_decompose(field: Field, g: Mat) -> dict:
@@ -493,16 +491,18 @@ def iwasawa_decompose(field: Field, g: Mat) -> dict:
 
 
 def iwasawa_report(field: Field, samples: int, seed: int = 0) -> dict:
-    """Decompose `samples` sampled SL2 matrices.  A draw whose decomposition
-    runs out of precision is counted as exhausted and drawn again, up to
-    3 * samples + 30 draws in all."""
+    """Decompose `samples` (at least one) sampled SL2 matrices.  A draw
+    that runs out of precision, sampled or decomposed, is counted as
+    exhausted and drawn again, up to 3 * samples + 30 draws in all."""
+    if samples < 1:
+        raise InvalidSpec("--samples must be at least 1")
     rng = random.Random(seed)
     drawn = verified = exhausted = 0
     failures = []
     while verified + len(failures) < samples and drawn < 3 * samples + 30:
-        g = sl2_sample(field, rng)
         drawn += 1
         try:
+            g = sl2_sample(field, rng)
             result = iwasawa_decompose(field, g)
         except PrecisionExhausted:
             exhausted += 1

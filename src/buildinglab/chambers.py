@@ -45,11 +45,11 @@ table per anchor-panel member plus c0's, not one per chamber.
 Cells: C_w(c0) = {d : delta(c0, d) = w} partitions the chambers.  The
 complex measures its panel parameters, q_i = the size of an i-panel minus
 one per type i, and in a building |C_w| is the product of q_s over the
-letters s of a reduced word of w.  Coordinates on a cell
-peel every letter of a reduced word of w from the right, one level each:
-for the current element v = v' * s_i, with j the conjugate of i by w0 and
-d a fixed chamber at delta(c0, d) = v * w0, the maps (a, b) ->
-proj_{p^i(a)}(b) and c -> (proj_{p^i(c)}(c0), proj_{p^j(d)}(c)) are
+letters s of a reduced word of w.  Coordinates on a cell, named by a
+reduced word of w, peel every letter of that word from the right, one
+level each: for the current element v = v' * s_i, with j the conjugate of
+i by w0 and d a fixed chamber at delta(c0, d) = v * w0, the maps (a, b)
+-> proj_{p^i(a)}(b) and c -> (proj_{p^i(c)}(c0), proj_{p^j(d)}(c)) are
 mutually inverse between C_v' x (p^j(d) minus d) and C_v.  The last level
 reaches C_e = {c0}, so a cell is a product of punctured panels, the empty
 product for w = e.
@@ -228,10 +228,15 @@ class ChamberComplex:
         declines does the recording walk (_delta_walk) run, to build the
         row again and list its violations.  The pass declines exactly where
         the walk records one, and discovers chambers in the walk's order
-        when it does not, so both routes give the same row.
+        when it does not, so both routes give the same row.  Every query
+        reads its rows through here, so a chamber out of range is refused
+        once, here.
         """
         cached = self._delta_cache.get(c)
         if cached is None:
+            if not 0 <= c < self.size:
+                raise InvalidSpec(
+                    f"base chamber {c} out of range 0..{self.size - 1}")
             cached = self._delta_pass(c) or self._delta_walk(c)
             self._delta_cache[c] = cached
         return cached
@@ -505,10 +510,10 @@ class ChamberComplex:
         params = [self.thickness[i] for i in types]
         return None if None in params else math.prod(params)
 
-    def schubert_coordinates(self, c0: int, w: int,
-                             direction: Optional[Sequence[int]] = None
+    def schubert_coordinates(self, c0: int, word: Sequence[int]
                              ) -> "SchubertCoordinates":
-        return SchubertCoordinates(self, c0, w, direction)
+        """Coordinates on the cell from c0 named by a reduced word."""
+        return SchubertCoordinates(self, c0, word)
 
     def __repr__(self) -> str:
         return (f"ChamberComplex({self.geometry}, "
@@ -519,29 +524,26 @@ class ChamberComplex:
 # cell coordinates
 
 class SchubertCoordinates:
-    """Bijection between a cell C_w(c0) and a product of punctured panels,
-    one coordinate per letter of a reduced direction word."""
+    """Bijection between the cell C_w(c0), w the element a reduced word
+    spells, and a product of punctured panels, one coordinate per letter
+    of the word; a word that is not reduced raises NotReduced."""
 
-    def __init__(self, cx: ChamberComplex, c0: int, w: int,
-                 direction: Optional[Sequence[int]] = None):
+    def __init__(self, cx: ChamberComplex, c0: int, word: Sequence[int]):
         W = cx.coxeter
-        if direction is None:
-            direction = W.words[w]
-        direction = tuple(direction)
-        spelled = W.element_from_word(direction)
-        if spelled != w or len(direction) != W.length[w]:
-            raise NotReduced(
-                f"direction {direction} is not a reduced word of the cell")
+        word = tuple(word)
+        w = W.element_from_word(word)
+        if len(word) != W.length[w]:
+            raise NotReduced(f"word {word} is not reduced")
         self.cx = cx
         self.c0 = c0
         self.w = w
-        self.direction = direction
+        self.word = word
         w0 = W.longest
         # peel letters from the right; each level fixes an anchor chamber d
         # with delta(c0, d) = (current w) * w0
         self.levels: list[tuple[int, int, int]] = []   # (i, j, anchor d)
         cur = w
-        for i in reversed(direction):
+        for i in reversed(word):
             j = W.conjugate_generator_by_longest(i)
             v = W.multiply(cur, w0)
             cell_v = cx.schubert_cell(c0, v)
@@ -594,7 +596,7 @@ class SchubertCoordinates:
                 break
             walked += 1
         return {
-            "word": list(self.direction),
+            "word": list(self.word),
             "cell_size": len(cell),
             "domain_size": walked,
             "bijective": ok and walked == len(cell),

@@ -478,7 +478,10 @@ class _LocalBase(_FieldBase):
 
     def from_digit_code(self, n: int, low: int) -> LocalElement:
         """The element n * pi^low, normalised by `_make` (exact while n
-        has at most `prec` digits): the inverse of `digit_code`."""
+        has at most `prec` digits): the inverse of `digit_code`.  A signed
+        n is a Q_p code; F_q((t)) refuses a negative n by ValueError."""
+        if n < 0 and self.char:
+            raise ValueError(f"negative digit code {n} on {self.describe()}")
         return self._make(low, n, None)
 
     def residue(self, a: LocalElement) -> int:

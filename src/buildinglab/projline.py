@@ -171,8 +171,10 @@ def recovery_check(field: Field, pairs: int, seed: int) -> dict:
     native multiplication on `pairs` sampled finite pairs, forcing the
     degenerate products x*y = 0 and x*y = -1 into the stream.  A sample on
     which the truncated model runs out of digits is recorded as skipped,
-    never as agreement.
+    never as agreement; fewer than one pair is refused.
     """
+    if pairs < 1:
+        raise InvalidSpec("--samples must be at least 1")
     rng = random.Random(seed)
     compared = skipped = 0
     failures = []

@@ -55,8 +55,8 @@ def test_criterion_1_schubert_cells_and_coordinates():
         if not (report["size_law_ok"] and report["covers_all_chambers"]
                 and report["every_w_nonempty"]):
             problems.append(f"{spec}: cell law violated")
-        for w in range(cx.coxeter.order):
-            row = cx.schubert_coordinates(0, w).verify()
+        for word in cx.coxeter.words:
+            row = cx.schubert_coordinates(0, word).verify()
             if not row["bijective"]:
                 problems.append(f"{spec}: coordinates fail at {row['word']}")
     elapsed = time.perf_counter() - started

@@ -339,6 +339,26 @@ def test_iwasawa_redraws_stop_at_the_cap(q5, monkeypatch):
     assert not report["ok"]
 
 
+def test_iwasawa_counts_an_exhausted_draw(q5, monkeypatch):
+    # a draw that runs out of digits while it is sampled is counted as
+    # exhausted, under the same cap as one exhausted by its decomposition
+    def exhausted(field, rng):
+        raise PrecisionExhausted("the shift cancelled every digit")
+    monkeypatch.setattr(btree, "sl2_sample", exhausted)
+    report = iwasawa_report(q5, 10)
+    assert report["exhausted"] == 3 * 10 + 30
+    assert report["verified"] == 0
+    assert not report["ok"]
+
+
+def test_sampled_reports_refuse_no_samples(q2, q5):
+    # with no sample drawn a report would pass having checked nothing
+    with pytest.raises(InvalidSpec, match="--samples must be at least 1"):
+        iwasawa_report(q5, 0)
+    with pytest.raises(InvalidSpec, match="--samples must be at least 1"):
+        cone_correspondence_report(q2, 3, 0)
+
+
 def test_iwasawa_factors_shape(q5):
     rng = random.Random(13)
     for _ in range(25):

@@ -711,6 +711,20 @@ def test_cell_sizes_independent_of_base(pg2_2, w2):
             assert sizes == reference
 
 
+def test_base_chamber_out_of_range_is_refused(pg2_2):
+    # every cell, coordinate, gate and hull query reads its rows through
+    # one cache, which range-checks a chamber it has not seen
+    N = pg2_2.size
+    for c in (-1, N):
+        with pytest.raises(InvalidSpec,
+                           match=f"base chamber {c} out of range 0..{N - 1}"):
+            pg2_2.delta_row(c)
+    with pytest.raises(InvalidSpec, match="base chamber"):
+        cell_decomposition_report(pg2_2, N)
+    with pytest.raises(InvalidSpec, match="base chamber"):
+        pg2_2.schubert_coordinates(N, (0, 1))
+
+
 def test_big_cell_and_opposition(pg2_2):
     W = pg2_2.coxeter
     w0 = W.longest
@@ -733,17 +747,18 @@ def test_coordinates_roundtrip_all_words(spec, reduced_words):
     cx = build_flag_building(spec)
     W = cx.coxeter
     for w in range(W.order):
-        for direction in reduced_words(W, w):
-            coords = cx.schubert_coordinates(0, w, direction)
+        for word in reduced_words(W, w):
+            coords = cx.schubert_coordinates(0, word)
+            assert coords.w == w
             result = coords.verify()
-            assert result["bijective"], (w, direction, result)
+            assert result["bijective"], (w, word, result)
             assert result["cell_size"] == 2 ** W.length[w]
 
 
 def test_coordinates_domain_shape(pg2_2):
     W = pg2_2.coxeter
     w0 = W.longest
-    coords = pg2_2.schubert_coordinates(0, w0)
+    coords = pg2_2.schubert_coordinates(0, W.words[w0])
     domain = list(coords.domain())
     assert len(domain) == 8
     assert all(len(t) == 3 for t in domain)
@@ -752,23 +767,19 @@ def test_coordinates_domain_shape(pg2_2):
 def test_coordinates_b2_quadrangle(w2):
     W = w2.coxeter
     w0 = W.longest
-    coords = w2.schubert_coordinates(0, w0)
+    coords = w2.schubert_coordinates(0, W.words[w0])
     result = coords.verify()
     assert result["bijective"]
     assert result["cell_size"] == 2 ** 4
 
 
 def test_coordinates_not_reduced(pg2_2):
-    W = pg2_2.coxeter
-    w = W.element_from_word((0, 1))
-    with pytest.raises(NotReduced):
-        pg2_2.schubert_coordinates(0, w, (0, 1, 1, 1))
-    with pytest.raises(NotReduced):
-        pg2_2.schubert_coordinates(0, w, (1, 0))  # spells a different element
+    with pytest.raises(NotReduced, match=r"word \(0, 1, 1, 1\) is not"):
+        pg2_2.schubert_coordinates(0, (0, 1, 1, 1))
 
 
 def test_identity_cell_coordinates(pg2_2):
-    coords = pg2_2.schubert_coordinates(5, 0)
+    coords = pg2_2.schubert_coordinates(5, ())
     assert list(coords.domain()) == [()]
     assert coords.decode(()) == 5
     assert coords.encode(5) == ()
@@ -778,7 +789,8 @@ def test_identity_cell_coordinates(pg2_2):
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_coordinates_verify_flags_a_moved_anchor(pg2_2, level):
     # puncturing a level panel at the wrong chamber breaks the round trip
-    coords = pg2_2.schubert_coordinates(0, pg2_2.coxeter.longest)
+    W = pg2_2.coxeter
+    coords = pg2_2.schubert_coordinates(0, W.words[W.longest])
     i, j, d = coords.levels[level]
     moved = min(e for e in pg2_2.panel_members(pg2_2.panel_id(j, d))
                 if e != d)
@@ -789,7 +801,8 @@ def test_coordinates_verify_flags_a_moved_anchor(pg2_2, level):
 
 
 def test_coordinates_verify_flags_swapped_encoding(pg2_2):
-    coords = pg2_2.schubert_coordinates(0, pg2_2.coxeter.longest)
+    W = pg2_2.coxeter
+    coords = pg2_2.schubert_coordinates(0, W.words[W.longest])
     encode = coords.encode
 
     def swapped(c):
@@ -801,8 +814,8 @@ def test_coordinates_verify_flags_swapped_encoding(pg2_2):
 
 
 def _anchor_panels(cx, c0):
-    return {cx.panel_id(j, d) for w in range(cx.coxeter.order)
-            for _, j, d in cx.schubert_coordinates(c0, w).levels}
+    return {cx.panel_id(j, d) for word in cx.coxeter.words
+            for _, j, d in cx.schubert_coordinates(c0, word).levels}
 
 
 @pytest.mark.parametrize("spec", ["PG2:q=3", "W:q=2", "Aflags:n=3,q=2"])
@@ -837,8 +850,8 @@ def test_coordinates_read_only_the_anchor_tables(spec, c0, tables):
     # one BFS table from c0 and one per anchor-panel member, not one per
     # chamber of the complex
     cx = build_flag_building(spec)
-    for w in range(cx.coxeter.order):
-        assert cx.schubert_coordinates(c0, w).verify()["bijective"]
+    for word in cx.coxeter.words:
+        assert cx.schubert_coordinates(c0, word).verify()["bijective"]
     assert len(cx._delta_cache) == tables < cx.size
     anchors = {e for panel in _anchor_panels(cx, c0)
                for e in cx.panel_members(panel)}
@@ -847,6 +860,6 @@ def test_coordinates_read_only_the_anchor_tables(spec, c0, tables):
 
 def test_decode_rejects_wrong_arity(pg2_2):
     W = pg2_2.coxeter
-    for w, bad in ((0, (1,)), (W.longest, (1, 2))):
+    for word, bad in (((), (1,)), (W.words[W.longest], (1, 2))):
         with pytest.raises(InvalidSpec):
-            pg2_2.schubert_coordinates(0, w).decode(bad)
+            pg2_2.schubert_coordinates(0, word).decode(bad)

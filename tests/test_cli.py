@@ -267,6 +267,22 @@ def test_building_coords_all_words(capsys):
     assert all(r["bijective"] for r in rows)
 
 
+def test_building_coords_run_along_the_given_word(capsys):
+    # 1,0,1 and 0,1,0 spell the same element; the report follows the word
+    code, report, _ = run(
+        ["building", "coords", "--geometry", "PG2:q=2",
+         "--word", "1,0,1"], capsys)
+    assert code == 0
+    [row] = report["results"]["coordinates"]
+    assert row["word"] == [1, 0, 1]
+    assert row["cell_size"] == 8 and row["bijective"]
+
+
+def test_building_verify_reads_no_base(capsys):
+    assert cli.main(["building", "verify", "--geometry", "PG2:q=2",
+                     "--base", "99"]) == 0
+
+
 @pytest.mark.parametrize("args, message", [
     pytest.param([action, "--base", base], "base chamber",
                  id=f"{base}-{action}")
@@ -567,12 +583,13 @@ def _report_under_hash_seed(argv, hash_seed):
     ["moufang", "check", "--geometry", "PG2:q=4"],
     ["moufang", "check", "--geometry", "W:q=3", "--mu", "--commutators"],
     ["building", "coords", "--geometry", "W:q=2"],
+    ["building", "coords", "--geometry", "PG2:q=2", "--word", "1,0,1"],
     ["building", "cells", "--geometry", "Aflags:n=3,q=2"],
     ["bt", "boundary", "--field", "Laurent:q=4,prec=8", "--depth", "3"],
     ["field", "eval", "--field", "Laurent:q=9,prec=5", "--expr", "t^-2+3*t"],
     ["projline", "recover", "--field", "F8", "--samples", "200"],
 ], ids=["all-quick", "verify-PG2-3", "verify-W-3", "moufang-W-2",
-        "moufang-PG2-4", "moufang-W-3", "coords-W-2",
+        "moufang-PG2-4", "moufang-W-3", "coords-W-2", "coords-PG2-2-word",
         "cells-Aflags-3-2", "boundary-Laurent-4", "eval-Laurent-9",
         "recover-F8"])
 def test_report_independent_of_hash_seed(argv):
@@ -622,6 +639,9 @@ REPORT_DIGESTS = {
         "590191bef3fa2538179add89ec6e97f8892a3831de09c08ad900b5843af0c40d",
     "building coords --geometry Aflags:n=3,q=2 --base 99":
         "5e1eb34f7d1e19be2861451203424e098b83da82602dca486f34e9ef52932ee6",
+    # a cell named by its word: the coordinates run along 1,0,1
+    "building coords --geometry PG2:q=2 --word 1,0,1":
+        "9c52184ce7b23e8e6dd95c3411e4bf3351ef137784b4528b00723231f2b5d940",
     # B1 on chamber bitsets: the one rank-3 exhaustive walk, and a sampled
     # walk of 6 446 hulls
     "building verify --geometry Aflags:n=3,q=2":

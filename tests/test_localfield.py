@@ -694,6 +694,17 @@ def test_digit_codes_are_digit_strings(F):
         F.digit_code(F.uniformizer_power(-3), -2)
 
 
+def test_digit_codes_are_signed_on_q_p_alone():
+    # a Q_p mantissa is a signed integer, so -1 codes the exact -1; an
+    # F_q((t)) mantissa is a digit string, and a negative code is refused
+    qp = PadicField(3, 8)
+    minus_one = qp.from_digit_code(-1, 0)
+    assert minus_one.exact and qp.eq(minus_one, qp.neg(qp.one))
+    assert qp.digit_code(minus_one, 0) == -1
+    with pytest.raises(ValueError, match="negative digit code -1"):
+        LaurentField(3, 8).from_digit_code(-1, 0)
+
+
 # Three routes to the precision rule, kept as oracles of each model's own
 # `_make`: the generic rule once for both models in the base `_radix`, and
 # two earlier per-model rules, whose p-adic digit count reads a table of the

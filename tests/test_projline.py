@@ -196,6 +196,11 @@ def test_recovery_check_reports(spec_field):
     assert report["failures"] == []
 
 
+def test_recovery_check_refuses_no_pairs():
+    with pytest.raises(InvalidSpec, match="--samples must be at least 1"):
+        recovery_check(finite_field(7), 0, 1)
+
+
 def test_parse_point():
     F = PadicField(5, 8)
     assert parse_point(F, "inf") is INF
