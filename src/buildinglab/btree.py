@@ -7,13 +7,21 @@ lattice O^2.  A class moves to a neighbor by refining b modulo pi^(a+1)
 (q upward choices) or coarsening to modulo pi^(a-1) (one downward step),
 so every vertex has degree q+1 and balls grow by (q+1) q^(r-1) per shell.
 
-A ball of radius r keys each vertex by its digit code (a, n), where
-b = n pi^-r exactly and n is read in the digit base R of the field
-(`digit_code`): every b in the ball has valuation above -r.  A step is
-then plain int arithmetic, the same for Q_p and F_q((t)): refining adds
-c R^(a+r) for the code c of each residue lift, coarsening takes
-n mod R^(a-1+r).  No field operation runs in the search; a vertex is
-decoded to (a, b) (`TreeBall.vertex`) only where b itself is needed.
+A ball of radius r keys each vertex (a, b) by one int, packed from its
+level k = a + r (0..2r) and its digit code n, where b = n pi^-r exactly
+and n is read in the digit base R of the field (`digit_code`): every b
+in the ball has valuation above -r.  The key is (n << shift) | k, with
+shift the bit length of 2r.  A step is then plain int arithmetic, the
+same for Q_p and F_q((t)): refining adds (c R^k << shift) + 1, an
+offset per level and residue lift code c computed up front, and
+coarsening is key mod (R^(k-1) << shift), minus one.  No field operation
+runs in the search; a vertex is decoded to (a, b) (`TreeBall.vertex`)
+only where b itself is needed.  The search appends vertices level by
+level, so the vertices at distance d are one index range, and it keeps
+edges as the parent that reached each vertex plus a set of every other
+pair it finds: empty on a tree, so the edge count n - 1 + len(extra)
+detects any cycle.  A ball above BALL_BOUND vertices by the count
+formula is refused before it is built.
 
 Graph distance has an independent matrix oracle: for vertex matrices
 M, N the quotient C = M^-1 N has elementary divisors pi^r, pi^s and the
@@ -42,11 +50,13 @@ matrices with additive-generator entries, acting on vertex matrices.
 
 from __future__ import annotations
 
+import itertools
 import random
+from array import array
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InvalidSpec, PrecisionExhausted
+from .errors import BoundExceeded, InvalidSpec, PrecisionExhausted
 from .localfield import (
     INFINITY,
     LocalElement,
@@ -146,18 +156,31 @@ def hnf_lattice(field: Field, cols: Sequence[Sequence[LocalElement]]
 # ---------------------------------------------------------------------------
 # balls
 
-def _up_offsets(lifts: Sequence[int], radix: int, radius: int
+BALL_BOUND = 10 ** 6
+
+
+def ball_size(q: int, radius: int) -> int:
+    """Vertices within distance radius of a vertex of the (q+1)-regular
+    tree: 1 + (q+1)(q^radius - 1)/(q - 1)."""
+    return 1 + (q + 1) * (q ** radius - 1) // (q - 1)
+
+
+def _up_offsets(lifts: Sequence[int], radix: int, radius: int, shift: int
                 ) -> list[list[int]]:
-    """Per level k = a + radius: what an upward step from a code (a, n)
-    adds to n, each lift code placed at the digit of exponent a."""
-    return [[c * radix ** k for c in lifts] for k in range(2 * radius + 1)]
+    """Per level k = a + radius: what an upward step adds to a key, each
+    lift code placed at the digit of exponent a of n, plus one level."""
+    return [[(c * radix ** k << shift) + 1 for c in lifts]
+            for k in range(2 * radius + 1)]
 
 
-def _down_moduli(radix: int, radius: int) -> list[Optional[int]]:
-    """Per level k = a + radius: the modulus radix^(k-1) of the downward
-    step, which keeps the digits below exponent a - 1.  Level 0 (a equal
-    to -radius) is on the sphere and never steps."""
-    return [None] + [radix ** (k - 1) for k in range(1, 2 * radius + 1)]
+def _down_moduli(radix: int, radius: int, shift: int
+                 ) -> list[Optional[int]]:
+    """Per level k = a + radius: the modulus radix^(k-1) << shift of the
+    downward step, which keeps the digits of n below exponent a - 1 and
+    the level; the step then drops one level.  Level 0 (a equal to
+    -radius) is on the sphere and never steps."""
+    return [None] + [radix ** (k - 1) << shift
+                     for k in range(1, 2 * radius + 1)]
 
 
 def _code_depth(a: int, n: int, radius: int, radix: int) -> int:
@@ -176,81 +199,104 @@ def _code_depth(a: int, n: int, radius: int, radix: int) -> int:
 class TreeBall:
     """All vertices within graph distance `radius` of the base vertex.
 
-    Vertex i is kept as its digit code `codes[i]` = (a, n), the vertex
-    (a, n pi^-radius) (see the module docstring); `vertex(i)` decodes
-    it."""
+    Vertex i is kept as its key `codes[i]` = (n << shift) | (a + radius),
+    the vertex (a, n pi^-radius) (see the module docstring); `vertex(i)`
+    decodes it and `index` maps a key back to i.  Vertices are numbered
+    in breadth-first order, so distance d is the range `level(d)`.  Edge
+    (parent[i], i) reached each vertex i > 0; `extra` holds every other
+    edge found, as pairs (i, j) with i <= j, and is empty on a tree.
+
+    A ball above BALL_BOUND vertices raises BoundExceeded before any
+    vertex is built."""
 
     def __init__(self, field: Field, radius: int):
         _require_window(field, radius, "radius")
         self.field = field
         self.radius = radius
         self.q = field.residue_q
+        self.expected_count = ball_size(self.q, radius)
+        if self.expected_count > BALL_BOUND:
+            raise BoundExceeded(
+                f"a ball of radius {radius} has {self.expected_count} "
+                f"vertices, past the bound {BALL_BOUND}")
         self.radix = radix = field.digit_code(field.uniformizer_power(1), 0)
+        self.shift = shift = (2 * radius).bit_length()
+        self.mask = mask = (1 << shift) - 1
         lifts = [field.digit_code(c, 0) for c in residue_lifts(field)]
-        ups = _up_offsets(lifts, radix, radius)
-        downs = _down_moduli(radix, radius)
-        codes = self.codes = [(0, 0)]
-        dist = self.dist = [0]
-        index = self.index = {(0, 0): 0}
-        edges = self.edges = set()
-        frontier = [0]
-        for d in range(1, radius + 1):
-            nxt = []
-            for vi in frontier:
-                a, n = codes[vi]
-                k = a + radius
-                steps = [(a + 1, n + off) for off in ups[k]]
-                steps.append((a - 1, n % downs[k]))
+        ups = _up_offsets(lifts, radix, radius, shift)
+        downs = _down_moduli(radix, radius, shift)
+        codes = self.codes = [radius]          # the base vertex: n = 0, a = 0
+        index = self.index = {radius: 0}
+        parent = self.parent = array("i", [-1])  # BALL_BOUND fits 32 bits
+        extra = self.extra = set()
+        starts = self.starts = [0, 1]
+        for _ in range(radius):
+            for vi in range(starts[-2], starts[-1]):
+                key = codes[vi]
+                k = key & mask
+                back = parent[vi]
+                steps = [key + off for off in ups[k]]
+                steps.append(key % downs[k] - 1)
                 for w in steps:
                     wi = index.get(w)
                     if wi is None:
-                        wi = index[w] = len(codes)
+                        index[w] = len(codes)
                         codes.append(w)
-                        dist.append(d)
-                        nxt.append(wi)
-                    edges.add((vi, wi) if vi < wi else (wi, vi))
-            frontier = nxt
+                        parent.append(vi)
+                    elif wi != back and parent[wi] != vi:
+                        extra.add((vi, wi) if vi < wi else (wi, vi))
+            starts.append(len(codes))
+
+    def level(self, d: int) -> range:
+        """The vertices at distance d from the base vertex."""
+        return range(self.starts[d], self.starts[d + 1])
 
     def vertex(self, i: int) -> TreeVertex:
-        a, n = self.codes[i]
-        return TreeVertex(a, self.field.from_digit_code(n, -self.radius))
+        key = self.codes[i]
+        return TreeVertex((key & self.mask) - self.radius,
+                          self.field.from_digit_code(key >> self.shift,
+                                                     -self.radius))
 
     def degrees(self) -> list[int]:
-        deg = [0] * len(self.codes)
-        for i, j in self.edges:
+        deg = [1] * len(self.codes)
+        deg[0] = 0
+        for i in itertools.islice(self.parent, 1, None):
+            deg[i] += 1
+        for i, j in self.extra:
             deg[i] += 1
             deg[j] += 1
         return deg
 
     def counts_by_distance(self) -> list[int]:
-        out = [0] * (self.radius + 1)
-        for d in self.dist:
-            out[d] += 1
-        return out
+        return [len(self.level(d)) for d in range(self.radius + 1)]
 
     def report(self) -> dict:
-        q = self.q
+        q, radius, radix = self.q, self.radius, self.radix
         n = len(self.codes)
-        expected = 1 + (q + 1) * (q ** self.radius - 1) // (q - 1)
+        expected = self.expected_count
         shells = self.counts_by_distance()
         expected_shells = [1] + [(q + 1) * q ** (d - 1)
-                                 for d in range(1, self.radius + 1)]
+                                 for d in range(1, radius + 1)]
         deg = self.degrees()
-        interior_ok = all(deg[i] == q + 1
-                          for i in range(n) if self.dist[i] < self.radius)
+        interior = self.starts[radius]
+        interior_ok = deg[:interior].count(q + 1) == interior
+        shift, mask = self.shift, self.mask
         oracle_ok = all(
-            _code_depth(a, m, self.radius, self.radix) == d
-            for (a, m), d in zip(self.codes, self.dist))
-        ok = (n == expected and len(self.edges) == n - 1
+            _code_depth((key & mask) - radius, key >> shift, radius,
+                        radix) == d
+            for d in range(radius + 1)
+            for key in self.codes[self.starts[d]:self.starts[d + 1]])
+        edge_count = n - 1 + len(self.extra)
+        ok = (n == expected and edge_count == n - 1
               and shells == expected_shells and interior_ok and oracle_ok)
         return {
             "field": self.field.describe(),
             "q": q,
-            "radius": self.radius,
+            "radius": radius,
             "vertex_count": n,
             "expected_count": expected,
-            "edge_count": len(self.edges),
-            "acyclic_connected": len(self.edges) == n - 1,
+            "edge_count": edge_count,
+            "acyclic_connected": edge_count == n - 1,
             "counts_by_distance": shells,
             "expected_by_distance": expected_shells,
             "base_degree": deg[0],
@@ -265,7 +311,8 @@ class TreeBall:
         for i in range(len(self.codes)):
             label = vertex_label(self.field, self.vertex(i))
             lines.append(f'  n{i} [label="{label}"];')
-        for i, j in sorted(self.edges):
+        tree = zip(self.parent[1:], range(1, len(self.codes)))
+        for i, j in sorted(itertools.chain(tree, self.extra)):
             lines.append(f"  n{i} -- n{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -548,7 +595,7 @@ def boundary_transitivity_check(field: Field, depth: int) -> dict:
     if depth < 1:
         raise InvalidSpec("depth must be at least 1")
     ball = TreeBall(field, depth)
-    sphere = [ball.vertex(i) for i, d in enumerate(ball.dist) if d == depth]
+    sphere = [ball.vertex(i) for i in ball.level(depth)]
     points = set(sphere)
     q = field.residue_q
     expected = q ** (depth - 1) * (q + 1)

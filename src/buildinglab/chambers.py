@@ -360,7 +360,10 @@ class ChamberComplex:
         return self._delta_from(c)[2]
 
     def w_distance(self, c: int, d: int) -> int:
-        return self.delta_row(c)[d]
+        row = self.delta_row(c)
+        if not 0 <= d < self.size:
+            raise InvalidSpec(f"chamber {d} out of range 0..{self.size - 1}")
+        return row[d]
 
     def cell_masks(self, x: int) -> tuple[int, ...]:
         """The cells of x as bitmasks: entry w has bit y set when
@@ -526,7 +529,8 @@ class ChamberComplex:
 class SchubertCoordinates:
     """Bijection between the cell C_w(c0), w the element a reduced word
     spells, and a product of punctured panels, one coordinate per letter
-    of the word; a word that is not reduced raises NotReduced."""
+    of the word; a word that is not reduced raises NotReduced, and a base
+    chamber c0 out of range InvalidSpec."""
 
     def __init__(self, cx: ChamberComplex, c0: int, word: Sequence[int]):
         W = cx.coxeter
@@ -534,6 +538,7 @@ class SchubertCoordinates:
         w = W.element_from_word(word)
         if len(word) != W.length[w]:
             raise NotReduced(f"word {word} is not reduced")
+        cx.delta_row(c0)    # refuses c0 out of range, whatever the word
         self.cx = cx
         self.c0 = c0
         self.w = w

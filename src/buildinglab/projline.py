@@ -192,10 +192,10 @@ def recovery_check(field: Field, pairs: int, seed: int) -> dict:
             y = field.random_element(rng, nonzero=False)
         try:
             hua = hua_triple_product(field, x, y)
-            native_triple = field.mul(field.mul(x, y), x)
+            native = field.mul(x, y)
+            native_triple = field.mul(native, x)
             ok_hua = (hua is not INF) and field.eq(hua, native_triple)
             rec = recover_multiplication(field, x, y)
-            native = field.mul(x, y)
             ok_mul = (rec is not INF) and field.eq(rec, native)
         except PrecisionExhausted:
             skipped += 1

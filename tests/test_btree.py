@@ -24,7 +24,7 @@ from buildinglab.btree import (
     sl2_sample,
     vertex_matrix,
 )
-from buildinglab.errors import InvalidSpec, PrecisionExhausted
+from buildinglab.errors import BoundExceeded, InvalidSpec, PrecisionExhausted
 from buildinglab.localfield import ZERO, parse_element, parse_field_spec
 
 
@@ -90,6 +90,19 @@ def decoded(ball):
     return [ball.vertex(i) for i in range(len(ball.codes))]
 
 
+def ball_dist(ball):
+    """The distance of each vertex, read off the level ranges."""
+    return [d for d in range(ball.radius + 1) for _ in ball.level(d)]
+
+
+def ball_edges(ball):
+    """The edge set, rebuilt from the parent array and the non-tree pairs;
+    no non-tree pair repeats a tree edge."""
+    tree = {(p, i) for i, p in enumerate(ball.parent) if i}
+    assert not tree & ball.extra
+    return tree | ball.extra
+
+
 @pytest.fixture(scope="module")
 def q2():
     return parse_field_spec("Qp:p=2,prec=8")
@@ -125,18 +138,21 @@ def test_coded_ball_matches_field_route(spec):
         ball = build_tree_ball(field, radius)
         vertices, dist, edges = field_route_ball(field, radius)
         assert decoded(ball) == vertices
-        assert ball.dist == dist
-        assert ball.edges == edges
-        assert ball.report()["ok"]
+        assert ball_dist(ball) == dist
+        assert ball_edges(ball) == edges
+        assert ball.extra == set()
+        report = ball.report()
+        assert report["edge_count"] == len(edges)
+        assert report["ok"]
 
 
-def _off_by_one_up(lifts, radix, radius):
-    return [[c * radix ** (k + 1) for c in lifts]
+def _off_by_one_up(lifts, radix, radius, shift):
+    return [[(c * radix ** (k + 1) << shift) + 1 for c in lifts]
             for k in range(2 * radius + 1)]
 
 
-def _off_by_one_down(radix, radius):
-    return [None] + [radix ** k for k in range(1, 2 * radius + 1)]
+def _off_by_one_down(radix, radius, shift):
+    return [None] + [radix ** k << shift for k in range(1, 2 * radius + 1)]
 
 
 def _duplicated_lift(field):
@@ -151,10 +167,20 @@ def _duplicated_lift(field):
 @pytest.mark.parametrize("spec", ["Qp:p=3,prec=6", "Laurent:q=4,prec=5"])
 def test_ball_shape_check_catches_wrong_steps(monkeypatch, spec, name,
                                               mutant):
+    # a wrong step closes cycles, seen as non-tree pairs; a duplicated
+    # lift loses vertices, seen in the count
     field = parse_field_spec(spec)
     assert build_tree_ball(field, 3).report()["ok"]
     monkeypatch.setattr(btree, name, mutant)
-    assert not build_tree_ball(field, 3).report()["ok"]
+    ball = build_tree_ball(field, 3)
+    report = ball.report()
+    assert not report["ok"]
+    if name == "residue_lifts":
+        assert report["vertex_count"] < report["expected_count"]
+        assert report["acyclic_connected"]
+    else:
+        assert not report["acyclic_connected"]
+        assert 6 <= len(ball.extra) <= 12
 
 
 @pytest.mark.parametrize("spec, radius", [("Qp:p=3,prec=6", 6),
@@ -174,6 +200,19 @@ def test_ball_does_no_field_arithmetic(monkeypatch, spec, radius):
 def test_ball_rejects_radius_beyond_precision(q2):
     with pytest.raises(InvalidSpec, match="precision window"):
         build_tree_ball(q2, 9)
+
+
+def test_ball_bound_refuses_before_building(monkeypatch):
+    # Q3 is admitted up to radius 11 (354 293 vertices); radius 12 has
+    # 1 062 881 by the count formula and is refused with no vertex built
+    assert btree.ball_size(3, 11) == 354293 <= btree.BALL_BOUND
+    assert btree.ball_size(3, 12) == 1062881 > btree.BALL_BOUND
+    built = []
+    monkeypatch.setattr(btree, "residue_lifts", built.append)
+    field = parse_field_spec("Qp:p=3,prec=20")
+    with pytest.raises(BoundExceeded, match="1062881 vertices"):
+        build_tree_ball(field, 12)
+    assert built == []
 
 
 def test_neighbors_are_symmetric_and_distinct(q5):
@@ -216,8 +255,9 @@ def test_distance_oracle_against_bfs(l3):
     ball = build_tree_ball(l3, 3)
     vertices = decoded(ball)
     base = vertices[0]
+    dist = ball_dist(ball)
     for i, v in enumerate(vertices):
-        assert tree_distance(l3, base, v) == ball.dist[i]
+        assert tree_distance(l3, base, v) == dist[i]
     # triangle inequality on a few pairs, found through their codes
     rng = random.Random(0)
     for _ in range(40):
@@ -226,7 +266,7 @@ def test_distance_oracle_against_bfs(l3):
         v, w = (vertices[ball.index[c]] for c in (cv, cw))
         d = tree_distance(l3, v, w)
         assert d == tree_distance(l3, w, v) >= 0
-        assert d <= ball.dist[ball.index[cv]] + ball.dist[ball.index[cw]]
+        assert d <= dist[ball.index[cv]] + dist[ball.index[cw]]
 
 
 def test_ray_to_spine_ends(q2):
@@ -493,7 +533,7 @@ def test_reference_points_are_the_sphere(spec, depth):
             else BoundaryPoint(field.one, x) for tag, x in points]
     image = {ray_to_end(field, e, depth)[depth] for e in ends}
     ball = build_tree_ball(field, depth)
-    sphere = {v for v, d in zip(decoded(ball), ball.dist) if d == depth}
+    sphere = {ball.vertex(i) for i in ball.level(depth)}
     assert len(image) == len(points)
     assert image == sphere
 
@@ -568,5 +608,5 @@ def test_dot_export(q2):
     ball = build_tree_ball(q2, 2)
     text = ball.dot()
     assert text.startswith("graph tree_ball {")
-    assert text.count(" -- ") == len(ball.edges)
+    assert text.count(" -- ") == len(ball_edges(ball))
     assert text.count("label=") == len(ball.codes)

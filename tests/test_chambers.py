@@ -721,8 +721,13 @@ def test_base_chamber_out_of_range_is_refused(pg2_2):
             pg2_2.delta_row(c)
     with pytest.raises(InvalidSpec, match="base chamber"):
         cell_decomposition_report(pg2_2, N)
-    with pytest.raises(InvalidSpec, match="base chamber"):
-        pg2_2.schubert_coordinates(N, (0, 1))
+    for c, word in ((N, (0, 1)), (N, ()), (-1, ())):
+        with pytest.raises(InvalidSpec, match="base chamber"):
+            pg2_2.schubert_coordinates(c, word)
+    for d in (-1, N):
+        with pytest.raises(InvalidSpec,
+                           match=f"chamber {d} out of range 0..{N - 1}"):
+            pg2_2.w_distance(0, d)
 
 
 def test_big_cell_and_opposition(pg2_2):

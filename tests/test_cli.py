@@ -415,6 +415,20 @@ def test_bt_tree_with_dot_export(tmp_path, capsys):
     assert text.count(" -- ") == 16
 
 
+def test_ball_past_the_bound_is_bound_exceeded(monkeypatch, capsys):
+    # about 7e9 vertices by the count formula: refused before any is built
+    built = []
+    monkeypatch.setattr(btree, "residue_lifts", built.append)
+    code, report, err = run(["bt", "tree", "--field", "Qp:p=3,prec=20",
+                             "--radius", "20"], capsys)
+    assert code == 3
+    assert report["error"]["class"] == "BoundExceeded"
+    assert "6973568801 vertices" in report["error"]["message"]
+    assert report["checks"] == [] and report["checks_run"] == 0
+    assert "past the bound 1000000" in err
+    assert built == []
+
+
 def test_bt_iwasawa(capsys):
     code, report, _ = run(
         ["bt", "iwasawa", "--field", "Qp:p=5,prec=8", "--samples", "40",
