@@ -16,19 +16,25 @@ start.
     buildinglab field classify --field SPEC
     buildinglab field eval --field SPEC --expr LITERAL
     buildinglab projline hua --field SPEC --x LIT --y LIT
-    buildinglab projline recover --field SPEC --samples N
-    buildinglab building verify|cells|coords --geometry SPEC
+    buildinglab projline recover --field SPEC [--samples N]
+    buildinglab building verify --geometry SPEC
+    buildinglab building cells --geometry SPEC [--base C]
+    buildinglab building coords --geometry SPEC [--base C] [--word W]
     buildinglab moufang check --geometry SPEC [--mu] [--commutators]
-    buildinglab moufang filtration --field SPEC --from K --to K
-    buildinglab bt tree --field SPEC --radius R [--dot FILE]
-    buildinglab bt iwasawa --field SPEC --samples N
-    buildinglab bt boundary --field SPEC --depth D
+    buildinglab moufang filtration --field SPEC [--from K] [--to K]
+    buildinglab bt tree --field SPEC [--radius R] [--dot FILE]
+    buildinglab bt iwasawa --field SPEC [--samples N]
+    buildinglab bt boundary --field SPEC [--depth D]
     buildinglab all [--profile quick|full]
+
+Each also takes --seed N and --json-only.  An option an action does not
+read is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -76,8 +82,11 @@ def _sampled_witness(report: dict, counts: tuple, failures):
 def cmd_coxeter(args):
     from .coxeter import CoxeterSystem, parse_coxeter_matrix
 
-    with open(args.matrix) as fh:
-        matrix = parse_coxeter_matrix(fh.read())
+    try:
+        with open(args.matrix, encoding="utf-8") as fh:
+            matrix = parse_coxeter_matrix(fh.read())
+    except UnicodeDecodeError:
+        raise InvalidSpec(f"{args.matrix} is not UTF-8 text") from None
     system = CoxeterSystem(matrix)
     results = {
         "rank": system.rank,
@@ -436,18 +445,34 @@ def cmd_all(args):
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser per action, with exactly the options its branch reads."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for all randomness (default 1)")
     common.add_argument("--json-only", action="store_true",
                         help="suppress the prose summary on stderr")
+    field = argparse.ArgumentParser(add_help=False, parents=[common])
+    field.add_argument("--field", required=True, help="field spec, e.g. F9, "
+                       "Qp:p=5,prec=8, Laurent:q=3,prec=8")
+    geometry = argparse.ArgumentParser(add_help=False, parents=[common])
+    geometry.add_argument("--geometry", required=True,
+                          help="PG2:q=<n> | W:q=<n> | Aflags:n=<k>,q=<n>")
 
     parser = argparse.ArgumentParser(
         prog="buildinglab",
         description="Spherical buildings, Moufang root groups, local "
                     "fields, and Bruhat-Tits trees, with JSON reports.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def actions(name, handler, summary, **parents):
+        """Each action's parser, on its parent's options."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        leaves = p.add_subparsers(dest="action", required=True)
+        return [leaves.add_parser(action, parents=[parent])
+                for action, parent in parents.items()]
 
     p = sub.add_parser("coxeter", parents=[common],
                        help="enumerate a Coxeter system from a matrix file")
@@ -457,57 +482,45 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include the length generating polynomial")
     p.set_defaults(handler=cmd_coxeter)
 
-    p = sub.add_parser("field", parents=[common],
-                       help="inspect a finite or local field")
-    p.add_argument("action", choices=["classify", "eval"])
-    p.add_argument("--field", required=True, help="field spec, e.g. F9, "
-                   "Qp:p=5,prec=8, Laurent:q=3,prec=8")
-    p.add_argument("--expr", help="element literal (for eval)")
-    p.set_defaults(handler=cmd_field)
+    _, evaluate = actions("field", cmd_field,
+                          "inspect a finite or local field",
+                          classify=field, eval=field)
+    evaluate.add_argument("--expr", required=True, help="element literal")
 
-    p = sub.add_parser("projline", parents=[common],
-                       help="projective-line identities and field recovery")
-    p.add_argument("action", choices=["hua", "recover"])
-    p.add_argument("--field", required=True)
-    p.add_argument("--x", help="point literal (hua)")
-    p.add_argument("--y", help="point literal (hua)")
-    p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(handler=cmd_projline)
+    hua, recover = actions("projline", cmd_projline,
+                           "projective-line identities and field recovery",
+                           hua=field, recover=field)
+    hua.add_argument("--x", required=True, help="point literal")
+    hua.add_argument("--y", required=True, help="point literal")
+    recover.add_argument("--samples", type=int, default=100)
 
-    p = sub.add_parser("building", parents=[common],
-                       help="chamber complexes of flag geometries")
-    p.add_argument("action", choices=["verify", "cells", "coords"])
-    p.add_argument("--geometry", required=True,
-                   help="PG2:q=<n> | W:q=<n> | Aflags:n=<k>,q=<n>")
-    p.add_argument("--base", type=int, default=0,
-                   help="base chamber index")
-    p.add_argument("--word", help="comma-separated reduced word (coords)")
-    p.set_defaults(handler=cmd_building)
+    _, cells, coords = actions(
+        "building", cmd_building, "chamber complexes of flag geometries",
+        verify=geometry, cells=geometry, coords=geometry)
+    for p in (cells, coords):
+        p.add_argument("--base", type=int, default=0,
+                       help="base chamber index")
+    coords.add_argument("--word", help="comma-separated reduced word")
 
-    p = sub.add_parser("moufang", parents=[common],
-                       help="root groups, mu elements, filtrations")
-    p.add_argument("action", choices=["check", "filtration"])
-    p.add_argument("--geometry", help="rank-2 geometry spec (check)")
-    p.add_argument("--field", help="local field spec (filtration)")
-    p.add_argument("--mu", action="store_true",
-                   help="fit parametrizations and verify the mu formula")
-    p.add_argument("--commutators", action="store_true",
-                   help="product stabilizers and commutator containments")
-    p.add_argument("--from", dest="k_lo", type=int, default=0,
-                   help="first filtration level")
-    p.add_argument("--to", dest="k_hi", type=int, default=3,
-                   help="last filtration level")
-    p.set_defaults(handler=cmd_moufang)
+    check, filtration = actions("moufang", cmd_moufang,
+                                "root groups, mu elements, filtrations",
+                                check=geometry, filtration=field)
+    check.add_argument("--mu", action="store_true",
+                       help="fit parametrizations and verify the mu formula")
+    check.add_argument("--commutators", action="store_true",
+                       help="product stabilizers and commutator containments")
+    filtration.add_argument("--from", dest="k_lo", type=int, default=0,
+                            help="first filtration level")
+    filtration.add_argument("--to", dest="k_hi", type=int, default=3,
+                            help="last filtration level")
 
-    p = sub.add_parser("bt", parents=[common],
-                       help="Bruhat-Tits tree over a local field")
-    p.add_argument("action", choices=["tree", "iwasawa", "boundary"])
-    p.add_argument("--field", required=True)
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--dot", help="write the ball as graphviz to this file")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--depth", type=int, default=2)
-    p.set_defaults(handler=cmd_bt)
+    tree, iwasawa, boundary = actions(
+        "bt", cmd_bt, "Bruhat-Tits tree over a local field",
+        tree=field, iwasawa=field, boundary=field)
+    tree.add_argument("--radius", type=int, default=3)
+    tree.add_argument("--dot", help="write the ball as graphviz to this file")
+    iwasawa.add_argument("--samples", type=int, default=100)
+    boundary.add_argument("--depth", type=int, default=2)
 
     p = sub.add_parser("all", parents=[common],
                        help="run the full acceptance bundle")
@@ -517,28 +530,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args) -> None:
-    if args.command == "field" and args.action == "eval" and not args.expr:
-        raise InvalidSpec("field eval needs --expr")
-    if args.command == "projline" and args.action == "hua" \
-            and (args.x is None or args.y is None):
-        raise InvalidSpec("projline hua needs --x and --y")
-    if args.command == "moufang":
-        if args.action == "check" and not args.geometry:
-            raise InvalidSpec("moufang check needs --geometry")
-        if args.action == "filtration" and not args.field:
-            raise InvalidSpec("moufang filtration needs --field")
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     error = None
     try:
-        _validate(args)
         results, checks = args.handler(args)
     except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,6 +183,19 @@ def test_ball_shape_check_catches_wrong_steps(monkeypatch, spec, name,
         assert 6 <= len(ball.extra) <= 12
 
 
+def test_interior_degree_check_covers_the_last_interior_level(q2):
+    # a non-tree pair from level radius - 1 to the sphere gives that
+    # interior vertex degree q + 2 and leaves every count alone
+    ball = build_tree_ball(q2, 3)
+    assert ball.report()["interior_degrees_ok"]
+    i = ball.level(2)[0]
+    j = next(j for j in ball.level(3) if ball.parent[j] != i)
+    ball.extra.add((i, j))
+    report = ball.report()
+    assert not report["interior_degrees_ok"] and not report["ok"]
+    assert report["counts_by_distance"] == report["expected_by_distance"]
+
+
 @pytest.mark.parametrize("spec, radius", [("Qp:p=3,prec=6", 6),
                                           ("Laurent:q=4,prec=5", 5)])
 def test_ball_does_no_field_arithmetic(monkeypatch, spec, radius):

@@ -46,6 +46,15 @@ def test_coxeter_infinite_matrix_is_bound_exceeded(tmp_path, capsys):
     assert "enumeration passed 100000 elements" in err
 
 
+def test_coxeter_matrix_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    assert cli.main(["coxeter", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path} is not UTF-8 text" in captured.err
+
+
 def test_coxeter_broken_table_fails_relation_check(tmp_path, monkeypatch,
                                                    capsys):
     class Broken(CoxeterSystem):
@@ -75,9 +84,30 @@ def test_field_classify_and_eval(capsys):
 
 
 def test_field_eval_requires_expr(capsys):
-    code = cli.main(["field", "eval", "--field", "F7"])
-    assert code == 2
-    assert "expr" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["field", "eval", "--field", "F7"])
+    assert exc.value.code == 2
+    assert "--expr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, unread", [
+    ("bt tree --field Q2", "--samples 5"),
+    ("bt iwasawa --field Q5", "--depth 2"),
+    ("moufang check --geometry PG2:q=2", "--field Q5"),
+    ("moufang filtration --field Q5", "--mu"),
+    ("building cells --geometry PG2:q=2", "--word 0"),
+    ("projline hua --field F7 --x 1 --y 2", "--samples 3"),
+    ("field classify --field F7", "--expr 1"),
+])
+def test_option_the_action_does_not_read_is_usage_error(command, unread,
+                                                        capsys):
+    # each action takes exactly the options its branch reads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(f"{command} {unread}".split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {unread}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,8 +309,11 @@ def test_building_coords_run_along_the_given_word(capsys):
 
 
 def test_building_verify_reads_no_base(capsys):
-    assert cli.main(["building", "verify", "--geometry", "PG2:q=2",
-                     "--base", "99"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["building", "verify", "--geometry", "PG2:q=2",
+                  "--base", "99"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --base 99" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, message", [
@@ -391,8 +424,10 @@ def test_full_profile_checks_larger_moufang_geometries(capsys):
 
 
 def test_moufang_check_needs_geometry(capsys):
-    assert cli.main(["moufang", "check"]) == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["moufang", "check"])
+    assert exc.value.code == 2
+    assert "--geometry" in capsys.readouterr().err
 
 
 def test_moufang_filtration(capsys):

@@ -1,9 +1,11 @@
 import copy
 import random
+import time
 
 import pytest
 
 from buildinglab.coxeter import (
+    LETTER_BOUND,
     MATRIX_A2,
     MATRIX_B2,
     CoxeterSystem,
@@ -229,6 +231,18 @@ def test_bound_exceeded_on_infinite_system(matrix):
     # is reached in about a second
     with pytest.raises(BoundExceeded):
         CoxeterSystem(matrix)
+
+
+def test_letter_bound_stops_a_huge_dihedral_group_quickly():
+    # I2(m) holds about m^2 letters in its words: I2(10^6) passes the
+    # letter bound after about 9 000 elements; I2(1000) is admitted whole
+    dihedral = CoxeterSystem([[1, 1000], [1000, 1]])
+    assert dihedral.order == 2000 and dihedral.length[dihedral.longest] == 1000
+    assert dihedral.relation_violation() is None
+    started = time.perf_counter()
+    with pytest.raises(BoundExceeded, match=f"{LETTER_BOUND} letters"):
+        CoxeterSystem([[1, 10**6], [10**6, 1]])
+    assert time.perf_counter() - started < 1.0
 
 
 def _oracle_pairs(sys, sample):
