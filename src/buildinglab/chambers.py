@@ -13,13 +13,19 @@ families are built from finite-field linear algebra:
   Aflags:n=<k>,q=<n>  complete flags of subspaces of F_q^{k+1}, attached
                   symmetric-group type.
 
-All three are flag complexes of subspaces of F_q^m and are built one way.
-The subspaces of each dimension are listed once each as reduced-row-echelon
-bases, one Schubert cell of the Grassmannian per choice of pivot columns; a
-family may filter them (W keeps the totally isotropic ones); flags then grow
-one dimension at a time by containment.  Partial flags never outnumber
-chambers, so the build raises BoundExceeded as soon as a layer passes
-CHAMBER_BOUND.
+All three are flag complexes of subspaces of F_q^m and are built one way,
+top-down.  The subspaces of the top dimension are listed once each as
+reduced-row-echelon bases, one Schubert cell of the Grassmannian per choice
+of pivot columns, and each flag is then extended one dimension down inside
+its last-chosen space.  The d-subspaces of the span of an echelon basis B
+are exactly the products A.B for A an echelon basis of a d-subspace of
+F^len(B), and A.B is already echelon: as B is echelon, A.B read at B's
+pivot columns is A itself, and as A is echelon, row r of A.B then leads
+with a one at the pivot of the B row that A's r-th pivot picks, the only
+nonzero entry of that column.  So no containment is tested and no row
+reduced.  A family may filter the spaces of every dimension (W keeps the
+totally isotropic ones).  Partial flags never outnumber chambers, so the
+build raises BoundExceeded as soon as a layer passes CHAMBER_BOUND.
 
 The W-valued distance delta(c, d) is computed by breadth-first search over
 minimal galleries, folding the gallery type into the Coxeter system as the
@@ -88,21 +94,6 @@ PanelId = tuple[int, int]        # (type, panel index)
 # ---------------------------------------------------------------------------
 # linear algebra over F_q
 
-def subspace_leq(F: FiniteField, small: Sequence[Vector],
-                 big: Subspace) -> bool:
-    """Whether span(small) lies in big: every vector of small must equal
-    the combination of big's rows read off at big's pivot columns."""
-    pivots = [row.index(F.one) for row in big]
-    for v in small:
-        rest = list(v)
-        for p, row in zip(pivots, big):
-            if v[p]:
-                rest = [F.sub(x, F.mul(v[p], y)) for x, y in zip(rest, row)]
-        if any(rest):
-            return False
-    return True
-
-
 def all_subspaces(F: FiniteField, n: int, dim: int) -> list[Subspace]:
     """All dim-dimensional subspaces of F^n, each once as its canonical
     reduced-row-echelon basis, sorted.
@@ -123,6 +114,20 @@ def all_subspaces(F: FiniteField, n: int, dim: int) -> list[Subspace]:
                 rows[r][c] = x
             out.append(tuple(map(tuple, rows)))
     return sorted(out)
+
+
+def _combine(F: FiniteField, coeffs: Subspace, basis: Subspace) -> Subspace:
+    """The product coeffs.basis: row r combines basis's rows with the
+    entries of coeffs' row r, whose first nonzero entry is a one."""
+    add, mul = F.add, F.mul
+    out = []
+    for weights in coeffs:
+        terms = [(c, brow) for c, brow in zip(weights, basis) if c]
+        row = terms[0][1]
+        for c, brow in terms[1:]:
+            row = tuple([add(x, mul(c, y)) for x, y in zip(row, brow)])
+        out.append(row)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +645,9 @@ def parse_geometry_spec(spec: str) -> tuple[str, dict]:
 
 
 def build_flag_building(spec: str) -> ChamberComplex:
-    """Chamber complex of the named flag geometry."""
+    """Chamber complex of the named flag geometry.  Its flags come from
+    `subspace_flags`, top-down: each space below the top one is a product
+    A.B, already echelon, with B the echelon basis of the space above."""
     head, params = parse_geometry_spec(spec)
     q = params["q"]
     F = finite_field(q)
@@ -655,20 +662,40 @@ def build_flag_building(spec: str) -> ChamberComplex:
         if n < 2:
             raise InvalidSpec("Aflags rank must be at least 2")
         ambient, dims, matrix = n + 1, tuple(range(1, n + 1)), type_a_matrix(n)
+    flags = subspace_flags(F, ambient, dims, keep, spec)
+    return ChamberComplex(flags, matrix, geometry=spec)
+
+
+def subspace_flags(F: FiniteField, ambient: int, dims: Sequence[int],
+                   keep, label: str) -> list[Chamber]:
+    """The flags of F^ambient with one subspace of each of the ascending
+    dims, every one passing keep(F, space) unless keep is None; a flag lists
+    its spaces in the order of dims.
+
+    Built top-down: the flags start as the kept subspaces of the top
+    dimension and grow one dimension down at a time.  The d-subspaces
+    inside a flag's lowest space, with echelon basis B, are the products
+    A.B over the echelon bases A of the d-subspaces of F^len(B), each
+    already echelon (see the module docstring), so a layer of A's is listed
+    once and no containment is tested.  Raises BoundExceeded, naming label,
+    once the flags pass CHAMBER_BOUND.
+    """
     flags: list[Chamber] = [()]
-    for dim in dims:
-        layer = [sp for sp in all_subspaces(F, ambient, dim)
-                 if keep is None or keep(F, sp)]
+    above = ambient
+    for dim in reversed(dims):
+        layer = all_subspaces(F, above, dim)
         grown = []
         for flag in flags:
-            for sp in layer:
-                if not flag or subspace_leq(F, flag[-1], sp):
-                    grown.append(flag + (sp,))
+            spaces = ([_combine(F, a, flag[0]) for a in layer] if flag
+                      else layer)
+            grown.extend((sp,) + flag for sp in spaces
+                         if keep is None or keep(F, sp))
             if len(grown) > CHAMBER_BOUND:
                 raise BoundExceeded(
-                    f"flag count passed {CHAMBER_BOUND} for {spec}")
+                    f"flag count passed {CHAMBER_BOUND} for {label}")
         flags = grown
-    return ChamberComplex(flags, matrix, geometry=spec)
+        above = dim
+    return flags
 
 
 def _totally_isotropic(F: FiniteField, space: Subspace) -> bool:

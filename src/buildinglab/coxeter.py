@@ -98,8 +98,7 @@ class CoxeterSystem:
         # unique in a finite Coxeter group; a tie would mean a broken engine
         assert len(longest) == 1, "longest element is not unique"
         self.longest = longest[0]
-        self.inverse = [self.element_from_word(reversed(w))
-                        for w in self.words]
+        self.inverse = self._inverses()
         self._product_rows: dict[int, tuple[int, ...]] = {}
 
     def _enumerate(self) -> None:
@@ -133,6 +132,24 @@ class CoxeterSystem:
                 row[s] = ws
                 right[ws][s] = w
             w += 1
+
+    def _inverses(self) -> list[int]:
+        """The inverse table, in time linear in the order.
+
+        With t the last letter of w's word, w = u t for u = right[w][t],
+        earlier in shortlex order.  Left and right multiplication commute,
+        so s w = (s u) t fills the left table row by row, flat, entry
+        w * rank + s, and w^-1 = t u^-1 is read off it.
+        """
+        right, words, rank = self.right, self.words, self.rank
+        left = list(right[0])
+        inverse = [0]
+        for w in range(1, len(words)):
+            t = words[w][-1]
+            u = right[w][t]
+            left += [right[x][t] for x in left[u * rank:(u + 1) * rank]]
+            inverse.append(left[inverse[u] * rank + t])
+        return inverse
 
     def _known_product(self, w: int, s: int) -> int:
         """ws if the table already holds it, else -1 (s not a descent of w).

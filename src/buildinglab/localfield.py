@@ -709,6 +709,9 @@ class LaurentField(_LocalBase):
         self._shift = [k * lane_bits for k in range(prec + 1)]
         self._window = [(1 << k * lane_bits) - 1 for k in range(prec + 1)]
         self._neg_unit = p - 1  # -1 in every slot
+        # inv's next term: row a maps a residue code x to the lane of -a x
+        self._term_lanes = [[self._lane[x] for x in k._mul[k._neg[a]]]
+                            for a in range(q)]
 
     @property
     def residue_field(self) -> FiniteField:
@@ -849,24 +852,33 @@ class LaurentField(_LocalBase):
         # the inverse of an exact a has no finite expansion here, so it is
         # cut at the window
         digits = self.prec if a.exact else a.digits
-        scale = k._mul[k._neg[lead_inv]]
-        # `prod` is reduced every `_block` steps, so no slot overflows.  A
-        # lone slot (m = 1) is its code once taken mod p; other lanes are
-        # read through their bytes and the mod-p table, or, for slots wider
-        # than a byte, reduced at every step and read as they are
-        # (translate(None) copies the bytes)
+        scaled = self._term_lanes[lead_inv]
+        # `prod` is reduced every `_block` steps, so no slot overflows, and
+        # not at all within the first `_block`.  A lone slot (m = 1) is its
+        # code once taken mod p; other lanes are read through their bytes
+        # and the mod-p table, or, for slots wider than a byte, reduced at
+        # every step and read as they are (translate(None) copies the
+        # bytes)
         p = self.p if k.degree == 1 else None
         mod_p = self._mod_p
-        period = self._block if mod_p else 1
         out = term = lane[lead_inv]
         prod = 0
+        if mod_p and digits <= self._block:
+            for n in range(1, digits):
+                prod = (prod + c * term) >> bits
+                acc = prod & mask
+                term = scaled[acc % p if p else code[
+                    acc.to_bytes(size, "little").translate(mod_p)]]
+                out |= term << n * bits
+            return _new(LocalElement, (-a.v, out, digits, False))
+        period = self._block if mod_p else 1
         for n in range(1, digits):
             prod = (prod + c * term) >> bits
             if n % period == 0:
                 prod = self._reduce(prod)
             acc = prod & mask
-            term = lane[scale[acc % p if p else code[
-                acc.to_bytes(size, "little").translate(mod_p)]]]
+            term = scaled[acc % p if p else code[
+                acc.to_bytes(size, "little").translate(mod_p)]]
             out |= term << n * bits
         # lane 0 is nonzero and `digits` lanes fit the window: the normal
         # form as it stands

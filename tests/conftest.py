@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from buildinglab.chambers import ChamberComplex, all_subspaces, subspace_leq
+from buildinglab.chambers import ChamberComplex, subspace_flags
 from buildinglab.coxeter import MATRIX_B2
 from buildinglab.localfield import finite_field
 
@@ -37,7 +37,7 @@ def chamber_neighbors():
     return _chamber_neighbors
 
 
-def _singular(space):
+def _singular(F, space):
     """Whether x0x1 + x2x3 + x4^2 + x4x5 + x5^2 vanishes on the span over
     F_2; its last three terms are anisotropic, so the quadric is elliptic."""
     for coeffs in itertools.product(range(2), repeat=len(space)):
@@ -49,12 +49,15 @@ def _singular(space):
 
 
 @pytest.fixture(scope="session")
+def elliptic_singular():
+    """The filter of the Q-(5, 2) subspaces, as `subspace_flags` takes it."""
+    return _singular
+
+
+@pytest.fixture(scope="session")
 def elliptic_quadrangle_2():
     """The point-line flags of the elliptic quadric Q-(5, 2): 27 singular
     points, 45 singular lines, 135 chambers.  A Moufang quadrangle of
     order (2, 4): a line has 3 points, a point lies on 5 lines."""
-    F = finite_field(2)
-    points = [sp for sp in all_subspaces(F, 6, 1) if _singular(sp)]
-    lines = [sp for sp in all_subspaces(F, 6, 2) if _singular(sp)]
-    flags = [(p, l) for p in points for l in lines if subspace_leq(F, p, l)]
+    flags = subspace_flags(finite_field(2), 6, (1, 2), _singular, "Q-(5,2)")
     return ChamberComplex(flags, MATRIX_B2, geometry="Q-(5,2)")

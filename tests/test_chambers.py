@@ -13,7 +13,6 @@ from buildinglab.chambers import (
     build_flag_building,
     cell_decomposition_report,
     parse_geometry_spec,
-    subspace_leq,
     verify_building_axioms,
 )
 from buildinglab.coxeter import MATRIX_A2, MATRIX_B2
@@ -53,8 +52,9 @@ def test_chamber_counts(pg2_2, pg2_3, w2):
 
 
 # Row reduction by elimination, the oracle of `all_subspaces` (which lists
-# the echelon forms cell by cell) and of `subspace_leq` (which reads
-# coefficients off the pivot columns).
+# the echelon forms cell by cell), of `subspace_leq` below (which reads
+# coefficients off the pivot columns) and of `chambers._combine` (whose
+# products A.B are echelon without reduction).
 def rref(F, rows):
     """Canonical reduced-row-echelon basis of the span."""
     mat = [list(r) for r in rows]
@@ -95,6 +95,59 @@ def test_all_subspaces_are_the_echelon_forms(q, n, dim):
     assert len(set(spaces)) == len(spaces)
 
 
+# The containment-scan flag builder, the oracle of the top-down
+# `subspace_flags`: flags grow bottom-up, each partial flag tried against
+# every kept subspace of the next dimension.
+def subspace_leq(F, small, big):
+    """Whether span(small) lies in big: every vector of small must equal
+    the combination of big's rows read off at big's pivot columns."""
+    pivots = [row.index(F.one) for row in big]
+    for v in small:
+        rest = list(v)
+        for p, row in zip(pivots, big):
+            if v[p]:
+                rest = [F.sub(x, F.mul(v[p], y)) for x, y in zip(rest, row)]
+        if any(rest):
+            return False
+    return True
+
+
+def flags_by_containment(F, ambient, dims, keep):
+    flags = [()]
+    for dim in dims:
+        layer = [sp for sp in all_subspaces(F, ambient, dim)
+                 if keep is None or keep(F, sp)]
+        flags = [flag + (sp,) for flag in flags for sp in layer
+                 if not flag or subspace_leq(F, flag[-1], sp)]
+    return flags
+
+
+def geometry_of(spec):
+    """(F, ambient, dims, keep) of a geometry spec, written out apart from
+    `build_flag_building`."""
+    head, params = parse_geometry_spec(spec)
+    F = finite_field(params["q"])
+    if head == "PG2":
+        return F, 3, (1, 2), None
+    if head == "W":
+        return F, 4, (1, 2), chambers._totally_isotropic
+    n = params["n"]
+    return F, n + 1, tuple(range(1, n + 1)), None
+
+
+def product(F, left, right):
+    """The matrix product left.right, rows combined from zero; zip stops at
+    the shorter side, so mismatched shapes give a wrong answer, not an
+    error."""
+    out = []
+    for weights in left:
+        row = (0,) * len(right[0])
+        for c, r in zip(weights, right):
+            row = tuple(F.add(x, F.mul(c, y)) for x, y in zip(row, r))
+        out.append(row)
+    return tuple(out)
+
+
 @pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 3)])
 def test_subspace_leq_matches_rank(q, n):
     # reading coefficients off the pivots against the rank of the stack
@@ -104,6 +157,67 @@ def test_subspace_leq_matches_rank(q, n):
         for big in spaces:
             by_rank = len(rref(F, list(big) + list(small))) == len(big)
             assert subspace_leq(F, small, big) == by_rank, (small, big)
+
+
+@pytest.mark.parametrize("spec", [
+    "PG2:q=2", "PG2:q=3", "PG2:q=4", "PG2:q=5", "W:q=2", "W:q=3", "W:q=4",
+    "Aflags:n=2,q=3", "Aflags:n=3,q=2"])
+def test_top_down_flags_match_the_containment_scan(spec):
+    F, ambient, dims, keep = geometry_of(spec)
+    cx = build_flag_building(spec)
+    assert cx.chambers == sorted(flags_by_containment(F, ambient, dims, keep))
+    assert all(rref(F, sp) == sp for ch in cx.chambers for sp in ch)
+
+
+def test_filter_applies_at_every_layer():
+    # the shipped filters keep every space below a kept top space; this one
+    # drops points and planes as well as lines of F_2^4
+    F = finite_field(2)
+
+    def keep(F, sp):
+        return sp[0][-1] == 0 or len(sp) == 2
+
+    flags = chambers.subspace_flags(F, 4, (1, 2, 3), keep, "F_2^4")
+    assert flags and sorted(flags) == sorted(
+        flags_by_containment(F, 4, (1, 2, 3), keep))
+    assert len(flags) < build_flag_building("Aflags:n=3,q=2").size
+
+
+def test_elliptic_quadrangle_flags_match_the_containment_scan(
+        elliptic_quadrangle_2, elliptic_singular):
+    F = finite_field(2)
+    assert elliptic_quadrangle_2.chambers == sorted(
+        flags_by_containment(F, 6, (1, 2), elliptic_singular))
+
+
+@pytest.mark.parametrize("q, n, top", [(2, 4, 3), (3, 4, 2), (4, 3, 2)])
+def test_combine_is_the_product_in_echelon_form(q, n, top):
+    # every A.B over the subspaces B of dimension top and the A of every
+    # smaller dimension: echelon as it stands, inside B, and the product
+    F = finite_field(q)
+    for basis in all_subspaces(F, n, top):
+        for dim in range(1, top + 1):
+            for coeffs in all_subspaces(F, top, dim):
+                sp = chambers._combine(F, coeffs, basis)
+                assert sp == product(F, coeffs, basis) == rref(F, sp)
+                assert len(sp) == dim and subspace_leq(F, sp, basis)
+
+
+@pytest.mark.parametrize("mutant, specs", [
+    # B.A in place of A.B (not on W, whose filter reads four coordinates)
+    (lambda F, a, b: product(F, b, a), ("PG2:q=3", "Aflags:n=3,q=2")),
+    # B with its rows swapped: the same spans, bases out of echelon form
+    (lambda F, a, b: product(F, a, b[::-1]),
+     ("PG2:q=3", "W:q=3", "Aflags:n=3,q=2"))])
+def test_combine_mutants_fail_the_oracle(monkeypatch, mutant, specs):
+    oracles = {spec: sorted(flags_by_containment(*geometry_of(spec)))
+               for spec in specs}
+    monkeypatch.setattr(chambers, "_combine", mutant)
+    for spec in specs:
+        F = geometry_of(spec)[0]
+        flags = build_flag_building(spec).chambers
+        echelon = all(rref(F, sp) == sp for ch in flags for sp in ch)
+        assert not echelon or flags != oracles[spec], spec
 
 
 def _cell_size(cx, w):
@@ -161,7 +275,8 @@ def test_parse_geometry_spec():
 @pytest.mark.parametrize("spec", ["PG2:q=13", "W:q=7", "Aflags:n=3,q=3"])
 def test_bound_exceeded_for_every_family(spec):
     # 2562, 3200 and 2080 flags; the bound stops the build partway
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded,
+                       match=f"^flag count passed 2000 for {re.escape(spec)}$"):
         build_flag_building(spec)
 
 

@@ -32,6 +32,9 @@ def _diagram(rank, edges):
     return matrix
 
 
+MATRIX_E6 = _diagram(6, [(0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 3, 3)])
+
+
 # -- braid-closure oracle ----------------------------------------------------
 # The earlier enumeration engine: every element named by the lex-least word
 # of its braid class (Tits' solution of the word problem).  Slow (its cost
@@ -296,8 +299,7 @@ def test_reduced_words_match_braid_closure(matrix, reduced_words):
     (_diagram(4, [(0, 1, 4), (1, 2, 3), (2, 3, 3)]), 384, 16),
     (_diagram(4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)]), 1152, 24),
     (_diagram(4, [(0, 1, 5), (1, 2, 3), (2, 3, 3)]), 14_400, 60),
-    (_diagram(6, [(0, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (1, 3, 3)]),
-     51_840, 36),
+    (MATRIX_E6, 51_840, 36),
 ], ids=["A5", "B4", "F4", "H4", "E6"])
 def test_known_orders_and_longest_lengths(matrix, order, top):
     sys = CoxeterSystem(matrix)
@@ -306,6 +308,16 @@ def test_known_orders_and_longest_lengths(matrix, order, top):
     coeffs = sys.poincare_polynomial()
     assert coeffs == coeffs[::-1]
     assert sum(coeffs) == order
+
+
+@pytest.mark.parametrize("matrix", [
+    type_a_matrix(3), MATRIX_B3, MATRIX_H3, dihedral_matrix(5), MATRIX_E6,
+], ids=["A3", "B3", "H3", "I2(5)", "E6"])
+def test_inverse_matches_the_reversed_words(matrix):
+    # the left-action table against each word read backwards
+    sys = CoxeterSystem(matrix)
+    assert sys.inverse == [sys.element_from_word(reversed(w))
+                           for w in sys.words]
 
 
 def test_relation_violation_catches_swapped_entries(b2):

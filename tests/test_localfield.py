@@ -537,6 +537,17 @@ def test_packed_kernels_match_schoolbook(q, prec):
             assert _outcome(F, F.mul, a, b) == _outcome(F, _ref_mul, F, a, b)
 
 
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_inverse_of_a_dense_series_past_the_block(q):
+    """1 + (q-1)(t + t^2 + ...) has a dense inverse, so lane n of c * out
+    sums about n large products: over 2 `_block` steps a slot passes its
+    byte unless `inv` reduces it every `_block` steps."""
+    prec = 2 * LaurentField(q, 1)._block
+    F = LaurentField(q, prec)
+    x = _from_coeffs(F, 0, [1] + [q - 1] * (prec - 1))
+    assert _ref(F, F.inv(x)) == _ref_inv(F, x)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17])
 def test_packed_form_is_the_same_at_every_precision(q):
     """Exact values of at most 4 digits, built at precision 4 and 80."""
