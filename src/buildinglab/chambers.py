@@ -33,7 +33,9 @@ search goes; well-definedness of that assignment across all minimal
 galleries is exactly the consistency property that the verification report
 surfaces.  The search scans each panel once, from its gate; a recording
 walk that scans it from every member runs only for a base chamber where
-that pass finds a violation, and lists them.  Apartments are produced
+that pass finds a violation, and lists them.  A row the pass accepts is
+kept as bytes, its delta indices and their Coxeter lengths, so a Coxeter
+group of more than 256 elements is refused.  Apartments are produced
 constructively: extend d to a chamber opposite c by length-increasing panel
 steps, then collect the convex hull {e : delta(c,e) * delta(e,d') = w0 with
 lengths adding}, and check it is thin and W-isometric.  Chamber sets on
@@ -152,12 +154,12 @@ def _picker(indices: Sequence[int]):
 # the chamber complex
 
 class ChamberComplex:
-    """Chambers plus i-panel partitions, with an attached Coxeter system.
-    Only this module reads the panel tables panels and panel_of, and the
-    delta rows as _delta_from builds them; others ask the panel methods,
-    panel_masks, the delta readers and the automorphism test.  thickness[i]
-    is the measured parameter of type i: the size of its panels minus one,
-    or None where they differ in size."""
+    """Chambers plus i-panel partitions, with an attached Coxeter system of
+    at most 256 elements.  Only this module reads the panel tables panels
+    and panel_of, and the delta rows as _delta_from builds them; others ask
+    the panel methods, panel_masks, the delta readers and the automorphism
+    test.  thickness[i] is the measured parameter of type i: the size of
+    its panels minus one, or None where they differ in size."""
 
     def __init__(self, chambers: Sequence[Chamber], matrix, geometry: str):
         if not chambers:
@@ -167,6 +169,14 @@ class ChamberComplex:
         self.size = len(self.chambers)
         self.rank = len(self.chambers[0])
         self.coxeter = CoxeterSystem(matrix)
+        order = self.coxeter.order
+        if order > 256:
+            raise InvalidSpec(f"Coxeter order {order} passes 256, the most "
+                              "a byte delta row holds")
+        # translate tables: each index's length; per w, digit 1 at w only
+        self._lengths = bytes(self.coxeter.length).ljust(256, b"\0")
+        self._cell_digits = [b"0" * w + b"1" + b"0" * (255 - w)
+                             for w in range(order)]
         self.panels: list[list[tuple[int, ...]]] = []
         self.panel_of: list[list[int]] = []
         self.panel_masks: list[list[int]] = []     # per type, as bitmasks
@@ -227,7 +237,8 @@ class ChamberComplex:
     # -- W-distance ------------------------------------------------------
 
     def _delta_from(self, c: int):
-        """BFS table from c: (dist, delta index, violations), cached.
+        """BFS table from c: (dist, delta index, violations), cached; bytes
+        where the pass accepts the row, tuples where the walk builds it.
 
         A panel-once pass (_delta_pass) builds the row first.  Only when it
         declines does the recording walk (_delta_walk) run, to build the
@@ -247,7 +258,7 @@ class ChamberComplex:
         return cached
 
     def _delta_pass(self, c: int):
-        """The row from c with no violations, or None.
+        """The row from c with no violations, as bytes, or None.
 
         Each panel is scanned once, from its first-reached member (its
         gate); every other member lies one step further, at delta(gate) *
@@ -287,7 +298,8 @@ class ChamberComplex:
             up += 1
         if -1 in delta:
             return None
-        return tuple(map(length.__getitem__, delta)), tuple(delta), ()
+        row = bytes(delta)
+        return row.translate(self._lengths), row, ()
 
     def _delta_walk(self, c: int):
         """The recording walk: (dist, delta index, violations) from c.
@@ -354,8 +366,9 @@ class ChamberComplex:
                 violations.append(("length-mismatch", c, d, None, None))
         return tuple(dist), tuple(delta), tuple(violations)
 
-    def delta_row(self, c: int) -> tuple[int, ...]:
-        """delta(c, d) for every chamber d, as element indices; -1 marks a
+    def delta_row(self, c: int) -> Sequence[int]:
+        """delta(c, d) for every chamber d, as element indices: bytes when
+        the pass accepts the row, else the walk's tuple, where -1 marks a
         chamber that c's search never reaches."""
         return self._delta_from(c)[1]
 
@@ -373,12 +386,20 @@ class ChamberComplex:
     def cell_masks(self, x: int) -> tuple[int, ...]:
         """The cells of x as bitmasks: entry w has bit y set when
         delta(x, y) = w.  One last entry holds the chambers x's BFS never
-        reaches (delta -1), so every delta value indexes the row."""
+        reaches (delta -1), so every delta value indexes the row.  A byte
+        row is read in C: reversed, so that chamber y lands on bit y, and
+        translated once per w into the digits of its cell."""
         cached = self._mask_cache.get(x)
         if cached is None:
-            rows = [0] * (self.coxeter.order + 1)
-            for y, w in enumerate(self.delta_row(x)):
-                rows[w] |= 1 << y
+            row = self.delta_row(x)
+            if isinstance(row, bytes):
+                back = row[::-1]
+                rows = [int(back.translate(digits), 2)
+                        for digits in self._cell_digits] + [0]
+            else:
+                rows = [0] * (self.coxeter.order + 1)
+                for y, w in enumerate(row):
+                    rows[w] |= 1 << y
             cached = self._mask_cache[x] = tuple(rows)
         return cached
 

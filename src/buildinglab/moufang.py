@@ -21,23 +21,24 @@ the open masks with one cached cell row of its image, a chamber down to
 one image is queued and never filtered again, and a complete map is kept
 exactly when the complex's automorphism test passes it.  By rigidity the
 search branches once, over the images of one chamber, and otherwise only
-propagates.  The Moufang property is then checked head on: one simple-path
-walk on the graph lists each root (an n-edge path) once, from its smaller
-end, and files it under its two ends.  The ends x0 and xn of a root are
-opposite, so an apartment through the root is determined by its edge at x0
-off the root: the apartments through it correspond one to one with the
-chambers of x0's star other than the root's own, as many as the measured
-parameter of x0's panel type.  Each root group must permute those simply
-transitively, with order equal to that parameter: it holds the identity
-and maps the least of those chambers, once under each element, onto all of
-them; the apartments, counted apart as the roots between the same ends
-that miss the interior, must number as many.  The two types may have
-different parameters, as in the elliptic quadric quadrangle of order
-(q, q^2).  Only the 2n base root groups are searched for that; every other
-root group is a conjugate g^-1 U_i g, g the product of the base root
+propagates.  The Moufang property is then checked head on, with no list of
+roots: the walk goes over the root interiors (paths of n - 2 edges), and
+each root is an end extension of its interior.  Two opposite vertices of a
+generalized n-gon are joined by exactly one path through each neighbour of
+either, so the apartments through a root x0 ... xn are counted as the
+neighbours y != x1 of x0 at distance n - 1 from xn, read off one byte row
+of vertex distances; there must be as many as the measured parameter of
+x0's panel type.  Each root group must permute them simply transitively,
+with order equal to that parameter: it holds the identity and maps the
+least of them, once under each element, onto all of them.  The two types
+may have different parameters, as in the elliptic quadric quadrangle of
+order (q, q^2).  Only the 2n base root groups are searched for that; every
+other root group is a conjugate g^-1 U_i g, g the product of the base root
 elements on the path to its interior in a breadth-first walk from the base
-interiors, checked element by element, and a seeded few are searched again
-as the independent route.
+interiors.  Those products act on vertices, 2N/(q+1) entries against N
+chambers; every element is checked in full as an automorphism of the
+incidence graph, and a seeded few groups are searched again as the
+independent route.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
@@ -136,9 +137,10 @@ def find_automorphisms(cx: ChamberComplex,
     Each open chamber c keeps the images still possible as a bitmask,
     starting from its forced image or, if it lies on a setwise-fixed
     panel, from that panel.  Assigning e -> y ANDs every open mask with
-    the cell of y that delta(e, c) names, from cx.cell_masks.  A mask down
-    to one image determines its chamber: it leaves the open set for a
-    queue, is assigned in turn and is never filtered again.  With the
+    the cell of y that delta(e, c) names, from cx.cell_masks; e's own row
+    is read only then, so only chambers the queue reaches have it read.  A
+    mask down to one image determines its chamber: it leaves the open set
+    for a queue, is assigned in turn and is never filtered again.  With the
     queue empty the search branches on the open chamber with the fewest
     images, lowest index first, over its images in ascending order.  A
     complete map is kept exactly when cx.is_automorphism passes it, in
@@ -163,8 +165,7 @@ def find_automorphisms(cx: ChamberComplex,
         raise InvalidSpec(f"forced images must map chambers of 0..{N - 1}")
     if not vertex_fixes <= set(cx.all_panel_ids()):
         raise InvalidSpec("setwise-fixed panels must be panels of the complex")
-    delta = [cx.delta_row(c) for c in range(N)]
-    cells = cx.cell_masks
+    rows, cells = cx.delta_row, cx.cell_masks
     image = [-1] * N
     queue: list[int] = []
     open_masks: dict[int, int] = {}
@@ -194,7 +195,7 @@ def find_automorphisms(cx: ChamberComplex,
         for e in queue:            # grows as assignments determine chambers
             if not masks:
                 break
-            row, cell = delta[e], cells(image[e])
+            row, cell = rows(e), cells(image[e])
             left = {}
             for c, mask in masks.items():
                 mask &= cell[row[c]]
@@ -229,7 +230,9 @@ def find_automorphisms(cx: ChamberComplex,
 class MoufangFrame:
     """The rank-2 view of a complex: its incidence graph, a labeled base
     apartment circuit, and one root-group cache.  q is the panel parameter
-    the two types share, or None when their measured parameters differ."""
+    the two types share, or None when their measured parameters differ.
+    The vertices are numbered too, type 0 first: a vertex map is a Perm of
+    those numbers."""
 
     def __init__(self, cx: ChamberComplex):
         if cx.rank != 2:
@@ -250,6 +253,19 @@ class MoufangFrame:
                                    f"{other} share two chambers")
                 row[other] = c
             self.graph[pid] = dict(sorted(row.items()))
+        self._vertices = list(self.graph)
+        self._number = {pid: v for v, pid in enumerate(self._vertices)}
+        split = self._split = len(cx.panel_masks[0])
+        self._kinds = set(range(split)), set(range(split, len(self.graph)))
+        self._neighbours = [[self._number[o] for o in row]
+                            for row in self.graph.values()]
+        self._at_neighbours = [_picker(row) for row in self._neighbours]
+        ends = [[self._number[cx.panel_id(t, c)] for c in range(self.N)]
+                for t in (0, 1)]
+        self._at_ends = [_picker(e) for e in ends]
+        self._chamber_at = dict(zip(zip(*ends), range(self.N)))
+        self._pairs = frozenset(self._chamber_at)
+        self._distance_rows: dict[int, bytes] = {}
         big = cx.schubert_cell(0, cx.coxeter.longest)
         if not big:
             raise NotFound("no chamber opposite the base chamber")
@@ -260,8 +276,6 @@ class MoufangFrame:
         self.base_interiors = [self.interior(self.root_path(i))
                                for i in range(2 * self.n)]
         self._root_cache: dict[tuple, list[Perm]] = {}
-        self._roots: Optional[list[tuple[PanelId, ...]]] = None
-        self._roots_by_ends: dict[tuple, list[tuple[PanelId, ...]]] = {}
 
     def _circuit_labels(self, hull: Sequence[int]):
         """Walk the thin hull as a circuit; returns (vertices, edge chambers)
@@ -316,47 +330,62 @@ class MoufangFrame:
     def root_group(self, i: int) -> list[Perm]:
         return self._root_group(self.base_interiors[i % (2 * self.n)])
 
-    # roots of the whole building -------------------------------------------
+    def _paths(self, edges: int) -> Iterator[tuple[PanelId, ...]]:
+        """The simple paths of that many edges, each once from its smaller
+        end, in sorted order: one depth-first walk over the sorted graph.
+        With n edges these are the roots, with n - 2 their interiors."""
+        stack = [(start,) for start in reversed(self.graph)]
+        while stack:
+            path = stack.pop()
+            if len(path) <= edges:
+                stack.extend(path + (nxt,)
+                             for nxt in reversed(self.graph[path[-1]])
+                             if nxt not in path)
+            elif path[0] <= path[-1]:
+                yield path
 
-    def all_roots(self) -> list[tuple[PanelId, ...]]:
-        """All n-edge paths in the incidence graph, up to reversal; these
-        are exactly the roots (half-apartments) of the polygon.  One
-        depth-first walk per frame, over the sorted graph in sorted order,
-        lists each from its smaller end (first < last), so in sorted order,
-        and files it under its ends."""
-        if self._roots is None:
-            self._roots = []
-            stack = [(start,) for start in reversed(self.graph)]
-            while stack:
-                path = stack.pop()
-                if len(path) <= self.n:
-                    stack.extend(path + (nxt,)
-                                 for nxt in reversed(self.graph[path[-1]])
-                                 if nxt not in path)
-                elif path[0] < path[-1]:
-                    self._roots.append(path)
-                    self._roots_by_ends.setdefault(
-                        (path[0], path[-1]), []).append(path)
-        return self._roots
+    def _roots_of(self, key: tuple, last: Optional[tuple] = None):
+        """The roots with the given interior, from their smaller ends: two
+        distinct ends off the interior, one at each side; with last, only
+        those no later than it in sorted order."""
+        back = key[::-1]
+        stops = [b for b in self.graph[key[-1]] if b not in key]
+        for a in self.graph[key[0]]:
+            for b in stops if a not in key else ():
+                path = (a,) + key + (b,) if a < b else (b,) + back + (a,)
+                if a != b and (last is None or path <= last):
+                    yield path
 
-    def _apartment_count(self, path: Sequence[PanelId]) -> int:
-        """The apartments containing the root path, counted as the roots
-        between the same ends that miss its interior (each closes it to a
-        2n-circuit; the path itself meets its own interior).  Reads the
-        index that all_roots() files, so that must have run."""
-        ends = min((path[0], path[-1]), (path[-1], path[0]))
-        inner = set(path[1:-1])
-        return sum(inner.isdisjoint(other[1:-1])
-                   for other in self._roots_by_ends.get(ends, ()))
+    def _apartments_through(self, path: Sequence[PanelId]) -> int:
+        """The apartments containing the root path, counted as the
+        neighbours y != path[1] of path[0] at distance n - 1 from path[-1]
+        (in a generalized n-gon, y's one path to the opposite path[-1]
+        closes the root to a 2n-circuit).  Read off path[-1]'s byte row of
+        vertex distances, 255 past n - 1, built once per vertex."""
+        x0, x1, xn = (self._number[pid] for pid in (path[0], path[1],
+                                                     path[-1]))
+        dist = self._distance_rows.get(xn)
+        if dist is None:
+            dist = bytearray(b"\xff" * len(self._vertices))
+            dist[xn], frontier = 0, [xn]
+            for d in range(1, self.n):
+                frontier = {y for x in frontier for y in self._neighbours[x]
+                            if dist[y] == 255}
+                for y in frontier:
+                    dist[y] = d
+            dist = self._distance_rows[xn] = bytes(dist)
+        far = self.n - 1
+        return self._at_neighbours[x0](dist).count(far) - (dist[x1] == far)
 
     def _regular_on_end_panel(self, path: Sequence[PanelId],
                               U: Sequence[Perm]) -> bool:
-        """Whether U maps the least chamber of the star of path[0] off the
-        root, once under each element, onto every such chamber: those
-        chambers stand for the apartments containing the root."""
-        own = self.graph[path[0]][path[1]]
-        others = sorted(c for c in self.star(path[0]) if c != own)
-        return sorted(g[others[0]] for g in U) == others
+        """Whether the vertex maps U, which fix path[0], map its least
+        neighbour off the root, once under each element, onto every such
+        neighbour: those stand for the apartments containing the root."""
+        x1 = self._number[path[1]]
+        others = [y for y in self._neighbours[self._number[path[0]]]
+                  if y != x1]
+        return sorted(m[others[0]] for m in U) == others
 
     # the Moufang condition --------------------------------------------------
 
@@ -367,31 +396,67 @@ class MoufangFrame:
         inner = tuple(path[1:-1])
         return min(inner, inner[::-1])
 
+    def _vertex_map(self, g: Perm) -> Perm:
+        """The vertex map of the chamber map g: each vertex's image read
+        at its first chamber."""
+        images = self.cx.panel_images(g)
+        return images[0] + tuple(p + self._split for p in images[1])
+
+    def _chamber_map(self, m: Perm) -> tuple:
+        """The chamber map of the vertex map m: each chamber to the one
+        joining the images of its two vertices, or None if none does."""
+        return tuple(map(self._chamber_at.get,
+                         zip(self._at_ends[0](m), self._at_ends[1](m))))
+
+    def _near(self, key: tuple) -> tuple:
+        """The vertices within distance 1 of the interior key, as (picker,
+        their numbers): those every element of its root group fixes."""
+        near = sorted({v for pid in key for x in [self._number[pid]]
+                       for v in [x] + self._neighbours[x]})
+        return _picker(near), tuple(near)
+
+    def _element_ok(self, m: Perm, near: tuple) -> bool:
+        """Whether the vertex map m is a bijection on each type, maps the
+        vertices of every chamber onto those of a chamber, and fixes the
+        vertices `_near` gives."""
+        split = self._split
+        return (len(m) == len(self._vertices) and near[0](m) == near[1]
+                and set(m[:split]) == self._kinds[0]
+                and set(m[split:]) == self._kinds[1]
+                and self._pairs.issuperset(zip(self._at_ends[0](m),
+                                               self._at_ends[1](m))))
+
     def root_groups_by_conjugation(
             self, interiors: Iterable[tuple]) -> Iterator[tuple]:
-        """(interior, group, conjugated) once for each of the given root
-        interiors, in sorted order; each group is made when yielded and not
-        kept.
+        """(interior, group, searched) once for each of the given root
+        interiors, in sorted order: the group as vertex maps, made when
+        yielded and not kept, and searched the chamber maps the search gave
+        for it, or None where the group was made by conjugation.
 
         Only the 2n base root groups are searched.  A breadth-first walk over
         the interiors, under the nontrivial base root elements as generators,
         records for each interior it reaches the interior it came from and
         the generator, and stops once every wanted interior is reached.  The
         generator word back to a base interior alpha multiplies into one
-        element g, and U_{alpha g} = g^-1 U_alpha g.  Interiors the walk
-        misses are searched (conjugated False)."""
+        vertex map g, and U_{alpha g} = g^-1 U_alpha g.  Interiors the walk
+        misses are searched."""
         wanted = set(interiors)
         base = {key: self._root_group(key) for key in self.base_interiors}
-        gens = [g for U in base.values() for g in U if g != self.identity]
-        panel_maps = [self.cx.panel_images(g) for g in gens]
+        maps = {key: [self._vertex_map(g) for g in U]
+                for key, U in base.items()}
+        gens = [m for key, U in base.items()
+                for g, m in zip(U, maps[key]) if g != self.identity]
+        inverses = [inverse_perm(g) for g in gens]
+        number, vertices = self._number, self._vertices
         parent: dict[tuple, Optional[tuple]] = dict.fromkeys(base)
         missing = wanted - parent.keys()
         frontier = list(base)
         while frontier and missing:
             nxt = []
             for key in frontier:
-                for k, images in enumerate(panel_maps):
-                    img = tuple((t, images[t][p]) for t, p in key)
+                at = [number[pid] for pid in key]
+                for k, g in enumerate(gens):
+                    img = tuple(vertices[g[v]] for v in at)
                     img = min(img, img[::-1])
                     if img not in parent:
                         parent[img] = (key, k)
@@ -400,69 +465,75 @@ class MoufangFrame:
             frontier = nxt
         for key in sorted(wanted):
             if key in missing:
-                yield key, self._root_group(key), False
+                U = self._root_group(key)
+                yield key, [self._vertex_map(g) for g in U], U
                 continue
-            g, top = self.identity, key
+            g = g_inv = identity_perm(len(vertices))
+            top = key
             while parent[top] is not None:
                 top, k = parent[top]
-                g = compose(gens[k], g)
-            g_inv = inverse_perm(g)
-            U = [compose(compose(g_inv, u), g) for u in base[top]]
-            yield key, U, top != key
+                g, g_inv = compose(gens[k], g), compose(g_inv, inverses[k])
+            yield key, [compose(compose(g_inv, u), g) for u in maps[top]], (
+                base[top] if top == key else None)
 
     def transitivity_check(self, root_limit: Optional[int] = None) -> dict:
-        """For each root (the first `root_limit` if given): |U_alpha| equals
-        the parameter q_t of the type t of the root's first vertex, and the
-        action on the apartments containing the root is simply transitive.
+        """For each root (the first `root_limit` in sorted order if given; a
+        negative one raises InvalidSpec): |U_alpha| is the parameter q_t of
+        the type t of its first vertex, and U_alpha is simply transitive on
+        the apartments containing it.
 
-        The groups come from `root_groups_by_conjugation`, and every element
-        is checked to be an automorphism fixing each chamber of the interior
-        stars; by rigidity U_alpha acts freely on the q_t apartments
-        containing alpha, so q_t distinct such elements are the whole group.
-        Those apartments correspond to the q_t chambers of the star of the
-        root's first vertex other than its own chamber.  A root passes when
-        U_alpha holds the identity, maps the least of those chambers onto
-        all of them, one image per element, and the apartment count read
-        off the root list (`apartments_per_root`) is q_t.  q_t is the
-        measured `cx.thickness[t]`; a type whose panels differ in size has
-        None there, and its roots fail.  As an independent route, the groups
-        of CROSS_CHECK_GROUPS interiors off the base apartment, drawn with
-        CROSS_CHECK_SEED, are searched directly and must come out the same
-        sets."""
+        Roots are walked by interior (with a limit, those of the first
+        roots, drawn lazily), each interior's group made once; every element
+        passes `_element_ok` on the vertices within distance 1 of the
+        interior and, where searched, gives back its chamber map.  By
+        rigidity q_t such elements are the whole group.  A root passes when
+        U_alpha holds the identity, is regular on its end panel, and the
+        apartment count (`apartments_per_root`) is q_t, the measured
+        `cx.thickness[t]` (None, failing, where a type's panels differ in
+        size).  As an independent route, the groups of CROSS_CHECK_GROUPS
+        interiors off the base apartment, drawn with CROSS_CHECK_SEED, are
+        searched directly and must give the same chamber maps."""
+        last = None
+        if root_limit is None:
+            keys = {key for key in self._paths(self.n - 2)
+                    if next(self._roots_of(key), None)}
+        elif root_limit < 0:
+            raise InvalidSpec(f"root limit {root_limit} is negative")
+        else:
+            keys = set()
+            for last in itertools.islice(self._paths(self.n), root_limit):
+                keys.add(self.interior(last))
         thickness = self.cx.thickness
-        roots = self.all_roots()
-        if root_limit is not None:
-            roots = roots[:root_limit]
-        by_interior: dict[tuple, list[int]] = {}
-        for r, path in enumerate(roots):
-            by_interior.setdefault(self.interior(path), []).append(r)
-        off_base = sorted(by_interior.keys() - set(self.base_interiors))
+        identity = identity_perm(len(self._vertices))
+        off_base = sorted(keys - set(self.base_interiors))
         sample = set(random.Random(CROSS_CHECK_SEED).sample(
             off_base, min(CROSS_CHECK_GROUPS, len(off_base))))
         failures = []
         orders = set()
         apartment_counts = set()
         routes = Counter()
-        for key, U, conjugated in self.root_groups_by_conjugation(
-                by_interior.keys()):
-            fixed = self.star_fixing(key)
-            elements_ok = all(self.cx.is_automorphism(g)
-                              and all(g[c] == c for c in fixed) for g in U)
-            agrees = key not in sample or set(U) == set(
-                find_automorphisms(self.cx, forced=fixed))
-            group_ok = elements_ok and self.identity in U
-            route = "conjugated" if conjugated else "searched"
+        for key, U, searched in self.root_groups_by_conjugation(keys):
+            near = self._near(key)
+            elements_ok = all(m == identity or self._element_ok(m, near)
+                              for m in U) and (
+                searched is None
+                or list(map(self._chamber_map, U)) == list(searched))
+            agrees = key not in sample or set(map(self._chamber_map, U)) == (
+                set(find_automorphisms(self.cx, forced=self.star_fixing(key))))
+            group_ok = elements_ok and identity in U
+            route = "conjugated" if searched is None else "searched"
             orders.add(len(U))
-            for r in by_interior[key]:
+            regular = {}      # the end-panel test reads path[:2] only
+            for path in self._roots_of(key, last):
                 routes[route] += 1
-                path = roots[r]
                 q = thickness[path[0][0]]
-                count = self._apartment_count(path)
+                count = self._apartments_through(path)
                 apartment_counts.add(count)
-                ok = (group_ok and len(U) == q and count == q
-                      and self._regular_on_end_panel(path, U))
-                if not (ok and agrees):
-                    failures.append((r, {
+                ok = group_ok and len(U) == q and count == q
+                if ok and path[:2] not in regular:
+                    regular[path[:2]] = self._regular_on_end_panel(path, U)
+                if not (ok and regular[path[:2]] and agrees):
+                    failures.append((path, {
                         "root": [list(map(int, pid)) for pid in path],
                         "group_order": len(U),
                         "apartments": count,
@@ -470,11 +541,12 @@ class MoufangFrame:
                         "elements_ok": elements_ok,
                         "agrees_with_search": agrees,
                     }))
+        roots = sum(routes.values())
         return {
             "geometry": self.cx.geometry,
             "gonality": self.n,
             "q": self.q,
-            "roots_checked": len(roots),
+            "roots_checked": roots,
             "mode": "exhaustive",
             "roots_conjugated": routes["conjugated"],
             "roots_searched": routes["searched"],

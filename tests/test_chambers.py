@@ -375,15 +375,18 @@ def _random_incidence(rng):
 
 
 def _pass_against_walk(cx, outcomes):
-    """Each row of cx by both routes: the pass gives the walk's row, with no
-    violation, or declines where the walk records one."""
+    """Each row of cx by both routes: the pass gives the walk's row as two
+    byte rows, with no violation, or declines where the walk records one."""
     for c in range(cx.size):
         row, walk = cx._delta_pass(c), cx._delta_walk(c)
         if row is None:
             assert walk[2], (cx.chambers, c)
             outcomes[frozenset(v[0] for v in walk[2])] += 1
         else:
-            assert row == walk, (cx.chambers, c)
+            dist, delta, violations = row
+            assert type(dist) is bytes and type(delta) is bytes
+            assert (tuple(dist), tuple(delta), violations) == walk, (
+                cx.chambers, c)
             outcomes["accepted"] += 1
 
 
@@ -412,6 +415,38 @@ def test_pass_matches_walk_on_every_base(spec):
     outcomes = Counter()
     _pass_against_walk(cx, outcomes)
     assert outcomes == {"accepted": cx.size}
+
+
+def _cell_masks_by_loop(cx, x):
+    """cell_masks as it stood before byte rows, kept as its oracle: one
+    Python step per chamber, the unreached ones in the last entry."""
+    rows = [0] * (cx.coxeter.order + 1)
+    for y, w in enumerate(cx.delta_row(x)):
+        rows[w] |= 1 << y
+    return tuple(rows)
+
+
+def test_byte_cell_masks_match_the_loop(pg2_2):
+    # accepted rows are bytes and go through translate; a walk row (the
+    # plane missing a flag, or two planes, one never reached) keeps the loop
+    cases = [(build_flag_building(spec), 10) for spec in
+             ("PG2:q=3", "W:q=2", "Aflags:n=3,q=2")]
+    broken = ChamberComplex(pg2_2.chambers[1:], MATRIX_A2, geometry="broken")
+    cases += [(broken, 20), (_two_copies(pg2_2), 42)]
+    kinds = Counter()
+    for cx, bases in cases:
+        for x in range(bases):
+            kinds[type(cx.delta_row(x))] += 1
+            assert cx.cell_masks(x) == _cell_masks_by_loop(cx, x)
+    assert kinds[bytes] and kinds[tuple]
+
+
+def test_coxeter_order_past_a_byte_is_refused():
+    # I2(129) has 258 elements: a delta index would not fit in a byte
+    with pytest.raises(InvalidSpec, match="Coxeter order 258 passes 256"):
+        ChamberComplex([(0, 0)], [[1, 129], [129, 1]], geometry="I2(129)")
+    assert ChamberComplex([(0, 0)], [[1, 128], [128, 1]],
+                          geometry="I2(128)").coxeter.order == 256
 
 
 def test_b2_flags_a_wrong_coxeter_type(pg2_2, w2):

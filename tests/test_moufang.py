@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from typing import Optional
@@ -609,9 +611,42 @@ def test_root_group_fixes_interior_and_moves_something(frame2):
 
 def test_root_enumeration_counts(frame2, framew):
     # PG(2,2): 14 panels of degree 3, paths of 3 edges: 14*3*2*2/2
-    assert len(frame2.all_roots()) == 84
     # W(2): 30 panels of degree 3, paths of 4 edges: 30*3*2*2*2/2
-    assert len(framew.all_roots()) == 360
+    for frame, count in ((frame2, 84), (framew, 360)):
+        assert len(_all_roots(frame)[0]) == count
+        assert sum(1 for _ in frame._paths(frame.n)) == count
+        assert sum(1 for key in frame._paths(frame.n - 2)
+                   for _ in frame._roots_of(key)) == count
+
+
+# The root list and its index by ends, as MoufangFrame kept them before
+# the transitivity check walked root interiors: the oracle of the interior
+# walk and of the apartment count read off vertex distances.
+def _all_roots(frame):
+    """All n-edge paths in the incidence graph, up to reversal, each from
+    its smaller end, in sorted order; and the same filed under their ends."""
+    roots, by_ends = [], {}
+    stack = [(start,) for start in reversed(frame.graph)]
+    while stack:
+        path = stack.pop()
+        if len(path) <= frame.n:
+            stack.extend(path + (nxt,)
+                         for nxt in reversed(frame.graph[path[-1]])
+                         if nxt not in path)
+        elif path[0] < path[-1]:
+            roots.append(path)
+            by_ends.setdefault((path[0], path[-1]), []).append(path)
+    return roots, by_ends
+
+
+def _apartment_count(by_ends, path):
+    """The apartments containing the root path, counted as the roots
+    between the same ends that miss its interior (each closes it to a
+    2n-circuit; the path itself meets its own interior)."""
+    ends = min((path[0], path[-1]), (path[-1], path[0]))
+    inner = set(path[1:-1])
+    return sum(inner.isdisjoint(other[1:-1])
+               for other in by_ends.get(ends, ()))
 
 
 def _reference_roots(frame):
@@ -641,17 +676,27 @@ def test_root_walk_matches_the_reference(spec, request):
     by_ends = {}
     for path in reference:
         by_ends.setdefault((path[0], path[-1]), []).append(path)
-    roots = frame.all_roots()
+    roots, oracle_by_ends = _all_roots(frame)
     assert roots == reference
     assert all(path[0] < path[-1] for path in roots)
-    assert frame._roots_by_ends == by_ends
+    assert oracle_by_ends == by_ends
+    # the sorted walk the root limit draws from, and the interior walk:
+    # every interior once, sorted, and its end extensions are the roots
+    assert list(frame._paths(frame.n)) == reference
+    interiors = list(frame._paths(frame.n - 2))
+    assert interiors == sorted({frame.interior(path) for path in reference})
+    extended = [path for key in interiors for path in frame._roots_of(key)]
+    assert sorted(extended) == reference
+    assert all(frame.interior(path) == key for key in interiors
+               for path in frame._roots_of(key))
 
 
 def test_apartments_containing_base_root(frame2):
     path = frame2.root_path(0)
     apartments = _reference_apartments(frame2, path)
-    frame2.all_roots()
-    assert len(apartments) == frame2._apartment_count(path) == 2
+    by_ends = _all_roots(frame2)[1]
+    assert len(apartments) == _apartment_count(by_ends, path) == 2
+    assert frame2._apartments_through(path) == 2
     assert frame2.apartment in apartments
 
 
@@ -719,7 +764,7 @@ def _reference_verdict(frame, path, U):
 
 
 def _panel_verdict(frame, path, U):
-    return (frame._apartment_count(path) == _root_parameter(frame, path)
+    return (frame._apartments_through(path) == _root_parameter(frame, path)
             and frame._regular_on_end_panel(path, U))
 
 
@@ -728,30 +773,43 @@ def _assert_panel_rule_matches_reference(frame, roots):
     # element check settles first (a foreign group may pass either rule
     # alone).  Each root, both ways round, gets its own group (both rules
     # pass) and that group with the identity replaced by another element
-    # (both fail).
+    # (both fail); the panel rule reads vertex maps, the reference rule
+    # their chamber maps.  The apartment count read off vertex distances
+    # equals both the closed circuits and the root-list count.
     groups = {key: U for key, U, _ in frame.root_groups_by_conjugation(
         {frame.interior(path) for path in roots})}
+    by_ends = _all_roots(frame)[1]
+    ident = _vertex_identity(frame)
     for path in roots:
         U = groups[frame.interior(path)]
-        u = next(g for g in U if g != frame.identity)
-        doubled = [g if g != frame.identity else u for g in U]
+        u = next(m for m in U if m != ident)
+        doubled = [m if m != ident else u for m in U]
         for oriented in (path, path[::-1]):
+            count = len(_reference_apartments(frame, oriented))
+            assert frame._apartments_through(oriented) == count
+            assert _apartment_count(by_ends, oriented) == count
             assert _panel_verdict(frame, oriented, U)
-            assert _reference_verdict(frame, oriented, U)
+            assert _reference_verdict(
+                frame, oriented, [frame._chamber_map(m) for m in U])
             assert not _panel_verdict(frame, oriented, doubled)
-            assert not _reference_verdict(frame, oriented, doubled)
+            assert not _reference_verdict(
+                frame, oriented, [frame._chamber_map(m) for m in doubled])
+
+
+def _vertex_identity(frame):
+    return identity_perm(len(frame.graph))
 
 
 @pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "W:q=2"])
 def test_apartments_match_reference_on_every_root(spec):
     frame = MoufangFrame(build_flag_building(spec))
-    _assert_panel_rule_matches_reference(frame, frame.all_roots())
+    _assert_panel_rule_matches_reference(frame, _all_roots(frame)[0])
 
 
 @pytest.mark.parametrize("spec", ["PG2:q=4", "W:q=3"])
 def test_apartments_match_reference_on_sampled_roots(spec):
     frame = MoufangFrame(build_flag_building(spec))
-    roots = random.Random(7).sample(frame.all_roots(), 40)
+    roots = random.Random(7).sample(_all_roots(frame)[0], 40)
     _assert_panel_rule_matches_reference(frame, roots)
 
 
@@ -759,20 +817,24 @@ def test_apartments_match_reference_on_the_elliptic_quadrangle(
         frame_elliptic):
     # both parameters: roots from a line of 3 points and from a point on
     # 5 lines
-    roots = random.Random(7).sample(frame_elliptic.all_roots(), 40)
+    roots = random.Random(7).sample(_all_roots(frame_elliptic)[0], 40)
     assert {path[0][0] for path in roots} == {0, 1}
     _assert_panel_rule_matches_reference(frame_elliptic, roots)
 
 
-def test_transitivity_fails_on_a_root_missing_from_the_list():
-    # the roots sharing the dropped root's ends each lose one apartment
+def test_transitivity_fails_on_an_incidence_missing_from_the_distances():
+    # one incidence dropped from the graph the distance rows are read on:
+    # a neighbour of a root's end whose one path to the far end ran through
+    # it is no longer at distance n - 1, so its root loses one apartment
     frame = MoufangFrame(build_flag_building("PG2:q=3"))
-    frame.all_roots()
-    dropped = frame._roots.pop(100)
-    frame._roots_by_ends[(dropped[0], dropped[-1])].remove(dropped)
+    x, y = 5, frame._neighbours[5][0]
+    frame._neighbours[x] = [v for v in frame._neighbours[x] if v != y]
+    frame._neighbours[y] = [v for v in frame._neighbours[y] if v != x]
     report = frame.transitivity_check()
     assert not report["ok"]
     assert frame.q - 1 in report["apartments_per_root"]
+    assert all(f["elements_ok"] and f["agrees_with_search"]
+               and f["group_order"] == frame.q for f in report["failures"])
 
 
 def test_girth_violation_is_not_found(pg2_2, monkeypatch):
@@ -846,33 +908,158 @@ def test_transitivity_check_is_exhaustive_only(pg2_2):
     assert report["ok"]
 
 
+def test_root_limit_takes_the_first_roots_and_refuses_a_negative_one(
+        pg2_2, monkeypatch):
+    # a negative limit once dropped the last roots of the list silently
+    # (79 checked, ok); a limit of 0 checks nothing and fails
+    frame = MoufangFrame(pg2_2)
+    for limit in (-1, -5):
+        with pytest.raises(InvalidSpec, match="negative"):
+            frame.transitivity_check(root_limit=limit)
+    empty = frame.transitivity_check(root_limit=0)
+    assert (empty["roots_checked"], empty["ok"]) == (0, False)
+    assert empty["group_orders"] == [] and empty["failures"] == []
+    for limit in (1, 7, 40, 84, 1000):
+        report = frame.transitivity_check(root_limit=limit)
+        assert report["roots_checked"] == min(limit, 84) and report["ok"]
+    # the first roots of a failing check: the same failures, cut at the
+    # limit, as the whole check lists (with no cross-check, whose sample
+    # the limit changes)
+    monkeypatch.setattr(moufang, "CROSS_CHECK_GROUPS", 0)
+    doubled = _broken_base_frame("PG2:q=3", 1, _doubled)
+    whole = doubled.transitivity_check()["failures"]
+    roots = _all_roots(doubled)[0]
+    for limit in (50, 200, 400):
+        cut = doubled.transitivity_check(root_limit=limit)["failures"]
+        assert cut == [f for f in whole
+                       if tuple(map(tuple, f["root"])) <= roots[limit - 1]]
+
+
+# sha256 of the transitivity reports, taken at the parent of the interior
+# walk: the buildings benchmark's op, and a failing report whose failure
+# list keeps its order and fields
+TRANSITIVITY_DIGESTS = {
+    "W:q=3 root_limit=300":
+        "d6ec02545cd4b80c086c5be98ae3321d368bf1069bd4fb43cfd8b6e6d4b555e2",
+    "PG2:q=3 base group 1 doubled":
+        "7616eceb2729c39aaa85f023acaced1e9ec2f1c2c21c8909855c13dc2e4fc994",
+}
+
+
+def _digest(report):
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_transitivity_reports_are_pinned():
+    report = moufang_transitivity_check(build_flag_building("W:q=3"),
+                                        exhaustive=True, root_limit=300)
+    assert _digest(report) == TRANSITIVITY_DIGESTS["W:q=3 root_limit=300"]
+    report = _broken_base_frame("PG2:q=3", 1, _doubled).transitivity_check()
+    assert not report["ok"] and len(report["failures"]) == 10
+    assert _digest(report) == TRANSITIVITY_DIGESTS[
+        "PG2:q=3 base group 1 doubled"]
+
+
 # the search stays the oracle for the groups the walk makes by conjugation
 @pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "PG2:q=4", "W:q=2"])
 def test_conjugated_groups_match_search_on_every_root(spec):
     frame = MoufangFrame(build_flag_building(spec))
-    roots = frame.all_roots()
+    roots = _all_roots(frame)[0]
     interiors = {frame.interior(path) for path in roots}
     base = {frame.interior(frame.root_path(i)) for i in range(2 * frame.n)}
     seen = []
-    for key, U, conjugated in frame.root_groups_by_conjugation(interiors):
+    for key, U, searched in frame.root_groups_by_conjugation(interiors):
         seen.append(key)
-        assert conjugated == (key not in base)
+        assert (searched is None) == (key not in base)
         assert len(U) == frame.q
-        searched = find_automorphisms(frame.cx, forced=frame.star_fixing(key))
-        assert set(U) == set(searched)
+        found = find_automorphisms(frame.cx, forced=frame.star_fixing(key))
+        assert {frame._chamber_map(m) for m in U} == set(found)
+        assert {frame._vertex_map(g) for g in found} == set(U)
     assert len(seen) == len(set(seen)) and set(seen) == interiors
 
 
 def test_conjugated_groups_match_search_on_sampled_roots():
     frame = MoufangFrame(build_flag_building("W:q=3"))
-    roots = random.Random(7).sample(frame.all_roots(), 24)
+    roots = random.Random(7).sample(_all_roots(frame)[0], 24)
     interiors = {frame.interior(path) for path in roots}
     got = {key: U for key, U, _ in frame.root_groups_by_conjugation(interiors)}
     assert set(got) == interiors
     for key, U in got.items():
-        searched = find_automorphisms(frame.cx, forced=frame.star_fixing(key))
-        assert set(U) == set(searched)
+        found = find_automorphisms(frame.cx, forced=frame.star_fixing(key))
+        assert {frame._chamber_map(m) for m in U} == set(found)
         assert len(U) == 3
+
+
+def test_element_check_rejects_a_conjugate_with_two_points_swapped():
+    # two points off the interior's neighbourhood swapped in a conjugated
+    # element: still a bijection on each type fixing the interior, but some
+    # flag now goes to a point and a line that are not incident
+    frame = MoufangFrame(build_flag_building("W:q=3"))
+    key, U, _ = next(item for item in frame.root_groups_by_conjugation(
+        {frame.interior(path) for path in _all_roots(frame)[0][::97]})
+        if item[2] is None)
+    near = frame._near(key)
+    assert all(frame._element_ok(m, near) for m in U)
+    points = [v for v in range(frame._split, len(frame.graph))
+              if v not in near[1]]
+    checked = 0
+    for a, b in itertools.combinations(points[:12], 2):
+        for m in U:
+            bad = list(m)
+            bad[a], bad[b] = bad[b], bad[a]
+            assert not frame._element_ok(tuple(bad), near)
+            assert None in frame._chamber_map(tuple(bad))
+            checked += 1
+    assert checked == 66 * 3
+
+
+NOTHING_NEAR = (lambda m: (), ())
+
+
+@pytest.mark.parametrize("spec", ["PG2:q=4", "W:q=3"])
+def test_vertex_element_check_matches_the_automorphism_test(spec):
+    # a chamber map g passes as its vertex map, read at each vertex's first
+    # chamber, passing the element check and giving g back as its chamber
+    # map, exactly when cx.is_automorphism passes it
+    frame = MoufangFrame(build_flag_building(spec))
+    verdicts = Counter()
+    for kind, g in _perturbed_elements(frame.cx, _base_root_elements(frame),
+                                       400, 31):
+        m = frame._vertex_map(g)
+        ok = frame._element_ok(m, NOTHING_NEAR) and frame._chamber_map(m) == g
+        assert ok == frame.cx.is_automorphism(g), (kind, g)
+        verdicts[kind, ok] += 1
+    assert verdicts == {("none", True): 100, ("swap", False): 100,
+                        ("panel-swap", False): 100,
+                        ("non-bijection", False): 100}
+
+
+def test_element_check_rejects_a_vertex_map_that_is_no_bijection(frame2):
+    # the retraction onto an apartment through chambers 0 and 20 maps each
+    # chamber's two vertices onto a chamber's, but folds vertices together
+    cx = frame2.cx
+    at = {cx.w_distance(0, e): e for e in cx.apartment_containing(0, 20)}
+    m = frame2._vertex_map(tuple(at[cx.w_distance(0, d)]
+                                 for d in range(cx.size)))
+    assert len(set(m)) < len(m)
+    assert None not in frame2._chamber_map(m)
+    assert not frame2._element_ok(m, NOTHING_NEAR)
+
+
+@pytest.mark.parametrize("spec, rows", [("W:q=3", 117), ("W:q=4", 278)])
+def test_search_reads_only_the_rows_its_queue_reaches(spec, rows):
+    # with every cell row cached first, the rows the base root searches
+    # read themselves: those of the chambers their queues reach
+    frame = MoufangFrame(build_flag_building(spec))
+    cx = frame.cx
+    for x in range(cx.size):
+        cx.cell_masks(x)
+    read, row = set(), cx.delta_row
+    cx.delta_row = lambda c: read.add(c) or row(c)
+    for i in range(2 * frame.n):
+        frame.root_group(i)
+    assert len(read) == rows < cx.size
 
 
 def test_transitivity_counts_routes(pg2_2):
@@ -881,6 +1068,13 @@ def test_transitivity_counts_routes(pg2_2):
     assert report["roots_searched"] == 24
     assert report["roots_conjugated"] == 60
     assert report["groups_cross_checked"] == moufang.CROSS_CHECK_GROUPS
+
+
+def _doubled(frame, U):
+    """q listed elements, the identity among them, one of the others
+    twice."""
+    u = next(g for g in U if g != frame.identity)
+    return [frame.identity, u, u]
 
 
 def _broken_base_frame(spec, i, transform):
@@ -902,10 +1096,7 @@ def test_transitivity_fails_on_base_group_missing_an_element():
 def test_transitivity_fails_on_base_group_listing_an_element_twice():
     # q listed elements, the identity among them, but only two distinct
     # apartment images: the action is not injective
-    def doubled(frame, U):
-        u = next(g for g in U if g != frame.identity)
-        return [frame.identity, u, u]
-    frame = _broken_base_frame("PG2:q=3", 1, doubled)
+    frame = _broken_base_frame("PG2:q=3", 1, _doubled)
     report = frame.transitivity_check()
     assert not report["ok"]
     assert report["group_orders"] == [3]
@@ -946,18 +1137,18 @@ def _mutate_first_conjugated(frame, transform):
     walk, mutated = frame.root_groups_by_conjugation, []
 
     def wrapped(interiors):
-        for key, U, conjugated in walk(interiors):
-            if conjugated and not mutated:
+        for key, U, searched in walk(interiors):
+            if searched is None and not mutated:
                 mutated.append(key)
                 U = transform(U)
-            yield key, U, conjugated
+            yield key, U, searched
     frame.root_groups_by_conjugation = wrapped
     return mutated
 
 
 def test_transitivity_fails_on_a_conjugated_group_missing_an_element():
     frame = MoufangFrame(build_flag_building("PG2:q=3"))
-    e = frame.identity
+    e = _vertex_identity(frame)
     mutated = _mutate_first_conjugated(
         frame, lambda U: [g for g in U if g != e][1:] + [e])
     report = frame.transitivity_check()
@@ -973,8 +1164,8 @@ def test_transitivity_fails_on_a_group_conjugated_by_a_wrong_word():
     # one extra base generator at the end of the parent word: the group of
     # another interior, whose elements move the mutated interior's stars
     frame = MoufangFrame(build_flag_building("W:q=3"))
-    gens = [g for i in range(2 * frame.n) for g in frame.root_group(i)
-            if g != frame.identity]
+    gens = [frame._vertex_map(g) for i in range(2 * frame.n)
+            for g in frame.root_group(i) if g != frame.identity]
 
     def extra_generator(U):
         for v in gens:
