@@ -591,9 +591,9 @@ def boundary_transitivity_check(field: Field, depth: int) -> dict:
 
     A matrix g moves a vertex v to the class of the lattice spanned by the
     columns of g M_v; an image off the sphere is a failure."""
-    _require_window(field, depth, "depth")
     if depth < 1:
         raise InvalidSpec("depth must be at least 1")
+    _require_window(field, depth, "depth")
     ball = TreeBall(field, depth)
     sphere = [ball.vertex(i) for i in ball.level(depth)]
     points = set(sphere)

@@ -2,9 +2,11 @@
 
 A rank-2 chamber complex of gonality n is viewed through its incidence
 graph: vertices are the panels of both types, and each chamber is an edge
-joining its two panels.  A MoufangFrame builds that graph once and is the
-one rank-2 view every check below runs on; the panels, their images and
-the automorphism test belong to the ChamberComplex.  An apartment is a
+joining its two panels.  A vertex is the number of its panel in
+`cx.all_panel_ids()` order, type 0 first, so vertex numbers sort as their
+panels do.  A MoufangFrame builds that graph once and is the one rank-2
+view every check below runs on; the panels, their images and the
+automorphism test belong to the ChamberComplex.  An apartment is a
 circuit of length 2n, labeled here by residues modulo 2n; the root alpha_i
 is the half-circuit path (i, i+1, ..., i+n), and its root group U_i
 consists of the type-preserving automorphisms fixing, chamber by chamber,
@@ -17,28 +19,30 @@ Root groups are found by a forward-checking search for type-preserving
 automorphisms, pruned by the W-valued distance, which every automorphism
 preserves: the identity constraints on the interior stars seed it, each
 open chamber keeps its possible images as a bitmask, each assignment ANDs
-the open masks with one cached cell row of its image, a chamber down to
-one image is queued and never filtered again, and a complete map is kept
+the open masks with one cached cell row of its image, a chamber down to one
+image is queued and never filtered again, and a complete map is kept
 exactly when the complex's automorphism test passes it.  By rigidity the
 search branches once, over the images of one chamber, and otherwise only
-propagates.  The Moufang property is then checked head on, with no list of
-roots: the walk goes over the root interiors (paths of n - 2 edges), and
-each root is an end extension of its interior.  Two opposite vertices of a
-generalized n-gon are joined by exactly one path through each neighbour of
-either, so the apartments through a root x0 ... xn are counted as the
-neighbours y != x1 of x0 at distance n - 1 from xn, read off one byte row
-of vertex distances; there must be as many as the measured parameter of
-x0's panel type.  Each root group must permute them simply transitively,
-with order equal to that parameter: it holds the identity and maps the
-least of them, once under each element, onto all of them.  The two types
-may have different parameters, as in the elliptic quadric quadrangle of
-order (q, q^2).  Only the 2n base root groups are searched for that; every
-other root group is a conjugate g^-1 U_i g, g the product of the base root
-elements on the path to its interior in a breadth-first walk from the base
-interiors.  Those products act on vertices, 2N/(q+1) entries against N
-chambers; every element is checked in full as an automorphism of the
-incidence graph, and a seeded few groups are searched again as the
-independent route.
+propagates.  A root group converts the chamber maps it finds once into
+vertex maps, Perms of the vertex numbers with 2N/(q+1) entries against N
+chambers, which must give the chamber maps back; from there on every root
+element is a vertex map.  The Moufang property is then checked head on,
+with no list of roots: the walk goes over the root interiors (paths of
+n - 2 edges), and each root is an end extension of its interior.  Two
+opposite vertices of a generalized n-gon are joined by exactly one path
+through each neighbour of either, so the apartments through a root
+x0 ... xn are counted as the neighbours y != x1 of x0 at distance n - 1
+from xn, read off one byte row of vertex distances; there must be as many
+as the measured parameter of x0's panel type.  Each root group must permute
+them simply transitively, with order equal to that parameter: it holds the
+identity and maps the least of them, once under each element, onto all of
+them.  The two types may have different parameters, as in the elliptic
+quadric quadrangle of order (q, q^2).  Only the 2n base root groups are
+searched for that; every other root group is a conjugate g^-1 U_i g, g the
+product of the base root elements on the path to its interior in a
+breadth-first walk from the base interiors.  Every element is checked in
+full as an automorphism of the incidence graph, and a seeded few groups are
+searched again as the independent route.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
@@ -49,9 +53,9 @@ until the product formula mu(x_i(t)) = x_{i+n}(t^-1) x_i(t) x_{i+n}(t^-1)
 holds with x_{i+n}(t) := x_i(t) conjugated by m = mu(x_i(1)); the fitted
 tables are reported, no textbook normalization is presupposed.  On top of
 that sit the product-group stabilizer checks, the commutator containments
-[U_i, U_j] <= U_{i+1} ... U_{j-1}, and, for the quadrangle over F_2, the
-defining identity [x_1(1), x_4(u)^-1] = x_2(u) x_3(q(u)) with q fitted by
-exhaustion over the four-element parameter square.
+[U_i, U_j] <= U_{i+1} ... U_{j-1}, and, on every frame of gonality 4, the
+defining quadrangle identity [x_1(1), x_4(u)^-1] = x_2(sigma(u)) x_3(q(u))
+with sigma and q fitted by exhaustion over the q^2 parameter pairs.
 
 The valuation filtration lives on the parameter side: U_{alpha, k}
 corresponds to {t : v(t) >= k}, and each successive quotient is counted
@@ -63,7 +67,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .chambers import ChamberComplex, PanelId, _picker
 from .errors import (
@@ -231,8 +235,8 @@ class MoufangFrame:
     """The rank-2 view of a complex: its incidence graph, a labeled base
     apartment circuit, and one root-group cache.  q is the panel parameter
     the two types share, or None when their measured parameters differ.
-    The vertices are numbered too, type 0 first: a vertex map is a Perm of
-    those numbers."""
+    A vertex is the number of its panel, type 0 first; a root element is a
+    vertex map, a Perm of those numbers."""
 
     def __init__(self, cx: ChamberComplex):
         if cx.rank != 2:
@@ -241,27 +245,21 @@ class MoufangFrame:
         self.n = cx.coxeter.matrix[0][1]
         self.q = cx.thickness[0] if len(set(cx.thickness)) == 1 else None
         self.N = cx.size
-        self.identity = identity_perm(self.N)
-        # panel -> {neighbor panel: the chamber joining them}, sorted
-        self.graph: dict[PanelId, dict[PanelId, int]] = {}
-        for pid in cx.all_panel_ids():
-            row = {}
-            for c in cx.panel_members(pid):
-                other = cx.panel_id(1 - pid[0], c)
-                if other in row:
-                    raise NotFound(f"girth violation: panels {pid} and "
-                                   f"{other} share two chambers")
-                row[other] = c
-            self.graph[pid] = dict(sorted(row.items()))
-        self._vertices = list(self.graph)
-        self._number = {pid: v for v, pid in enumerate(self._vertices)}
         split = self._split = len(cx.panel_masks[0])
-        self._kinds = set(range(split)), set(range(split, len(self.graph)))
-        self._neighbours = [[self._number[o] for o in row]
-                            for row in self.graph.values()]
-        self._at_neighbours = [_picker(row) for row in self._neighbours]
-        ends = [[self._number[cx.panel_id(t, c)] for c in range(self.N)]
+        ends = [[cx.panel_id(t, c)[1] + t * split for c in range(self.N)]
                 for t in (0, 1)]
+        # vertex -> {neighbour: the chamber joining them}, sorted
+        graph: list[dict[int, int]] = [
+            {} for _ in range(split + len(cx.panel_masks[1]))]
+        for c, (a, b) in enumerate(zip(*ends)):
+            if b in graph[a]:
+                raise NotFound(f"girth violation: vertices {a} and {b} "
+                               "share two chambers")
+            graph[a][b] = graph[b][a] = c
+        self.graph = [dict(sorted(row.items())) for row in graph]
+        self.identity = identity_perm(len(graph))
+        self._kinds = set(range(split)), set(range(split, len(graph)))
+        self._at_neighbours = [_picker(list(row)) for row in self.graph]
         self._at_ends = [_picker(e) for e in ends]
         self._chamber_at = dict(zip(zip(*ends), range(self.N)))
         self._pairs = frozenset(self._chamber_at)
@@ -270,26 +268,23 @@ class MoufangFrame:
         if not big:
             raise NotFound("no chamber opposite the base chamber")
         hull = cx.apartment_hull(0, min(big))
-        self.circuit, self.edge_chambers = self._circuit_labels(hull)
-        self.circuit_index = {pid: k for k, pid in enumerate(self.circuit)}
-        self.apartment = frozenset(hull)
+        self.circuit, self.edge_chambers = self._circuit_labels(hull, ends)
         self.base_interiors = [self.interior(self.root_path(i))
                                for i in range(2 * self.n)]
-        self._root_cache: dict[tuple, list[Perm]] = {}
+        self._root_cache: dict[tuple, tuple[list[Perm], bool]] = {}
 
-    def _circuit_labels(self, hull: Sequence[int]):
+    def _circuit_labels(self, hull: Sequence[int], ends: list[list[int]]):
         """Walk the thin hull as a circuit; returns (vertices, edge chambers)
-        with edge k joining vertices k and k+1.  Starts at the least panel and
+        with edge k joining vertices k and k+1.  Starts at the least vertex and
         turns toward its least neighbor, so the labeling is reproducible."""
         inside = set(hull)
         ring = {}
         for c in hull:
-            for i in range(2):
-                pid = self.cx.panel_id(i, c)
-                ring[pid] = {other: e for other, e in self.graph[pid].items()
-                             if e in inside}
-                if len(ring[pid]) != 2:
-                    raise NotFound(f"hull is not thin at panel {pid}")
+            for v in (ends[0][c], ends[1][c]):
+                ring[v] = {w: e for w, e in self.graph[v].items()
+                           if e in inside}
+                if len(ring[v]) != 2:
+                    raise NotFound(f"hull is not thin at vertex {v}")
         start = min(ring)
         vertices = [start]
         prev, cur = start, next(iter(ring[start]))
@@ -304,37 +299,43 @@ class MoufangFrame:
 
     # vertices and roots ---------------------------------------------------
 
-    def vertex(self, k: int) -> PanelId:
+    def vertex(self, k: int) -> int:
         return self.circuit[k % (2 * self.n)]
 
     def chamber_on_edge(self, k: int) -> int:
         return self.edge_chambers[k % (2 * self.n)]
 
-    def root_path(self, i: int) -> tuple[PanelId, ...]:
+    def root_path(self, i: int) -> tuple[int, ...]:
         return tuple(self.vertex(i + k) for k in range(self.n + 1))
 
-    def star(self, pid: PanelId) -> tuple[int, ...]:
-        return self.cx.panel_members(pid)
+    def _panel(self, v: int) -> PanelId:
+        """The panel numbered v."""
+        return (0, v) if v < self._split else (1, v - self._split)
 
-    def star_fixing(self, vertices: Iterable[PanelId]) -> dict[int, int]:
+    def star_fixing(self, vertices: Iterable[int]) -> dict[int, int]:
         """Every chamber on the stars of the given vertices, mapped to
         itself: the forced images of a root-group search."""
-        return {c: c for pid in vertices for c in self.star(pid)}
+        return {c: c for v in vertices for c in self.graph[v].values()}
 
-    def _root_group(self, interior: tuple[PanelId, ...]) -> list[Perm]:
+    def _root_group(self, interior: tuple) -> tuple[list[Perm], bool]:
+        """The root group of the interior as vertex maps, in the search's
+        order, and whether they give back the search's chamber maps."""
         if interior not in self._root_cache:
-            self._root_cache[interior] = find_automorphisms(
-                self.cx, forced=self.star_fixing(interior))
+            found = find_automorphisms(self.cx,
+                                       forced=self.star_fixing(interior))
+            U = [self._vertex_map(g) for g in found]
+            decodes = list(map(self._chamber_map, U)) == found
+            self._root_cache[interior] = U, decodes
         return self._root_cache[interior]
 
     def root_group(self, i: int) -> list[Perm]:
-        return self._root_group(self.base_interiors[i % (2 * self.n)])
+        return self._root_group(self.base_interiors[i % (2 * self.n)])[0]
 
-    def _paths(self, edges: int) -> Iterator[tuple[PanelId, ...]]:
+    def _paths(self, edges: int) -> Iterator[tuple[int, ...]]:
         """The simple paths of that many edges, each once from its smaller
         end, in sorted order: one depth-first walk over the sorted graph.
         With n edges these are the roots, with n - 2 their interiors."""
-        stack = [(start,) for start in reversed(self.graph)]
+        stack = [(start,) for start in reversed(range(len(self.graph)))]
         while stack:
             path = stack.pop()
             if len(path) <= edges:
@@ -356,20 +357,19 @@ class MoufangFrame:
                 if a != b and (last is None or path <= last):
                     yield path
 
-    def _apartments_through(self, path: Sequence[PanelId]) -> int:
+    def _apartments_through(self, path: Sequence[int]) -> int:
         """The apartments containing the root path, counted as the
         neighbours y != path[1] of path[0] at distance n - 1 from path[-1]
         (in a generalized n-gon, y's one path to the opposite path[-1]
         closes the root to a 2n-circuit).  Read off path[-1]'s byte row of
         vertex distances, 255 past n - 1, built once per vertex."""
-        x0, x1, xn = (self._number[pid] for pid in (path[0], path[1],
-                                                     path[-1]))
+        x0, x1, xn = path[0], path[1], path[-1]
         dist = self._distance_rows.get(xn)
         if dist is None:
-            dist = bytearray(b"\xff" * len(self._vertices))
+            dist = bytearray(b"\xff" * len(self.graph))
             dist[xn], frontier = 0, [xn]
             for d in range(1, self.n):
-                frontier = {y for x in frontier for y in self._neighbours[x]
+                frontier = {y for x in frontier for y in self.graph[x]
                             if dist[y] == 255}
                 for y in frontier:
                     dist[y] = d
@@ -377,20 +377,18 @@ class MoufangFrame:
         far = self.n - 1
         return self._at_neighbours[x0](dist).count(far) - (dist[x1] == far)
 
-    def _regular_on_end_panel(self, path: Sequence[PanelId],
+    def _regular_on_end_panel(self, path: Sequence[int],
                               U: Sequence[Perm]) -> bool:
         """Whether the vertex maps U, which fix path[0], map its least
         neighbour off the root, once under each element, onto every such
         neighbour: those stand for the apartments containing the root."""
-        x1 = self._number[path[1]]
-        others = [y for y in self._neighbours[self._number[path[0]]]
-                  if y != x1]
+        others = [y for y in self.graph[path[0]] if y != path[1]]
         return sorted(m[others[0]] for m in U) == others
 
     # the Moufang condition --------------------------------------------------
 
     @staticmethod
-    def interior(path: Sequence[PanelId]) -> tuple[PanelId, ...]:
+    def interior(path: Sequence[int]) -> tuple[int, ...]:
         """The inner vertices of a root path, read in the smaller direction;
         the root group depends on nothing else."""
         inner = tuple(path[1:-1])
@@ -411,8 +409,7 @@ class MoufangFrame:
     def _near(self, key: tuple) -> tuple:
         """The vertices within distance 1 of the interior key, as (picker,
         their numbers): those every element of its root group fixes."""
-        near = sorted({v for pid in key for x in [self._number[pid]]
-                       for v in [x] + self._neighbours[x]})
+        near = sorted({v for x in key for v in (x, *self.graph[x])})
         return _picker(near), tuple(near)
 
     def _element_ok(self, m: Perm, near: tuple) -> bool:
@@ -420,7 +417,7 @@ class MoufangFrame:
         vertices of every chamber onto those of a chamber, and fixes the
         vertices `_near` gives."""
         split = self._split
-        return (len(m) == len(self._vertices) and near[0](m) == near[1]
+        return (len(m) == len(self.identity) and near[0](m) == near[1]
                 and set(m[:split]) == self._kinds[0]
                 and set(m[split:]) == self._kinds[1]
                 and self._pairs.issuperset(zip(self._at_ends[0](m),
@@ -428,10 +425,11 @@ class MoufangFrame:
 
     def root_groups_by_conjugation(
             self, interiors: Iterable[tuple]) -> Iterator[tuple]:
-        """(interior, group, searched) once for each of the given root
+        """(interior, group, decodes) once for each of the given root
         interiors, in sorted order: the group as vertex maps, made when
-        yielded and not kept, and searched the chamber maps the search gave
-        for it, or None where the group was made by conjugation.
+        yielded and not kept, and decodes whether a searched group's vertex
+        maps give back the search's chamber maps, or None where the group
+        was made by conjugation.
 
         Only the 2n base root groups are searched.  A breadth-first walk over
         the interiors, under the nontrivial base root elements as generators,
@@ -442,21 +440,17 @@ class MoufangFrame:
         misses are searched."""
         wanted = set(interiors)
         base = {key: self._root_group(key) for key in self.base_interiors}
-        maps = {key: [self._vertex_map(g) for g in U]
-                for key, U in base.items()}
-        gens = [m for key, U in base.items()
-                for g, m in zip(U, maps[key]) if g != self.identity]
+        gens = [m for U, _ in base.values() for m in U if m != self.identity]
         inverses = [inverse_perm(g) for g in gens]
-        number, vertices = self._number, self._vertices
         parent: dict[tuple, Optional[tuple]] = dict.fromkeys(base)
         missing = wanted - parent.keys()
         frontier = list(base)
         while frontier and missing:
             nxt = []
             for key in frontier:
-                at = [number[pid] for pid in key]
+                at = _picker(key)
                 for k, g in enumerate(gens):
-                    img = tuple(vertices[g[v]] for v in at)
+                    img = at(g)
                     img = min(img, img[::-1])
                     if img not in parent:
                         parent[img] = (key, k)
@@ -465,16 +459,16 @@ class MoufangFrame:
             frontier = nxt
         for key in sorted(wanted):
             if key in missing:
-                U = self._root_group(key)
-                yield key, [self._vertex_map(g) for g in U], U
+                yield (key, *self._root_group(key))
                 continue
-            g = g_inv = identity_perm(len(vertices))
+            g = g_inv = self.identity
             top = key
             while parent[top] is not None:
                 top, k = parent[top]
                 g, g_inv = compose(gens[k], g), compose(g_inv, inverses[k])
-            yield key, [compose(compose(g_inv, u), g) for u in maps[top]], (
-                base[top] if top == key else None)
+            U, decodes = base[top]
+            yield key, [compose(compose(g_inv, u), g) for u in U], (
+                decodes if top == key else None)
 
     def transitivity_check(self, root_limit: Optional[int] = None) -> dict:
         """For each root (the first `root_limit` in sorted order if given; a
@@ -504,7 +498,6 @@ class MoufangFrame:
             for last in itertools.islice(self._paths(self.n), root_limit):
                 keys.add(self.interior(last))
         thickness = self.cx.thickness
-        identity = identity_perm(len(self._vertices))
         off_base = sorted(keys - set(self.base_interiors))
         sample = set(random.Random(CROSS_CHECK_SEED).sample(
             off_base, min(CROSS_CHECK_GROUPS, len(off_base))))
@@ -512,21 +505,19 @@ class MoufangFrame:
         orders = set()
         apartment_counts = set()
         routes = Counter()
-        for key, U, searched in self.root_groups_by_conjugation(keys):
+        for key, U, decodes in self.root_groups_by_conjugation(keys):
             near = self._near(key)
-            elements_ok = all(m == identity or self._element_ok(m, near)
-                              for m in U) and (
-                searched is None
-                or list(map(self._chamber_map, U)) == list(searched))
+            elements_ok = all(m == self.identity or self._element_ok(m, near)
+                              for m in U) and decodes is not False
             agrees = key not in sample or set(map(self._chamber_map, U)) == (
                 set(find_automorphisms(self.cx, forced=self.star_fixing(key))))
-            group_ok = elements_ok and identity in U
-            route = "conjugated" if searched is None else "searched"
+            group_ok = elements_ok and self.identity in U
+            route = "conjugated" if decodes is None else "searched"
             orders.add(len(U))
             regular = {}      # the end-panel test reads path[:2] only
             for path in self._roots_of(key, last):
                 routes[route] += 1
-                q = thickness[path[0][0]]
+                q = thickness[self._panel(path[0])[0]]
                 count = self._apartments_through(path)
                 apartment_counts.add(count)
                 ok = group_ok and len(U) == q and count == q
@@ -534,7 +525,7 @@ class MoufangFrame:
                     regular[path[:2]] = self._regular_on_end_panel(path, U)
                 if not (ok and regular[path[:2]] and agrees):
                     failures.append((path, {
-                        "root": [list(map(int, pid)) for pid in path],
+                        "root": [list(self._panel(v)) for v in path],
                         "group_order": len(U),
                         "apartments": count,
                         "route": route,
@@ -559,27 +550,11 @@ class MoufangFrame:
 
     # the apartment action ---------------------------------------------------
 
-    def induced_vertex_map(self, g: Perm) -> Optional[list[int]]:
-        """Labels of the images of the circuit vertices, or None if the
-        image leaves the circuit."""
-        images = self.cx.panel_images(g)
-        out = []
-        for t, p in self.circuit:
-            img = (t, images[t][p])
-            if img not in self.circuit_index:
-                return None
-            out.append(self.circuit_index[img])
-        return out
-
-    def is_reflection_through(self, g: Perm, i: int) -> bool:
-        """Does g act on the circuit as the reflection fixing i and i+n."""
-        if frozenset(g[c] for c in self.apartment) != self.apartment:
-            return False
-        vm = self.induced_vertex_map(g)
-        if vm is None:
-            return False
-        m = 2 * self.n
-        return all(vm[k] == (2 * i - k) % m for k in range(m))
+    def is_reflection_through(self, m: Perm, i: int) -> bool:
+        """Does the vertex map m act on the circuit as the reflection fixing
+        i and i+n."""
+        return _picker(self.circuit)(m) == tuple(
+            self.vertex(2 * i - k) for k in range(2 * self.n))
 
 
 def moufang_transitivity_check(cx: ChamberComplex,
@@ -680,8 +655,8 @@ def orbit_labeling_check(frame: MoufangFrame, x_table: dict[int, Perm],
     with the fixed chamber on edge (i, i+1) excluded."""
     base = frame.chamber_on_edge(i - 1)
     excluded = frame.chamber_on_edge(i)
-    star = set(frame.star(frame.vertex(i)))
-    images = {t: g[base] for t, g in x_table.items()}
+    star = set(frame.graph[frame.vertex(i)].values())
+    images = {t: frame._chamber_map(g)[base] for t, g in x_table.items()}
     distinct = len(set(images.values())) == len(images)
     inside = set(images.values()) == star - {excluded}
     return {"distinct": distinct, "covers_punctured_star": inside,
@@ -692,10 +667,11 @@ def orbit_labeling_check(frame: MoufangFrame, x_table: dict[int, Perm],
 # ---------------------------------------------------------------------------
 # product groups, stabilizers, commutators
 
-def fixed_vertices_of_set(cx: ChamberComplex, perms: Iterable[Perm]) -> frozenset:
-    maps = [cx.panel_images(g) for g in perms]
-    return frozenset((t, p) for t, p in cx.all_panel_ids()
-                     if all(images[t][p] == p for images in maps))
+def fixed_vertices_of_set(frame: MoufangFrame,
+                          perms: Collection[Perm]) -> frozenset:
+    """The panels of the vertices every vertex map in perms fixes."""
+    return frozenset(frame._panel(v) for v in range(len(frame.graph))
+                     if all(m[v] == v for m in perms))
 
 
 def product_stabilizer_check(frame: MoufangFrame, i: int, j: int) -> dict:
@@ -705,9 +681,10 @@ def product_stabilizer_check(frame: MoufangFrame, i: int, j: int) -> dict:
     cx = frame.cx
     groups = [frame.root_group(k) for k in range(i, i + j + 1)]
     prod = product_set(*groups)
-    fixed = fixed_vertices_of_set(cx, prod)
-    stab = set(find_automorphisms(cx, vertex_fixes=fixed))
-    expected = cx.parameter_product(frame.vertex(k)[0]
+    fixed = fixed_vertices_of_set(frame, prod)
+    stab = set(map(frame._vertex_map,
+                   find_automorphisms(cx, vertex_fixes=fixed)))
+    expected = cx.parameter_product(frame._panel(frame.vertex(k))[0]
                                     for k in range(i, i + j + 1))
     return {
         "i": i, "j": j,

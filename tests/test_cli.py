@@ -527,6 +527,17 @@ def test_boundary_depth_beyond_precision_names_the_depth(capsys):
     assert "radius" not in err
 
 
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_boundary_depth_below_one_names_the_rule(depth, capsys):
+    # a negative depth once gave "depth must be nonnegative", though 0 is
+    # refused too
+    argv = ["bt", "boundary", "--field", "Q2", "--depth", depth]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "depth must be at least 1" in err
+    assert "nonnegative" not in err
+
+
 def test_exhausted_search_budget_gets_a_report(monkeypatch, capsys):
     monkeypatch.setattr(moufang, "_SEARCH_BUDGET", 1)
     code, report, err = run(

@@ -313,15 +313,14 @@ def test_circuit_shape(frame2):
     assert n == 3
     assert len(frame2.circuit) == 2 * n
     # panel types alternate around the circuit
-    types = [pid[0] for pid in frame2.circuit]
+    types = [_panels(frame2)[v][0] for v in frame2.circuit]
     assert all(types[k] != types[(k + 1) % (2 * n)] for k in range(2 * n))
     # each edge chamber joins its two endpoint panels
     for k in range(2 * n):
         c = frame2.chamber_on_edge(k)
-        assert c in frame2.star(frame2.vertex(k))
-        assert c in frame2.star(frame2.vertex(k + 1))
-    assert frame2.apartment == frozenset(frame2.edge_chambers)
-    assert len(frame2.apartment) == 2 * n
+        assert c in _star(frame2, frame2.vertex(k))
+        assert c in _star(frame2, frame2.vertex(k + 1))
+    assert len(set(frame2.circuit)) == len(set(frame2.edge_chambers)) == 2 * n
 
 
 def test_identity_forced_search(pg2_2, chamber_neighbors):
@@ -376,7 +375,7 @@ def test_search_matches_reference_on_base_roots(spec, roots):
     frame = MoufangFrame(build_flag_building(spec))
     for i in roots:
         interior = frame.root_path(i)[1:-1]
-        fixed = {c: c for pid in interior for c in frame.star(pid)}
+        fixed = {c: c for v in interior for c in _star(frame, v)}
         got = find_automorphisms(frame.cx, forced=fixed)
         assert got == _reference_automorphisms(frame.cx, forced=fixed)
         assert len(got) == frame.q
@@ -387,7 +386,7 @@ def test_search_matches_reference_on_stabilizers(framew):
     for j in (0, 1):
         for i in range(1, framew.n - j + 1):
             groups = [framew.root_group(k) for k in range(i, i + j + 1)]
-            fixed = fixed_vertices_of_set(framew.cx, product_set(*groups))
+            fixed = fixed_vertices_of_set(framew, product_set(*groups))
             got = find_automorphisms(framew.cx, vertex_fixes=fixed)
             assert got == _reference_automorphisms(framew.cx,
                                                    vertex_fixes=fixed)
@@ -411,7 +410,7 @@ def test_search_matches_forward_checking_on_stabilizers():
     for j in (0, 1):
         for i in range(1, frame.n - j + 1):
             groups = [frame.root_group(k) for k in range(i, i + j + 1)]
-            fixed = fixed_vertices_of_set(frame.cx, product_set(*groups))
+            fixed = fixed_vertices_of_set(frame, product_set(*groups))
             got = find_automorphisms(frame.cx, vertex_fixes=fixed)
             assert got == _forward_checking_automorphisms(
                 frame.cx, vertex_fixes=fixed)
@@ -601,12 +600,13 @@ def test_root_groups_have_order_q(frame2, frame3):
 def test_root_group_fixes_interior_and_moves_something(frame2):
     U = frame2.root_group(1)
     interior = frame2.root_path(1)[1:-1]
-    fixed = {c for pid in interior for c in frame2.star(pid)}
-    for g in U:
+    fixed = {c for v in interior for c in _star(frame2, v)}
+    for g in map(frame2._chamber_map, U):
         assert all(g[c] == c for c in fixed)
-    nontrivial = [g for g in U if g != frame2.identity]
-    assert nontrivial and all(any(g[c] != c for c in range(frame2.N))
-                              for g in nontrivial)
+    nontrivial = [m for m in U if m != frame2.identity]
+    assert nontrivial and all(
+        any(g[c] != c for c in range(frame2.N))
+        for g in map(frame2._chamber_map, nontrivial))
 
 
 def test_root_enumeration_counts(frame2, framew):
@@ -626,7 +626,7 @@ def _all_roots(frame):
     """All n-edge paths in the incidence graph, up to reversal, each from
     its smaller end, in sorted order; and the same filed under their ends."""
     roots, by_ends = [], {}
-    stack = [(start,) for start in reversed(frame.graph)]
+    stack = [(start,) for start in reversed(range(len(frame.graph)))]
     while stack:
         path = stack.pop()
         if len(path) <= frame.n:
@@ -649,22 +649,46 @@ def _apartment_count(by_ends, path):
                for other in by_ends.get(ends, ()))
 
 
-def _reference_roots(frame):
+def _reference_roots(cx):
     """all_roots as it stood before the one-sided walk, kept as its oracle:
-    every n-edge path from every start, each reduced to the smaller of it
-    and its reversal in a set, then sorted."""
+    every n-edge path of panels from every start, each reduced to the
+    smaller of it and its reversal in a set, then sorted."""
+    graph, n = _panel_graph(cx), cx.coxeter.matrix[0][1]
     found = set()
-    for start in frame.graph:
+    for start in graph:
         stack = [(start,)]
         while stack:
             path = stack.pop()
-            if len(path) == frame.n + 1:
+            if len(path) == n + 1:
                 found.add(min(path, path[::-1]))
                 continue
-            for nxt in frame.graph[path[-1]]:
+            for nxt in graph[path[-1]]:
                 if nxt not in path:
                     stack.append(path + (nxt,))
     return sorted(found)
+
+
+# The incidence graph as MoufangFrame kept it before vertices were
+# numbered, keyed by panel: the oracle of the vertex numbering.
+def _panel_graph(cx):
+    """panel -> {neighbouring panel: the chamber joining them}, sorted."""
+    return {pid: dict(sorted((cx.panel_id(1 - pid[0], c), c)
+                             for c in cx.panel_members(pid)))
+            for pid in cx.all_panel_ids()}
+
+
+def _panels(frame):
+    """The panels in sorted order: vertex v is the v-th."""
+    return sorted(frame.cx.all_panel_ids())
+
+
+def _star(frame, v):
+    return frame.cx.panel_members(_panels(frame)[v])
+
+
+def _reported_path(frame, root):
+    """A failure's root, reported as panels, as vertex numbers."""
+    return tuple(map(_panels(frame).index, map(tuple, root)))
 
 
 @pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "PG2:q=4", "W:q=2",
@@ -672,7 +696,17 @@ def _reference_roots(frame):
 def test_root_walk_matches_the_reference(spec, request):
     frame = (request.getfixturevalue("frame_elliptic") if spec == "Q-(5,2)"
              else MoufangFrame(build_flag_building(spec)))
-    reference = _reference_roots(frame)
+    # vertex v is the v-th panel in sorted order, and the graph is the
+    # panel graph so numbered, each row in sorted order
+    panels = _panels(frame)
+    number = {pid: v for v, pid in enumerate(panels)}
+    assert [frame._panel(v) for v in range(len(panels))] == panels
+    assert frame.identity == tuple(range(len(panels)))
+    assert [list(row.items()) for row in frame.graph] == [
+        [(number[other], c) for other, c in row.items()]
+        for row in _panel_graph(frame.cx).values()]
+    reference = [tuple(map(number.get, path))
+                 for path in _reference_roots(frame.cx)]
     by_ends = {}
     for path in reference:
         by_ends.setdefault((path[0], path[-1]), []).append(path)
@@ -697,7 +731,7 @@ def test_apartments_containing_base_root(frame2):
     by_ends = _all_roots(frame2)[1]
     assert len(apartments) == _apartment_count(by_ends, path) == 2
     assert frame2._apartments_through(path) == 2
-    assert frame2.apartment in apartments
+    assert frozenset(frame2.edge_chambers) in apartments
 
 
 @pytest.mark.parametrize("frame_name", ["frame3", "framew"])
@@ -749,7 +783,7 @@ def _reference_apartments(frame, path):
 
 def _root_parameter(frame, path):
     """The measured parameter of the type of the root's first vertex."""
-    return frame.cx.thickness[path[0][0]]
+    return frame.cx.thickness[_panels(frame)[path[0]][0]]
 
 
 def _reference_verdict(frame, path, U):
@@ -779,7 +813,7 @@ def _assert_panel_rule_matches_reference(frame, roots):
     groups = {key: U for key, U, _ in frame.root_groups_by_conjugation(
         {frame.interior(path) for path in roots})}
     by_ends = _all_roots(frame)[1]
-    ident = _vertex_identity(frame)
+    ident = frame.identity
     for path in roots:
         U = groups[frame.interior(path)]
         u = next(m for m in U if m != ident)
@@ -794,10 +828,6 @@ def _assert_panel_rule_matches_reference(frame, roots):
             assert not _panel_verdict(frame, oriented, doubled)
             assert not _reference_verdict(
                 frame, oriented, [frame._chamber_map(m) for m in doubled])
-
-
-def _vertex_identity(frame):
-    return identity_perm(len(frame.graph))
 
 
 @pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "W:q=2"])
@@ -818,7 +848,8 @@ def test_apartments_match_reference_on_the_elliptic_quadrangle(
     # both parameters: roots from a line of 3 points and from a point on
     # 5 lines
     roots = random.Random(7).sample(_all_roots(frame_elliptic)[0], 40)
-    assert {path[0][0] for path in roots} == {0, 1}
+    panels = _panels(frame_elliptic)
+    assert {panels[path[0]][0] for path in roots} == {0, 1}
     _assert_panel_rule_matches_reference(frame_elliptic, roots)
 
 
@@ -827,9 +858,8 @@ def test_transitivity_fails_on_an_incidence_missing_from_the_distances():
     # a neighbour of a root's end whose one path to the far end ran through
     # it is no longer at distance n - 1, so its root loses one apartment
     frame = MoufangFrame(build_flag_building("PG2:q=3"))
-    x, y = 5, frame._neighbours[5][0]
-    frame._neighbours[x] = [v for v in frame._neighbours[x] if v != y]
-    frame._neighbours[y] = [v for v in frame._neighbours[y] if v != x]
+    x, y = 5, next(iter(frame.graph[5]))
+    del frame.graph[x][y], frame.graph[y][x]
     report = frame.transitivity_check()
     assert not report["ok"]
     assert frame.q - 1 in report["apartments_per_root"]
@@ -890,6 +920,17 @@ def test_a_forced_parameter_fails_the_law_and_transitivity(
     assert {entry["group_order"] for entry in report["failures"]} == {4}
 
 
+def test_a_root_takes_the_parameter_of_its_first_vertex(pg2_3, monkeypatch):
+    # a root of a projective plane, read from its smaller end, runs from a
+    # point to a line: with the points' parameter forced to 2, every root
+    # fails, though the lines keep the true parameter 3
+    monkeypatch.setattr(pg2_3, "thickness", (2, 3))
+    report = MoufangFrame(pg2_3).transitivity_check()
+    assert not report["ok"] and len(report["failures"]) == 10
+    assert all(f["root"][0][0] == 0 and f["group_order"] == 3
+               and f["apartments"] == 3 for f in report["failures"])
+
+
 def test_cell_law_fails_where_a_type_has_unequal_panels(pg2_2, w2):
     # a missing chamber leaves panels of 2 and 3 chambers in both types
     cx, _ = _off_building("minus-chamber-0", pg2_2, w2)
@@ -931,8 +972,8 @@ def test_root_limit_takes_the_first_roots_and_refuses_a_negative_one(
     roots = _all_roots(doubled)[0]
     for limit in (50, 200, 400):
         cut = doubled.transitivity_check(root_limit=limit)["failures"]
-        assert cut == [f for f in whole
-                       if tuple(map(tuple, f["root"])) <= roots[limit - 1]]
+        assert cut == [f for f in whole if _reported_path(
+            doubled, f["root"]) <= roots[limit - 1]]
 
 
 # sha256 of the transitivity reports, taken at the parent of the interior
@@ -969,9 +1010,9 @@ def test_conjugated_groups_match_search_on_every_root(spec):
     interiors = {frame.interior(path) for path in roots}
     base = {frame.interior(frame.root_path(i)) for i in range(2 * frame.n)}
     seen = []
-    for key, U, searched in frame.root_groups_by_conjugation(interiors):
+    for key, U, decodes in frame.root_groups_by_conjugation(interiors):
         seen.append(key)
-        assert (searched is None) == (key not in base)
+        assert decodes is (None if key not in base else True)
         assert len(U) == frame.q
         found = find_automorphisms(frame.cx, forced=frame.star_fixing(key))
         assert {frame._chamber_map(m) for m in U} == set(found)
@@ -1073,15 +1114,16 @@ def test_transitivity_counts_routes(pg2_2):
 def _doubled(frame, U):
     """q listed elements, the identity among them, one of the others
     twice."""
-    u = next(g for g in U if g != frame.identity)
+    u = next(m for m in U if m != frame.identity)
     return [frame.identity, u, u]
 
 
 def _broken_base_frame(spec, i, transform):
+    """A frame whose base group i is transform(frame, U_i), with the
+    search's chamber maps taken as given back."""
     frame = MoufangFrame(build_flag_building(spec))
     U = frame.root_group(i)
-    frame._root_cache[frame.interior(frame.root_path(i))] = transform(
-        frame, U)
+    frame._root_cache[frame.base_interiors[i]] = transform(frame, U), True
     return frame
 
 
@@ -1106,22 +1148,22 @@ def test_transitivity_fails_on_base_group_listing_an_element_twice():
 
 
 def _swap_off_the_apartments(frame, U):
-    # two chambers on the star of the middle interior vertex of root 1 that
-    # no apartment through a root with this interior contains: swapping
-    # them leaves every orbit and stabilizer count as it was
+    # the far vertices of two chambers on the star of the middle interior
+    # vertex of root 1 that no apartment through a root with this interior
+    # contains: swapping their images leaves every orbit and stabilizer
+    # count as it was
     middle = frame.vertex(3)
-    c, d = [c for c in frame.star(middle)
-            if c not in (frame.chamber_on_edge(2), frame.chamber_on_edge(3))]
-    u = next(g for g in U if g != frame.identity)
+    a, b = [v for v in frame.graph[middle]
+            if v not in (frame.vertex(2), frame.vertex(4))]
+    u = next(m for m in U if m != frame.identity)
     bad = list(u)
-    bad[c], bad[d] = bad[d], bad[c]
-    return [g if g != u else tuple(bad) for g in U]
+    bad[a], bad[b] = bad[b], bad[a]
+    return [m if m != u else tuple(bad) for m in U]
 
 
 def test_transitivity_fails_on_base_group_with_a_non_automorphism():
     frame = _broken_base_frame("W:q=3", 1, _swap_off_the_apartments)
-    assert not all(frame.cx.is_automorphism(g)
-                   for g in frame.root_group(1))
+    assert any(None in frame._chamber_map(m) for m in frame.root_group(1))
     report = frame.transitivity_check()
     assert not report["ok"]
     # the explicit element check alone catches it: orbits and the search
@@ -1148,7 +1190,7 @@ def _mutate_first_conjugated(frame, transform):
 
 def test_transitivity_fails_on_a_conjugated_group_missing_an_element():
     frame = MoufangFrame(build_flag_building("PG2:q=3"))
-    e = _vertex_identity(frame)
+    e = frame.identity
     mutated = _mutate_first_conjugated(
         frame, lambda U: [g for g in U if g != e][1:] + [e])
     report = frame.transitivity_check()
@@ -1156,7 +1198,7 @@ def test_transitivity_fails_on_a_conjugated_group_missing_an_element():
     assert report["group_orders"] == [2, 3]
     assert report["failures"] and all(
         f["route"] == "conjugated" and f["group_order"] == 2
-        and frame.interior([tuple(pid) for pid in f["root"]]) == mutated[0]
+        and frame.interior(_reported_path(frame, f["root"])) == mutated[0]
         for f in report["failures"])
 
 
@@ -1164,8 +1206,8 @@ def test_transitivity_fails_on_a_group_conjugated_by_a_wrong_word():
     # one extra base generator at the end of the parent word: the group of
     # another interior, whose elements move the mutated interior's stars
     frame = MoufangFrame(build_flag_building("W:q=3"))
-    gens = [frame._vertex_map(g) for i in range(2 * frame.n)
-            for g in frame.root_group(i) if g != frame.identity]
+    gens = [m for i in range(2 * frame.n) for m in frame.root_group(i)
+            if m != frame.identity]
 
     def extra_generator(U):
         for v in gens:
@@ -1178,7 +1220,25 @@ def test_transitivity_fails_on_a_group_conjugated_by_a_wrong_word():
     assert report["group_orders"] == [3]
     assert report["failures"] and all(
         f["route"] == "conjugated" and not f["elements_ok"]
-        and frame.interior([tuple(pid) for pid in f["root"]]) == mutated[0]
+        and frame.interior(_reported_path(frame, f["root"])) == mutated[0]
+        for f in report["failures"])
+
+
+def test_transitivity_fails_when_vertex_maps_invert_the_search(monkeypatch):
+    # a _vertex_map giving the vertex map of g^-1 makes every root group as
+    # a set, since root groups are closed under inverses: each element
+    # passes its check and the sampled searches agree.  Only the searched
+    # groups' round trip to the search's chamber maps refuses it.  Over F_2
+    # and F_4 every root element is an involution, so q = 3.
+    vertex_map = MoufangFrame._vertex_map
+    monkeypatch.setattr(MoufangFrame, "_vertex_map",
+                        lambda self, g: vertex_map(self, inverse_perm(g)))
+    report = MoufangFrame(build_flag_building("PG2:q=3")).transitivity_check()
+    assert not report["ok"]
+    assert report["failures"] and all(
+        f["route"] == "searched" and not f["elements_ok"]
+        and f["agrees_with_search"]
+        and f["group_order"] == f["apartments"] == 3
         for f in report["failures"])
 
 
@@ -1201,8 +1261,7 @@ def test_interiors_the_walk_misses_are_searched():
     # off the base apartment falls back to the search
     frame = MoufangFrame(build_flag_building("PG2:q=2"))
     for i in range(2 * frame.n):
-        frame._root_cache[frame.interior(frame.root_path(i))] = [
-            frame.identity]
+        frame._root_cache[frame.base_interiors[i]] = [frame.identity], True
     report = frame.transitivity_check()
     assert report["roots_conjugated"] == 0
     assert report["roots_searched"] == report["roots_checked"] == 84
@@ -1216,11 +1275,12 @@ def test_interiors_the_walk_misses_are_searched():
 def test_is_automorphism(frame2):
     cx = frame2.cx
     U = frame2.root_group(1)
-    assert all(cx.is_automorphism(g) for g in U)
-    g = list(frame2.identity)
+    assert all(cx.is_automorphism(frame2._chamber_map(m)) for m in U)
+    identity = identity_perm(cx.size)
+    g = list(identity)
     g[0], g[1] = g[1], g[0]
     assert not cx.is_automorphism(tuple(g))
-    assert not cx.is_automorphism(frame2.identity[:-1])
+    assert not cx.is_automorphism(identity[:-1])
     assert not cx.is_automorphism((0,) * frame2.N)
     # the retraction from chamber 0 onto an apartment through the first and
     # the last chamber maps each panel into a panel and reaches both ends,
@@ -1263,8 +1323,9 @@ PERTURBATIONS = ("none", "swap", "panel-swap", "non-bijection")
 
 
 def _base_root_elements(frame):
-    return [g for i in range(2 * frame.n) for g in frame.root_group(i)
-            if g != frame.identity]
+    """The nontrivial base root elements as chamber maps."""
+    return [frame._chamber_map(m) for i in range(2 * frame.n)
+            for m in frame.root_group(i) if m != frame.identity]
 
 
 def _perturbed_elements(cx, gens, count, seed):
@@ -1319,9 +1380,20 @@ def test_mu_exists_unique_and_reflects(frame2, frame3):
                 continue
             m = mu_element(frame, u, 1)
             assert frame.is_reflection_through(m, 1)
-            # involution on the circuit: m^2 acts trivially on the apartment
-            vm = frame.induced_vertex_map(compose(m, m))
-            assert vm == list(range(2 * frame.n))
+            # involution on the circuit: m^2 fixes every circuit vertex
+            square = compose(m, m)
+            assert all(square[v] == v for v in frame.circuit)
+            # a reflection through vertex 2, and the rotation k -> k + 2
+            # that follows it with the one through vertex 1, are refused
+            u2 = next(g for g in frame.root_group(2) if g != frame.identity)
+            m2 = mu_element(frame, u2, 2)
+            assert frame.is_reflection_through(m2, 2)
+            assert not frame.is_reflection_through(m2, 1)
+            rotation = compose(m, m2)
+            assert [rotation[v] for v in frame.circuit] == [
+                frame.vertex(k + 2) for k in range(2 * frame.n)]
+            assert not any(frame.is_reflection_through(rotation, i)
+                           for i in range(2 * frame.n))
 
 
 def test_mu_rejects_identity(frame2):
@@ -1367,7 +1439,8 @@ def test_fit_rejects_mu_off_by_a_top_element(spec, monkeypatch):
 
 def test_fit_names_a_missing_mu():
     frame = MoufangFrame(build_flag_building("PG2:q=3"))
-    frame._root_cache[frame.base_interiors[1 + frame.n]] = [frame.identity]
+    frame._root_cache[frame.base_interiors[1 + frame.n]] = (
+        [frame.identity], True)
     with pytest.raises(NotFound, match="no mu element"):
         fit_parametrization(frame, finite_field(3), 1)
 
@@ -1410,10 +1483,10 @@ def test_commutator_containments(frame2, framew):
 
 def test_fixed_vertices_of_root_group(frame2):
     U = frame2.root_group(1)
-    fixed = fixed_vertices_of_set(frame2.cx, U)
+    fixed = fixed_vertices_of_set(frame2, U)
     # at least the full root path stays fixed
-    for pid in frame2.root_path(1):
-        assert pid in fixed
+    for v in frame2.root_path(1):
+        assert _panels(frame2)[v] in fixed
 
 
 def test_quadrangle_identity_f2(framew):
