@@ -46,6 +46,9 @@ subgroup is checked at finite depth on the tree itself: the sphere of
 radius d around the base vertex is the projective line over O/pi^d, and
 its q^(d-1)(q+1) vertices must form a single orbit under the elementary
 matrices with additive-generator entries, acting on vertex matrices.
+
+A root group's valuation filtration U_{alpha, k} ~ {t : v(t) >= k} is counted
+through residue representatives: index q at every level (`filtration_indices`).
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -638,4 +642,54 @@ def boundary_transitivity_check(field: Field, depth: int) -> dict:
         "generators": len(gens),
         "ok": (len(points) == expected and len(orbits) == 1
                and not left_sphere),
+    }
+
+
+# ---------------------------------------------------------------------------
+# valuation filtration of a root group over a local field
+
+FILTRATION_SAMPLES = 40  # sampled elements of each valuation ball
+
+
+def filtration_indices(field: Field, k_lo: int, k_hi: int,
+                       seed: int = 0) -> dict:
+    """Indices of successive valuation balls U_k = {t : v(t) >= k}.  The
+    index [U_k : U_(k+1)] is measured as the number of distinct classes
+    modulo pi^(k+1) (exact representatives from `mod_pi_power`) met by the
+    residue representatives t = residue_lift(c) * pi^k.  They form a
+    transversal when they lie in U_k with distinct classes, and each
+    sampled element of U_k must fall in the class of exactly one of them;
+    the measured index is the residue field size at every level when the
+    check passes."""
+    if not field.local:
+        raise InvalidSpec("filtration needs a local field")
+    if k_lo > k_hi:
+        raise InvalidSpec("empty filtration range")
+    rng = random.Random(seed)
+    levels = []
+    ok = True
+    for k in range(k_lo, k_hi + 1):
+        pik = field.uniformizer_power(k)
+        reps = [field.mul(field.residue_lift(code), pik)
+                for code in range(field.residue_q)]
+        met = Counter(field.mod_pi_power(rep, k + 1) for rep in reps)
+        distinct = (len(met) == len(reps)
+                    and all(field.valuation(rep) >= k for rep in reps))
+        covered = 0
+        for _ in range(FILTRATION_SAMPLES):
+            x = field.random_element(rng, min_val=k, max_val=k + 3)
+            if met[field.mod_pi_power(x, k + 1)] == 1:
+                covered += 1
+        level_ok = distinct and covered == FILTRATION_SAMPLES
+        ok = ok and level_ok
+        levels.append({"k": k, "index": len(met),
+                       "distinct": distinct,
+                       "samples_covered": covered, "ok": level_ok})
+    return {
+        "field": field.describe(),
+        "range": [k_lo, k_hi],
+        "levels": levels,
+        "indices": [lvl["index"] for lvl in levels],
+        "expected_index": field.residue_q,
+        "ok": ok and all(lvl["index"] == field.residue_q for lvl in levels),
     }

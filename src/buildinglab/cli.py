@@ -208,9 +208,11 @@ def cmd_building(args):
         _check(checks, "every_cell_nonempty", report["every_w_nonempty"])
         return results, checks
     words = cx.coxeter.words
-    if args.word:
+    if args.word is not None:
+        # the empty word names the identity cell
+        letters = args.word.split(",") if args.word else []
         try:
-            words = [[int(tok) for tok in args.word.split(",")]]
+            words = [[int(tok) for tok in letters]]
         except ValueError:
             raise InvalidSpec(f"word letters must be integers, got "
                               f"{args.word!r}") from None
@@ -292,11 +294,11 @@ def _moufang_block(spec, checks, transitivity_id, mu, commutators):
 
 
 def cmd_moufang(args):
-    from .localfield import parse_field_spec
-    from .moufang import filtration_indices
-
     checks = []
     if args.action == "filtration":
+        from .btree import filtration_indices
+        from .localfield import parse_field_spec
+
         field = parse_field_spec(args.field)
         report = filtration_indices(field, args.k_lo, args.k_hi,
                                     seed=args.seed)
@@ -349,10 +351,10 @@ def cmd_bt(args):
 
 def run_all(profile: str, seed: int):
     from .btree import (boundary_transitivity_check, build_tree_ball,
-                        cone_correspondence_report, iwasawa_report)
+                        cone_correspondence_report, filtration_indices,
+                        iwasawa_report)
     from .chambers import build_flag_building, cell_decomposition_report
     from .localfield import parse_field_spec
-    from .moufang import filtration_indices
     from .projline import recovery_check
 
     samples = 100 if profile == "quick" else 1000

@@ -4,8 +4,8 @@ Three models share one interface: the finite field F_q (q = p^m, polynomial
 basis over F_p modulo the lexicographically least monic irreducible), the
 field Q_p of p-adic numbers truncated at a fixed relative precision, and the
 Laurent-series field F_q((t)) truncated the same way.  One private base,
-`_FieldBase`, derives `div` and `pow` from each model's `one`, `mul` and
-`inv`.
+`_FieldBase`, derives `div`, and `pow` for n >= 0, from each model's `one`,
+`mul` and `inv`.
 
 F_q works on integer codes through addition, negation, multiplication and
 inversion tables built once from coefficient-wise polynomial arithmetic.
@@ -15,10 +15,10 @@ and in the search for the modulus, and `FiniteField.basis()` names the
 F_p-basis, so no caller builds a code itself.
 
 The two local models carry a discrete valuation v with v(0) treated as
-infinity, a residue map on integral elements, its exact section
-`residue_lift` on residue codes, a uniformizer (p, respectively t), and
-exact canonical representatives modulo pi^k (`mod_pi_power`), so callers
-never pick a representation by the kind of field.
+infinity, the exact lift `residue_lift` of a residue code, the powers
+`uniformizer_power(k)` of the uniformizer (p, respectively t), and exact
+canonical representatives modulo pi^k (`mod_pi_power`), so callers never
+pick a representation by the kind of field.
 
 Precision model.  A nonzero element is (valuation, mantissa, digits, exact);
 the mantissa is one int read in the model's base `_radix`: p, or
@@ -38,13 +38,14 @@ product or an inverse the least known precision of the inputs
 (`_LocalBase._known_product`).  When every known digit of an inexact
 computation cancels, no claim about the result is possible and
 PrecisionExhausted is raised; nothing is ever silently rounded to zero.
-`add` and `sub` are written once for both models (`_LocalBase`): the
-higher operand is shifted by the model's own int operator (a product by
-p^k, a left shift by k lanes), and `sub` negates it by one factor as it
-goes, never building -b.  Equality is decided on the common known window
-of a - b (`_LocalBase.eq`: its low `known` digits, by remainder or by
-mask), so it never raises.  A product by an exact 1 or pi^k only shifts
-the other factor's valuation.
+`add`, `sub` and `mul` are written once for both models (`_LocalBase`):
+the higher operand of a sum is shifted by the model's own int operator (a
+product by p^k, a left shift by k lanes), and `sub` negates it by one
+factor as it goes, never building -b.  A product by an exact 1 or pi^k
+only shifts the other factor's valuation; any other product is the
+model's mantissa product `_times`.  Equality is decided on the common
+known window of a - b (`_LocalBase.eq`: its low `known` digits, by
+remainder or by mask), so it never raises.
 `digit_code(a, low)` and `from_digit_code(n, low)` convert between an
 element and the int n with a = n * pi^low, so digit strings can be handled
 as plain ints (the tree balls of `btree` key their vertices this way).
@@ -59,7 +60,7 @@ import operator
 import re
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DivisionByZero,
@@ -139,8 +140,7 @@ class _FieldBase:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
+        """a^n for n >= 0."""
         r = self.one
         for _ in range(n):
             r = self.mul(r, a)
@@ -238,13 +238,6 @@ class FiniteField(_FieldBase):
     def valuation(self, a: int):
         return INFINITY if a == 0 else 0
 
-    def residue(self, a: int) -> int:
-        return a
-
-    @property
-    def residue_field(self) -> "FiniteField":
-        return self
-
     def frobenius_inv(self, a: int) -> int:
         return self._frob_inv[a]
 
@@ -259,9 +252,6 @@ class FiniteField(_FieldBase):
         """The F_p-basis 1, w, ..., w^(m-1) of F_q."""
         w = self.generator()
         return [self.pow(w, k) for k in range(self.degree)]
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
 
     def random_element(self, rng, nonzero: bool = False) -> int:
         return rng.randrange(1 if nonzero else 0, self.q)
@@ -339,16 +329,16 @@ Element = Union[int, LocalElement]
 class _LocalBase(_FieldBase):
     """Shared plumbing for the two truncated local models.
 
-    The base writes `one`, `eq`, `add` and `sub` once for both models.  A
-    model supplies the representation: the base `_radix` of its
-    mantissas; the shift `_up(mant, _shift[k])` = mant * radix^k and the
-    window `_low(x, _window[k])`, zero exactly when radix^k divides x, each
-    an int operator with its table (k up to prec), and `_neg_unit`, the
-    factor that negates a mantissa; its normal form `_make(v, mant,
-    known)` (the precision rule), which takes a mantissa of such a sum as
-    it stands; the ring operations `neg`, `mul` and `inv`; and the
-    mantissa hooks `_lead_code(mant)` (residue code of the leading digit),
-    `_random_unit(rng)` and `_nonzero_json(a)`.
+    The base writes `one`, `eq`, `add`, `sub` and `mul` once for both
+    models.  A model supplies the representation: the base `_radix` of
+    its mantissas; the shift `_up(mant, _shift[k])` = mant * radix^k and
+    the window `_low(x, _window[k])`, zero exactly when radix^k divides x,
+    each an int operator with its table (k up to prec), and `_neg_unit`,
+    the factor that negates a mantissa; the mantissa product `_times(a,
+    b)`; its normal form `_make(v, mant, known)` (the precision rule),
+    which takes a mantissa of such a sum or product as it stands; the ring
+    operations `neg` and `inv`; and the mantissa hooks `_random_unit(rng)`
+    and `_nonzero_json(a)`.
     """
 
     local = True
@@ -417,12 +407,20 @@ class _LocalBase(_FieldBase):
             mant = self._up(a.mant, self._shift[gap]) + b.mant * self._neg_unit
         return self._make(low.v, mant, self._known_sum(low, high, gap))
 
+    def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
+        if a.mant is None or b.mant is None:
+            return ZERO
+        # a factor 1 or pi^k (exact, mantissa 1: the lane of the code 1 in
+        # F_q((t))) shifts the other one
+        if a.mant == 1 and a.exact:
+            return _new(LocalElement, (a.v + b.v, b.mant, b.digits, b.exact))
+        if b.mant == 1 and b.exact:
+            return _new(LocalElement, (a.v + b.v, a.mant, a.digits, a.exact))
+        return self._make(a.v + b.v, self._times(a, b),
+                          self._known_product(a, b))
+
     def uniformizer_power(self, k: int) -> LocalElement:
         return _new(LocalElement, (k, 1, 1, True))
-
-    @property
-    def uniformizer(self) -> LocalElement:
-        return self.uniformizer_power(1)
 
     def integral(self, a: LocalElement) -> bool:
         return self.is_zero(a) or a.v >= 0
@@ -483,13 +481,6 @@ class _LocalBase(_FieldBase):
         if n < 0 and self.char:
             raise ValueError(f"negative digit code {n} on {self.describe()}")
         return self._make(low, n, None)
-
-    def residue(self, a: LocalElement) -> int:
-        if a.mant is None:
-            return 0
-        if a.v < 0:
-            raise ValueError("residue of a non-integral element")
-        return self._lead_code(a.mant) if a.v == 0 else 0
 
     def random_element(self, rng, min_val: int = -2, max_val: int = 2,
                        nonzero: bool = True) -> LocalElement:
@@ -563,9 +554,6 @@ class PadicField(_LocalBase):
             mant %= powers[prec]
         return _new(LocalElement, (v, mant, known, False))
 
-    def _lead_code(self, mant: int) -> int:
-        return mant % self.p
-
     def _random_unit(self, rng) -> int:
         top = self._shift[self.prec]
         mant = rng.randrange(1, top)
@@ -581,7 +569,11 @@ class PadicField(_LocalBase):
         return self._make(0, code, None)
 
     _up, _low, _neg_unit = operator.mul, operator.mod, -1
-    add, sub = _LocalBase.add, _LocalBase.sub
+    add, sub, mul = _LocalBase.add, _LocalBase.sub, _LocalBase.mul
+
+    @staticmethod
+    def _times(a: LocalElement, b: LocalElement) -> int:
+        return a.mant * b.mant
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
@@ -590,17 +582,6 @@ class PadicField(_LocalBase):
             return _new(LocalElement, (a.v, -a.mant, a.digits, True))
         return _new(LocalElement,
                     (a.v, -a.mant % self._shift[a.digits], a.digits, False))
-
-    def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
-        if a.mant is None or b.mant is None:
-            return ZERO
-        # a factor 1 or p^k (exact, mantissa 1) shifts the other one
-        if a.mant == 1 and a.exact:
-            return _new(LocalElement, (a.v + b.v, b.mant, b.digits, b.exact))
-        if b.mant == 1 and b.exact:
-            return _new(LocalElement, (a.v + b.v, a.mant, a.digits, a.exact))
-        return self._make(a.v + b.v, a.mant * b.mant,
-                          self._known_product(a, b))
 
     def inv(self, a: LocalElement) -> LocalElement:
         if a.mant is None:
@@ -657,12 +638,12 @@ class LaurentField(_LocalBase):
     reduction mod p (`_reduce`, one bytes.translate for one-byte slots).
     The normal form `_make` owns that reduction: a sum, a difference or a
     folded product reaches it with unreduced slots.  `sub` adds (p - 1) b
-    (`_neg_unit`), so a slot holds at most p (p - 1) before it.  A
-    product's slots of w-degree m and more are folded back through w^(m+r)
-    mod the modulus (`_fold`).  The radix is 2^`_lane_bits`, so `_make`,
-    `add`, `sub` and `eq` work by masks and shifts, in time linear in the
-    mantissa at any precision.  `coefficients` decodes a mantissa to
-    residue codes.
+    (`_neg_unit`), so a slot holds at most p (p - 1) before it.  The
+    slots of a product (`_times`) of w-degree m and more are folded back
+    through w^(m+r) mod the modulus (`_fold`).  The radix is
+    2^`_lane_bits`, so `_make`, `add`, `sub` and `eq` work by masks and
+    shifts, in time linear in the mantissa at any precision.
+    `coefficients` decodes a mantissa to residue codes.
     """
 
     kind = "laurent"
@@ -784,10 +765,6 @@ class LaurentField(_LocalBase):
             mant &= (1 << known * bits) - 1
         return _new(LocalElement, (v, mant, known, False))
 
-    def _lead_code(self, mant: int) -> int:
-        return self._code[(mant & self._lane_mask).to_bytes(
-            self._lane_bytes, "little")]
-
     def _random_unit(self, rng) -> int:
         coeffs = [rng.randrange(1, self.q)]
         coeffs += [rng.randrange(self.q) for _ in range(self.prec - 1)]
@@ -804,7 +781,7 @@ class LaurentField(_LocalBase):
     # -- ring operations
 
     _up, _low = operator.lshift, operator.and_
-    add, sub = _LocalBase.add, _LocalBase.sub
+    add, sub, mul = _LocalBase.add, _LocalBase.sub, _LocalBase.mul
 
     def neg(self, a: LocalElement) -> LocalElement:
         if a.mant is None or self.p == 2:  # -a = a in characteristic 2
@@ -812,15 +789,8 @@ class LaurentField(_LocalBase):
         return _new(LocalElement, (a.v, self._reduce(a.mant * (self.p - 1)),
                                    a.digits, a.exact))
 
-    def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
-        if a.mant is None or b.mant is None:
-            return ZERO
-        # a factor 1 or t^k (exact, lane value 1: the code of 1) shifts the
-        # other one
-        if a.mant == 1 and a.exact:
-            return _new(LocalElement, (a.v + b.v, b.mant, b.digits, b.exact))
-        if b.mant == 1 and b.exact:
-            return _new(LocalElement, (a.v + b.v, a.mant, a.digits, a.exact))
+    def _times(self, a: LocalElement, b: LocalElement) -> int:
+        """The folded lane product, its slots left for `_make`."""
         if a.digits > b.digits:
             a, b = b, a
         x, y = a.mant, b.mant
@@ -834,8 +804,7 @@ class LaurentField(_LocalBase):
             prod = 0
             for s in range(0, a.digits * self._lane_bits, step):
                 prod = self._reduce(prod) + ((x >> s & low) * y << s)
-        return self._make(a.v + b.v, self._fold(prod),
-                          self._known_product(a, b))
+        return self._fold(prod)
 
     def inv(self, a: LocalElement) -> LocalElement:
         """The recurrence out[n] = -c[0]^-1 sum_{j>=1} c[j] out[n-j]: the

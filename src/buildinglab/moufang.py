@@ -56,10 +56,6 @@ that sit the product-group stabilizer checks, the commutator containments
 [U_i, U_j] <= U_{i+1} ... U_{j-1}, and, on every frame of gonality 4, the
 defining quadrangle identity [x_1(1), x_4(u)^-1] = x_2(sigma(u)) x_3(q(u))
 with sigma and q fitted by exhaustion over the q^2 parameter pairs.
-
-The valuation filtration lives on the parameter side: U_{alpha, k}
-corresponds to {t : v(t) >= k}, and each successive quotient is counted
-honestly through residue representatives, giving index q at every level.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ from .errors import (
     NotUnique,
     SearchBudgetExceeded,
 )
-from .localfield import Field, FiniteField
+from .localfield import FiniteField
 
 Perm = tuple[int, ...]
 
@@ -87,9 +83,6 @@ _SEARCH_BUDGET = 2_000_000
 # directly, drawn with this seed
 CROSS_CHECK_GROUPS = 4
 CROSS_CHECK_SEED = 0
-
-# sampled elements of each valuation ball in a filtration check
-FILTRATION_SAMPLES = 40
 
 
 # ---------------------------------------------------------------------------
@@ -761,51 +754,4 @@ def quadrangle_identity_check(frame: MoufangFrame, field: FiniteField) -> dict:
         "sigma": {u: sigma.get(u) for u in range(field.q)},
         "qmap": {u: qmap.get(u) for u in range(field.q)},
         "sigma_is_identity": all(sigma.get(u) == u for u in range(field.q)),
-    }
-
-
-# ---------------------------------------------------------------------------
-# valuation filtration of a root group over a local field
-
-def filtration_indices(field: Field, k_lo: int, k_hi: int,
-                       seed: int = 0) -> dict:
-    """Indices of successive valuation balls U_k = {t : v(t) >= k}.  The
-    index [U_k : U_(k+1)] is measured as the number of distinct classes
-    modulo pi^(k+1) (exact representatives from `mod_pi_power`) met by the
-    residue representatives t = residue_lift(c) * pi^k.  They form a
-    transversal when they lie in U_k with distinct classes, and each
-    sampled element of U_k must fall in the class of exactly one of them;
-    the measured index is the residue field size at every level when the
-    check passes."""
-    if not field.local:
-        raise InvalidSpec("filtration needs a local field")
-    if k_lo > k_hi:
-        raise InvalidSpec("empty filtration range")
-    rng = random.Random(seed)
-    levels = []
-    ok = True
-    for k in range(k_lo, k_hi + 1):
-        pik = field.uniformizer_power(k)
-        reps = [field.mul(field.residue_lift(code), pik)
-                for code in range(field.residue_q)]
-        met = Counter(field.mod_pi_power(rep, k + 1) for rep in reps)
-        distinct = (len(met) == len(reps)
-                    and all(field.valuation(rep) >= k for rep in reps))
-        covered = 0
-        for _ in range(FILTRATION_SAMPLES):
-            x = field.random_element(rng, min_val=k, max_val=k + 3)
-            if met[field.mod_pi_power(x, k + 1)] == 1:
-                covered += 1
-        level_ok = distinct and covered == FILTRATION_SAMPLES
-        ok = ok and level_ok
-        levels.append({"k": k, "index": len(met),
-                       "distinct": distinct,
-                       "samples_covered": covered, "ok": level_ok})
-    return {
-        "field": field.describe(),
-        "range": [k_lo, k_hi],
-        "levels": levels,
-        "indices": [lvl["index"] for lvl in levels],
-        "expected_index": field.residue_q,
-        "ok": ok and all(lvl["index"] == field.residue_q for lvl in levels),
     }

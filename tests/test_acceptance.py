@@ -15,6 +15,7 @@ from buildinglab.btree import (
     build_tree_ball,
     cone_correspondence_report,
     cone_vs_ultrametric,
+    filtration_indices,
     iwasawa_report,
     normalize_end,
 )
@@ -26,7 +27,6 @@ from buildinglab.localfield import finite_field, parse_field_spec
 from buildinglab.moufang import (
     MoufangFrame,
     commutator_containment_check,
-    filtration_indices,
     fit_parametrization,
     moufang_transitivity_check,
     mu_element,

@@ -334,7 +334,7 @@ def test_cone_correspondence_sampled(q2, q5, l3):
 
 
 def test_iwasawa_upper_triangular_case(q5):
-    p = q5.uniformizer
+    p = q5.uniformizer_power(1)
     g = ((q5.inv(p), ZERO), (ZERO, p))
     result = iwasawa_decompose(q5, g)
     assert result["ok"]

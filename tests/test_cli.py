@@ -308,6 +308,14 @@ def test_building_coords_run_along_the_given_word(capsys):
     assert row["cell_size"] == 8 and row["bijective"]
 
 
+def test_building_coords_empty_word_is_the_identity_cell(capsys):
+    code, report, _ = run(
+        ["building", "coords", "--geometry", "PG2:q=2", "--word", ""], capsys)
+    assert code == 0
+    [row] = report["results"]["coordinates"]
+    assert row["word"] == [] and row["cell_size"] == 1 and row["bijective"]
+
+
 def test_building_verify_reads_no_base(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["building", "verify", "--geometry", "PG2:q=2",
@@ -622,6 +630,21 @@ def test_field_classify_loads_no_building_layer():
     assert "buildinglab.localfield" in loaded
     assert not loaded & {"buildinglab.chambers", "buildinglab.moufang",
                          "buildinglab.btree"}
+
+
+def test_moufang_filtration_loads_no_building_layer():
+    loaded = _modules_in_fresh_interpreter(
+        ["moufang", "filtration", "--field", "Qp:p=5,prec=8", "--json-only"])
+    assert {"buildinglab.localfield", "buildinglab.btree"} <= loaded
+    assert not loaded & {"buildinglab.chambers", "buildinglab.coxeter",
+                         "buildinglab.moufang"}
+
+
+def test_moufang_check_loads_no_tree():
+    loaded = _modules_in_fresh_interpreter(
+        ["moufang", "check", "--geometry", "PG2:q=2", "--json-only"])
+    assert "buildinglab.moufang" in loaded
+    assert "buildinglab.btree" not in loaded
 
 
 def _report_under_hash_seed(argv, hash_seed):

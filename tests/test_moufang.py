@@ -15,6 +15,7 @@ from buildinglab.chambers import (
 from buildinglab.coxeter import MATRIX_A2
 from buildinglab.errors import InvalidSpec, NotFound, SearchBudgetExceeded
 from buildinglab import moufang
+from buildinglab.btree import filtration_indices
 from buildinglab.localfield import finite_field, parse_field_spec
 from buildinglab.moufang import (
     MoufangFrame,
@@ -23,7 +24,6 @@ from buildinglab.moufang import (
     commutator_containment_check,
     compose,
     conjugate,
-    filtration_indices,
     find_automorphisms,
     fit_parametrization,
     fixed_vertices_of_set,

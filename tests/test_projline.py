@@ -28,7 +28,7 @@ from buildinglab.projline import (
 
 
 def all_points(F):
-    return [INF] + list(F.elements())
+    return [INF] + list(range(F.q))
 
 
 def test_extended_conventions():
@@ -36,7 +36,7 @@ def test_extended_conventions():
     assert pl_inv(F, F.zero) is INF
     assert pl_inv(F, INF) == F.zero
     assert pl_neg(F, INF) is INF
-    for a in F.elements():
+    for a in range(F.q):
         assert pl_add(F, a, INF) is INF
     assert iota(F, F.zero) is INF
     assert iota(F, INF) == F.zero
@@ -46,8 +46,8 @@ def test_generators():
     F = finite_field(7)
     for x in all_points(F):
         assert iota(F, iota(F, x)) == x or iota(F, iota(F, x)) is x
-        for a in F.elements():
-            for b in F.elements():
+        for a in range(F.q):
+            for b in range(F.q):
                 # translations compose additively
                 assert (pl_add(F, a, pl_add(F, b, x))
                         == pl_add(F, F.add(a, b), x))
@@ -67,7 +67,7 @@ def test_hua_exhaustive_f5():
                 continue
             assert out == F.mul(F.mul(x, y), x)
     # spot the two degenerate families explicitly
-    for x in F.elements():
+    for x in range(F.q):
         assert hua_triple_product(F, x, F.zero) == F.zero
         if x:
             y = F.neg(F.inv(x))  # x*y = -1
@@ -77,8 +77,8 @@ def test_hua_exhaustive_f5():
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9])
 def test_hua_exhaustive_small_fields(q):
     F = finite_field(q)
-    for x in F.elements():
-        for y in F.elements():
+    for x in range(F.q):
+        for y in range(F.q):
             assert hua_triple_product(F, x, y) == F.mul(F.mul(x, y), x)
 
 
@@ -140,8 +140,8 @@ def test_square_two_routes():
 def test_recover_multiplication_f7():
     F = finite_field(7)
     assert recover_multiplication(F, 3, 5) == 1
-    for x in F.elements():
-        for y in F.elements():
+    for x in range(F.q):
+        for y in range(F.q):
             assert recover_multiplication(F, x, y) == F.mul(x, y)
 
 
@@ -150,8 +150,8 @@ def test_recover_multiplication_f4_char2():
     w = F.generator()
     # w * w = w^2 = w + 1, recovered through sqrt(w * w^2 * w) = sqrt(w^4)
     assert recover_multiplication(F, w, w) == F.add(w, 1)
-    for x in F.elements():
-        for y in F.elements():
+    for x in range(F.q):
+        for y in range(F.q):
             assert recover_multiplication(F, x, y) == F.mul(x, y)
 
 
