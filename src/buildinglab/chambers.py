@@ -1,31 +1,9 @@
-"""Chamber systems of desk-scale flag geometries and their building
-structure.
+"""Chamber complexes and their building structure.
 
-A chamber is a maximal flag of the geometry; for each type i, an i-panel
-collects the chambers that differ only in their type-i component.  Three
-families are built from finite-field linear algebra:
-
-  PG2:q=<n>       point-line flags of the projective plane PG(2, q),
-                  attached Coxeter system of the 6-element dihedral type;
-  W:q=<n>         point-line flags of the symplectic quadrangle in PG(3, q)
-                  (all points, totally isotropic lines of an alternating
-                  form), attached dihedral type of order 8;
-  Aflags:n=<k>,q=<n>  complete flags of subspaces of F_q^{k+1}, attached
-                  symmetric-group type.
-
-All three are flag complexes of subspaces of F_q^m and are built one way,
-top-down.  The subspaces of the top dimension are listed once each as
-reduced-row-echelon bases, one Schubert cell of the Grassmannian per choice
-of pivot columns, and each flag is then extended one dimension down inside
-its last-chosen space.  The d-subspaces of the span of an echelon basis B
-are exactly the products A.B for A an echelon basis of a d-subspace of
-F^len(B), and A.B is already echelon: as B is echelon, A.B read at B's
-pivot columns is A itself, and as A is echelon, row r of A.B then leads
-with a one at the pivot of the B row that A's r-th pivot picks, the only
-nonzero entry of that column.  So no containment is tested and no row
-reduced.  A family may filter the spaces of every dimension (W keeps the
-totally isotropic ones).  Partial flags never outnumber chambers, so the
-build raises BoundExceeded as soon as a layer passes CHAMBER_BOUND.
+A chamber is a tuple with one component per type; for each type i, an
+i-panel collects the chambers that differ only in their type-i component.
+The flag geometries are rows in `geometries`, and build_flag_building is
+the one place where a family's flags meet the complex.
 
 The W-valued distance delta(c, d) is computed by breadth-first search over
 minimal galleries, folding the gallery type into the Coxeter system as the
@@ -72,64 +50,12 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .coxeter import (
-    MATRIX_A2,
-    MATRIX_B2,
-    CoxeterSystem,
-    type_a_matrix,
-)
-from .errors import (
-    BoundExceeded,
-    InvalidSpec,
-    NotFound,
-    NotReduced,
-    NotUnique,
-)
-from .localfield import FiniteField, finite_field
+from .coxeter import CoxeterSystem
+from .errors import InvalidSpec, NotFound, NotReduced, NotUnique
+from .geometries import geometry_flags
 
-Vector = tuple[int, ...]
-Subspace = tuple[Vector, ...]    # reduced-row-echelon basis, canonical
 Chamber = tuple                  # tuple of per-type components
 PanelId = tuple[int, int]        # (type, panel index)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra over F_q
-
-def all_subspaces(F: FiniteField, n: int, dim: int) -> list[Subspace]:
-    """All dim-dimensional subspaces of F^n, each once as its canonical
-    reduced-row-echelon basis, sorted.
-
-    The bases are enumerated cell by cell (the Schubert cells of the
-    Grassmannian): for each choice of pivot columns, row r has a one in its
-    pivot column, zeros left of it and in the other pivot columns, and a free
-    entry in every other column right of its pivot."""
-    out = []
-    for pivots in itertools.combinations(range(n), dim):
-        free = [(r, c) for r, p in enumerate(pivots)
-                for c in range(p + 1, n) if c not in pivots]
-        for values in itertools.product(range(F.q), repeat=len(free)):
-            rows = [[0] * n for _ in pivots]
-            for r, p in enumerate(pivots):
-                rows[r][p] = F.one
-            for (r, c), x in zip(free, values):
-                rows[r][c] = x
-            out.append(tuple(map(tuple, rows)))
-    return sorted(out)
-
-
-def _combine(F: FiniteField, coeffs: Subspace, basis: Subspace) -> Subspace:
-    """The product coeffs.basis: row r combines basis's rows with the
-    entries of coeffs' row r, whose first nonzero entry is a one."""
-    add, mul = F.add, F.mul
-    out = []
-    for weights in coeffs:
-        terms = [(c, brow) for c, brow in zip(weights, basis) if c]
-        row = terms[0][1]
-        for c, brow in terms[1:]:
-            row = tuple([add(x, mul(c, y)) for x, y in zip(row, brow)])
-        out.append(row)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +475,13 @@ class ChamberComplex:
                 f"{self.size} chambers, rank {self.rank})")
 
 
+def build_flag_building(spec: str) -> ChamberComplex:
+    """Chamber complex of the named flag geometry: its flags and Coxeter
+    matrix come from the family's row in `geometries`."""
+    flags, matrix = geometry_flags(spec)
+    return ChamberComplex(flags, matrix, geometry=spec)
+
+
 # ---------------------------------------------------------------------------
 # cell coordinates
 
@@ -632,99 +565,6 @@ class SchubertCoordinates:
             "domain_size": walked,
             "bijective": ok and walked == len(cell),
         }
-
-
-# ---------------------------------------------------------------------------
-# geometries
-
-# family -> its parameter names, all required
-FAMILIES = {"PG2": ("q",), "W": ("q",), "Aflags": ("n", "q")}
-
-# the largest flag complex built (see the module docstring)
-CHAMBER_BOUND = 2000
-
-
-def parse_geometry_spec(spec: str) -> tuple[str, dict]:
-    head, _, rest = spec.strip().partition(":")
-    if head not in FAMILIES:
-        raise InvalidSpec(f"unknown geometry family {head!r}")
-    names = FAMILIES[head]
-    params = {}
-    for piece in rest.split(",") if rest else ():
-        key, _, val = piece.partition("=")
-        if key not in names or key in params:
-            raise InvalidSpec(f"{head} takes each of {', '.join(names)} "
-                              f"once, got {piece!r}")
-        try:
-            params[key] = int(val)
-        except ValueError:
-            raise InvalidSpec(f"bad geometry parameter {piece!r}") from None
-    if len(params) != len(names):
-        raise InvalidSpec(f"{head} needs "
-                          + ",".join(f"{k}=<int>" for k in names))
-    return head, params
-
-
-def build_flag_building(spec: str) -> ChamberComplex:
-    """Chamber complex of the named flag geometry.  Its flags come from
-    `subspace_flags`, top-down: each space below the top one is a product
-    A.B, already echelon, with B the echelon basis of the space above."""
-    head, params = parse_geometry_spec(spec)
-    q = params["q"]
-    F = finite_field(q)
-    keep = None
-    if head == "PG2":
-        ambient, dims, matrix = 3, (1, 2), MATRIX_A2
-    elif head == "W":
-        ambient, dims, matrix = 4, (1, 2), MATRIX_B2
-        keep = _totally_isotropic
-    else:
-        n = params["n"]
-        if n < 2:
-            raise InvalidSpec("Aflags rank must be at least 2")
-        ambient, dims, matrix = n + 1, tuple(range(1, n + 1)), type_a_matrix(n)
-    flags = subspace_flags(F, ambient, dims, keep, spec)
-    return ChamberComplex(flags, matrix, geometry=spec)
-
-
-def subspace_flags(F: FiniteField, ambient: int, dims: Sequence[int],
-                   keep, label: str) -> list[Chamber]:
-    """The flags of F^ambient with one subspace of each of the ascending
-    dims, every one passing keep(F, space) unless keep is None; a flag lists
-    its spaces in the order of dims.
-
-    Built top-down: the flags start as the kept subspaces of the top
-    dimension and grow one dimension down at a time.  The d-subspaces
-    inside a flag's lowest space, with echelon basis B, are the products
-    A.B over the echelon bases A of the d-subspaces of F^len(B), each
-    already echelon (see the module docstring), so a layer of A's is listed
-    once and no containment is tested.  Raises BoundExceeded, naming label,
-    once the flags pass CHAMBER_BOUND.
-    """
-    flags: list[Chamber] = [()]
-    above = ambient
-    for dim in reversed(dims):
-        layer = all_subspaces(F, above, dim)
-        grown = []
-        for flag in flags:
-            spaces = ([_combine(F, a, flag[0]) for a in layer] if flag
-                      else layer)
-            grown.extend((sp,) + flag for sp in spaces
-                         if keep is None or keep(F, sp))
-            if len(grown) > CHAMBER_BOUND:
-                raise BoundExceeded(
-                    f"flag count passed {CHAMBER_BOUND} for {label}")
-        flags = grown
-        above = dim
-    return flags
-
-
-def _totally_isotropic(F: FiniteField, space: Subspace) -> bool:
-    """Whether the alternating form x0y1 - x1y0 + x2y3 - x3y2 on F^4
-    vanishes on the span."""
-    return all(F.add(F.sub(F.mul(x[0], y[1]), F.mul(x[1], y[0])),
-                     F.sub(F.mul(x[2], y[3]), F.mul(x[3], y[2]))) == 0
-               for x, y in itertools.combinations(space, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,8 @@ class MoufangFrame:
             raise InvalidSpec("root-group machinery expects a rank-2 complex")
         self.cx = cx
         self.n = cx.coxeter.matrix[0][1]
+        if self.n == 2:
+            raise InvalidSpec("root groups need gonality at least 3, got 2")
         self.q = cx.thickness[0] if len(set(cx.thickness)) == 1 else None
         self.N = cx.size
         split = self._split = len(cx.panel_masks[0])

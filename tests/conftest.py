@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from buildinglab.chambers import ChamberComplex, subspace_flags
+from buildinglab.chambers import ChamberComplex
 from buildinglab.coxeter import MATRIX_B2
+from buildinglab.geometries import subspace_flags
 from buildinglab.localfield import finite_field
 
 

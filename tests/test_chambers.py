@@ -6,13 +6,11 @@ from collections import Counter
 
 import pytest
 
-from buildinglab import chambers
+from buildinglab import chambers, geometries
 from buildinglab.chambers import (
     ChamberComplex,
-    all_subspaces,
     build_flag_building,
     cell_decomposition_report,
-    parse_geometry_spec,
     verify_building_axioms,
 )
 from buildinglab.coxeter import MATRIX_A2, MATRIX_B2
@@ -23,6 +21,7 @@ from buildinglab.errors import (
     NotReduced,
     NotUnique,
 )
+from buildinglab.geometries import all_subspaces, parse_geometry_spec
 from buildinglab.localfield import finite_field
 
 
@@ -53,7 +52,7 @@ def test_chamber_counts(pg2_2, pg2_3, w2):
 
 # Row reduction by elimination, the oracle of `all_subspaces` (which lists
 # the echelon forms cell by cell), of `subspace_leq` below (which reads
-# coefficients off the pivot columns) and of `chambers._combine` (whose
+# coefficients off the pivot columns) and of `geometries._combine` (whose
 # products A.B are echelon without reduction).
 def rref(F, rows):
     """Canonical reduced-row-echelon basis of the span."""
@@ -89,7 +88,7 @@ def gaussian_binomial(n, k, q):
     (3, 4, 2), (4, 3, 1), (4, 4, 2), (5, 3, 2), (9, 3, 1), (9, 3, 2)])
 def test_all_subspaces_are_the_echelon_forms(q, n, dim):
     F = finite_field(q)
-    spaces = all_subspaces(F, n, dim)
+    spaces = list(all_subspaces(F, n, dim))
     assert len(spaces) == gaussian_binomial(n, dim, q)
     assert all(rref(F, sp) == sp and len(sp) == dim for sp in spaces)
     assert len(set(spaces)) == len(spaces)
@@ -130,7 +129,7 @@ def geometry_of(spec):
     if head == "PG2":
         return F, 3, (1, 2), None
     if head == "W":
-        return F, 4, (1, 2), chambers._totally_isotropic
+        return F, 4, (1, 2), geometries._totally_isotropic
     n = params["n"]
     return F, n + 1, tuple(range(1, n + 1)), None
 
@@ -177,7 +176,7 @@ def test_filter_applies_at_every_layer():
     def keep(F, sp):
         return sp[0][-1] == 0 or len(sp) == 2
 
-    flags = chambers.subspace_flags(F, 4, (1, 2, 3), keep, "F_2^4")
+    flags = geometries.subspace_flags(F, 4, (1, 2, 3), keep, "F_2^4")
     assert flags and sorted(flags) == sorted(
         flags_by_containment(F, 4, (1, 2, 3), keep))
     assert len(flags) < build_flag_building("Aflags:n=3,q=2").size
@@ -198,7 +197,7 @@ def test_combine_is_the_product_in_echelon_form(q, n, top):
     for basis in all_subspaces(F, n, top):
         for dim in range(1, top + 1):
             for coeffs in all_subspaces(F, top, dim):
-                sp = chambers._combine(F, coeffs, basis)
+                sp = geometries._combine(F, coeffs, basis)
                 assert sp == product(F, coeffs, basis) == rref(F, sp)
                 assert len(sp) == dim and subspace_leq(F, sp, basis)
 
@@ -212,7 +211,7 @@ def test_combine_is_the_product_in_echelon_form(q, n, top):
 def test_combine_mutants_fail_the_oracle(monkeypatch, mutant, specs):
     oracles = {spec: sorted(flags_by_containment(*geometry_of(spec)))
                for spec in specs}
-    monkeypatch.setattr(chambers, "_combine", mutant)
+    monkeypatch.setattr(geometries, "_combine", mutant)
     for spec in specs:
         F = geometry_of(spec)[0]
         flags = build_flag_building(spec).chambers

@@ -3,13 +3,15 @@
 import hashlib
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from buildinglab import btree, cli, localfield, moufang
+from buildinglab import btree, cli, geometries, localfield, moufang
 from buildinglab.coxeter import CoxeterSystem
 from buildinglab.errors import NotFound, PrecisionExhausted
 
@@ -351,6 +353,37 @@ def test_bad_or_oversized_geometry_is_usage_error(geometry, message, code,
     assert message in capsys.readouterr().err
 
 
+def test_geometry_help_names_every_family(capsys):
+    # the help is a literal, so that parsing loads no layer; a family row
+    # added without it fails here
+    with pytest.raises(SystemExit):
+        cli.main(["building", "verify", "-h"])
+    text = " ".join(capsys.readouterr().out.split())
+    for head, (names, _) in geometries.FAMILIES.items():
+        params = ",".join(rf"{k}=<\w+>" for k in names)
+        assert re.search(rf"(^|\W){head}:{params}", text), head
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("spec", ["W:q=64", "Aflags:n=20,q=2"])
+def test_top_layer_past_the_bound_stops_under_a_memory_cap(spec):
+    # about 1.7e7 lines of PG(3, 64) and 2.1e6 hyperplanes of F_2^21: the
+    # build must stop at the bound before it lists the top layer
+    proc = subprocess.run(
+        [sys.executable, "-m", "buildinglab.cli", "building", "verify",
+         "--geometry", spec, "--json-only"],
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=_cap_address_space,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert proc.returncode == 3, proc.stderr[-500:]
+    error = json.loads(proc.stdout)["error"]
+    assert error["class"] == "BoundExceeded"
+    assert error["message"] == f"flag count passed 2000 for {spec}"
+
+
 @pytest.mark.parametrize("argv", [
     ["projline", "recover", "--field", "F7"],
     ["bt", "iwasawa", "--field", "Q5"],
@@ -621,7 +654,8 @@ def test_coxeter_loads_no_other_layer(tmp_path):
         ["coxeter", "--matrix", str(path), "--json-only"])
     assert "buildinglab.coxeter" in loaded
     assert not loaded & {"buildinglab.localfield", "buildinglab.moufang",
-                         "buildinglab.btree", "buildinglab.projline"}
+                         "buildinglab.btree", "buildinglab.projline",
+                         "buildinglab.geometries"}
 
 
 def test_field_classify_loads_no_building_layer():
@@ -629,7 +663,7 @@ def test_field_classify_loads_no_building_layer():
         ["field", "classify", "--field", "Qp:p=5,prec=8", "--json-only"])
     assert "buildinglab.localfield" in loaded
     assert not loaded & {"buildinglab.chambers", "buildinglab.moufang",
-                         "buildinglab.btree"}
+                         "buildinglab.btree", "buildinglab.geometries"}
 
 
 def test_moufang_filtration_loads_no_building_layer():
@@ -637,7 +671,13 @@ def test_moufang_filtration_loads_no_building_layer():
         ["moufang", "filtration", "--field", "Qp:p=5,prec=8", "--json-only"])
     assert {"buildinglab.localfield", "buildinglab.btree"} <= loaded
     assert not loaded & {"buildinglab.chambers", "buildinglab.coxeter",
-                         "buildinglab.moufang"}
+                         "buildinglab.moufang", "buildinglab.geometries"}
+
+
+def test_building_verify_loads_the_geometry_rows():
+    loaded = _modules_in_fresh_interpreter(
+        ["building", "verify", "--geometry", "PG2:q=2", "--json-only"])
+    assert {"buildinglab.chambers", "buildinglab.geometries"} <= loaded
 
 
 def test_moufang_check_loads_no_tree():

@@ -364,6 +364,17 @@ def test_search_rejects_constraints_outside_the_complex(pg2_2, forced,
         find_automorphisms(pg2_2, forced=forced, vertex_fixes=vertex_fixes)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_frame_refuses_a_digon(q):
+    # in the (q+1) x (q+1) digon the star fixer is Sym(q), not a root group;
+    # the transitivity check passes at q = 2 (order 2) and fails at q = 3
+    # (order 6), so the refusal must come before any check runs
+    flags = list(itertools.product(range(q + 1), repeat=2))
+    digon = ChamberComplex(flags, [[1, 2], [2, 1]], geometry="digon")
+    with pytest.raises(InvalidSpec, match="gonality at least 3, got 2"):
+        MoufangFrame(digon)
+
+
 # roots 0, 3 and 5 of PG2:q=4 take seconds each in the reference search
 @pytest.mark.parametrize("spec, roots", [
     ("PG2:q=2", range(6)),
