@@ -309,6 +309,11 @@ class ChamberComplex:
             raise InvalidSpec(f"chamber {d} out of range 0..{self.size - 1}")
         return row[d]
 
+    def has_row(self, c: int) -> bool:
+        """Whether c's delta row is built: reading it, or the cells of c,
+        runs no breadth-first pass."""
+        return c in self._delta_cache
+
     def cell_masks(self, x: int) -> tuple[int, ...]:
         """The cells of x as bitmasks: entry w has bit y set when
         delta(x, y) = w.  One last entry holds the chambers x's BFS never

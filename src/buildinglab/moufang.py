@@ -20,29 +20,32 @@ automorphisms, pruned by the W-valued distance, which every automorphism
 preserves: the identity constraints on the interior stars seed it, each
 open chamber keeps its possible images as a bitmask, each assignment ANDs
 the open masks with one cached cell row of its image, a chamber down to one
-image is queued and never filtered again, and a complete map is kept
-exactly when the complex's automorphism test passes it.  By rigidity the
-search branches once, over the images of one chamber, and otherwise only
-propagates.  A root group converts the chamber maps it finds once into
-vertex maps, Perms of the vertex numbers with 2N/(q+1) entries against N
-chambers, which must give the chamber maps back; from there on every root
-element is a vertex map.  The Moufang property is then checked head on,
-with no list of roots: the walk goes over the root interiors (paths of
-n - 2 edges), and each root is an end extension of its interior.  Two
-opposite vertices of a generalized n-gon are joined by exactly one path
-through each neighbour of either, so the apartments through a root
-x0 ... xn are counted as the neighbours y != x1 of x0 at distance n - 1
-from xn, read off one byte row of vertex distances; there must be as many
-as the measured parameter of x0's panel type.  Each root group must permute
-them simply transitively, with order equal to that parameter: it holds the
-identity and maps the least of them, once under each element, onto all of
-them.  The two types may have different parameters, as in the elliptic
-quadric quadrangle of order (q, q^2).  Only the 2n base root groups are
-searched for that; every other root group is a conjugate g^-1 U_i g, g the
-product of the base root elements on the path to its interior in a
-breadth-first walk from the base interiors.  Every element is checked in
-full as an automorphism of the incidence graph, and a seeded few groups are
-searched again as the independent route.
+image is stacked and never filtered again, a stacked chamber whose delta
+row and whose image's row are already built is handled before any other,
+so that a search builds a row only once the built ones have done their
+filtering, and a complete map is kept exactly when the complex's
+automorphism test passes it.  By rigidity the search branches once, over
+the images of one chamber, and otherwise only propagates.  A root group
+converts the chamber maps it finds once into vertex maps, Perms of the
+vertex numbers with 2N/(q+1) entries against N chambers, which must give
+the chamber maps back; from there on every root element is a vertex map.
+The Moufang property is then checked head on, with no list of roots: the
+walk goes over the root interiors (paths of n - 2 edges), and each root is
+an end extension of its interior.  Two opposite vertices of a generalized
+n-gon are joined by exactly one path through each neighbour of either, so
+the apartments through a root x0 ... xn are counted as the neighbours
+y != x1 of x0 at distance n - 1 from xn, read off one byte row of vertex
+distances; there must be as many as the measured parameter of x0's panel
+type.  Each root group must permute them simply transitively, with order
+equal to that parameter: it holds the identity and maps the least of them,
+once under each element, onto all of them.  The two types may have
+different parameters, as in the elliptic quadric quadrangle of order
+(q, q^2).  Only the 2n base root groups are searched for that; every other
+root group is a conjugate g^-1 U_i g, g the product of the base root
+elements on the path to its interior in a breadth-first walk from the base
+interiors.  Every element is checked in full as an automorphism of the
+incidence graph, and a seeded few groups are searched again as the
+independent route.
 
 For a nontrivial u in U_i, mu(u) is the unique element of
 U_{i+n}* u U_{i+n}* that maps the base apartment to itself, inducing on it
@@ -133,25 +136,30 @@ def find_automorphisms(cx: ChamberComplex,
 
     Each open chamber c keeps the images still possible as a bitmask,
     starting from its forced image or, if it lies on a setwise-fixed
-    panel, from that panel.  Assigning e -> y ANDs every open mask with
-    the cell of y that delta(e, c) names, from cx.cell_masks; e's own row
-    is read only then, so only chambers the queue reaches have it read.  A
-    mask down to one image determines its chamber: it leaves the open set
-    for a queue, is assigned in turn and is never filtered again.  With the
-    queue empty the search branches on the open chamber with the fewest
-    images, lowest index first, over its images in ascending order.  A
-    complete map is kept exactly when cx.is_automorphism passes it, in
-    O(N rank), which settles what the queue left unfiltered and rejects
-    non-injective maps.  delta only prunes, and loses no automorphism:
-    the walk that builds a row reaches each chamber first along the
-    lexicographically least type word of a minimal gallery, so every
-    automorphism maps each cached row, walk rows included, onto its
-    image's row.  That holds on every rank-2 complex, where the frontier
-    chambers of one word step on only by the type their word does not end
-    in, and in any rank where the walk records no gallery conflict.
-    Constraints naming chambers or panels outside the complex, or chambers
-    by anything but ints, raise InvalidSpec.  By rigidity a root group
-    search branches once, |U| ways, and then only propagates.
+    panel, from that panel.  A mask down to one image determines its
+    chamber: it leaves the open set for one of two stacks and is never
+    filtered again.  Handling a determined e -> y ANDs every open mask
+    with the cell of y that delta(e, c) names, from cx.cell_masks; e's own
+    row is read only then.  The warm stack holds the chambers whose row
+    and whose image's row are already built (cx.has_row), so handling one
+    runs no breadth-first pass; the cold stack holds the rest and is taken
+    from only while the warm one is empty, each most recent first.  So a
+    row is built only once the built rows have done all their filtering.
+    With both stacks empty the search branches on the open chamber with
+    the fewest images, lowest index first, over its images in ascending
+    order.  A complete map is kept exactly when cx.is_automorphism passes
+    it, in O(N rank), which settles what the stacks left unfiltered and
+    rejects non-injective maps.  delta only prunes, and loses no
+    automorphism in any order of the stacks: the walk that builds a row
+    reaches each chamber first along the lexicographically least type word
+    of a minimal gallery, so every automorphism maps each cached row, walk
+    rows included, onto its image's row.  That holds on every rank-2
+    complex, where the frontier chambers of one word step on only by the
+    type their word does not end in, and in any rank where the walk
+    records no gallery conflict.  Constraints naming chambers or panels
+    outside the complex, or chambers by anything but ints, raise
+    InvalidSpec.  By rigidity a root group search branches once, |U| ways,
+    and then only propagates.
     """
     if not forced and not vertex_fixes:
         raise InvalidSpec("automorphism search needs at least one constraint")
@@ -162,9 +170,14 @@ def find_automorphisms(cx: ChamberComplex,
         raise InvalidSpec(f"forced images must map chambers of 0..{N - 1}")
     if not vertex_fixes <= set(cx.all_panel_ids()):
         raise InvalidSpec("setwise-fixed panels must be panels of the complex")
-    rows, cells = cx.delta_row, cx.cell_masks
+    rows, cells, built = cx.delta_row, cx.cell_masks, cx.has_row
+
+    def push(c: int, x: int, warm: list[int], cold: list[int]) -> None:
+        (warm if built(c) and built(x) else cold).append(c)
+
     image = [-1] * N
-    queue: list[int] = []
+    warm: list[int] = []
+    cold: list[int] = []
     open_masks: dict[int, int] = {}
     for c in range(N):
         mask = 1 << forced[c] if c in forced else (1 << N) - 1
@@ -178,20 +191,19 @@ def find_automorphisms(cx: ChamberComplex,
             open_masks[c] = mask
         else:
             image[c] = mask.bit_length() - 1
-            queue.append(c)
+            push(c, image[c], warm, cold)
     solutions: list[Perm] = []
     nodes = 0
 
-    def search(image: list[int], queue: list[int],
+    def search(image: list[int], warm: list[int], cold: list[int],
                masks: dict[int, int]) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > _SEARCH_BUDGET:
             raise SearchBudgetExceeded(
                 f"automorphism search passed {_SEARCH_BUDGET} nodes")
-        for e in queue:            # grows as assignments determine chambers
-            if not masks:
-                break
+        while masks and (warm or cold):
+            e = warm.pop() if warm else cold.pop()
             row, cell = rows(e), cells(image[e])
             left = {}
             for c, mask in masks.items():
@@ -200,7 +212,7 @@ def find_automorphisms(cx: ChamberComplex,
                     left[c] = mask
                 elif mask:
                     image[c] = mask.bit_length() - 1
-                    queue.append(c)
+                    push(c, image[c], warm, cold)
                 else:
                     return
             masks = left
@@ -214,10 +226,12 @@ def find_automorphisms(cx: ChamberComplex,
             low = mask & -mask
             branch = list(image)
             branch[c] = low.bit_length() - 1
-            search(branch, [c], masks)
+            warm, cold = [], []
+            push(c, branch[c], warm, cold)
+            search(branch, warm, cold, masks)
             mask ^= low
 
-    search(image, queue, open_masks)
+    search(image, warm, cold, open_masks)
     return sorted(solutions)
 
 

@@ -462,9 +462,9 @@ def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
 
 
 # Twelve flags (point, line) of an A2 complex that is no building.  With
-# chamber 2 fixed, propagation alone completes a second map, which sends
-# chambers 5 and 8 both to 5; only the final automorphism test of
-# find_automorphisms rejects it.
+# chamber 3 fixed, propagation alone completes a second map that is no
+# automorphism; only the final automorphism test of find_automorphisms
+# rejects it.
 TWELVE_FLAGS = [(0, 0), (0, 3), (0, 4), (1, 2), (3, 0), (3, 1), (3, 3),
                 (4, 0), (4, 1), (5, 3), (6, 0), (6, 3)]
 
@@ -479,8 +479,8 @@ def test_the_final_automorphism_test_rejects_a_complete_map(monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(cx, "is_automorphism", recorded)
-    got = find_automorphisms(cx, forced={2: 2})
-    assert got == _panel_automorphisms(cx, {2: 2}) == [tuple(range(12))]
+    got = find_automorphisms(cx, forced={3: 3})
+    assert got == _panel_automorphisms(cx, {3: 3}) == [tuple(range(12))]
     assert False in verdicts
 
 
@@ -547,16 +547,32 @@ def _panel_automorphisms(cx: ChamberComplex,
     return sorted(solutions)
 
 
-@pytest.mark.parametrize("name", ["PG2:q=2"] + OFF_BUILDINGS)
+def _fresh_complex(name, pg2_2, w2):
+    """(a complex no search has read, automorphisms fixing the star of
+    chamber 0) for PG2:q=2, TWELVE_FLAGS or an off-building complex."""
+    if name == "PG2:q=2":
+        return ChamberComplex(pg2_2.chambers, MATRIX_A2, geometry=name), 2
+    if name == "twelve-flags":
+        return ChamberComplex(TWELVE_FLAGS, MATRIX_A2, geometry=name), 1
+    return _off_building(name, pg2_2, w2)
+
+
+@pytest.mark.parametrize("name", ["PG2:q=2", "twelve-flags"] + OFF_BUILDINGS)
 def test_search_matches_the_panel_oracle(name, pg2_2, w2):
     # delta only prunes: on and off buildings the search keeps exactly the
-    # maps the panels define, with the star of chamber 0 fixed
-    cx, star_maps = ((pg2_2, 2) if name == "PG2:q=2"
-                     else _off_building(name, pg2_2, w2))
-    star = _star_of_chamber_0(cx)
-    got = find_automorphisms(cx, forced=star)
-    assert got == _panel_automorphisms(cx, star)
-    assert len(got) == star_maps
+    # maps the panels define.  It handles the chambers whose rows are built
+    # first, so on a complex with every cell row built it runs the
+    # constraints in another order; the result must not move
+    warm, star_maps = _fresh_complex(name, pg2_2, w2)
+    for x in range(warm.size):
+        warm.cell_masks(x)
+    star, last = _star_of_chamber_0(warm), warm.size - 1
+    assert len(find_automorphisms(warm, forced=star)) == star_maps
+    for forced in (star, {3: 3}, {last: 0}):
+        got = find_automorphisms(_fresh_complex(name, pg2_2, w2)[0],
+                                 forced=forced)
+        assert got == find_automorphisms(warm, forced=forced)
+        assert got == _panel_automorphisms(warm, forced)
 
 
 def _flag_automorphisms(cx):
@@ -1099,10 +1115,10 @@ def test_element_check_rejects_a_vertex_map_that_is_no_bijection(frame2):
     assert not frame2._element_ok(m, NOTHING_NEAR)
 
 
-@pytest.mark.parametrize("spec, rows", [("W:q=3", 117), ("W:q=4", 278)])
-def test_search_reads_only_the_rows_its_queue_reaches(spec, rows):
+@pytest.mark.parametrize("spec, rows", [("W:q=3", 49), ("W:q=4", 78)])
+def test_search_reads_only_the_rows_its_stacks_hand_on(spec, rows):
     # with every cell row cached first, the rows the base root searches
-    # read themselves: those of the chambers their queues reach
+    # read themselves: those of the chambers handled before the masks close
     frame = MoufangFrame(build_flag_building(spec))
     cx = frame.cx
     for x in range(cx.size):
@@ -1112,6 +1128,36 @@ def test_search_reads_only_the_rows_its_queue_reaches(spec, rows):
     for i in range(2 * frame.n):
         frame.root_group(i)
     assert len(read) == rows < cx.size
+
+
+@pytest.mark.parametrize("spec, most", [("W:q=3", 60), ("PG2:q=4", 60)])
+def test_base_searches_build_few_rows_from_cold(spec, most):
+    # a chamber whose row is built is handled before one whose row is not,
+    # so the base searches build at most 60 rows from cold; handled in
+    # order of discovery they built all 160 and 105
+    frame = MoufangFrame(build_flag_building(spec))
+    cx = frame.cx
+    for i in range(2 * frame.n):
+        frame.root_group(i)
+    assert sum(map(cx.has_row, range(cx.size))) <= most < cx.size
+
+
+# sha256 of the 2n base root groups as JSON, taken before the search
+# handled chambers with built rows first
+BASE_GROUP_DIGESTS = {
+    "PG2:q=4":
+        "50c3b4732a5fbdea48f4fe6abb308cdd2a112501f6323eb323c5c4305e443715",
+    "W:q=3":
+        "b13d687721120f6a1ea2ca5e53aad71408f25877eb862c48769e0ceb5b744056",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BASE_GROUP_DIGESTS))
+def test_base_root_groups_are_pinned(spec):
+    frame = MoufangFrame(build_flag_building(spec))
+    groups = [frame.root_group(i) for i in range(2 * frame.n)]
+    assert hashlib.sha256(json.dumps(groups).encode()).hexdigest() == (
+        BASE_GROUP_DIGESTS[spec])
 
 
 def test_transitivity_counts_routes(pg2_2):
