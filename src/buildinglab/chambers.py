@@ -9,15 +9,16 @@ The W-valued distance delta(c, d) is computed by breadth-first search over
 minimal galleries, folding the gallery type into the Coxeter system as the
 search goes; well-definedness of that assignment across all minimal
 galleries is exactly the consistency property that the verification report
-surfaces.  The search scans each panel once, from its gate; a recording
-walk that scans it from every member runs only for a base chamber where
-that pass finds a violation, and lists them.  A row the pass accepts is
-kept as bytes, its delta indices and their Coxeter lengths, so a Coxeter
-group of more than 256 elements is refused.  Apartments are produced
-constructively: extend d to a chamber opposite c by length-increasing panel
-steps, then collect the convex hull {e : delta(c,e) * delta(e,d') = w0 with
-lengths adding}, and check it is thin and W-isometric.  Chamber sets on
-that path are int bitmasks, bit c for chamber c: the hull is an OR of
+surfaces.  The search scans each panel once, from its gate, and declines
+a base at the first conflict it meets: delta from that base is no
+W-distance, B2 reports the conflict as its witness, and every other query
+from the base raises NotFound naming it.  A row is kept as bytes, its
+delta indices and their Coxeter lengths, so a Coxeter group of more than
+256 elements is refused.  Apartments are produced constructively: extend
+d to a chamber opposite c by length-increasing panel steps, then collect
+the convex hull {e : delta(c,e) * delta(e,d') = w0 with lengths adding},
+and check it is thin and W-isometric.  Chamber sets on that path are int
+bitmasks, bit c for chamber c: the hull is an OR of
 cell-mask intersections, thinness counts the hull's bits in each panel
 mask, and W-isometry compares one picked delta row per hull chamber
 against a row of the Coxeter product table.  Projections to
@@ -84,8 +85,10 @@ class ChamberComplex:
     at most 256 elements.  Only this module reads the panel tables panels
     and panel_of, and the delta rows as _delta_from builds them; others ask
     the panel methods, panel_masks, the delta readers and the automorphism
-    test.  thickness[i] is the measured parameter of type i: the size of
-    its panels minus one, or None where they differ in size."""
+    test.  A delta reader gives byte rows, and refuses with NotFound a
+    base where delta is no W-distance.  thickness[i] is the measured
+    parameter of type i: the size of its panels minus one, or None where
+    they differ in size."""
 
     def __init__(self, chambers: Sequence[Chamber], matrix, geometry: str):
         if not chambers:
@@ -163,36 +166,37 @@ class ChamberComplex:
     # -- W-distance ------------------------------------------------------
 
     def _delta_from(self, c: int):
-        """BFS table from c: (dist, delta index, violations), cached; bytes
-        where the pass accepts the row, tuples where the walk builds it.
+        """BFS table from c: (dist, delta index, ()) as byte rows, cached.
 
-        A panel-once pass (_delta_pass) builds the row first.  Only when it
-        declines does the recording walk (_delta_walk) run, to build the
-        row again and list its violations.  The pass declines exactly where
-        the walk records one, and discovers chambers in the walk's order
-        when it does not, so both routes give the same row.  Every query
-        reads its rows through here, so a chamber out of range is refused
-        once, here.
+        The panel-once pass (_delta_pass) builds it.  A base it declines
+        keeps its witness in the cache and raises NotFound naming it, here
+        and on every later read, so every query is refused where delta is
+        no W-distance.  Every query reads its rows through here, so a
+        chamber out of range is refused once, here.
         """
         cached = self._delta_cache.get(c)
         if cached is None:
             if not 0 <= c < self.size:
                 raise InvalidSpec(
                     f"base chamber {c} out of range 0..{self.size - 1}")
-            cached = self._delta_pass(c) or self._delta_walk(c)
-            self._delta_cache[c] = cached
+            cached = self._delta_cache[c] = self._delta_pass(c)
+        if cached[1] is None:
+            raise NotFound(f"delta from chamber {c} is not a W-distance: "
+                           f"{cached[2][0]}")
         return cached
 
     def _delta_pass(self, c: int):
-        """The row from c with no violations, as bytes, or None.
+        """The row from c as bytes, or the first conflict met as a witness.
 
         Each panel is scanned once, from its first-reached member (its
         gate); every other member lies one step further, at delta(gate) *
-        s_i.  A member already holding another delta, an assignment whose
-        Coxeter length is not its gallery distance, or a chamber never
-        reached declines the row.  Lengths equal distances throughout, so
-        delta alone tells a member's distance and dist is read off at the
-        end.
+        s_i.  A member already holding another delta (closer than the
+        step: no-gate; as far: gallery-conflict), an assignment whose
+        Coxeter length is not its gallery distance (length-drop) or a
+        chamber never reached (disconnected) declines the row, as
+        (None, None, (witness,)), the witness (kind, c, d, e, i).  Lengths
+        equal distances throughout, so delta alone tells a member's
+        distance and dist is read off at the end.
         """
         right = self.coxeter.right
         length = self.coxeter.length
@@ -216,92 +220,33 @@ class ChamberComplex:
                         de = delta[e]
                         if de == ws or e == d:
                             continue
-                        if de != -1 or length[ws] != up:
-                            return None
+                        if de != -1:
+                            kind = ("no-gate" if length[de] < up
+                                    else "gallery-conflict")
+                            return None, None, ((kind, c, d, e, i),)
+                        if length[ws] != up:
+                            return None, None, (("length-drop", c, d, e, i),)
                         delta[e] = ws
                         nxt.append(e)
             frontier = nxt
             up += 1
         if -1 in delta:
-            return None
+            return None, None, (
+                ("disconnected", c, delta.index(-1), None, None),)
         row = bytes(delta)
         return row.translate(self._lengths), row, ()
 
-    def _delta_walk(self, c: int):
-        """The recording walk: (dist, delta index, violations) from c.
-
-        delta is assigned along minimal galleries; any conflict between two
-        galleries, any plateau mismatch, any panel with no gate (two members
-        at one distance and none closer) and any gap between gallery length
-        and Coxeter length is recorded instead of papered over.
-        """
-        W = self.coxeter
-        right = W.right
-        length = W.length
-        types = [(i, self.panels[i], self.panel_of[i])
-                 for i in range(self.rank)]
-        dist = [-1] * self.size
-        delta = [-1] * self.size
-        violations = []
-        dist[c] = 0
-        delta[c] = 0
-        frontier = [c]
-        here = 0          # the frontier's distance from c
-        while frontier:
-            nxt = []
-            up = here + 1
-            for d in frontier:
-                wd = delta[d]
-                right_d = right[wd]
-                longer = length[wd] + 1
-                for i, plist, pof in types:
-                    ws = right_d[i]
-                    members = plist[pof[d]]
-                    for e in members:
-                        if e == d:
-                            continue
-                        de = dist[e]
-                        if de == -1:
-                            dist[e] = up
-                            if length[ws] != longer:
-                                violations.append(
-                                    ("length-drop", c, d, e, i))
-                            delta[e] = ws
-                            nxt.append(e)
-                        elif de == up:
-                            if delta[e] != ws:
-                                violations.append(
-                                    ("gallery-conflict", c, d, e, i))
-                        elif de == here:
-                            if delta[e] != wd:
-                                violations.append(
-                                    ("plateau-conflict", c, d, e, i))
-                            if all(dist[x] != here - 1 for x in members):
-                                violations.append(
-                                    ("no-gate", c, d, e, i))
-                        else:  # de == here - 1, e is the gate side
-                            if right[delta[e]][i] != wd:
-                                violations.append(
-                                    ("gate-conflict", c, d, e, i))
-            frontier = nxt
-            here = up
-        for d in range(self.size):
-            if dist[d] == -1:
-                violations.append(("disconnected", c, d, None, None))
-            elif length[delta[d]] != dist[d]:
-                violations.append(("length-mismatch", c, d, None, None))
-        return tuple(dist), tuple(delta), tuple(violations)
-
-    def delta_row(self, c: int) -> Sequence[int]:
-        """delta(c, d) for every chamber d, as element indices: bytes when
-        the pass accepts the row, else the walk's tuple, where -1 marks a
-        chamber that c's search never reaches."""
+    def delta_row(self, c: int) -> bytes:
+        """delta(c, d) for every chamber d, as element indices."""
         return self._delta_from(c)[1]
 
     def row_violations(self, c: int) -> tuple[tuple, ...]:
-        """The violations the recording walk lists from c; none when the
-        panel-once pass accepts c's row."""
-        return self._delta_from(c)[2]
+        """The pass's witness from c, as a 1-tuple, or () where it accepts
+        c's row; a declined base is reported, not refused."""
+        try:
+            return self._delta_from(c)[2]
+        except NotFound:
+            return self._delta_cache[c][2]
 
     def w_distance(self, c: int, d: int) -> int:
         row = self.delta_row(c)
@@ -316,22 +261,15 @@ class ChamberComplex:
 
     def cell_masks(self, x: int) -> tuple[int, ...]:
         """The cells of x as bitmasks: entry w has bit y set when
-        delta(x, y) = w.  One last entry holds the chambers x's BFS never
-        reaches (delta -1), so every delta value indexes the row.  A byte
-        row is read in C: reversed, so that chamber y lands on bit y, and
-        translated once per w into the digits of its cell."""
+        delta(x, y) = w.  The byte row is read in C: reversed, so that
+        chamber y lands on bit y, and translated once per w into the
+        digits of its cell."""
         cached = self._mask_cache.get(x)
         if cached is None:
-            row = self.delta_row(x)
-            if isinstance(row, bytes):
-                back = row[::-1]
-                rows = [int(back.translate(digits), 2)
-                        for digits in self._cell_digits] + [0]
-            else:
-                rows = [0] * (self.coxeter.order + 1)
-                for y, w in enumerate(row):
-                    rows[w] |= 1 << y
-            cached = self._mask_cache[x] = tuple(rows)
+            back = self.delta_row(x)[::-1]
+            cached = self._mask_cache[x] = tuple(
+                int(back.translate(digits), 2)
+                for digits in self._cell_digits)
         return cached
 
     # -- gates -----------------------------------------------------------
@@ -365,8 +303,6 @@ class ChamberComplex:
         built by length-increasing panel steps (lex-least choices)."""
         W = self.coxeter
         v = self.w_distance(c, d)
-        if v == -1:
-            raise NotFound(f"chambers {c} and {d} are not connected")
         rest = W.words[W.multiply(W.inverse[v], W.longest)]
         delta = self.delta_row(c)
         cur = d
@@ -421,8 +357,7 @@ class ChamberComplex:
         W-isometry compares, for each e, the row delta(e, .) picked at the
         hull against the product row of delta(base, e)^-1 picked at the
         distances from the base; only a row that differs is read entry by
-        entry.  If the base's row misses a hull chamber, those chambers are
-        listed as unreached instead, since delta -1 names no element of W."""
+        entry."""
         W = self.coxeter
         bad = []
         if len(hull) != W.order:
@@ -440,9 +375,6 @@ class ChamberComplex:
         seen_w = set(from_base)
         if len(seen_w) != len(hull):
             bad.append(("not-free", len(seen_w)))
-        if -1 in seen_w:
-            return bad + [("unreached", hull[0], e)
-                          for e, we in zip(hull, from_base) if we == -1]
         at_base = _picker(from_base)
         for e, we in zip(hull, from_base):
             from_e = self.delta_row(e)
@@ -588,8 +520,9 @@ def verify_building_axioms(cx: ChamberComplex) -> dict:
     (B3) every panel has at least 3 chambers (thickness); (B2) surfaces as
     single-valuedness of the BFS W-distance over all minimal galleries from
     every base chamber, with the gate condition that every panel has one
-    member strictly nearest the base; (B1) puts each listed chamber pair in
-    an apartment.
+    member strictly nearest the base, each base the pass declines giving
+    its witness; (B1) puts each listed chamber pair in an apartment, and
+    files a refused delta read as an error.
     Pairs are exhaustive up to PAIR_BUDGET, sampled deterministically beyond
     it.  A pair already inside an apartment that passed check_apartment (size,
     thinness, W-isometry) is covered; any other pair gets its own hull, and a
@@ -688,11 +621,11 @@ def _sampled_pairs(n: int, covered: list[int]) -> Iterator[tuple]:
 def cell_decomposition_report(cx: ChamberComplex, c0: int = 0) -> dict:
     """Cell sizes from c0 with the partition total and the size law: C_w
     holds the product of the panel parameters over the letters of w's
-    reduced word; a letter whose panels differ in size fails it.  Chambers
-    c0 never reaches (delta -1) lie in no cell and leave the total short."""
+    reduced word; a letter whose panels differ in size fails it.  A base
+    whose delta is no W-distance raises NotFound before any cell is
+    counted, so the cells always cover every chamber."""
     W = cx.coxeter
     sizes = cx.cell_sizes(c0)
-    sizes.pop(-1, None)
     rows = []
     law_ok = True
     for w, size in sorted(sizes.items()):

@@ -5,7 +5,10 @@ prose summary on standard error, and exits 0 when all checks passed,
 1 when a check failed, and 2 on usage errors.  A run stopped by
 PrecisionExhausted, SearchBudgetExceeded, BoundExceeded or NotFound
 prints a report with no checks and an error {class, message} instead,
-and exits 3.  A single --seed governs all randomness, so reports are
+and exits 3.  --seed governs the sampled streams of the commands that
+read it; two library draws keep seeds of their own, the pairs of
+`building verify` (chambers.PAIR_SEED) and the root groups the Moufang
+check searches again (moufang.CROSS_CHECK_SEED).  Reports are
 reproducible byte for byte apart from the wall-time field.  Handlers
 parse and dispatch; the library decides its own inputs (base chamber,
 reduced word, sample count).  Each handler imports the layers it runs:

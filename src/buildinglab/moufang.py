@@ -150,16 +150,14 @@ def find_automorphisms(cx: ChamberComplex,
     order.  A complete map is kept exactly when cx.is_automorphism passes
     it, in O(N rank), which settles what the stacks left unfiltered and
     rejects non-injective maps.  delta only prunes, and loses no
-    automorphism in any order of the stacks: the walk that builds a row
-    reaches each chamber first along the lexicographically least type word
-    of a minimal gallery, so every automorphism maps each cached row, walk
-    rows included, onto its image's row.  That holds on every rank-2
-    complex, where the frontier chambers of one word step on only by the
-    type their word does not end in, and in any rank where the walk
-    records no gallery conflict.  Constraints naming chambers or panels
-    outside the complex, or chambers by anything but ints, raise
-    InvalidSpec.  By rigidity a root group search branches once, |U| ways,
-    and then only propagates.
+    automorphism in any order of the stacks: a row exists only where delta
+    is a W-distance, the one type product of every minimal gallery, and
+    an automorphism maps minimal galleries onto minimal galleries of the
+    same types, so it maps each row onto its image's row.  A row read from
+    a base with no W-distance raises NotFound.  Constraints naming
+    chambers or panels outside the complex, or chambers by anything but
+    ints, raise InvalidSpec.  By rigidity a root group search branches
+    once, |U| ways, and then only propagates.
     """
     if not forced and not vertex_fixes:
         raise InvalidSpec("automorphism search needs at least one constraint")

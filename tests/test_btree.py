@@ -404,6 +404,50 @@ def test_iwasawa_counts_an_exhausted_draw(q5, monkeypatch):
     assert not report["ok"]
 
 
+def test_iwasawa_report_lists_a_refuted_decomposition(q5, monkeypatch):
+    # every decomposition comes back with ok false: each of the first five
+    # draws is a failure entry with its matrix as strings and its checks
+    true_decompose = btree.iwasawa_decompose
+    drawn = []
+
+    def refuted(field, g):
+        drawn.append(g)
+        return {**true_decompose(field, g), "ok": False}
+
+    monkeypatch.setattr(btree, "iwasawa_decompose", refuted)
+    report = iwasawa_report(q5, samples=8, seed=1)
+    assert not report["ok"]
+    assert (report["verified"], report["exhausted"]) == (0, 0)
+    assert len(drawn) == 8
+    assert report["failures"] == [
+        {"sample": k,
+         "g": [[q5.format_element(g[i][j]) for j in range(2)]
+               for i in range(2)],
+         "checks": true_decompose(q5, g)["checks"]}
+        for k, g in enumerate(drawn[:5])]
+
+
+def test_cone_report_lists_an_inconsistent_pair(q5, monkeypatch):
+    # every pair is called inconsistent: the first ten are failure entries,
+    # each end labelled (x : y)
+    true_cone = btree.cone_vs_ultrametric
+    pairs = []
+
+    def inconsistent(field, x, y, depth):
+        agreement, vd, _ = true_cone(field, x, y, depth)
+        pairs.append((x, y, agreement, vd))
+        return agreement, vd, False
+
+    monkeypatch.setattr(btree, "cone_vs_ultrametric", inconsistent)
+    report = cone_correspondence_report(q5, depth=4, pairs=12, seed=4)
+    assert not report["ok"] and report["pairs_checked"] == 12
+    label = lambda e: (f"({q5.format_element(e.x)} : "
+                       f"{q5.format_element(e.y)})")
+    assert report["failures"] == [
+        {"x": label(x), "y": label(y), "agreement": agreement,
+         "valuation_distance": vd} for x, y, agreement, vd in pairs[:10]]
+
+
 def test_sampled_reports_refuse_no_samples(q2, q5):
     # with no sample drawn a report would pass having checked nothing
     with pytest.raises(InvalidSpec, match="--samples must be at least 1"):

@@ -1,4 +1,5 @@
-"""Every public function and method of the package has a caller inside it.
+"""Every function and method of the package, private ones included, has a
+caller inside it; dunder methods, which Python calls, are exempt.
 
 Code that only the tests or the benchmark call belongs with them.  Calls
 are matched by name (receivers are untyped), so a method counts as called
@@ -47,27 +48,37 @@ def _recursive_reads(node):
         for sub in ast.walk(node))
 
 
-def _public_defs(tree):
-    """(qualified name, def node) for each public module-level function and
-    each public method, private classes included."""
+def _defs(tree, private):
+    """(qualified name, def node) for each module-level function and each
+    method, private classes included, whose name is private or public as
+    asked; dunders are neither."""
+    def wanted(name):
+        return (not (name.startswith("__") and name.endswith("__"))
+                and name.startswith("_") == private)
+
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            if not node.name.startswith("_"):
+            if wanted(node.name):
                 yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for member in node.body:
-                if (isinstance(member, ast.FunctionDef)
-                        and not member.name.startswith("_")):
+                if isinstance(member, ast.FunctionDef) and wanted(member.name):
                     yield f"{node.name}.{member.name}", member
 
 
-def test_every_public_definition_has_a_caller_in_src():
+def _uncalled(private):
+    """The qualified names of the definitions no code in src/ calls."""
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in SOURCES]
     reads = Counter(name for tree in trees for name in _names_read(tree))
-    uncalled = set()
-    for tree in trees:
-        for qual, node in _public_defs(tree):
-            if reads[node.name] == _recursive_reads(node):
-                uncalled.add(qual)
-    assert uncalled == ALLOWED
+    return {qual for tree in trees for qual, node in _defs(tree, private)
+            if reads[node.name] == _recursive_reads(node)}
+
+
+def test_every_public_definition_has_a_caller_in_src():
+    assert _uncalled(private=False) == ALLOWED
+
+
+def test_every_private_definition_has_a_caller_in_src():
+    # a helper only the tests call, such as an oracle, lives in the tests
+    assert _uncalled(private=True) == set()

@@ -330,8 +330,102 @@ def test_verify_axioms_pg2_3(pg2_3):
     assert report["ok"], report
 
 
+# The recording walk, as it stood in ChamberComplex beside the panel-once
+# pass: it scans every panel from every member and lists each violation it
+# meets.  The oracle of the pass's verdict: the pass declines exactly the
+# bases where the walk records a violation, and gives the walk's row on
+# every other.  Called as _delta_walk(cx, c).
+def _delta_walk(self, c: int):
+    """The recording walk: (dist, delta index, violations) from c.
+
+    delta is assigned along minimal galleries; any conflict between two
+    galleries, any plateau mismatch, any panel with no gate (two members
+    at one distance and none closer) and any gap between gallery length
+    and Coxeter length is recorded instead of papered over.
+    """
+    W = self.coxeter
+    right = W.right
+    length = W.length
+    types = [(i, self.panels[i], self.panel_of[i])
+             for i in range(self.rank)]
+    dist = [-1] * self.size
+    delta = [-1] * self.size
+    violations = []
+    dist[c] = 0
+    delta[c] = 0
+    frontier = [c]
+    here = 0          # the frontier's distance from c
+    while frontier:
+        nxt = []
+        up = here + 1
+        for d in frontier:
+            wd = delta[d]
+            right_d = right[wd]
+            longer = length[wd] + 1
+            for i, plist, pof in types:
+                ws = right_d[i]
+                members = plist[pof[d]]
+                for e in members:
+                    if e == d:
+                        continue
+                    de = dist[e]
+                    if de == -1:
+                        dist[e] = up
+                        if length[ws] != longer:
+                            violations.append(
+                                ("length-drop", c, d, e, i))
+                        delta[e] = ws
+                        nxt.append(e)
+                    elif de == up:
+                        if delta[e] != ws:
+                            violations.append(
+                                ("gallery-conflict", c, d, e, i))
+                    elif de == here:
+                        if delta[e] != wd:
+                            violations.append(
+                                ("plateau-conflict", c, d, e, i))
+                        if all(dist[x] != here - 1 for x in members):
+                            violations.append(
+                                ("no-gate", c, d, e, i))
+                    else:  # de == here - 1, e is the gate side
+                        if right[delta[e]][i] != wd:
+                            violations.append(
+                                ("gate-conflict", c, d, e, i))
+        frontier = nxt
+        here = up
+    for d in range(self.size):
+        if dist[d] == -1:
+            violations.append(("disconnected", c, d, None, None))
+        elif length[delta[d]] != dist[d]:
+            violations.append(("length-mismatch", c, d, None, None))
+    return tuple(dist), tuple(delta), tuple(violations)
+
+
 def _violation_kinds(cx):
-    return Counter(v[0] for c in range(cx.size) for v in cx.row_violations(c))
+    """The violations the recording walk lists over every base, by kind."""
+    return Counter(v[0] for c in range(cx.size)
+                   for v in _delta_walk(cx, c)[2])
+
+
+def _refusal(cx, c):
+    """The NotFound message of every delta reader at a declined base c."""
+    return (f"delta from chamber {c} is not a W-distance: "
+            f"{cx.row_violations(c)[0]}")
+
+
+def _assert_b2_witnesses_at_the_walk_failures(cx):
+    """B2 fails, with one witness at exactly each base where the walk
+    records a violation, and the report lists the first ten of them."""
+    failing = [c for c in range(cx.size) if _delta_walk(cx, c)[2]]
+    witnesses = [cx.row_violations(c) for c in range(cx.size)]
+    assert [c for c, w in enumerate(witnesses) if w] == failing
+    assert all(len(w) == 1 and w[0][1] == c
+               for c, w in enumerate(witnesses) if w)
+    report = verify_building_axioms(cx)["B2_w_consistency"]
+    assert not report["ok"]
+    assert report["violations"] == [list(map(str, witnesses[c][0]))
+                                    for c in failing[:10]]
+    return failing
 
 
 def test_b2_flags_a_missing_chamber(pg2_2):
@@ -341,7 +435,7 @@ def test_b2_flags_a_missing_chamber(pg2_2):
     # some panel has two members at one distance and none closer
     assert _violation_kinds(broken) == {"no-gate": 40, "length-drop": 8,
                                         "length-mismatch": 8}
-    assert not verify_building_axioms(broken)["B2_w_consistency"]["ok"]
+    assert len(_assert_b2_witnesses_at_the_walk_failures(broken)) == 12
 
 
 def test_b2_flags_a_panel_with_no_gate():
@@ -350,18 +444,15 @@ def test_b2_flags_a_panel_with_no_gate():
     # two flags of point 2 lie at distance 4 along the two halves of the
     # octagon, both at delta w0, and no flag of point 2 is closer; every
     # delta is single-valued, so only the gate condition catches it
-    flags = ([(k, k) for k in range(4)] + [((k + 1) % 4, k) for k in range(4)]
-             + [(0, 4)])
-    cx = ChamberComplex(flags, MATRIX_B2, geometry="octagon with a tail")
+    cx = _octagon_with_a_tail()
     base, far = cx.chambers.index((0, 4)), cx.chambers.index((2, 1))
     assert _violation_kinds(cx) == {"no-gate": 2}
-    assert cx._delta_pass(base) is None
-    assert cx.delta_row(base)[far] == cx.coxeter.longest
-    with pytest.raises(NotUnique):
+    assert _delta_walk(cx, base)[1][far] == cx.coxeter.longest
+    assert cx._delta_pass(base)[:2] == (None, None)
+    assert _assert_b2_witnesses_at_the_walk_failures(cx) == [base]
+    assert cx.row_violations(base)[0][0] == "no-gate"
+    with pytest.raises(NotFound, match=re.escape(_refusal(cx, base))):
         cx.projection(cx.panel_id(1, far), base)
-    report = verify_building_axioms(cx)["B2_w_consistency"]
-    assert not report["ok"]
-    assert report["violations"][0][0] == "no-gate"
 
 
 def _random_incidence(rng):
@@ -375,14 +466,17 @@ def _random_incidence(rng):
 
 def _pass_against_walk(cx, outcomes):
     """Each row of cx by both routes: the pass gives the walk's row as two
-    byte rows, with no violation, or declines where the walk records one."""
+    byte rows, with no violation, or declines where the walk records one,
+    with one witness of a kind the walk records there."""
     for c in range(cx.size):
-        row, walk = cx._delta_pass(c), cx._delta_walk(c)
-        if row is None:
-            assert walk[2], (cx.chambers, c)
-            outcomes[frozenset(v[0] for v in walk[2])] += 1
+        (dist, delta, violations), walk = cx._delta_pass(c), _delta_walk(cx, c)
+        if delta is None:
+            assert walk[2] and dist is None, (cx.chambers, c)
+            kinds = frozenset(v[0] for v in walk[2])
+            (witness,) = violations
+            assert witness[0] in kinds and witness[1] == c, (cx.chambers, c)
+            outcomes[kinds] += 1
         else:
-            dist, delta, violations = row
             assert type(dist) is bytes and type(delta) is bytes
             assert (tuple(dist), tuple(delta), violations) == walk, (
                 cx.chambers, c)
@@ -418,26 +512,20 @@ def test_pass_matches_walk_on_every_base(spec):
 
 def _cell_masks_by_loop(cx, x):
     """cell_masks as it stood before byte rows, kept as its oracle: one
-    Python step per chamber, the unreached ones in the last entry."""
-    rows = [0] * (cx.coxeter.order + 1)
+    Python step per chamber."""
+    rows = [0] * cx.coxeter.order
     for y, w in enumerate(cx.delta_row(x)):
         rows[w] |= 1 << y
     return tuple(rows)
 
 
 def test_byte_cell_masks_match_the_loop(pg2_2):
-    # accepted rows are bytes and go through translate; a walk row (the
-    # plane missing a flag, or two planes, one never reached) keeps the loop
-    cases = [(build_flag_building(spec), 10) for spec in
-             ("PG2:q=3", "W:q=2", "Aflags:n=3,q=2")]
-    broken = ChamberComplex(pg2_2.chambers[1:], MATRIX_A2, geometry="broken")
-    cases += [(broken, 20), (_two_copies(pg2_2), 42)]
-    kinds = Counter()
-    for cx, bases in cases:
-        for x in range(bases):
-            kinds[type(cx.delta_row(x))] += 1
+    # every row is bytes and goes through translate
+    for cx in [pg2_2] + [build_flag_building(spec) for spec in
+                         ("PG2:q=3", "W:q=2", "Aflags:n=3,q=2")]:
+        for x in range(10):
+            assert type(cx.delta_row(x)) is bytes
             assert cx.cell_masks(x) == _cell_masks_by_loop(cx, x)
-    assert kinds[bytes] and kinds[tuple]
 
 
 def test_coxeter_order_past_a_byte_is_refused():
@@ -460,7 +548,7 @@ def test_b2_flags_a_wrong_coxeter_type(pg2_2, w2):
         "length-drop": 720, "gallery-conflict": 720, "gate-conflict": 720,
         "length-mismatch": 720}
     for cx in (plane_as_b2, quad_as_a2):
-        assert not verify_building_axioms(cx)["B2_w_consistency"]["ok"]
+        assert len(_assert_b2_witnesses_at_the_walk_failures(cx)) == cx.size
 
 
 def _two_copies(pg2_2):
@@ -475,9 +563,9 @@ def _two_copies(pg2_2):
 def test_b2_flags_two_disjoint_copies(pg2_2):
     two = _two_copies(pg2_2)
     assert _violation_kinds(two) == {"disconnected": 42 * 21}
-    first = two.row_violations(0)
-    assert first[0] == ("disconnected", 0, 21, None, None)
-    assert not verify_building_axioms(two)["B2_w_consistency"]["ok"]
+    assert two.row_violations(0) == (("disconnected", 0, 21, None, None),)
+    assert two.row_violations(21) == (("disconnected", 21, 0, None, None),)
+    assert len(_assert_b2_witnesses_at_the_walk_failures(two)) == 42
 
 
 def _pair_problems(cx, c, d):
@@ -670,11 +758,6 @@ def _check_by_products(cx, hull):
     seen_w = set(from_base)
     if len(seen_w) != len(hull):
         bad.append(("not-free", len(seen_w)))
-    # delta -1 (a chamber the base never reaches) names no element of W
-    unreached = [("unreached", base, e)
-                 for e, we in zip(hull, from_base) if we == -1]
-    if unreached:
-        return bad + unreached
     for e, we in zip(hull, from_base):
         we_inv = W.inverse[we]
         from_e = cx.delta_row(e)
@@ -684,27 +767,43 @@ def _check_by_products(cx, hull):
     return bad
 
 
+def _outcome(route, *args):
+    """What the route returns, or its NotFound as ("refused", message)."""
+    try:
+        return route(*args)
+    except NotFound as exc:
+        return ("refused", str(exc))
+
+
 def _hulls_against_oracles(cx, seed, pairs):
     """Seeded pairs (c, d): the hull of c with d and with an extension of
     d opposite c by both routes, and each nonempty hull checked by both.
-    Returns the number of hulls whose check found violations."""
+    A declined base c refuses the extension, naming its witness, and
+    each route refuses where the other does, naming the same one.
+    Returns the numbers of hulls whose check found violations and of
+    pairs whose base is declined."""
     rng = random.Random(seed)
-    failing = 0
+    failing = refused = 0
     for _ in range(pairs):
         c, d = rng.randrange(cx.size), rng.randrange(cx.size)
         ends = [d]
-        try:
-            ends.append(cx.extend_to_opposite(c, d))
-        except NotFound:
-            pass
+        if cx.row_violations(c):
+            refused += 1
+            assert _outcome(cx.extend_to_opposite, c, d) == (
+                "refused", _refusal(cx, c))
+        else:
+            try:
+                ends.append(cx.extend_to_opposite(c, d))
+            except NotFound:
+                pass
         for end in ends:
-            hull = cx.apartment_hull(c, end)
-            assert hull == _hull_by_scan(cx, c, end), (c, end)
-            if hull:
-                bad = cx.check_apartment(hull)
-                assert bad == _check_by_products(cx, hull), (c, end)
-                failing += bool(bad)
-    return failing
+            hull = _outcome(cx.apartment_hull, c, end)
+            assert hull == _outcome(_hull_by_scan, cx, c, end), (c, end)
+            if hull and hull[0] != "refused":
+                bad = _outcome(cx.check_apartment, hull)
+                assert bad == _outcome(_check_by_products, cx, hull), (c, end)
+                failing += bool(bad) and bad[0] != "refused"
+    return failing, refused
 
 
 @pytest.mark.parametrize("spec", ["PG2:q=2", "PG2:q=3", "PG2:q=4", "W:q=2",
@@ -713,7 +812,7 @@ def _hulls_against_oracles(cx, seed, pairs):
 def test_hulls_and_checks_match_the_oracles(spec):
     # in a building the hull of a pair is empty unless the pair is
     # opposite, and then it is an apartment
-    assert _hulls_against_oracles(build_flag_building(spec), 7, 80) == 0
+    assert _hulls_against_oracles(build_flag_building(spec), 7, 80) == (0, 0)
 
 
 def _broken_complexes(pg2_2, w2):
@@ -730,29 +829,63 @@ def _broken_complexes(pg2_2, w2):
 
 
 def test_hulls_and_checks_match_the_oracles_on_broken_complexes(pg2_2, w2):
-    failing = {cx.geometry: _hulls_against_oracles(cx, 5, 80)
-               for cx in _broken_complexes(pg2_2, w2)}
-    # a hull of the two planes lies in one copy, an apartment there
-    assert failing == {"broken": 29, "two planes": 0, "PG2 as B2": 59,
-                       "W as A2": 112}
+    outcomes = {cx.geometry: _hulls_against_oracles(cx, 5, 80)
+                for cx in _broken_complexes(pg2_2, w2)}
+    # 8 of the broken plane's 20 bases have a W-distance, and no base of
+    # the other three complexes; from those 8, every hull met is empty or
+    # holds a declined base, and both routes refuse it
+    assert outcomes == {"broken": (0, 49), "two planes": (0, 80),
+                        "PG2 as B2": (0, 80), "W as A2": (0, 80)}
+
+
+def _octagon_with_a_tail():
+    """The ordinary octagon of test_b2_flags_a_panel_with_no_gate with one
+    more line on point 0."""
+    flags = ([(k, k) for k in range(4)] + [((k + 1) % 4, k) for k in range(4)]
+             + [(0, 4)])
+    return ChamberComplex(flags, MATRIX_B2, geometry="octagon with a tail")
+
+
+def test_every_delta_reader_refuses_a_declined_base(pg2_2, w2):
+    for cx in _broken_complexes(pg2_2, w2) + [_octagon_with_a_tail()]:
+        c = next(c for c in range(cx.size) if cx.row_violations(c))
+        message = re.escape(_refusal(cx, c))
+        readers = [
+            (cx.delta_row, c), (cx.w_distance, c, 0), (cx.cell_masks, c),
+            (cx.projection, cx.panel_id(0, c), c), (cx.cell_sizes, c),
+            (cx.schubert_cell, c, 0), (cx.apartment_hull, c, c),
+            (cx.extend_to_opposite, c, 0), (cx.apartment_containing, c, 0),
+            (cx.check_apartment, [c]), (cx.schubert_coordinates, c, ()),
+            (cell_decomposition_report, cx, c)]
+        for reader, *args in readers:
+            with pytest.raises(NotFound, match=message):
+                reader(*args)
+        # the axiom report still comes back, B1 filing the refusal
+        report = verify_building_axioms(cx)
+        assert not report["ok"]
+        problems = [problem for failure in report["B1_apartments"]["failures"]
+                    for problem in failure["problems"]]
+        assert ("error", _refusal(cx, c)) in problems
 
 
 def test_a_pair_in_disjoint_copies_is_named_not_connected(pg2_2, w2):
     two_planes = _broken_complexes(pg2_2, w2)[1]
-    # chamber 21 opens the second copy: its delta from 0 is -1, not w0
-    assert two_planes.w_distance(0, 21) == -1
-    message = "chambers 0 and 21 are not connected"
-    with pytest.raises(NotFound, match=message):
-        two_planes.extend_to_opposite(0, 21)
+    # chamber 21 opens the second copy, the first that 0 never reaches
+    message = _refusal(two_planes, 0)
+    assert message.endswith("('disconnected', 0, 21, None, None)")
+    for route in (two_planes.w_distance, two_planes.extend_to_opposite):
+        assert _outcome(route, 0, 21) == ("refused", message)
     b1 = verify_building_axioms(two_planes)["B1_apartments"]
-    assert b1["failures"][0] == {"pair": [0, 21],
+    assert not b1["ok"]
+    assert b1["failures"][0] == {"pair": [0, 0],
                                  "problems": [("error", message)]}
-    # an apartment with its last chamber moved to the other copy
-    hull = two_planes.apartment_containing(0, 0)
+    # an apartment of the first copy with its last chamber moved to the
+    # other copy
+    hull = pg2_2.apartment_containing(0, 0)
     crossed = hull[:-1] + [hull[-1] + 21]
-    bad = two_planes.check_apartment(crossed)
-    assert ("unreached", 0, hull[-1] + 21) in bad
-    assert bad == _check_by_products(two_planes, crossed)
+    refused = ("refused", message)
+    assert _outcome(two_planes.check_apartment, crossed) == refused
+    assert _outcome(_check_by_products, two_planes, crossed) == refused
 
 
 # The B1 walk as it stood before chamber bitsets: every pair listed up
@@ -842,12 +975,20 @@ def test_cell_sizes_law(pg2_2, pg2_3, w2):
 
 
 def test_cell_report_leaves_unreached_chambers_out(pg2_2):
-    # from chamber 0 the second plane is never reached: it lies in no cell
-    rep = cell_decomposition_report(_two_copies(pg2_2), 0)
-    assert rep["cells"] == cell_decomposition_report(pg2_2, 0)["cells"]
-    assert (rep["nonempty_cells"], rep["total"]) == (6, 21)
-    assert not rep["covers_all_chambers"]
-    assert rep["every_w_nonempty"]
+    # from chamber 0 the second plane is never reached: no cell is counted
+    two = _two_copies(pg2_2)
+    with pytest.raises(NotFound, match=re.escape(_refusal(two, 0))):
+        cell_decomposition_report(two, 0)
+    # on a base with a W-distance the cells are the walk's, and cover
+    broken = ChamberComplex(pg2_2.chambers[1:], MATRIX_A2, geometry="broken")
+    accepted = [c for c in range(broken.size) if not broken.row_violations(c)]
+    assert len(accepted) == 8
+    by_word = broken.coxeter.element_from_word
+    for c in accepted:
+        rep = cell_decomposition_report(broken, c)
+        assert {by_word(row["word"]): row["size"] for row in rep["cells"]} \
+            == Counter(_delta_walk(broken, c)[1])
+        assert rep["covers_all_chambers"] and rep["total"] == broken.size
 
 
 def test_cell_sizes_independent_of_base(pg2_2, w2):
@@ -984,18 +1125,26 @@ def test_anchor_side_gate_matches_projection(spec):
 def test_anchor_side_gate_on_a_complex_missing_a_chamber(pg2_2):
     broken = ChamberComplex(pg2_2.chambers[1:], MATRIX_A2,
                             geometry="broken")
-    ties = 0
+    # c's side refuses a declined c, and otherwise gives the member the
+    # walk from c finds nearest; the anchor side refuses at the first
+    # declined member, which every panel here has
+    walks = [_delta_walk(broken, c) for c in range(broken.size)]
+    gates = 0
     for panel in broken.all_panel_ids():
+        members = broken.panel_members(panel)
+        declined = [e for e in members if walks[e][2]]
+        assert declined
         for c in range(broken.size):
-            try:
-                gate = broken.projection(panel, c)
-            except NotUnique as exc:
-                ties += 1
-                with pytest.raises(NotUnique, match=re.escape(str(exc))):
-                    broken._gate(panel, c, from_panel=True)
-            else:
-                assert broken._gate(panel, c, from_panel=True) == gate
-    assert ties
+            gate = _outcome(broken.projection, panel, c)
+            assert _outcome(broken._gate, panel, c, True) == (
+                "refused", _refusal(broken, declined[0]))
+            if walks[c][2]:
+                assert gate == ("refused", _refusal(broken, c))
+                continue
+            dists = sorted((walks[c][0][e], e) for e in members)
+            assert dists[0][0] < dists[1][0] and gate == dists[0][1]
+            gates += 1
+    assert gates == 8 * len(list(broken.all_panel_ids()))
 
 
 @pytest.mark.parametrize("spec, c0, tables", [

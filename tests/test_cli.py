@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from buildinglab import btree, cli, geometries, localfield, moufang
+from buildinglab.chambers import SchubertCoordinates
 from buildinglab.coxeter import CoxeterSystem
 from buildinglab.errors import NotFound, PrecisionExhausted
 
@@ -83,6 +84,36 @@ def test_field_classify_and_eval(capsys):
          "--expr", "t^-2+2*t"], capsys)
     assert code == 0
     assert report["results"]["valuation"] == -2
+
+
+@pytest.mark.parametrize("field, expr, described, element, formatted, "
+                         "valuation", [
+    ("F9", "3", "F9", {"code": 3, "coeffs": [0, 1], "exact": True}, "w", 0),
+    ("Qp:p=7,prec=8", "7*pi^2-1", "Q7 (precision 8)",
+     {"valuation": 0, "digits": None, "mantissa": 342, "exact": True},
+     "342", 0),
+    ("Q5", "0", "Q5 (precision 8)",
+     {"valuation": "infinity", "digits": [], "exact": True}, "0", "inf"),
+], ids=["F9", "Q7", "Q5-zero"])
+def test_field_eval_reports_each_model(field, expr, described, element,
+                                       formatted, valuation, capsys):
+    code, report, _ = run(["field", "eval", "--field", field,
+                           "--expr", expr], capsys)
+    assert code == 0
+    assert report["results"] == {
+        "field": described, "expr": expr, "element": element,
+        "formatted": formatted, "valuation": valuation}
+
+
+@pytest.mark.parametrize("field, expr, message", [
+    ("F9", "x", "finite-field literal must be an integer code, got 'x'"),
+    ("Q5", "", "empty element literal ''"),
+])
+def test_field_eval_refuses_a_bad_literal(field, expr, message, capsys):
+    assert cli.main(["field", "eval", "--field", field, "--expr", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_field_eval_requires_expr(capsys):
@@ -604,6 +635,32 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     assert report["checks_failed"] == 1
     assert report["failures"][0]["id"] == "recovered_operations_match"
     assert "FAILED" in err
+
+
+def test_all_reports_a_coordinate_failure(monkeypatch, capsys):
+    # the coordinates on the cell of the word 0,1 are made non-bijective:
+    # each geometry's Schubert check fails and lists that one row
+    true_verify = SchubertCoordinates.verify
+
+    def broken(self):
+        row = true_verify(self)
+        return {**row, "bijective": False} if self.word == (0, 1) else row
+
+    monkeypatch.setattr(SchubertCoordinates, "verify", broken)
+    code, report, _ = run(["all", "--profile", "quick"], capsys)
+    assert code == 1
+    failed = {f["id"]: f["witness"] for f in report["failures"]}
+    assert set(failed) == {"schubert:PG2:q=2", "schubert:PG2:q=3",
+                           "schubert:W:q=2"}
+    for spec, total, q in (("PG2:q=2", 21, 2), ("PG2:q=3", 52, 3),
+                           ("W:q=2", 45, 2)):
+        row = {"word": [0, 1], "cell_size": q * q, "domain_size": q * q,
+               "bijective": False}
+        assert failed[f"schubert:{spec}"] == {
+            "chambers": total, "expected": total, "size_law_ok": True,
+            "coordinate_failures": [row]}
+        assert report["results"]["schubert"][spec] == failed[
+            f"schubert:{spec}"]
 
 
 def test_json_only_silences_stderr(capsys):

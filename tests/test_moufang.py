@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from typing import Optional
 
@@ -13,7 +14,12 @@ from buildinglab.chambers import (
     cell_decomposition_report,
 )
 from buildinglab.coxeter import MATRIX_A2
-from buildinglab.errors import InvalidSpec, NotFound, SearchBudgetExceeded
+from buildinglab.errors import (
+    InvalidSpec,
+    NotFound,
+    NotUnique,
+    SearchBudgetExceeded,
+)
 from buildinglab import moufang
 from buildinglab.btree import filtration_indices
 from buildinglab.localfield import finite_field, parse_field_spec
@@ -448,40 +454,59 @@ def _star_of_chamber_0(cx):
     return {e: e for i in range(cx.rank) for e in cx.copanel_members(i, 0)}
 
 
+def _assert_refused(search, cx, forced):
+    """The search raises NotFound at a base whose delta is no W-distance,
+    naming the witness the pass keeps for it."""
+    with pytest.raises(NotFound) as exc:
+        search(cx, forced=forced)
+    message = str(exc.value)
+    base = re.match(r"delta from chamber (\d+) is not a W-distance: ",
+                    message)
+    assert message.endswith(str(cx.row_violations(int(base[1]))[0]))
+
+
 @pytest.mark.parametrize("name", OFF_BUILDINGS)
 def test_search_matches_forward_checking_off_buildings(name, pg2_2, w2):
-    # on these complexes propagation leaves no complete map that the final
-    # automorphism test rejects; TWELVE_FLAGS below is one where it does
+    # delta is no W-distance from the chambers these searches read first,
+    # so both routes refuse; the panels alone still define the maps
     cx, star_maps = _off_building(name, pg2_2, w2)
     star = _star_of_chamber_0(cx)
+    for search in (find_automorphisms, _forward_checking_automorphisms):
+        _assert_refused(search, cx, star)
+    assert len(_panel_automorphisms(cx, star)) == star_maps
+    # every image forced: the search reads no row, and the final test
+    # keeps the map; the oracle reads every row first and refuses
     identity = dict(enumerate(range(cx.size)))
-    for forced, count in ((star, star_maps), (identity, 1)):
-        got = find_automorphisms(cx, forced=forced)
-        assert got == _forward_checking_automorphisms(cx, forced=forced)
-        assert len(got) == count
+    assert find_automorphisms(cx, forced=identity) == [tuple(range(cx.size))]
+    _assert_refused(_forward_checking_automorphisms, cx, identity)
 
 
-# Twelve flags (point, line) of an A2 complex that is no building.  With
-# chamber 3 fixed, propagation alone completes a second map that is no
-# automorphism; only the final automorphism test of find_automorphisms
-# rejects it.
+# Twelve flags (point, line) of an A2 complex that is no building: delta
+# from chamber 3 is no W-distance, so a search fixing chamber 3 is
+# refused, where the panels alone admit the identity only.
 TWELVE_FLAGS = [(0, 0), (0, 3), (0, 4), (1, 2), (3, 0), (3, 1), (3, 3),
                 (4, 0), (4, 1), (5, 3), (6, 0), (6, 3)]
 
 
-def test_the_final_automorphism_test_rejects_a_complete_map(monkeypatch):
+def test_the_final_automorphism_test_rejects_a_complete_map(pg2_2,
+                                                            monkeypatch):
     cx = ChamberComplex(TWELVE_FLAGS, MATRIX_A2, geometry="twelve-flags")
+    _assert_refused(find_automorphisms, cx, {3: 3})
+    assert _panel_automorphisms(cx, {3: 3}) == [tuple(range(12))]
+    # on a building, a map with every image forced is complete before any
+    # filtering, and only the final test rejects it
     verdicts = []
-    test = cx.is_automorphism
+    test = pg2_2.is_automorphism
 
     def recorded(image):
         verdicts.append(test(image))
         return verdicts[-1]
 
-    monkeypatch.setattr(cx, "is_automorphism", recorded)
-    got = find_automorphisms(cx, forced={3: 3})
-    assert got == _panel_automorphisms(cx, {3: 3}) == [tuple(range(12))]
-    assert False in verdicts
+    monkeypatch.setattr(pg2_2, "is_automorphism", recorded)
+    swapped = dict(enumerate(range(pg2_2.size)))
+    swapped[0], swapped[20] = 20, 0
+    assert find_automorphisms(pg2_2, forced=swapped) == []
+    assert verdicts == [False]
 
 
 # The automorphisms as the panels alone define them, kept as the oracle
@@ -547,32 +572,56 @@ def _panel_automorphisms(cx: ChamberComplex,
     return sorted(solutions)
 
 
+# Buildings: automorphisms fixing the star of chamber 0
+STAR_MAPS = {"PG2:q=2": 2, "W:q=2": 4, "Aflags:n=3,q=2": 8}
+
+
 def _fresh_complex(name, pg2_2, w2):
     """(a complex no search has read, automorphisms fixing the star of
-    chamber 0) for PG2:q=2, TWELVE_FLAGS or an off-building complex."""
-    if name == "PG2:q=2":
-        return ChamberComplex(pg2_2.chambers, MATRIX_A2, geometry=name), 2
+    chamber 0) for a building of STAR_MAPS, TWELVE_FLAGS or an
+    off-building complex."""
+    if name in STAR_MAPS:
+        return build_flag_building(name), STAR_MAPS[name]
     if name == "twelve-flags":
         return ChamberComplex(TWELVE_FLAGS, MATRIX_A2, geometry=name), 1
     return _off_building(name, pg2_2, w2)
 
 
-@pytest.mark.parametrize("name", ["PG2:q=2", "twelve-flags"] + OFF_BUILDINGS)
+def _oracle_constraints(cx):
+    """Forced images to search under: the star of chamber 0, then chamber
+    3 fixed and the last chamber sent to 0.  In rank 3 the panel oracle
+    takes most of a minute on those two, and an apartment fixed chamber by
+    chamber stands in for them."""
+    star, last = _star_of_chamber_0(cx), cx.size - 1
+    if cx.rank == 2:
+        return [star, {3: 3}, {last: 0}]
+    return [star, {e: e for e in cx.apartment_containing(0, last)}]
+
+
+@pytest.mark.parametrize("name", list(STAR_MAPS) + ["twelve-flags"]
+                         + OFF_BUILDINGS)
 def test_search_matches_the_panel_oracle(name, pg2_2, w2):
-    # delta only prunes: on and off buildings the search keeps exactly the
-    # maps the panels define.  It handles the chambers whose rows are built
+    # delta only prunes: on a building the search keeps exactly the maps
+    # the panels define.  It handles the chambers whose rows are built
     # first, so on a complex with every cell row built it runs the
-    # constraints in another order; the result must not move
+    # constraints in another order; the result must not move.  Off
+    # buildings, warm or cold, it refuses where the panels still answer
     warm, star_maps = _fresh_complex(name, pg2_2, w2)
-    for x in range(warm.size):
-        warm.cell_masks(x)
-    star, last = _star_of_chamber_0(warm), warm.size - 1
-    assert len(find_automorphisms(warm, forced=star)) == star_maps
-    for forced in (star, {3: 3}, {last: 0}):
-        got = find_automorphisms(_fresh_complex(name, pg2_2, w2)[0],
-                                 forced=forced)
-        assert got == find_automorphisms(warm, forced=forced)
-        assert got == _panel_automorphisms(warm, forced)
+    building = not any(map(warm.row_violations, range(warm.size)))
+    if building:
+        for x in range(warm.size):
+            warm.cell_masks(x)
+    for k, forced in enumerate(_oracle_constraints(warm)):
+        maps = _panel_automorphisms(warm, forced)
+        if k == 0:
+            assert len(maps) == star_maps
+        cold = _fresh_complex(name, pg2_2, w2)[0]
+        if not building:
+            for cx in (cold, warm):
+                _assert_refused(find_automorphisms, cx, forced)
+            continue
+        got = find_automorphisms(cold, forced=forced)
+        assert got == find_automorphisms(warm, forced=forced) == maps
 
 
 def _flag_automorphisms(cx):
@@ -959,11 +1008,14 @@ def test_a_root_takes_the_parameter_of_its_first_vertex(pg2_3, monkeypatch):
 
 
 def test_cell_law_fails_where_a_type_has_unequal_panels(pg2_2, w2):
-    # a missing chamber leaves panels of 2 and 3 chambers in both types
+    # a missing chamber leaves panels of 2 and 3 chambers in both types;
+    # delta is a W-distance from 8 of the 20 chambers, the first chamber 9
     cx, _ = _off_building("minus-chamber-0", pg2_2, w2)
     assert cx.thickness == (None, None)
-    report = cell_decomposition_report(cx, 0)
-    assert not report["size_law_ok"]
+    accepted = [c for c in range(cx.size) if not cx.row_violations(c)]
+    assert accepted == [9, 10, 12, 13, 14, 15, 17, 18]
+    report = cell_decomposition_report(cx, accepted[0])
+    assert not report["size_law_ok"] and report["covers_all_chambers"]
     assert [row["expected"] for row in report["cells"]][:2] == [1, None]
 
 
@@ -1456,6 +1508,35 @@ def test_mu_exists_unique_and_reflects(frame2, frame3):
 def test_mu_rejects_identity(frame2):
     with pytest.raises(InvalidSpec):
         mu_element(frame2, frame2.identity, 1)
+
+
+def test_mu_refuses_more_than_one_candidate(frame2, monkeypatch):
+    # with every map taken for a reflection, each product a u b of the
+    # double coset is a candidate, and no single mu is left
+    monkeypatch.setattr(frame2, "is_reflection_through", lambda g, i: True)
+    u = next(g for g in frame2.root_group(1) if g != frame2.identity)
+    top = frame2.root_group(1 + frame2.n)
+    candidates = {compose(compose(a, u), b) for a in top for b in top}
+    assert len(candidates) > 1
+    with pytest.raises(NotUnique,
+                       match=f"^{len(candidates)} mu candidates over root 1$"):
+        mu_element(frame2, u, 1)
+
+
+def test_fit_refuses_a_field_of_another_order(frame2):
+    with pytest.raises(InvalidSpec, match="must match the panel parameter"):
+        fit_parametrization(frame2, finite_field(3), 1)
+
+
+def test_quadrangle_identity_says_no_where_u2_is_not_filled(framew,
+                                                            monkeypatch):
+    # U_2 read as the trivial group: the tables x_2 derived from x_4 by
+    # conjugation land outside it
+    true_group = framew.root_group
+    monkeypatch.setattr(framew, "root_group", lambda i: (
+        [framew.identity] if i == 2 else true_group(i)))
+    assert quadrangle_identity_check(framew, finite_field(2)) == {
+        "ok": False, "reason": "derived tables do not fill U_2, U_3"}
 
 
 def test_parametrization_formula_pg2(frame2, frame3):

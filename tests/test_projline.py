@@ -196,6 +196,30 @@ def test_recovery_check_reports(spec_field):
     assert report["failures"] == []
 
 
+def test_recovery_check_lists_a_wrong_triple_product(monkeypatch):
+    # a triple product off by one: every compared pair is a failure entry,
+    # its verdicts those of the mutant on the pair it names
+    F = finite_field(7)
+    true_hua = projline.hua_triple_product
+
+    def off_by_one(field, x, y):
+        value = true_hua(field, x, y)
+        return value if value is INF else field.add(value, field.one)
+
+    monkeypatch.setattr(projline, "hua_triple_product", off_by_one)
+    report = recovery_check(F, pairs=20, seed=9)
+    assert not report["ok"]
+    assert report["pairs_compared"] == len(report["failures"]) == 20
+    for entry in report["failures"]:
+        x, y = parse_element(F, entry["x"]), parse_element(F, entry["y"])
+        assert entry == {
+            "x": F.format_element(x), "y": F.format_element(y),
+            "triple_ok": F.eq(off_by_one(F, x, y), F.mul(F.mul(x, y), x)),
+            "product_ok": F.eq(recover_multiplication(F, x, y),
+                               F.mul(x, y))}
+        assert not entry["triple_ok"]
+
+
 def test_recovery_check_refuses_no_pairs():
     with pytest.raises(InvalidSpec, match="--samples must be at least 1"):
         recovery_check(finite_field(7), 0, 1)
